@@ -23,7 +23,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -66,7 +65,7 @@ def _write_csv(path: Path, digest: str, header, rows) -> None:
 
 
 def _write_manifest(outdir: Path, cfg: RunConfig, outputs, t0: float,
-                    command: str, threads: int | None, passed: bool) -> None:
+                    command: str, stats: dict | None, passed: bool) -> None:
     import scipy
     manifest = {
         "config_digest": cfg.digest,
@@ -82,8 +81,8 @@ def _write_manifest(outdir: Path, cfg: RunConfig, outputs, t0: float,
         "scheme": {"scheme": cfg.scheme.scheme, "dt": cfg.scheme.dt,
                    "startup_grading": cfg.scheme.startup_grading,
                    "delta_sign": cfg.delta_sign},
-        "threads": threads,
-        "wall_clock_s": round(time.time() - t0, 3),
+        "stats": stats,
+        "wall_clock_s": round(time.perf_counter() - t0, 3),
         "outputs": [str(p) for p in outputs],
         "assertions_passed": passed,
     }
@@ -137,7 +136,7 @@ def _cmd_price(cfg: RunConfig, outdir: Path):
     _write_csv(outdir / "price.csv", cfg.digest,
                ("S0", "K", "T", "price_pide", "price_oracle", "rel_err"), rows)
     passed = (not math.isfinite(rel)) or rel < cfg.oracle_rel_tol
-    return passed, [outdir / "price.csv"]
+    return passed, [outdir / "price.csv"], result.stats
 
 
 def _cmd_diagnose_bessel(cfg: RunConfig, outdir: Path):
@@ -297,8 +296,6 @@ def main(argv=None) -> int:
         description="Jump-diffusion option pricing and operator diagnostics")
     parser.add_argument("--config", required=True, help="INI config path")
     parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker thread hint recorded in the manifest")
     parser.add_argument("--seedless", action="store_true",
                         help="fail the run if any RNG draw happens")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -310,10 +307,8 @@ def main(argv=None) -> int:
     sub.add_parser("xi-probe")
 
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads > 0:
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         cfg = load_config(args.config)
     except LevyPideError as exc:
@@ -322,10 +317,11 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    stats = None
     try:
         with _seedless_guard(args.seedless):
             if args.command == "price":
-                passed, outputs = _cmd_price(cfg, outdir)
+                passed, outputs, stats = _cmd_price(cfg, outdir)
             elif args.command == "diagnose":
                 fn = {"bessel": _cmd_diagnose_bessel,
                       "operator": _cmd_diagnose_operator,
@@ -341,7 +337,7 @@ def main(argv=None) -> int:
         return 2
     command = " ".join(["levypide"] + list(argv if argv is not None
                                            else sys.argv[1:]))
-    _write_manifest(outdir, cfg, outputs, t0, command, args.threads, passed)
+    _write_manifest(outdir, cfg, outputs, t0, command, stats, passed)
     for p in outputs:
         print(p)
     if not passed:

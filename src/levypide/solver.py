@@ -12,10 +12,26 @@ data):
   variation-of-constants integral; the linear multiplier is exponentiated
   exactly and the explicit terms enter through phi-function weights.
 
-In shifted mode U starts at zero and is forced by the compensated operator
-acting on the closed form, evaluated analytically at shifted arguments (no
-interpolation of the kink); the early-time steepness of that source is met
-with a quadratically graded startup mesh.  The feedback diffusion coefficient
+In shifted mode U starts at zero and is forced by the source h(tau), the
+compensated operator acting on the closed form; the early-time steepness of
+that source is met with a quadratically graded startup mesh.  The source is
+built in two phases:
+
+* analytic phase — while sigma sqrt(tau) < SOURCE_SWITCH_CELLS * dx the
+  operator is applied to the closed form at shifted arguments (no
+  interpolation of the kink);
+* propagated phase — with the identity shift the operator is
+  translation-invariant and commutes with the Black-Scholes generator L_BS,
+  so h(tau) = exp((tau - tau_s) L_BS) h(tau_s) exactly.  The first analytic
+  level past the threshold becomes the anchor tau_s, and later levels are
+  one spectral multiply of its transform.
+
+The switch is verified: the first propagated level is also evaluated
+analytically, and a max-norm relative gap above SOURCE_SWITCH_TOL keeps the
+analytic value and moves the anchor to that level, to be verified again at
+the next one.  Feedback shifts (rho > 0) and any tau at or before the anchor
+stay analytic.  The counts, the anchor and the verified gap are reported in
+SolveResult.stats.  The feedback diffusion coefficient
 sigma^2 / (2 (1 - rho dpsi/dx)^2) runs in a frozen-coefficient IMEX variant
 with a cyclic tridiagonal solve.
 """
@@ -123,9 +139,24 @@ class SchemeConfig:
             raise ParameterDomainError("checkpoint_count must be >= 1")
 
 
+# The source is propagated once the Black-Scholes kernel is this many grid
+# cells wide (sigma sqrt(tau) >= SOURCE_SWITCH_CELLS * dx); earlier, the
+# smoothed kink is too sharp for the grid to carry it.
+SOURCE_SWITCH_CELLS = 2.0
+# Largest max-norm relative gap between the propagated and the analytic
+# source accepted at the switch.
+SOURCE_SWITCH_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SolveResult:
-    """Terminal state plus checkpoint diagnostics of one solve."""
+    """Terminal state plus checkpoint diagnostics of one solve.
+
+    stats counts the source work of the solve: source_analytic and
+    source_propagated evaluations, source_reanchors (failed switch
+    verifications), the verified anchor source_switch_tau and its
+    source_switch_gap (both None when the source never switched).
+    """
 
     field: GridField
     checkpoints: tuple
@@ -136,6 +167,7 @@ class SolveResult:
     difference: GridField | None = None
     trajectory: tuple = ()
     cross_check_gap: float | None = None
+    stats: dict = field(default_factory=dict)
 
 
 def heat_semigroup(u: GridField, sigma: float, dt: float) -> GridField:
@@ -339,8 +371,87 @@ def _solve_cyclic_tridiag(sub: np.ndarray, dia: np.ndarray, sup: np.ndarray,
     return y - factor * q
 
 
+def _source_stats() -> dict:
+    return {"source_analytic": 0, "source_propagated": 0,
+            "source_reanchors": 0, "source_switch_tau": None,
+            "source_switch_gap": None}
+
+
+def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
+                        stats: dict) -> Callable[[float], np.ndarray]:
+    """source(tau): the compensated operator on the closed form, on the grid.
+
+    Analytic while the kernel is narrower than SOURCE_SWITCH_CELLS cells,
+    then propagated spectrally from a verified anchor (identity shift only);
+    see the module docstring.  The marchers call it in nondecreasing tau;
+    a tau at or before the anchor is evaluated analytically.  Counts go into
+    stats.
+    """
+    g = problem.grid
+    # call and put share the source: the compensated operator kills the
+    # affine gap between the two closed forms, and the put profile keeps
+    # the evaluation free of exponential growth
+    bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
+                                "put")
+    propagate = plan.shift is None
+    k = g.wavenumbers()
+    L_bs = (-0.5 * problem.sigma ** 2 * k ** 2
+            + 1j * k * (problem.rate - 0.5 * problem.sigma ** 2))
+    anchor = None  # (tau_s, rfft of the analytic source at tau_s)
+    verified = False
+    cache: dict[float, np.ndarray] = {}
+
+    def analytic(tau: float) -> np.ndarray:
+        h = apply_f_tilde_fn(plan, lambda p: bs.u(tau, p),
+                             lambda p: bs.du_dx(tau, p), tau)
+        if not np.all(np.isfinite(h)):
+            raise SingularityError(
+                f"compensated source is non-finite at tau={tau:.3e}; "
+                "use a finer graded startup mesh")
+        stats["source_analytic"] += 1
+        return h
+
+    def evaluate(tau: float) -> np.ndarray:
+        nonlocal anchor, verified
+        if not propagate or \
+                problem.sigma * math.sqrt(tau) < SOURCE_SWITCH_CELLS * g.dx:
+            return analytic(tau)
+        if anchor is None or tau <= anchor[0]:
+            h = analytic(tau)
+            if anchor is None:
+                anchor = (tau, np.fft.rfft(h))
+            return h
+        tau_s, h_hat = anchor
+        h_prop = np.fft.irfft(np.exp((tau - tau_s) * L_bs) * h_hat,
+                              n=g.n_total)
+        if not verified:
+            h = analytic(tau)
+            gap = float(np.max(np.abs(h_prop - h))) \
+                / max(float(np.max(np.abs(h))), 1e-300)
+            if gap > SOURCE_SWITCH_TOL:
+                anchor = (tau, np.fft.rfft(h))
+                stats["source_reanchors"] += 1
+                return h
+            verified = True
+            stats["source_switch_tau"] = float(tau_s)
+            stats["source_switch_gap"] = gap
+        stats["source_propagated"] += 1
+        return h_prop
+
+    def source(tau: float) -> np.ndarray:
+        got = cache.get(tau)
+        if got is None:
+            got = evaluate(tau)
+            if len(cache) > 6:
+                cache.pop(next(iter(cache)))
+            cache[tau] = got
+        return got
+
+    return source
+
+
 def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
-    """Assemble (plan, L_hat, N_fn, needs_grad, source_cache) for one solve.
+    """Assemble (plan, L_hat, N_fn, needs_grad, stats) for one solve.
 
     The implicit multiplier carries diffusion plus, in pricing form, the
     constant part of the drift (identity-shift drift correction folded in so
@@ -375,34 +486,16 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
         k2 = g.wavenumbers_full()[:, None] ** 2 + g.wavenumbers()[None, :] ** 2
         L_hat = -0.5 * sigma2 * k2 + 0j
 
-    source_bs = None
-    if shifted:
-        # call and put share the source: the compensated operator kills the
-        # affine gap between the two closed forms, and the put profile keeps
-        # the evaluation free of exponential growth
-        source_bs = BlackScholesClosedForm(problem.strike, problem.rate,
-                                           problem.sigma, "put")
+    stats = _source_stats()
+    source = None
+    if shifted and plan is not None:
+        source = _compensated_source(problem, plan, stats)
 
-    h_cache: dict[float, np.ndarray] = {}
     axis = g.axis() if g.dim == 1 else None
     meshes = g.meshes() if g.dim == 2 else None
     delta_static = plan is not None and plan.shift is not None \
         and not plan.shift.strategy.time_dependent
     delta_cache: dict[float, np.ndarray] = {}
-
-    def source(tau: float) -> np.ndarray:
-        got = h_cache.get(tau)
-        if got is None:
-            got = apply_f_tilde_fn(plan, lambda p: source_bs.u(tau, p),
-                                   lambda p: source_bs.du_dx(tau, p), tau)
-            if not np.all(np.isfinite(got)):
-                raise SingularityError(
-                    f"compensated source is non-finite at tau={tau:.3e}; "
-                    "use a finer graded startup mesh")
-            if len(h_cache) > 6:
-                h_cache.pop(next(iter(h_cache)))
-            h_cache[tau] = got
-        return got
 
     def delta_x(tau: float) -> np.ndarray:
         key = 0.0 if delta_static else tau
@@ -436,13 +529,13 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
             coords = axis if g.dim == 1 else meshes
             gval = problem.nonlinearity(tau, coords, v, dv)
             out = gval if out is None else out + gval
-        if shifted and plan is not None:
+        if source is not None:
             out = source(tau) if out is None else out + source(tau)
         if out is None:
             out = np.zeros_like(v)
         return out
 
-    return plan, L_hat, N_fn, needs_grad
+    return plan, L_hat, N_fn, needs_grad, stats
 
 
 def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
@@ -465,7 +558,8 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
 
 def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
          taus: np.ndarray, shifted: bool, store_stride: int):
-    plan, L_hat, N_fn, needs_grad = _prepare_rhs(problem, scheme, shifted)
+    plan, L_hat, N_fn, needs_grad, stats = _prepare_rhs(problem, scheme,
+                                                        shifted)
     _check_stability(problem, scheme, plan)
     norm = FractionalNorm(problem.grid, scheme.monitor_gamma)
     T = float(taus[-1])
@@ -481,7 +575,7 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
 
     v_T, stored = _march(problem.grid, L_hat, N_fn, v0, taus, scheme,
                          needs_grad, on_level, store_stride)
-    return plan, v_T, tuple(checkpoints), stored
+    return plan, v_T, tuple(checkpoints), stored, stats
 
 
 def solve_direct(problem: CauchyProblem, scheme: SchemeConfig,
@@ -499,10 +593,10 @@ def solve_direct(problem: CauchyProblem, scheme: SchemeConfig,
         return _solve_feedback(problem, scheme, store_stride)
     tau0 = problem.initial.time_tag
     taus = build_time_mesh(problem.horizon, scheme.dt, grade=False, tau0=tau0)
-    plan, v_T, checkpoints, stored = _run(problem, scheme,
-                                          problem.initial.values, taus,
-                                          shifted=False,
-                                          store_stride=store_stride)
+    plan, v_T, checkpoints, stored, stats = _run(problem, scheme,
+                                                 problem.initial.values, taus,
+                                                 shifted=False,
+                                                 store_stride=store_stride)
     gap = None
     if scheme.cross_check:
         other = "mild_etd2" if scheme.scheme == "imex_bdf2" else "imex_bdf2"
@@ -514,7 +608,8 @@ def solve_direct(problem: CauchyProblem, scheme: SchemeConfig,
                 f"{scheme.cross_check_tol:.3e}", error=gap)
     return SolveResult(GridField(problem.grid, v_T, float(taus[-1])),
                        checkpoints, taus, scheme, plan,
-                       trajectory=tuple(stored), cross_check_gap=gap)
+                       trajectory=tuple(stored), cross_check_gap=gap,
+                       stats=stats)
 
 
 def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig,
@@ -539,9 +634,9 @@ def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig,
                            fraction=scheme.startup_fraction,
                            density=scheme.startup_density)
     v0 = np.zeros(problem.grid.n_total)
-    plan, U_T, checkpoints, stored = _run(problem, scheme, v0, taus,
-                                          shifted=True,
-                                          store_stride=store_stride)
+    plan, U_T, checkpoints, stored, stats = _run(problem, scheme, v0, taus,
+                                                 shifted=True,
+                                                 store_stride=store_stride)
     bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
                                 problem.option_type)
     background = GridField(problem.grid, bs.u(T, problem.grid.axis()), T)
@@ -558,7 +653,8 @@ def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig,
     return SolveResult(u_field, checkpoints, taus, scheme, plan,
                        background=background,
                        difference=GridField(problem.grid, U_T, T),
-                       trajectory=tuple(stored), cross_check_gap=gap)
+                       trajectory=tuple(stored), cross_check_gap=gap,
+                       stats=stats)
 
 
 def multid_solve(problem: CauchyProblem, scheme: SchemeConfig,
@@ -586,7 +682,8 @@ def step_imex(problem: CauchyProblem, scheme: SchemeConfig, state: GridField,
               history: GridField | None = None) -> GridField:
     """One IMEX step from state.time_tag; supply the previous level to take a
     BDF2 step instead of the Euler startup step."""
-    plan, L_hat, N_fn, needs_grad = _prepare_rhs(problem, scheme, shifted=False)
+    plan, L_hat, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
+                                                    shifted=False)
     _check_stability(problem, scheme, plan)
     sch = _replace_scheme(scheme, "imex_bdf2")
     if history is None:
@@ -615,7 +712,8 @@ def step_imex(problem: CauchyProblem, scheme: SchemeConfig, state: GridField,
 def step_mild(problem: CauchyProblem, scheme: SchemeConfig,
               state: GridField) -> GridField:
     """One exponential-integrator step from state.time_tag."""
-    plan, L_hat, N_fn, needs_grad = _prepare_rhs(problem, scheme, shifted=False)
+    plan, L_hat, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
+                                                    shifted=False)
     sch = _replace_scheme(scheme, "mild_etd2")
     taus = np.array([state.time_tag, state.time_tag + scheme.dt])
     v, _ = _march(problem.grid, L_hat, N_fn, state.values, taus, sch, needs_grad)
@@ -703,10 +801,10 @@ def _solve_feedback(problem: CauchyProblem, scheme: SchemeConfig,
         if (i + 1) in marks:
             checkpoints.append((float(taus[i + 1]),
                                 norm(GridField(g, v, float(taus[i + 1])))))
-        if store_stride and (i + 1) % store_stride == 0:
+        if store_stride and ((i + 1) % store_stride == 0 or i + 1 == taus.size - 1):
             stored.append((float(taus[i + 1]), v.copy()))
     return SolveResult(GridField(g, v, T), tuple(checkpoints), taus, scheme,
-                       plan, trajectory=tuple(stored))
+                       plan, trajectory=tuple(stored), stats=_source_stats())
 
 
 @dataclass(frozen=True)
@@ -765,7 +863,7 @@ def duhamel_gap(problem: CauchyProblem, scheme: SchemeConfig,
         raise ParameterDomainError("run the solve with store_stride to use this")
     if shifted is None:
         shifted = result.difference is not None
-    plan, L_hat, N_fn, needs_grad = _prepare_rhs(problem, scheme, shifted)
+    plan, L_hat, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, shifted)
     tr = _Transforms(problem.grid)
     times = [t for t, _ in result.trajectory]
     vals = [v for _, v in result.trajectory]

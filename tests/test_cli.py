@@ -115,6 +115,9 @@ def test_price_command_writes_artifacts(tmp_path):
     assert manifest["config_digest"] == load_config(cfg).digest
     assert "numpy" in manifest["versions"]
     assert manifest["outputs"] == [str(out / "price.csv")]
+    assert manifest["stats"]["source_propagated"] > 0
+    assert manifest["stats"]["source_switch_gap"] <= 1e-10
+    assert "threads" not in manifest
 
 
 def test_price_runs_are_byte_deterministic(tmp_path):

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from levypide import solver
 from levypide.blackscholes import BlackScholesClosedForm
 from levypide.errors import (BlowUpError, ParameterDomainError,
                              StabilityError, ToleranceNotMetError,
                              UnsupportedConfigurationError)
 from levypide.grids import GridField, make_grid
-from levypide.measures import make_merton
+from levypide.jump_operator import apply_f_tilde_fn, build_plan
+from levypide.measures import make_exponential_tail, make_kou, make_merton
+from levypide.pricing import estimate_reach
 from levypide.shift import ShiftModel, strategy_tanh_ramp
 from levypide.solver import (CauchyProblem, SchemeConfig, build_time_mesh,
                              duhamel_gap, heat_semigroup,
@@ -276,3 +279,81 @@ def test_two_dim_diffusion_matches_heat_semigroup():
     res = solve_direct(problem, SchemeConfig(scheme="mild_etd2", dt=0.05))
     exact = heat_semigroup(u0, 0.4, 0.5)
     assert np.max(np.abs(res.field.values - exact.values)) < 1e-12
+
+
+@pytest.mark.parametrize("measure", [
+    MERTON, make_kou(0.4, 0.6, 8.0, 4.0), make_exponential_tail(1.0, 0.5, 3.0),
+], ids=["merton", "kou", "exptail_alpha_0.5"])
+def test_propagated_source_matches_analytic(measure):
+    g = make_grid(3.0, 256, reach=estimate_reach(measure, None, 3.0))
+    problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.05,
+                            measure=measure, strike=100.0)
+    plan = build_plan(g, measure)
+    stats = solver._source_stats()
+    source = solver._compensated_source(problem, plan, stats)
+    taus = build_time_mesh(1.0, 0.02, grade=True)
+    for tau in taus:
+        source(float(tau))
+        if stats["source_switch_tau"] is not None:
+            break
+    assert stats["source_switch_gap"] <= solver.SOURCE_SWITCH_TOL
+    done = stats["source_propagated"]
+    bs = BlackScholesClosedForm(100.0, 0.05, 0.2, "put")
+    for tau in (0.3, 0.6, 1.0):
+        assert tau > stats["source_switch_tau"]
+        want = apply_f_tilde_fn(plan, lambda p: bs.u(tau, p),
+                                lambda p: bs.du_dx(tau, p), tau)
+        got = source(tau)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
+    assert stats["source_propagated"] == done + 3
+
+
+def test_failed_switch_check_reanchors_and_keeps_the_price(monkeypatch):
+    g = make_grid(3.0, 256, reach=2.3)
+    problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.05,
+                            measure=MERTON, strike=100.0)
+    sch = SchemeConfig(dt=0.02)
+    i0 = int(np.argmin(np.abs(g.axis())))
+    monkeypatch.setattr(solver, "SOURCE_SWITCH_CELLS", math.inf)
+    exact = solve_shifted(problem, sch)
+    assert exact.stats["source_propagated"] == 0
+    assert exact.stats["source_switch_tau"] is None
+    # half a cell is too early: the first check fails and the anchor moves
+    monkeypatch.setattr(solver, "SOURCE_SWITCH_CELLS", 0.5)
+    res = solve_shifted(problem, sch)
+    st = res.stats
+    assert st["source_reanchors"] >= 1
+    first = min(t for t in res.taus if 0.2 * math.sqrt(t) >= 0.5 * g.dx)
+    assert st["source_switch_tau"] > first
+    assert st["source_switch_gap"] <= solver.SOURCE_SWITCH_TOL
+    assert st["source_propagated"] > 0
+    # one evaluation per level, plus the analytic check at the switch
+    assert st["source_analytic"] + st["source_propagated"] \
+        == exact.stats["source_analytic"] + 1
+    price, want = res.field.values[i0], exact.field.values[i0]
+    assert abs(price / want - 1.0) <= 1e-12
+
+
+def test_impacted_solve_keeps_the_source_analytic():
+    g = make_grid(4.0, 128, reach=3.2)
+    problem = CauchyProblem(g, sigma=0.2, horizon=0.5, rate=0.03,
+                            measure=MERTON,
+                            shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.04))
+    res = solve_shifted(problem, SchemeConfig(dt=0.05))
+    assert res.stats["source_propagated"] == 0
+    assert res.stats["source_analytic"] == res.taus.size - 1
+    assert res.stats["source_switch_tau"] is None
+
+
+def test_feedback_trajectory_stores_the_final_level():
+    g = make_grid(4.0, 128, reach=3.2)
+    payoff = GridField(g, np.maximum(np.exp(g.axis()) - 1.0, 0.0))
+    problem = CauchyProblem(g, sigma=0.25, horizon=0.1, rate=0.03,
+                            measure=MERTON,
+                            shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.05),
+                            initial=payoff, diffusion_mode="feedback")
+    res = solve_direct(problem, SchemeConfig(dt=0.01), store_stride=3)
+    assert (res.taus.size - 1) % 3 != 0
+    times = [t for t, _ in res.trajectory]
+    assert times == [float(t) for t in res.taus[::3]] + [float(res.taus[-1])]
+    assert np.array_equal(res.trajectory[-1][1], res.field.values)
