@@ -27,9 +27,8 @@ from .shift import (ShiftModel, TradingStrategy, compute_delta,
                     resolve_H, strategy_from_table, strategy_linear,
                     strategy_sin, strategy_tanh_ramp, strategy_zero)
 from .solver import (CauchyProblem, SchemeConfig, SolveResult, duhamel_gap,
-                     heat_semigroup, multid_solve,
-                     singular_source_decay_probe, solve_direct, solve_shifted,
-                     step_imex, step_mild)
+                     heat_semigroup, singular_source_decay_probe,
+                     solve_direct, solve_shifted, step_imex, step_mild)
 from .config import RunConfig, load_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

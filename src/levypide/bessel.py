@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import OutOfDomainError, ParameterDomainError, SingularityError
-from .grids import Grid, GridField, field_interp, gradient
+from .grids import Grid, GridField, Transforms, field_interp, gradient
 from .quadrature import panels_quad
 
 __all__ = [
@@ -112,19 +112,12 @@ class FractionalNorm:
             raise ParameterDomainError("gamma must lie in [-1, 1]")
         self.grid = grid
         self.gamma = gamma
-        if grid.dim == 1:
-            k2 = grid.wavenumbers() ** 2
-        else:
-            k2 = (grid.wavenumbers_full()[:, None] ** 2
-                  + grid.wavenumbers()[None, :] ** 2)
-        self.multiplier = (1.0 + k2) ** gamma
+        self._tr = Transforms(grid)
+        self.multiplier = (1.0 + self._tr.k2) ** gamma
 
     def __call__(self, u: GridField | np.ndarray) -> float:
         v = u.values if isinstance(u, GridField) else np.asarray(u, dtype=float)
-        if self.grid.dim == 1:
-            w = np.fft.irfft(self.multiplier * np.fft.rfft(v), n=self.grid.n_total)
-        else:
-            w = np.fft.irfft2(self.multiplier * np.fft.rfft2(v), s=v.shape)
+        w = self._tr.apply(self.multiplier, v)
         return float(np.sqrt(np.sum(w * w) * self.grid.dx ** self.grid.dim))
 
 
@@ -204,7 +197,7 @@ def _compensated_shift(u: GridField, xi: np.ndarray, du: np.ndarray) -> np.ndarr
 
 
 def q_estimate_probe(u: GridField, xi_1: np.ndarray, xi_2: np.ndarray,
-                     gamma: float, grad_method: str = "spectral") -> float:
+                     gamma: float) -> float:
     """Holder-type quotient for the compensated shift operator.
 
     ratio = ||Q(u, xi_1) - Q(u, xi_2)||_L2 /
@@ -226,7 +219,7 @@ def q_estimate_probe(u: GridField, xi_1: np.ndarray, xi_2: np.ndarray,
     if reach > g.pad * g.dx:
         raise OutOfDomainError(
             f"shift reach {reach:.3g} exceeds padding {g.pad * g.dx:.3g}")
-    du = gradient(u, grad_method)[0]
+    du = gradient(u)[0]
     diff = _compensated_shift(u, xi_1, du) - _compensated_shift(u, xi_2, du)
     num = float(np.sqrt(np.sum(diff ** 2) * g.dx))
     gap = float(np.max(np.abs(xi_1 - xi_2)))

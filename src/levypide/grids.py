@@ -7,12 +7,13 @@ without wrap-around contaminating the core region.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .errors import OutOfDomainError, ParameterDomainError
+from .errors import ParameterDomainError
 
 
 @dataclass(frozen=True)
@@ -73,27 +74,65 @@ class Grid:
     def wavenumbers_full(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_total, d=self.dx)
 
-    def index_of(self, x: float) -> int:
-        i = round((x - self.x_lo) / self.dx)
-        if not (0 <= i < self.n_total) or abs(self.x_lo + i * self.dx - x) > 1e-9 * max(1.0, abs(x)):
-            raise OutOfDomainError(f"x={x} is not a grid point")
-        return int(i)
+
+class Transforms:
+    """Real FFT pair and Fourier multipliers on one grid's padded box.
+
+    The 1-D/2-D dispatch lives here and nowhere else.  Spectra are in rfft
+    storage: full modes along axis 0 and half modes along the last axis.
+    numpy.fft is looked up on every call, so a rebinding of its entry points
+    (a profiler's, say) reaches every transform.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+
+    @cached_property
+    def ik(self) -> tuple[np.ndarray, ...]:
+        """i k per axis, shaped to broadcast against a spectrum."""
+        g = self.grid
+        if g.dim == 1:
+            return (1j * g.wavenumbers(),)
+        return (1j * g.wavenumbers_full()[:, None], 1j * g.wavenumbers()[None, :])
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """|k|^2 on the spectrum."""
+        g = self.grid
+        if g.dim == 1:
+            return g.wavenumbers() ** 2
+        return g.wavenumbers_full()[:, None] ** 2 + g.wavenumbers()[None, :] ** 2
+
+    def fwd(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(values) if self.grid.dim == 1 else np.fft.rfft2(values)
+
+    def inv(self, spectrum: np.ndarray) -> np.ndarray:
+        n = self.grid.n_total
+        if self.grid.dim == 1:
+            return np.fft.irfft(spectrum, n=n)
+        return np.fft.irfft2(spectrum, s=(n, n))
+
+    def apply(self, multiplier: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The Fourier multiplier applied to real values."""
+        return self.inv(multiplier * self.fwd(values))
+
+    def grad(self, spectrum: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Real partial derivatives of the field with this spectrum."""
+        return tuple(self.inv(ik * spectrum) for ik in self.ik)
 
 
 def make_grid(half_width: float, n_core: int, reach: float = 0.0,
               stencil_margin: int = 4, dim: int = 1) -> Grid:
     """Build a grid whose padding covers a non-local reach.
 
-    Pad cells are sized to ceil(reach / dx) plus a stencil margin, then rounded
-    so the padded length is FFT-friendly.
+    Pad cells are sized to ceil(reach / dx) plus a stencil margin, then grown
+    symmetrically to the smallest even 5-smooth (FFT-friendly) padded length.
     """
     dx = 2.0 * half_width / n_core
     pad = int(np.ceil(max(reach, 0.0) / dx)) + stencil_margin if reach > 0 or stencil_margin else 0
-    n_tot = next_fast_len(n_core + 2 * pad, real=True)
-    extra = n_tot - (n_core + 2 * pad)
-    pad += extra // 2
-    if extra % 2:  # keep pads symmetric; shrink back to an even split
-        n_tot = n_core + 2 * pad
+    # n_core is even, so an even length splits into two equal pads
+    n_tot = 2 * next_fast_len((n_core + 2 * pad) // 2, real=True)
+    pad += (n_tot - (n_core + 2 * pad)) // 2
     return Grid(dim=dim, half_width=half_width, n_core=n_core, pad=pad)
 
 
@@ -135,42 +174,11 @@ class GridField:
         """Grid-weighted L2 norm over the padded box."""
         return float(np.sqrt(np.sum(self.values ** 2) * self.grid.dx ** self.grid.dim))
 
-    def linf(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
-
-def spectral_gradient(u: GridField) -> tuple[np.ndarray, ...]:
+def gradient(u: GridField) -> tuple[np.ndarray, ...]:
     """Gradient by Fourier differentiation on the padded periodic box."""
-    g = u.grid
-    if g.dim == 1:
-        uh = np.fft.rfft(u.values)
-        return (np.fft.irfft(1j * g.wavenumbers() * uh, n=g.n_total),)
-    kx = g.wavenumbers_full()[:, None]
-    ky = g.wavenumbers()[None, :]
-    uh = np.fft.rfft2(u.values)
-    d1 = np.fft.irfft2(1j * kx * uh, s=u.values.shape)
-    d2 = np.fft.irfft2(1j * ky * uh, s=u.values.shape)
-    return d1, d2
-
-
-def fd4_gradient(u: GridField) -> tuple[np.ndarray, ...]:
-    """Fourth-order central differences with periodic wrap."""
-    g = u.grid
-
-    def d(axis: int) -> np.ndarray:
-        v = u.values
-        return (8.0 * (np.roll(v, -1, axis) - np.roll(v, 1, axis))
-                - (np.roll(v, -2, axis) - np.roll(v, 2, axis))) / (12.0 * g.dx)
-
-    return tuple(d(a) for a in range(g.dim))
-
-
-def gradient(u: GridField, method: str = "spectral") -> tuple[np.ndarray, ...]:
-    if method == "spectral":
-        return spectral_gradient(u)
-    if method == "fd4":
-        return fd4_gradient(u)
-    raise ParameterDomainError(f"unknown gradient method {method!r}")
+    tr = Transforms(u.grid)
+    return tr.grad(tr.fwd(u.values))
 
 
 def cubic_interp_periodic(values: np.ndarray, x_lo: float, dx: float,

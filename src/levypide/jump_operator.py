@@ -27,7 +27,8 @@ import numpy as np
 from .bessel import FractionalNorm
 from .errors import (OutOfDomainError, ParameterDomainError, PlanInvalidError,
                      UnsupportedConfigurationError)
-from .grids import Grid, GridField, cubic_interp_periodic, gradient
+from .grids import (Grid, GridField, Transforms, cubic_interp_periodic,
+                    gradient)
 from .measures import AxisJumpPair, LevyMeasure
 from .quadrature import adaptive_quad, gauss_legendre_panels
 from .shift import ShiftModel, xi_on_grid
@@ -64,35 +65,34 @@ def reference_symbol(measure: LevyMeasure, k: float, rel_tol: float = 1e-10) -> 
 def small_jump_compensation(measure, eps_in: float):
     """Second moment of the jump density over |z| < eps_in.
 
-    Returns (sigma2_correction, drift_correction): the diffusion coefficient
-    picked up when inner jumps are folded away, and an identically zero drift
-    (the integrand is compensated, so no first-order term survives).  In two
+    This is the diffusion coefficient picked up when inner jumps are folded
+    away; no drift survives because the integrand is compensated.  In two
     dimensions the correction is a 2x2 matrix.
     """
     if eps_in <= 0:
         raise ParameterDomainError("eps_in must be positive")
     if isinstance(measure, AxisJumpPair):
-        sx, _ = small_jump_compensation(measure.axis_x, eps_in)
-        sy, _ = small_jump_compensation(measure.axis_y, eps_in)
-        return np.diag([sx, sy]), np.zeros(2)
+        sx = small_jump_compensation(measure.axis_x, eps_in)
+        sy = small_jump_compensation(measure.axis_y, eps_in)
+        return np.diag([sx, sy])
     if measure.dim == 1:
         h = measure.density
         s2 = (adaptive_quad(lambda z: z * z * float(h(z)), 0.0, eps_in, 1e-12)
               + adaptive_quad(lambda z: z * z * float(h(-z)), 0.0, eps_in, 1e-12))
-        return float(s2), np.zeros(1)
+        return float(s2)
     if measure.radial_profile is not None:
         prof = measure.radial_profile
         m2 = adaptive_quad(lambda r: r ** 3 * float(prof(r)), 0.0, eps_in, 1e-12)
-        return np.eye(2) * (math.pi * m2), np.zeros(2)
+        return np.eye(2) * (math.pi * m2)
     if measure.product_factors is not None:
         fx, fy = measure.product_factors
         mx = float(adaptive_quad(lambda z: float(fx.density(z)), -np.inf, np.inf, 1e-12))
         my = float(adaptive_quad(lambda z: float(fy.density(z)), -np.inf, np.inf, 1e-12))
-        sx, _ = small_jump_compensation(fx, eps_in)
-        sy, _ = small_jump_compensation(fy, eps_in)
+        sx = small_jump_compensation(fx, eps_in)
+        sy = small_jump_compensation(fy, eps_in)
         # product density: inner square, second moment per axis times the
         # other factor's (near-total) mass — adequate for the tiny eps used
-        return np.diag([sx * my, sy * mx]), np.zeros(2)
+        return np.diag([sx * my, sy * mx])
     raise UnsupportedConfigurationError(
         "two-dimensional correction needs a radial profile or product factors")
 
@@ -130,7 +130,6 @@ class OperatorPlan:
     eps_in: float
     r_out: float
     small_jump_policy: str
-    grad_method: str
     force_quadrature: bool
     z_nodes: np.ndarray | None
     z_weights: np.ndarray | None
@@ -140,7 +139,6 @@ class OperatorPlan:
     exp_mean: float
     delta0: float
     sigma2_correction: object
-    drift_correction: np.ndarray
     symbol_conv: np.ndarray | None
     fft_mass: float
     fft_mean: np.ndarray
@@ -155,29 +153,6 @@ class OperatorPlan:
     @property
     def uses_fft(self) -> bool:
         return self.symbol_conv is not None and not self.force_quadrature
-
-    def f_multiplier(self) -> np.ndarray:
-        """Frequency multiplier of f for the identity-shift path (grad taken
-        spectrally): symbol - mass - i k . mean."""
-        if self.symbol_conv is None:
-            raise PlanInvalidError("no fast path on this plan")
-        if self.dim == 1:
-            k = self.grid.wavenumbers()
-            return self.symbol_conv - self.fft_mass - 1j * k * self.fft_mean[0]
-        kx = self.grid.wavenumbers_full()[:, None]
-        ky = self.grid.wavenumbers()[None, :]
-        return (self.symbol_conv - self.fft_mass
-                - 1j * (kx * self.fft_mean[0] + ky * self.fft_mean[1]))
-
-    def f_tilde_multiplier(self) -> np.ndarray:
-        """As f_multiplier but compensating with (e^z - 1): the multiplier of
-        the exponential-annihilating variant."""
-        if self.dim != 1:
-            raise UnsupportedConfigurationError("compensated variant is 1-D")
-        if self.symbol_conv is None:
-            raise PlanInvalidError("no fast path on this plan")
-        k = self.grid.wavenumbers()
-        return self.symbol_conv - self.fft_mass - 1j * k * self.fft_exp_mean
 
     def bounded_multiplier(self) -> np.ndarray:
         """symbol - mass: the advection-free part, spectral radius <= 2 mass."""
@@ -233,7 +208,7 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
                small_jump_policy: str = "diffusion_correction",
                eps_in: float | None = None, r_out: float | None = None,
                nodes_per_panel: int = 16, force_quadrature: bool = False,
-               grad_method: str = "spectral", tail_tol: float = 1e-10,
+               tail_tol: float = 1e-10,
                tau_probe: float = 0.0) -> OperatorPlan:
     """Precompute nodes, weights, moments, and (when available) the symbol.
 
@@ -244,8 +219,6 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
     """
     if small_jump_policy not in ("drop", "diffusion_correction"):
         raise ParameterDomainError("small_jump_policy must be drop or diffusion_correction")
-    if grad_method not in ("spectral", "fd4"):
-        raise ParameterDomainError("grad_method must be spectral or fd4")
     if shift is not None and shift.rho == 0.0:
         shift = None
 
@@ -310,10 +283,9 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
         delta0 = float(np.sum(wh * (np.expm1(z_nodes) - z_nodes)))
 
     if small_jump_policy == "diffusion_correction" and eps_in > 0:
-        sigma2_corr, drift_corr = small_jump_compensation(measure, eps_in)
+        sigma2_corr = small_jump_compensation(measure, eps_in)
     else:
         sigma2_corr = 0.0 if grid.dim == 1 else np.zeros((2, 2))
-        drift_corr = np.zeros(grid.dim)
 
     # fast path: identity shift and a density finite at the origin
     symbol_conv = None
@@ -342,12 +314,12 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
 
     return OperatorPlan(
         grid=grid, measure=measure, shift=shift, eps_in=eps_in, r_out=r_out,
-        small_jump_policy=small_jump_policy, grad_method=grad_method,
+        small_jump_policy=small_jump_policy,
         force_quadrature=force_quadrature, z_nodes=z_nodes,
         z_weights=z_weights, z_density=z_density, nu_mass=nu_mass,
         mean_jump=np.array([mean]) if grid.dim == 1 else fft_mean,
         exp_mean=exp_mean, delta0=delta0, sigma2_correction=sigma2_corr,
-        drift_correction=drift_corr, symbol_conv=symbol_conv,
+        symbol_conv=symbol_conv,
         fft_mass=fft_mass, fft_mean=fft_mean, fft_exp_mean=fft_exp_mean,
         reach=reach)
 
@@ -361,7 +333,7 @@ def _check_field(plan: OperatorPlan, u: GridField) -> None:
 
 def _grad_values(plan: OperatorPlan, u: GridField, grad_u):
     if grad_u is None:
-        return gradient(u, plan.grad_method)
+        return gradient(u)
     if isinstance(grad_u, GridField):
         return (grad_u.values,)
     if isinstance(grad_u, (tuple, list)):
@@ -413,21 +385,16 @@ def apply_f(plan: OperatorPlan, u: GridField, grad_u=None,
 
     Identity-shift plans with a symbol take the fast path: frequency-domain
     product with the sampled symbol, then mass and mean subtractions using
-    grad_u (computed by the plan's gradient method when not supplied).
+    grad_u (computed spectrally when not supplied).
     """
     _check_field(plan, u)
     tau = u.time_tag if tau is None else tau
     grads = _grad_values(plan, u, grad_u)
     if plan.uses_fft:
-        if plan.dim == 1:
-            conv = np.fft.irfft(plan.symbol_conv * np.fft.rfft(u.values),
-                                n=plan.grid.n_total)
-            out = conv - plan.fft_mass * u.values - plan.fft_mean[0] * grads[0]
-        else:
-            conv = np.fft.irfft2(plan.symbol_conv * np.fft.rfft2(u.values),
-                                 s=u.values.shape)
-            out = (conv - plan.fft_mass * u.values
-                   - plan.fft_mean[0] * grads[0] - plan.fft_mean[1] * grads[1])
+        out = (Transforms(plan.grid).apply(plan.symbol_conv, u.values)
+               - plan.fft_mass * u.values)
+        for mean, du in zip(plan.fft_mean, grads):
+            out = out - mean * du
         return u.with_values(out)
     if plan.dim != 1:
         raise UnsupportedConfigurationError(
@@ -449,8 +416,7 @@ def apply_f_tilde(plan: OperatorPlan, u: GridField, grad_u=None,
     tau = u.time_tag if tau is None else tau
     grads = _grad_values(plan, u, grad_u)
     if plan.uses_fft:
-        out = (np.fft.irfft(plan.symbol_conv * np.fft.rfft(u.values),
-                            n=plan.grid.n_total)
+        out = (Transforms(plan.grid).apply(plan.symbol_conv, u.values)
                - plan.fft_mass * u.values - plan.fft_exp_mean * grads[0])
         return u.with_values(out)
     return u.with_values(_quadrature_sum(plan, u.values, grads[0], tau, "exp"))
@@ -534,7 +500,7 @@ def f_bound_probe(plan: OperatorPlan, fields: Sequence[GridField],
         if float(np.max(np.abs(u.values))) == 0.0:
             continue
         fu = apply_f(plan, u)
-        grads = gradient(u, plan.grad_method)
+        grads = gradient(u)
         den = math.sqrt(sum(norm(u.with_values(g)) ** 2 for g in grads))
         ratios.append(fu.l2() / den)
     mx = max(ratios) if ratios else 0.0

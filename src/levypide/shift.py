@@ -35,7 +35,7 @@ __all__ = [
     "strategy_sin", "strategy_tanh_ramp", "strategy_from_table",
     "estimate_holder_constant", "resolve_xi", "resolve_xi_fixed_point",
     "resolve_xi_first_order", "xi_on_grid", "count_xi_roots", "resolve_H",
-    "compute_delta", "delta_on_grid", "growth_bound_probe", "GrowthReport",
+    "compute_delta", "growth_bound_probe", "GrowthReport",
 ]
 
 _LOG_FLOOR = 1e-12
@@ -362,27 +362,6 @@ def compute_delta(model: ShiftModel | None, measure: LevyMeasure, tau: float,
             + quad_left_unit(lambda z: integrand(-z), tol)
             + adaptive_quad(integrand, 1.0, zc_pos, tol)
             + adaptive_quad(lambda z: integrand(-z), 1.0, zc_neg, tol))
-
-
-def delta_on_grid(model: ShiftModel | None, tau: float, x: np.ndarray,
-                  z_nodes: np.ndarray, z_weights: np.ndarray,
-                  density_at_nodes: np.ndarray) -> np.ndarray:
-    """delta(tau, .) on a grid using a fixed jump-size quadrature.
-
-    Shares nodes with the non-local operator so that the exponential-field
-    identity f(e^x) = delta e^x cancels exactly in the combined operator.
-    """
-    x = np.asarray(x, dtype=float)
-    if model is None or model.rho == 0.0:
-        vals = (np.exp(z_nodes) - 1.0 - z_nodes) * density_at_nodes * z_weights
-        return np.full_like(x, float(np.sum(vals)))
-    out = np.zeros_like(x)
-    for zj, wj, hj in zip(z_nodes, z_weights, density_at_nodes):
-        if hj == 0.0:
-            continue
-        xi = xi_on_grid(model, tau, x, float(zj))
-        out += wj * hj * (np.exp(xi) - 1.0 - xi)
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,30 @@
 """Time integration of the transformed jump-diffusion Cauchy problems.
 
-Two interchangeable marchers evolve either the solution itself (direct mode)
-or the difference U = u - u_closed_form (shifted mode, for kinked payoff
-data):
+Every solve is one abstract semilinear problem v' = L v + N(tau, v): a linear
+part L taken implicitly and an explicit remainder N carrying the jump
+operator, the drift excess, the source and any user nonlinearity.  One
+marcher, _march, evolves either the solution itself (direct mode) or the
+difference U = u - u_closed_form (shifted mode, for kinked payoff data), with
+one of two schemes:
 
-* imex_bdf2 — diffusion and the constant drift are inverted as a Fourier
-  multiplier each step; the jump operator, drift excess, source, and any user
-  nonlinearity are explicit with variable-step BDF2 extrapolation (Euler
-  startup).
+* imex_bdf2 — variable-step BDF2 with extrapolated explicit terms (Euler
+  startup); each step hands (a0 - dt L) u = rhs to the implicit solve.
 * mild_etd2 — a two-stage exponential integrator discretizing the
-  variation-of-constants integral; the linear multiplier is exponentiated
-  exactly and the explicit terms enter through phi-function weights.
+  variation-of-constants integral; the Fourier multiplier of L is
+  exponentiated exactly and the explicit terms enter through phi-function
+  weights.
+
+The implicit solve comes in two forms:
+
+* constant diffusion — L is a Fourier multiplier (diffusion plus the constant
+  part of the drift), so the solve is one divide of the spectrum;
+* feedback diffusion — the coefficient sigma^2 / (2 (1 - rho dpsi/dx)^2)
+  varies in x, so the solve is a cyclic tridiagonal system in real space with
+  the coefficient frozen at the start of each step, and the whole drift goes
+  explicit.  It runs with imex_bdf2 in direct mode only.
+
+step_imex and step_mild are single _march steps; the previous level seeds a
+BDF2 continuation.
 
 In shifted mode U starts at zero and is forced by the source h(tau), the
 compensated operator acting on the closed form; the early-time steepness of
@@ -31,33 +45,31 @@ analytically, and a max-norm relative gap above SOURCE_SWITCH_TOL keeps the
 analytic value and moves the anchor to that level, to be verified again at
 the next one.  Feedback shifts (rho > 0) and any tau at or before the anchor
 stay analytic.  The counts, the anchor and the verified gap are reported in
-SolveResult.stats.  The feedback diffusion coefficient
-sigma^2 / (2 (1 - rho dpsi/dx)^2) runs in a frozen-coefficient IMEX variant
-with a cyclic tridiagonal solve.
+SolveResult.stats.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .bessel import FractionalNorm
 from .blackscholes import BlackScholesClosedForm
 from .errors import (BlowUpError, ParameterDomainError, SingularityError,
                      StabilityError, ToleranceNotMetError,
                      UnsupportedConfigurationError)
-from .grids import Grid, GridField, gradient
+from .grids import Grid, GridField, Transforms
 from .jump_operator import (OperatorPlan, apply_f, apply_f_tilde_fn,
                             build_plan, delta_on_plan_nodes)
-from .measures import AxisJumpPair
 from .shift import ShiftModel
 
 __all__ = [
     "CauchyProblem", "SchemeConfig", "SolveResult", "DecayReport",
     "heat_semigroup", "build_time_mesh", "step_imex", "step_mild",
-    "solve_direct", "solve_shifted", "multid_solve",
+    "solve_direct", "solve_shifted",
     "singular_source_decay_probe", "duhamel_gap",
 ]
 
@@ -116,7 +128,6 @@ class SchemeConfig:
 
     scheme: str = "imex_bdf2"
     dt: float = 1e-3
-    grad_method: str = "spectral"
     startup_grading: bool = True
     startup_fraction: float = 0.05
     startup_density: float = 8.0
@@ -176,15 +187,8 @@ def heat_semigroup(u: GridField, sigma: float, dt: float) -> GridField:
         raise ParameterDomainError("dt must be nonnegative")
     if dt == 0.0:
         return u
-    g = u.grid
-    if g.dim == 1:
-        k2 = g.wavenumbers() ** 2
-        out = np.fft.irfft(np.exp(-0.5 * sigma ** 2 * k2 * dt) * np.fft.rfft(u.values),
-                           n=g.n_total)
-    else:
-        k2 = g.wavenumbers_full()[:, None] ** 2 + g.wavenumbers()[None, :] ** 2
-        out = np.fft.irfft2(np.exp(-0.5 * sigma ** 2 * k2 * dt) * np.fft.rfft2(u.values),
-                            s=u.values.shape)
+    tr = Transforms(u.grid)
+    out = tr.apply(np.exp(-0.5 * sigma ** 2 * tr.k2 * dt), u.values)
     return u.with_values(out, time_tag=u.time_tag + dt)
 
 
@@ -239,73 +243,58 @@ def _phis(z: np.ndarray):
     return e, p1, p2
 
 
-class _Transforms:
-    """Real-FFT helpers bound to one grid."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        if grid.dim == 1:
-            self.fwd = np.fft.rfft
-            self.inv = lambda a: np.fft.irfft(a, n=grid.n_total)
-            self.ik = 1j * grid.wavenumbers()
-        else:
-            self.fwd = np.fft.rfft2
-            shape = (grid.n_total, grid.n_total)
-            self.inv = lambda a: np.fft.irfft2(a, s=shape)
-            self.ikx = 1j * grid.wavenumbers_full()[:, None]
-            self.iky = 1j * grid.wavenumbers()[None, :]
-
-    def grad(self, u_hat: np.ndarray):
-        if self.grid.dim == 1:
-            return self.inv(self.ik * u_hat)
-        return (self.inv(self.ikx * u_hat), self.inv(self.iky * u_hat))
-
-
-def _march(grid: Grid, L_hat: np.ndarray, N_fn, v0: np.ndarray,
-           taus: np.ndarray, scheme: SchemeConfig, needs_grad: bool,
-           on_level=None, store_stride: int = 0):
+def _march(grid: Grid, L_hat: np.ndarray | None, implicit, N_fn,
+           v0: np.ndarray, taus: np.ndarray, scheme: SchemeConfig,
+           needs_grad: bool, on_level=None, store_stride: int = 0,
+           history: tuple | None = None):
     """Advance v0 across taus; returns (terminal values, stored trajectory).
 
-    N_fn(tau, values, grad_values_or_None) is the full explicit right side.
+    N_fn(tau, values, grads_or_None) is the full explicit right side.
+    implicit(tau, a0, dt, rhs_hat) returns the spectrum u_hat solving
+    (a0 - dt L) u = rhs; mild_etd2 exponentiates the multiplier L_hat
+    instead.  history = (tau_prev, v_prev) seeds a BDF2 continuation in place
+    of the Euler startup step.
     """
-    tr = _Transforms(grid)
+    tr = Transforms(grid)
+
+    def explicit(tau, v_hat, v):
+        return N_fn(tau, v, tr.grad(v_hat) if needs_grad else None)
+
     v = np.array(v0, dtype=float)
     u_hat = tr.fwd(v)
-    stored = []
-    if store_stride:
-        stored.append((float(taus[0]), v.copy()))
+    stored = [(float(taus[0]), v.copy())] if store_stride else []
     mild = scheme.scheme == "mild_etd2"
-    u_hat_prev = None
-    n_prev = None
-    dt_prev = None
+    u_hat_prev = n_prev = dt_prev = None
+    if history is not None:
+        tau_prev, v_prev = history
+        u_hat_prev = tr.fwd(v_prev)
+        n_prev = explicit(tau_prev, u_hat_prev, v_prev)
+        dt_prev = float(taus[0]) - tau_prev
     cached_dt = None
     E = P1 = P2 = None
     for i in range(taus.size - 1):
         tau = float(taus[i])
         dt = float(taus[i + 1] - taus[i])
-        dv = tr.grad(u_hat) if needs_grad else None
-        n_cur = N_fn(tau, v, dv)
+        n_cur = explicit(tau, u_hat, v)
         if mild:
             if dt != cached_dt:
                 E, P1, P2 = _phis(dt * L_hat)
                 cached_dt = dt
             n_cur_hat = tr.fwd(n_cur)
             a_hat = E * u_hat + dt * P1 * n_cur_hat
-            va = tr.inv(a_hat)
-            dva = tr.grad(a_hat) if needs_grad else None
-            n_stage = N_fn(tau + dt, va, dva)
+            n_stage = explicit(tau + dt, a_hat, tr.inv(a_hat))
             u_hat = a_hat + dt * P2 * (tr.fwd(n_stage) - n_cur_hat)
-        elif u_hat_prev is None or dt_prev is None:
-            u_hat_new = (u_hat + dt * tr.fwd(n_cur)) / (1.0 - dt * L_hat)
-            u_hat_prev, u_hat = u_hat, u_hat_new
         else:
-            rho = dt / dt_prev
-            a0 = (1.0 + 2.0 * rho) / (1.0 + rho)
-            a2 = rho * rho / (1.0 + rho)
-            n_ext = (1.0 + rho) * n_cur - rho * n_prev
-            u_hat_new = ((1.0 + rho) * u_hat - a2 * u_hat_prev
-                         + dt * tr.fwd(n_ext)) / (a0 - dt * L_hat)
-            u_hat_prev, u_hat = u_hat, u_hat_new
+            if n_prev is None:
+                a0, rhs_hat = 1.0, u_hat + dt * tr.fwd(n_cur)
+            else:
+                rho = dt / dt_prev
+                a0 = (1.0 + 2.0 * rho) / (1.0 + rho)
+                a2 = rho * rho / (1.0 + rho)
+                n_ext = (1.0 + rho) * n_cur - rho * n_prev
+                rhs_hat = ((1.0 + rho) * u_hat - a2 * u_hat_prev
+                           + dt * tr.fwd(n_ext))
+            u_hat_prev, u_hat = u_hat, implicit(tau, a0, dt, rhs_hat)
         v = tr.inv(u_hat)
         if not np.all(np.isfinite(v)):
             raise BlowUpError("state became non-finite", step=i + 1,
@@ -319,8 +308,8 @@ def _march(grid: Grid, L_hat: np.ndarray, N_fn, v0: np.ndarray,
     return v, stored
 
 
-def _feedback_coefficient(problem: CauchyProblem, tau: float,
-                          x: np.ndarray) -> np.ndarray:
+def _feedback_coefficient(problem: CauchyProblem, tau: float, x: np.ndarray,
+                          sigma2: float) -> np.ndarray:
     psi = problem.shift.strategy.psi
     rho = problem.shift.rho
     eps = problem.grid.dx
@@ -333,40 +322,33 @@ def _feedback_coefficient(problem: CauchyProblem, tau: float,
         raise ParameterDomainError(
             "feedback diffusion denominator margin violated: "
             f"sup |rho dpsi/dx| = {worst:.3f} > 0.9")
-    return problem.sigma ** 2 / (2.0 * gap ** 2)
+    return sigma2 / (2.0 * gap ** 2)
 
 
 def _solve_cyclic_tridiag(sub: np.ndarray, dia: np.ndarray, sup: np.ndarray,
                           rhs: np.ndarray) -> np.ndarray:
-    """Solve a periodic tridiagonal system by rank-one correction.
+    """Solve a periodic tridiagonal system by one rank-one correction.
 
     sub[i] couples row i to i-1 (sub[0] is the wrap corner), sup[i] to i+1
-    (sup[-1] is the wrap corner).
+    (sup[-1] is the wrap corner).  The corners go into u v^T with
+    u = (gamma, 0, ..., 0, sup[-1]) and v = (1, 0, ..., 0, sub[0] / gamma);
+    the banded remainder is solved once for rhs and once for u, and
+    Sherman-Morrison combines the two.
     """
     n = dia.size
     gamma = -dia[0]
-    d = dia.copy()
-    d[0] -= gamma
-    d[-1] -= sub[0] * sup[-1] / gamma
-
-    def plain(b):
-        c = np.zeros(n)
-        y = np.zeros(n)
-        beta = d[0]
-        y[0] = b[0] / beta
-        for i in range(1, n):
-            c[i] = sup[i - 1] / beta
-            beta = d[i] - sub[i] * c[i]
-            y[i] = (b[i] - sub[i] * y[i - 1]) / beta
-        for i in range(n - 2, -1, -1):
-            y[i] -= c[i + 1] * y[i + 1]
-        return y
-
-    y = plain(rhs)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = sup[:-1]
+    ab[1] = dia
+    ab[1, 0] -= gamma
+    ab[1, -1] -= sub[0] * sup[-1] / gamma
+    ab[2, :-1] = sub[1:]
     u = np.zeros(n)
     u[0] = gamma
     u[-1] = sup[-1]
-    q = plain(u)
+    # non-finite input passes through to the marcher's blow-up check
+    y, q = solve_banded((1, 1), ab, np.column_stack([rhs, u]),
+                        check_finite=False).T
     factor = (y[0] + sub[0] * y[-1] / gamma) / (1.0 + q[0] + sub[0] * q[-1] / gamma)
     return y - factor * q
 
@@ -394,9 +376,9 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
                                 "put")
     propagate = plan.shift is None
-    k = g.wavenumbers()
-    L_bs = (-0.5 * problem.sigma ** 2 * k ** 2
-            + 1j * k * (problem.rate - 0.5 * problem.sigma ** 2))
+    tr = Transforms(g)
+    L_bs = (-0.5 * problem.sigma ** 2 * tr.k2
+            + tr.ik[0] * (problem.rate - 0.5 * problem.sigma ** 2))
     anchor = None  # (tau_s, rfft of the analytic source at tau_s)
     verified = False
     cache: dict[float, np.ndarray] = {}
@@ -419,17 +401,16 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         if anchor is None or tau <= anchor[0]:
             h = analytic(tau)
             if anchor is None:
-                anchor = (tau, np.fft.rfft(h))
+                anchor = (tau, tr.fwd(h))
             return h
         tau_s, h_hat = anchor
-        h_prop = np.fft.irfft(np.exp((tau - tau_s) * L_bs) * h_hat,
-                              n=g.n_total)
+        h_prop = tr.inv(np.exp((tau - tau_s) * L_bs) * h_hat)
         if not verified:
             h = analytic(tau)
             gap = float(np.max(np.abs(h_prop - h))) \
                 / max(float(np.max(np.abs(h))), 1e-300)
             if gap > SOURCE_SWITCH_TOL:
-                anchor = (tau, np.fft.rfft(h))
+                anchor = (tau, tr.fwd(h))
                 stats["source_reanchors"] += 1
                 return h
             verified = True
@@ -451,19 +432,25 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
 
 
 def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
-    """Assemble (plan, L_hat, N_fn, needs_grad, stats) for one solve.
+    """Assemble (plan, L_hat, implicit, N_fn, needs_grad, stats) for one solve.
 
-    The implicit multiplier carries diffusion plus, in pricing form, the
-    constant part of the drift (identity-shift drift correction folded in so
-    the explicit remainder is bounded); N_fn carries the jump operator's
-    bounded part, the x-dependent drift excess, the analytic source (shifted
-    mode), and any user nonlinearity.
+    With constant diffusion the implicit part is the Fourier multiplier
+    L_hat: diffusion plus, in pricing form, the constant part of the drift
+    (identity-shift drift correction folded in so the explicit remainder is
+    bounded).  With feedback diffusion L_hat is None, the implicit solve is
+    the cyclic tridiagonal one, and that constant drift joins N_fn.  N_fn
+    carries the jump operator's bounded part, the x-dependent drift excess,
+    the analytic source (shifted mode), and any user nonlinearity.
     """
     g = problem.grid
+    feedback = problem.diffusion_mode == "feedback"
+    if feedback and (scheme.scheme != "imex_bdf2" or scheme.cross_check):
+        raise UnsupportedConfigurationError(
+            "feedback diffusion is implemented for imex_bdf2 only, so it has "
+            "no mild_etd2 cross-check")
     plan = None
     if problem.measure is not None:
-        plan = build_plan(g, problem.measure, problem.shift,
-                          grad_method=scheme.grad_method)
+        plan = build_plan(g, problem.measure, problem.shift)
     sigma2 = problem.sigma ** 2
     corr = plan.sigma2_correction if plan is not None else 0.0
     if g.dim == 1 and np.ndim(corr) == 0:
@@ -478,21 +465,30 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
         else:
             mean0, delta00 = float(plan.mean_jump[0]), plan.delta0
 
-    if g.dim == 1:
-        k = g.wavenumbers()
-        drift = (problem.rate - 0.5 * sigma2 + sign * delta00 - mean0) if pricing else 0.0
-        L_hat = -0.5 * sigma2 * k ** 2 + 1j * k * drift
+    tr = Transforms(g)
+    drift = (problem.rate - 0.5 * sigma2 + sign * delta00 - mean0) if pricing else 0.0
+    if feedback:
+        L_hat = None
+        x = g.axis()
+        inv_dx2 = 1.0 / g.dx ** 2
+
+        def implicit(tau, a0, dt, rhs_hat):
+            c = _feedback_coefficient(problem, tau, x, sigma2)
+            off = -dt * c * inv_dx2
+            return tr.fwd(_solve_cyclic_tridiag(off, a0 + 2.0 * dt * c * inv_dx2,
+                                                off, tr.inv(rhs_hat)))
     else:
-        k2 = g.wavenumbers_full()[:, None] ** 2 + g.wavenumbers()[None, :] ** 2
-        L_hat = -0.5 * sigma2 * k2 + 0j
+        L_hat = -0.5 * sigma2 * tr.k2 + (tr.ik[0] * drift if g.dim == 1 else 0j)
+
+        def implicit(tau, a0, dt, rhs_hat):
+            return rhs_hat / (a0 - dt * L_hat)
 
     stats = _source_stats()
     source = None
     if shifted and plan is not None:
         source = _compensated_source(problem, plan, stats)
 
-    axis = g.axis() if g.dim == 1 else None
-    meshes = g.meshes() if g.dim == 2 else None
+    coords = g.axis() if g.dim == 1 else g.meshes()
     delta_static = plan is not None and plan.shift is not None \
         and not plan.shift.strategy.time_dependent
     delta_cache: dict[float, np.ndarray] = {}
@@ -508,26 +504,29 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
         return got
 
     fft_fast = plan is not None and plan.uses_fft
+    quadrature = plan is not None and not fft_fast
     bounded = plan.bounded_multiplier() if fft_fast else None
-    tr = _Transforms(g)
-    needs_grad = (not fft_fast and plan is not None) or (not pricing) \
-        or (plan is not None and plan.shift is not None)
+    # explicit first-order term of the pricing drift: the x-dependent excess
+    # on the quadrature path, plus the constant drift that L_hat leaves out
+    # with feedback diffusion
+    advects = pricing and (quadrature or feedback)
+    drift_out = drift if feedback else 0.0
+    needs_grad = quadrature or feedback or not pricing
 
-    def N_fn(tau: float, v: np.ndarray, dv):
+    def N_fn(tau: float, v: np.ndarray, grads):
         out = None
         if fft_fast:
-            out = tr.inv(bounded * tr.fwd(v))
+            out = tr.apply(bounded, v)
         elif plan is not None:
-            fld = GridField(g, v, tau)
-            f_val = apply_f(plan, fld, dv, tau).values
-            if pricing:
-                excess = mean0 + (sign * (delta_x(tau) - delta00)
-                                  if plan.shift is not None else 0.0)
-                f_val = f_val + excess * dv
-            out = f_val
+            out = apply_f(plan, GridField(g, v, tau), grads, tau).values
+        if advects:
+            coef = drift_out + mean0
+            if plan is not None and plan.shift is not None:
+                coef = coef + sign * (delta_x(tau) - delta00)
+            out = coef * grads[0] if out is None else out + coef * grads[0]
         if not pricing:
-            coords = axis if g.dim == 1 else meshes
-            gval = problem.nonlinearity(tau, coords, v, dv)
+            gval = problem.nonlinearity(tau, coords, v,
+                                        grads[0] if g.dim == 1 else grads)
             out = gval if out is None else out + gval
         if source is not None:
             out = source(tau) if out is None else out + source(tau)
@@ -535,12 +534,21 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
             out = np.zeros_like(v)
         return out
 
-    return plan, L_hat, N_fn, needs_grad, stats
+    return plan, L_hat, implicit, N_fn, needs_grad, stats
 
 
 def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
                      plan: OperatorPlan | None) -> None:
-    """Explicit-part Lipschitz estimate vs the step, before any marching."""
+    """Explicit-part bounds vs the step, before any marching."""
+    if problem.diffusion_mode == "feedback":
+        # the whole drift is explicit: an advection bound on dt / dx
+        b_est = abs(problem.rate) + 0.5 * problem.sigma ** 2
+        bound = scheme.stability_limit * problem.grid.dx / b_est
+        if scheme.dt > bound:
+            raise StabilityError(
+                f"dt = {scheme.dt:.3e} violates the explicit advection bound "
+                f"{bound:.3e} of feedback mode")
+        return
     if scheme.scheme != "imex_bdf2" or plan is None:
         return
     mass = plan.fft_mass if plan.uses_fft else plan.nu_mass
@@ -557,11 +565,17 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
 
 
 def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
-         taus: np.ndarray, shifted: bool, store_stride: int):
-    plan, L_hat, N_fn, needs_grad, stats = _prepare_rhs(problem, scheme,
-                                                        shifted)
+         taus: np.ndarray, shifted: bool, store_stride: int) -> SolveResult:
+    """One full solve: march, checkpoints, reassembly and cross-check.
+
+    In shifted mode v0 and the marched state are the difference U, and the
+    closed form is added back at the horizon.
+    """
+    g = problem.grid
+    plan, L_hat, implicit, N_fn, needs_grad, stats = _prepare_rhs(
+        problem, scheme, shifted)
     _check_stability(problem, scheme, plan)
-    norm = FractionalNorm(problem.grid, scheme.monitor_gamma)
+    norm = FractionalNorm(g, scheme.monitor_gamma)
     T = float(taus[-1])
     marks = [T * (j + 1) / scheme.checkpoint_count
              for j in range(scheme.checkpoint_count)]
@@ -571,45 +585,51 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
 
     def on_level(i, tau, v):
         if i in mark_set:
-            checkpoints.append((tau, norm(GridField(problem.grid, v, tau))))
+            checkpoints.append((tau, norm(GridField(g, v, tau))))
 
-    v_T, stored = _march(problem.grid, L_hat, N_fn, v0, taus, scheme,
+    v_T, stored = _march(g, L_hat, implicit, N_fn, v0, taus, scheme,
                          needs_grad, on_level, store_stride)
-    return plan, v_T, tuple(checkpoints), stored, stats
+    background = difference = None
+    if shifted:
+        T = problem.horizon
+        bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
+                                    problem.option_type)
+        background = GridField(g, bs.u(T, g.axis()), T)
+        difference = GridField(g, v_T, T)
+        v_T = v_T + background.values
+    gap = None
+    if scheme.cross_check:
+        other = "mild_etd2" if scheme.scheme == "imex_bdf2" else "imex_bdf2"
+        # through the public entry point, so whoever wraps it sees the
+        # alternate solve as one more solve
+        solve = solve_shifted if shifted else solve_direct
+        alt = solve(problem, _replace_scheme(scheme, other))
+        gap = _rel_l2(v_T, alt.field.values)
+        if gap > scheme.cross_check_tol:
+            raise ToleranceNotMetError(
+                f"scheme cross-check gap {gap:.3e} exceeds "
+                f"{scheme.cross_check_tol:.3e}", error=gap)
+    return SolveResult(GridField(g, v_T, T), tuple(checkpoints), taus, scheme,
+                       plan, background=background, difference=difference,
+                       trajectory=tuple(stored), cross_check_gap=gap,
+                       stats=stats)
 
 
 def solve_direct(problem: CauchyProblem, scheme: SchemeConfig,
                  store_stride: int = 0) -> SolveResult:
     """March the problem's initial field to the horizon.
 
-    Smooth initial data; uniform time mesh.  The kinked-payoff pricing path
-    is solve_shifted.
+    Smooth initial data; uniform time mesh.  Feedback diffusion runs here
+    (imex_bdf2 only).  The kinked-payoff pricing path is solve_shifted.
     """
     if problem.initial is None:
         raise ParameterDomainError("direct solves need an initial field")
     if problem.initial.grid != problem.grid:
         raise ParameterDomainError("initial field lives on a different grid")
-    if problem.diffusion_mode == "feedback":
-        return _solve_feedback(problem, scheme, store_stride)
-    tau0 = problem.initial.time_tag
-    taus = build_time_mesh(problem.horizon, scheme.dt, grade=False, tau0=tau0)
-    plan, v_T, checkpoints, stored, stats = _run(problem, scheme,
-                                                 problem.initial.values, taus,
-                                                 shifted=False,
-                                                 store_stride=store_stride)
-    gap = None
-    if scheme.cross_check:
-        other = "mild_etd2" if scheme.scheme == "imex_bdf2" else "imex_bdf2"
-        alt = solve_direct(problem, _replace_scheme(scheme, other))
-        gap = _rel_l2(v_T, alt.field.values)
-        if gap > scheme.cross_check_tol:
-            raise ToleranceNotMetError(
-                f"scheme cross-check gap {gap:.3e} exceeds "
-                f"{scheme.cross_check_tol:.3e}", error=gap)
-    return SolveResult(GridField(problem.grid, v_T, float(taus[-1])),
-                       checkpoints, taus, scheme, plan,
-                       trajectory=tuple(stored), cross_check_gap=gap,
-                       stats=stats)
+    taus = build_time_mesh(problem.horizon, scheme.dt, grade=False,
+                           tau0=problem.initial.time_tag)
+    return _run(problem, scheme, problem.initial.values, taus, shifted=False,
+                store_stride=store_stride)
 
 
 def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig,
@@ -629,47 +649,15 @@ def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig,
     if problem.nonlinearity is not None:
         raise UnsupportedConfigurationError(
             "shifted solves use the built-in pricing drift")
-    T = problem.horizon
-    taus = build_time_mesh(T, scheme.dt, grade=scheme.startup_grading,
+    taus = build_time_mesh(problem.horizon, scheme.dt,
+                           grade=scheme.startup_grading,
                            fraction=scheme.startup_fraction,
                            density=scheme.startup_density)
-    v0 = np.zeros(problem.grid.n_total)
-    plan, U_T, checkpoints, stored, stats = _run(problem, scheme, v0, taus,
-                                                 shifted=True,
-                                                 store_stride=store_stride)
-    bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
-                                problem.option_type)
-    background = GridField(problem.grid, bs.u(T, problem.grid.axis()), T)
-    u_field = GridField(problem.grid, U_T + background.values, T)
-    gap = None
-    if scheme.cross_check:
-        other = "mild_etd2" if scheme.scheme == "imex_bdf2" else "imex_bdf2"
-        alt = solve_shifted(problem, _replace_scheme(scheme, other))
-        gap = _rel_l2(u_field.values, alt.field.values)
-        if gap > scheme.cross_check_tol:
-            raise ToleranceNotMetError(
-                f"scheme cross-check gap {gap:.3e} exceeds "
-                f"{scheme.cross_check_tol:.3e}", error=gap)
-    return SolveResult(u_field, checkpoints, taus, scheme, plan,
-                       background=background,
-                       difference=GridField(problem.grid, U_T, T),
-                       trajectory=tuple(stored), cross_check_gap=gap,
-                       stats=stats)
-
-
-def multid_solve(problem: CauchyProblem, scheme: SchemeConfig,
-                 store_stride: int = 0) -> SolveResult:
-    """Two-dimensional tensor-grid solve (identity shift, smooth data)."""
-    if problem.dim != 2:
-        raise ParameterDomainError("multid_solve expects a 2-D problem")
-    if problem.shift is not None and problem.shift.rho != 0.0:
-        raise UnsupportedConfigurationError(
-            "feedback shifts are unsupported on two-dimensional grids")
-    return solve_direct(problem, scheme, store_stride)
+    return _run(problem, scheme, np.zeros(problem.grid.n_total), taus,
+                shifted=True, store_stride=store_stride)
 
 
 def _replace_scheme(scheme: SchemeConfig, name: str) -> SchemeConfig:
-    from dataclasses import replace
     return replace(scheme, scheme=name, cross_check=False)
 
 
@@ -678,133 +666,29 @@ def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / (den if den > 0 else 1.0)
 
 
+def _step(problem: CauchyProblem, scheme: SchemeConfig, state: GridField,
+          history: tuple | None = None) -> GridField:
+    plan, L_hat, implicit, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
+                                                              shifted=False)
+    _check_stability(problem, scheme, plan)
+    taus = np.array([state.time_tag, state.time_tag + scheme.dt])
+    v, _ = _march(problem.grid, L_hat, implicit, N_fn, state.values, taus,
+                  scheme, needs_grad, history=history)
+    return state.with_values(v, state.time_tag + scheme.dt)
+
+
 def step_imex(problem: CauchyProblem, scheme: SchemeConfig, state: GridField,
               history: GridField | None = None) -> GridField:
     """One IMEX step from state.time_tag; supply the previous level to take a
     BDF2 step instead of the Euler startup step."""
-    plan, L_hat, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
-                                                    shifted=False)
-    _check_stability(problem, scheme, plan)
-    sch = _replace_scheme(scheme, "imex_bdf2")
-    if history is None:
-        taus = np.array([state.time_tag, state.time_tag + scheme.dt])
-        v, _ = _march(problem.grid, L_hat, N_fn, state.values, taus, sch,
-                      needs_grad)
-        return state.with_values(v, state.time_tag + scheme.dt)
-    taus = np.array([history.time_tag, state.time_tag,
-                     state.time_tag + scheme.dt])
-    tr = _Transforms(problem.grid)
-    dt_prev = state.time_tag - history.time_tag
-    dt = scheme.dt
-    rho = dt / dt_prev
-    a0 = (1.0 + 2.0 * rho) / (1.0 + rho)
-    a2 = rho * rho / (1.0 + rho)
-    dv_h = tr.grad(tr.fwd(history.values)) if needs_grad else None
-    dv_s = tr.grad(tr.fwd(state.values)) if needs_grad else None
-    n_prev = N_fn(history.time_tag, history.values, dv_h)
-    n_cur = N_fn(state.time_tag, state.values, dv_s)
-    n_ext = (1.0 + rho) * n_cur - rho * n_prev
-    u_hat = ((1.0 + rho) * tr.fwd(state.values) - a2 * tr.fwd(history.values)
-             + dt * tr.fwd(n_ext)) / (a0 - dt * L_hat)
-    return state.with_values(tr.inv(u_hat), state.time_tag + dt)
+    prev = None if history is None else (history.time_tag, history.values)
+    return _step(problem, _replace_scheme(scheme, "imex_bdf2"), state, prev)
 
 
 def step_mild(problem: CauchyProblem, scheme: SchemeConfig,
               state: GridField) -> GridField:
     """One exponential-integrator step from state.time_tag."""
-    plan, L_hat, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
-                                                    shifted=False)
-    sch = _replace_scheme(scheme, "mild_etd2")
-    taus = np.array([state.time_tag, state.time_tag + scheme.dt])
-    v, _ = _march(problem.grid, L_hat, N_fn, state.values, taus, sch, needs_grad)
-    return state.with_values(v, state.time_tag + scheme.dt)
-
-
-def _solve_feedback(problem: CauchyProblem, scheme: SchemeConfig,
-                    store_stride: int) -> SolveResult:
-    """Frozen-coefficient IMEX with the feedback diffusion coefficient.
-
-    The x-dependent diffusion breaks the Fourier diagonalization, so each
-    step solves a cyclic tridiagonal system; drift and jump terms go
-    explicit.  Experimental: imex_bdf2 only, direct mode, uniform mesh.
-    """
-    if scheme.scheme != "imex_bdf2":
-        raise UnsupportedConfigurationError(
-            "feedback diffusion is implemented for imex_bdf2 only")
-    g = problem.grid
-    x = g.axis()
-    plan = build_plan(g, problem.measure, problem.shift,
-                      grad_method=scheme.grad_method) \
-        if problem.measure is not None else None
-    sign = problem.delta_sign
-    pricing = problem.nonlinearity is None
-
-    def explicit(tau, v, dv):
-        out = np.zeros_like(v)
-        if plan is not None:
-            fld = GridField(g, v, tau)
-            out += apply_f(plan, fld, dv, tau).values
-            if pricing:
-                out += (sign * delta_on_plan_nodes(plan, tau)) * dv
-        if pricing:
-            out += (problem.rate - 0.5 * problem.sigma ** 2) * dv
-        else:
-            out += problem.nonlinearity(tau, x, v, dv)
-        return out
-
-    # explicit advection bound
-    b_est = abs(problem.rate) + 0.5 * problem.sigma ** 2
-    if scheme.dt > scheme.stability_limit * g.dx / max(b_est, 1e-12):
-        raise StabilityError(
-            f"dt = {scheme.dt:.3e} violates the explicit advection bound "
-            f"{scheme.stability_limit * g.dx / b_est:.3e} of feedback mode")
-
-    tau0 = problem.initial.time_tag
-    taus = build_time_mesh(problem.horizon, scheme.dt, grade=False, tau0=tau0)
-    tr = _Transforms(g)
-    norm = FractionalNorm(g, scheme.monitor_gamma)
-    v = np.array(problem.initial.values, dtype=float)
-    v_prev = None
-    n_prev = None
-    dt_prev = None
-    stored = [(float(tau0), v.copy())] if store_stride else []
-    checkpoints = []
-    T = float(taus[-1])
-    marks = {int(np.argmin(np.abs(taus - T * (j + 1) / scheme.checkpoint_count)))
-             for j in range(scheme.checkpoint_count)}
-    inv_dx2 = 1.0 / g.dx ** 2
-    for i in range(taus.size - 1):
-        tau = float(taus[i])
-        dt = float(taus[i + 1] - taus[i])
-        c = _feedback_coefficient(problem, tau, x)
-        dv = tr.grad(tr.fwd(v))
-        n_cur = explicit(tau, v, dv)
-        if v_prev is None:
-            dia = 1.0 + 2.0 * dt * c * inv_dx2
-            off = -dt * c * inv_dx2
-            rhs = v + dt * n_cur
-            v_new = _solve_cyclic_tridiag(off, dia, off, rhs)
-        else:
-            rho = dt / dt_prev
-            a0 = (1.0 + 2.0 * rho) / (1.0 + rho)
-            a2 = rho * rho / (1.0 + rho)
-            n_ext = (1.0 + rho) * n_cur - rho * n_prev
-            dia = a0 + 2.0 * dt * c * inv_dx2
-            off = -dt * c * inv_dx2
-            rhs = (1.0 + rho) * v - a2 * v_prev + dt * n_ext
-            v_new = _solve_cyclic_tridiag(off, dia, off, rhs)
-        v_prev, v = v, v_new
-        if not np.all(np.isfinite(v)):
-            raise BlowUpError("state became non-finite", step=i + 1,
-                              tau=float(taus[i + 1]))
-        n_prev, dt_prev = n_cur, dt
-        if (i + 1) in marks:
-            checkpoints.append((float(taus[i + 1]),
-                                norm(GridField(g, v, float(taus[i + 1])))))
-        if store_stride and ((i + 1) % store_stride == 0 or i + 1 == taus.size - 1):
-            stored.append((float(taus[i + 1]), v.copy()))
-    return SolveResult(GridField(g, v, T), tuple(checkpoints), taus, scheme,
-                       plan, trajectory=tuple(stored), stats=_source_stats())
+    return _step(problem, _replace_scheme(scheme, "mild_etd2"), state)
 
 
 @dataclass(frozen=True)
@@ -857,20 +741,24 @@ def duhamel_gap(problem: CauchyProblem, scheme: SchemeConfig,
     Re-integrates the stored trajectory's explicit terms against the exact
     semigroup by trapezoid and compares with the stored terminal state;
     needs a solve run with store_stride.  Returns the worst relative L2 gap
-    over `checkpoints` target times.
+    over `checkpoints` target times.  Constant diffusion only: feedback
+    diffusion has no Fourier-diagonal semigroup.
     """
     if len(result.trajectory) < 3:
         raise ParameterDomainError("run the solve with store_stride to use this")
+    if problem.diffusion_mode == "feedback":
+        raise UnsupportedConfigurationError(
+            "the Duhamel identity needs constant diffusion")
     if shifted is None:
         shifted = result.difference is not None
-    plan, L_hat, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, shifted)
-    tr = _Transforms(problem.grid)
+    plan, L_hat, _, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, shifted)
+    tr = Transforms(problem.grid)
     times = [t for t, _ in result.trajectory]
     vals = [v for _, v in result.trajectory]
     n_hats = []
     for t, v in result.trajectory:
-        dv = tr.grad(tr.fwd(v)) if needs_grad else None
-        n_hats.append(tr.fwd(N_fn(t, v, dv)))
+        v_hat = tr.fwd(v)
+        n_hats.append(tr.fwd(N_fn(t, v, tr.grad(v_hat) if needs_grad else None)))
     targets = np.linspace(len(times) // checkpoints, len(times) - 1,
                           checkpoints).astype(int)
     worst = 0.0

@@ -269,6 +269,47 @@ def test_feedback_diffusion_runs_and_guards_margin():
         solve_shifted(ok, SchemeConfig(dt=0.005))
 
 
+def _feedback_problem(n_core=128, horizon=0.1):
+    g = make_grid(4.0, n_core, reach=3.2)
+    payoff = GridField(g, np.maximum(np.exp(g.axis()) - 1.0, 0.0))
+    return CauchyProblem(g, sigma=0.25, horizon=horizon, rate=0.03,
+                         measure=MERTON,
+                         shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.05),
+                         initial=payoff, diffusion_mode="feedback")
+
+
+def test_feedback_checkpoints_and_unsupported_combinations():
+    problem = _feedback_problem()
+    res = solve_direct(problem, SchemeConfig(dt=0.01, checkpoint_count=5),
+                       store_stride=1)
+    taus = [t for t, _ in res.checkpoints]
+    assert len(taus) == 5
+    assert all(b > a for a, b in zip(taus, taus[1:]))
+    assert abs(taus[-1] - 0.1) < 1e-12
+    # ETD2 has no feedback variant, so neither has the scheme cross-check
+    with pytest.raises(UnsupportedConfigurationError):
+        solve_direct(problem, SchemeConfig(dt=0.01, cross_check=True))
+    with pytest.raises(UnsupportedConfigurationError):
+        solve_direct(problem, SchemeConfig(scheme="mild_etd2", dt=0.01))
+    with pytest.raises(UnsupportedConfigurationError):
+        duhamel_gap(problem, SchemeConfig(dt=0.01), res)
+
+
+def test_banded_cyclic_tridiagonal_solve_matches_dense():
+    n = 37
+    x = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    sub = -0.3 - 0.2 * np.sin(x)
+    sup = -0.4 + 0.1 * np.cos(3.0 * x)
+    dia = 1.5 + 0.5 * np.cos(x)
+    rhs = np.exp(np.sin(2.0 * x)) - 1.2
+    dense = np.diag(dia) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    dense[0, -1] = sub[0]
+    dense[-1, 0] = sup[-1]
+    want = np.linalg.solve(dense, rhs)
+    got = solver._solve_cyclic_tridiag(sub, dia, sup, rhs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_two_dim_diffusion_matches_heat_semigroup():
     g = make_grid(5.0, 64, dim=2)
     xx, yy = g.meshes()
@@ -346,12 +387,7 @@ def test_impacted_solve_keeps_the_source_analytic():
 
 
 def test_feedback_trajectory_stores_the_final_level():
-    g = make_grid(4.0, 128, reach=3.2)
-    payoff = GridField(g, np.maximum(np.exp(g.axis()) - 1.0, 0.0))
-    problem = CauchyProblem(g, sigma=0.25, horizon=0.1, rate=0.03,
-                            measure=MERTON,
-                            shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.05),
-                            initial=payoff, diffusion_mode="feedback")
+    problem = _feedback_problem()
     res = solve_direct(problem, SchemeConfig(dt=0.01), store_stride=3)
     assert (res.taus.size - 1) % 3 != 0
     times = [t for t, _ in res.trajectory]
