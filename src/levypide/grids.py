@@ -181,6 +181,27 @@ def gradient(u: GridField) -> tuple[np.ndarray, ...]:
     return tr.grad(tr.fwd(u.values))
 
 
+CUBIC_OFFSETS = (-1, 0, 1, 2)
+
+
+def cubic_stencil(x_lo: float, dx: float, query: np.ndarray):
+    """Base cell index and cubic Lagrange weights for queries on a uniform grid.
+
+    The weights belong to the points base + CUBIC_OFFSETS (unwrapped); the
+    basis is evaluated at the query's local coordinate within its cell.
+    """
+    s = (np.asarray(query) - x_lo) / dx
+    base = np.floor(s).astype(np.int64)
+    t = s - base
+    weights = (
+        -t * (t - 1.0) * (t - 2.0) / 6.0,
+        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+        -(t + 1.0) * t * (t - 2.0) / 2.0,
+        (t + 1.0) * t * (t - 1.0) / 6.0,
+    )
+    return base, weights
+
+
 def cubic_interp_periodic(values: np.ndarray, x_lo: float, dx: float,
                           query: np.ndarray) -> np.ndarray:
     """Local cubic Lagrange interpolation on a uniform periodic grid (1-D).
@@ -188,18 +209,9 @@ def cubic_interp_periodic(values: np.ndarray, x_lo: float, dx: float,
     Fourth-order accurate for smooth data; queries wrap around the box.
     """
     n = values.shape[0]
-    s = (np.asarray(query) - x_lo) / dx
-    base = np.floor(s).astype(np.int64)
-    t = s - base
-    out = np.zeros_like(t)
-    # Lagrange basis on offsets -1, 0, 1, 2 evaluated at local coordinate t
-    w = (
-        -t * (t - 1.0) * (t - 2.0) / 6.0,
-        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-        -(t + 1.0) * t * (t - 2.0) / 2.0,
-        (t + 1.0) * t * (t - 1.0) / 6.0,
-    )
-    for j, wj in zip((-1, 0, 1, 2), w):
+    base, weights = cubic_stencil(x_lo, dx, query)
+    out = np.zeros(base.shape)
+    for j, wj in zip(CUBIC_OFFSETS, weights):
         out += wj * values[(base + j) % n]
     return out
 

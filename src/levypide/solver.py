@@ -24,7 +24,8 @@ The implicit solve comes in two forms:
   explicit.  It runs with imex_bdf2 in direct mode only.
 
 step_imex and step_mild are single _march steps; the previous level seeds a
-BDF2 continuation.
+BDF2 continuation, and the operator plan built by a problem's first step is
+reused by its later ones.
 
 In shifted mode U starts at zero and is forced by the source h(tau), the
 compensated operator acting on the closed form; the early-time steepness of
@@ -96,6 +97,11 @@ class CauchyProblem:
     option_type: str = "call"
     diffusion_mode: str = "constant"
     delta_sign: float = -1.0
+    # the operator plan of single steps, built by the first one and reused
+    # by the next ones; dataclasses.replace starts empty.  Solves build
+    # their own plan and drop it with their result.
+    _step_plan: list = field(default_factory=list, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -163,10 +169,13 @@ SOURCE_SWITCH_TOL = 1e-10
 class SolveResult:
     """Terminal state plus checkpoint diagnostics of one solve.
 
-    stats counts the source work of the solve: source_analytic and
-    source_propagated evaluations, source_reanchors (failed switch
-    verifications), the verified anchor source_switch_tau and its
-    source_switch_gap (both None when the source never switched).
+    stats records what the solve did: the jump operator path (operator:
+    "fft", "band" or None without a measure) and the perf_counter seconds
+    spent building the quadrature band (operator_build_s); and the source
+    work: source_analytic and source_propagated evaluations,
+    source_reanchors (failed switch verifications), the verified anchor
+    source_switch_tau and its source_switch_gap (both None when the source
+    never switched).
     """
 
     field: GridField
@@ -353,6 +362,13 @@ def _solve_cyclic_tridiag(sub: np.ndarray, dia: np.ndarray, sup: np.ndarray,
     return y - factor * q
 
 
+def _problem_plan(problem: CauchyProblem) -> OperatorPlan | None:
+    """A new jump operator plan for the problem (None without a measure)."""
+    if problem.measure is None:
+        return None
+    return build_plan(problem.grid, problem.measure, problem.shift)
+
+
 def _source_stats() -> dict:
     return {"source_analytic": 0, "source_propagated": 0,
             "source_reanchors": 0, "source_switch_tau": None,
@@ -431,8 +447,10 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     return source
 
 
-def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
-    """Assemble (plan, L_hat, implicit, N_fn, needs_grad, stats) for one solve.
+def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
+                 plan: OperatorPlan | None):
+    """Assemble (L_hat, implicit, N_fn, needs_grad, stats) for one solve on
+    the problem's plan.
 
     With constant diffusion the implicit part is the Fourier multiplier
     L_hat: diffusion plus, in pricing form, the constant part of the drift
@@ -448,9 +466,6 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
         raise UnsupportedConfigurationError(
             "feedback diffusion is implemented for imex_bdf2 only, so it has "
             "no mild_etd2 cross-check")
-    plan = None
-    if problem.measure is not None:
-        plan = build_plan(g, problem.measure, problem.shift)
     sigma2 = problem.sigma ** 2
     corr = plan.sigma2_correction if plan is not None else 0.0
     if g.dim == 1 and np.ndim(corr) == 0:
@@ -483,26 +498,13 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
         def implicit(tau, a0, dt, rhs_hat):
             return rhs_hat / (a0 - dt * L_hat)
 
-    stats = _source_stats()
+    operator = None if plan is None else "fft" if plan.uses_fft else "band"
+    stats = {"operator": operator, "operator_build_s": 0.0, **_source_stats()}
     source = None
     if shifted and plan is not None:
         source = _compensated_source(problem, plan, stats)
 
     coords = g.axis() if g.dim == 1 else g.meshes()
-    delta_static = plan is not None and plan.shift is not None \
-        and not plan.shift.strategy.time_dependent
-    delta_cache: dict[float, np.ndarray] = {}
-
-    def delta_x(tau: float) -> np.ndarray:
-        key = 0.0 if delta_static else tau
-        got = delta_cache.get(key)
-        if got is None:
-            got = delta_on_plan_nodes(plan, tau)
-            if len(delta_cache) > 6:
-                delta_cache.pop(next(iter(delta_cache)))
-            delta_cache[key] = got
-        return got
-
     fft_fast = plan is not None and plan.uses_fft
     quadrature = plan is not None and not fft_fast
     bounded = plan.bounded_multiplier() if fft_fast else None
@@ -522,7 +524,7 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
         if advects:
             coef = drift_out + mean0
             if plan is not None and plan.shift is not None:
-                coef = coef + sign * (delta_x(tau) - delta00)
+                coef = coef + sign * (delta_on_plan_nodes(plan, tau) - delta00)
             out = coef * grads[0] if out is None else out + coef * grads[0]
         if not pricing:
             gval = problem.nonlinearity(tau, coords, v,
@@ -534,7 +536,7 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool):
             out = np.zeros_like(v)
         return out
 
-    return plan, L_hat, implicit, N_fn, needs_grad, stats
+    return L_hat, implicit, N_fn, needs_grad, stats
 
 
 def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
@@ -572,8 +574,9 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
     closed form is added back at the horizon.
     """
     g = problem.grid
-    plan, L_hat, implicit, N_fn, needs_grad, stats = _prepare_rhs(
-        problem, scheme, shifted)
+    plan = _problem_plan(problem)
+    L_hat, implicit, N_fn, needs_grad, stats = _prepare_rhs(
+        problem, scheme, shifted, plan)
     _check_stability(problem, scheme, plan)
     norm = FractionalNorm(g, scheme.monitor_gamma)
     T = float(taus[-1])
@@ -589,6 +592,8 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
 
     v_T, stored = _march(g, L_hat, implicit, N_fn, v0, taus, scheme,
                          needs_grad, on_level, store_stride)
+    if plan is not None:
+        stats["operator_build_s"] = plan.band_build_s
     background = difference = None
     if shifted:
         T = problem.horizon
@@ -668,8 +673,11 @@ def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
 
 def _step(problem: CauchyProblem, scheme: SchemeConfig, state: GridField,
           history: tuple | None = None) -> GridField:
-    plan, L_hat, implicit, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
-                                                              shifted=False)
+    if not problem._step_plan:
+        problem._step_plan.append(_problem_plan(problem))
+    plan = problem._step_plan[0]
+    L_hat, implicit, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
+                                                        False, plan)
     _check_stability(problem, scheme, plan)
     taus = np.array([state.time_tag, state.time_tag + scheme.dt])
     v, _ = _march(problem.grid, L_hat, implicit, N_fn, state.values, taus,
@@ -718,7 +726,7 @@ def singular_source_decay_probe(problem: CauchyProblem, gamma: float,
     bound = -(2.0 * gamma - 1.0) * (0.5 - 0.5 / p) - 0.1
     if problem.measure is None:
         return DecayReport(0.0, bound, True, True, (), ())
-    plan = build_plan(problem.grid, problem.measure, problem.shift)
+    plan = _problem_plan(problem)
     bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
                                 "put")
     taus = np.geomspace(tau_lo, tau_hi, samples)
@@ -751,7 +759,8 @@ def duhamel_gap(problem: CauchyProblem, scheme: SchemeConfig,
             "the Duhamel identity needs constant diffusion")
     if shifted is None:
         shifted = result.difference is not None
-    plan, L_hat, _, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, shifted)
+    L_hat, _, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, shifted,
+                                                 _problem_plan(problem))
     tr = Transforms(problem.grid)
     times = [t for t, _ in result.trajectory]
     vals = [v for _, v in result.trajectory]

@@ -117,6 +117,8 @@ def test_price_command_writes_artifacts(tmp_path):
     assert manifest["outputs"] == [str(out / "price.csv")]
     assert manifest["stats"]["source_propagated"] > 0
     assert manifest["stats"]["source_switch_gap"] <= 1e-10
+    assert manifest["stats"]["operator"] == "fft"
+    assert manifest["stats"]["operator_build_s"] == 0.0
     assert "threads" not in manifest
 
 
@@ -137,6 +139,9 @@ def test_price_with_shift_runs(tmp_path):
     _, _, rows = _read_rows(out / "price.csv")
     # no oracle for the impacted model: the oracle and gap columns are nan
     assert rows[0][4] == "nan" and rows[0][5] == "nan"
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    assert stats["operator"] == "band"
+    assert stats["operator_build_s"] > 0.0
 
 
 def test_diagnose_bessel(tmp_path):

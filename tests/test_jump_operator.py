@@ -1,19 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from levypide import jump_operator
 from levypide.bessel import synthetic_smooth_field
 from levypide.errors import (OutOfDomainError, ParameterDomainError,
                              PlanInvalidError, UnsupportedConfigurationError)
-from levypide.grids import GridField, make_grid
+from levypide.grids import GridField, cubic_interp_periodic, gradient, make_grid
 from levypide.jump_operator import (apply_f, apply_f_tilde, apply_f_tilde_fn,
                                     build_plan, delta_on_plan_nodes,
                                     f_bound_probe, plan_symbol_table,
                                     reference_symbol, small_jump_compensation)
 from levypide.measures import (levy_pair, make_exponential_tail, make_kou,
                                make_merton, moments)
-from levypide.shift import ShiftModel, strategy_tanh_ramp
+from levypide.pricing import estimate_reach
+from levypide.shift import (ShiftModel, TradingStrategy, strategy_from_table,
+                            strategy_linear, strategy_sin, strategy_tanh_ramp,
+                            xi_on_grid)
 
 MERTON = make_merton(0.5, -0.1, 0.2)
 KOU = make_kou(0.4, 0.6, 8.0, 4.0)
@@ -92,7 +97,6 @@ def test_compensated_equals_plain_minus_drift_term():
     g = _grid_for(MERTON)
     plan = build_plan(g, MERTON, force_quadrature=True)
     u = synthetic_smooth_field(g, 7)
-    from levypide.grids import gradient
     du = gradient(u)[0]
     lhs = apply_f_tilde(plan, u).values
     rhs = apply_f(plan, u).values - plan.delta0 * du
@@ -181,3 +185,114 @@ def test_f_bound_probe_ratios_and_domain():
     rough_plan = build_plan(gr, rough)
     with pytest.raises(ParameterDomainError):
         f_bound_probe(rough_plan, fields, 0.6)
+
+
+# --- the precomputed quadrature band against the node-by-node sum ----------
+
+def _node_shifts(plan, tau):
+    """(w_j h_j, resolved shift on the grid axis) of every weighted node."""
+    x = plan.grid.axis()
+    return [(wj * hj, xi_on_grid(plan.shift, tau, x, float(zj)))
+            for zj, wj, hj in zip(plan.z_nodes, plan.z_weights, plan.z_density)
+            if wj * hj != 0.0]
+
+
+def _per_node_sum(plan, values, du, shifts, compensator):
+    """Reference quadrature operator: one cubic interpolation per node."""
+    g = plan.grid
+    x = g.axis()
+    out = np.zeros_like(values)
+    for whj, xi in shifts:
+        shifted = cubic_interp_periodic(values, g.x_lo, g.dx, x + xi)
+        comp = xi if compensator == "xi" else np.expm1(xi)
+        out += whj * (shifted - values - comp * du)
+    return out
+
+
+def _per_node_delta(plan, tau):
+    return sum(whj * (np.expm1(xi) - xi) for whj, xi in _node_shifts(plan, tau))
+
+
+def _rel_gap(a, b):
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
+
+
+def _shifted_plan(strategy):
+    """Merton plan with the strategy at rho = 0.05; None gives the identity
+    shift on the quadrature path."""
+    shift = ShiftModel(strategy, rho=0.05) if strategy is not None else None
+    g = make_grid(4.0, 256, reach=estimate_reach(MERTON, shift, 4.0))
+    return build_plan(g, MERTON, shift=shift,
+                      force_quadrature=strategy is None)
+
+
+def _check_band_matches_per_node_sum(plan, tau):
+    u = synthetic_smooth_field(plan.grid, 3)
+    du = gradient(u)[0]
+    shifts = _node_shifts(plan, tau)
+    for apply, compensator in ((apply_f, "xi"), (apply_f_tilde, "exp")):
+        got = apply(plan, u, tau=tau).values
+        want = _per_node_sum(plan, u.values, du, shifts, compensator)
+        assert _rel_gap(got, want) <= 1e-13, compensator
+
+
+@pytest.mark.parametrize("strategy", [
+    strategy_tanh_ramp(0.3), strategy_sin(0.2, 1.5), strategy_linear(0.1),
+    strategy_from_table([-2.0, 0.0, 2.0], [0.0, 0.2, 0.1]), None,
+], ids=["tanh_ramp", "sin", "linear", "table", "identity_quadrature"])
+def test_band_matches_per_node_sum(strategy):
+    plan = _shifted_plan(strategy)
+    assert not plan.uses_fft
+    _check_band_matches_per_node_sum(plan, 0.3)
+
+
+def test_static_band_is_built_once_per_plan(monkeypatch):
+    builds = []
+    real = jump_operator._build_band
+
+    def counting(plan, tau):
+        builds.append(tau)
+        return real(plan, tau)
+
+    monkeypatch.setattr(jump_operator, "_build_band", counting)
+    plan = _shifted_plan(strategy_tanh_ramp(0.3))
+    u = synthetic_smooth_field(plan.grid, 1)
+    for tau in (0.0, 0.5, 1.0):
+        apply_f(plan, u, tau=tau)
+        delta_on_plan_nodes(plan, tau)
+    assert len(builds) == 1
+    assert plan.band_build_s > 0.0
+
+
+def test_time_dependent_strategy_rebuilds_the_band_per_tau():
+    ramp = strategy_tanh_ramp(0.3)
+    growing = TradingStrategy(lambda tau, x: (1.0 + tau) * ramp.psi(tau, x),
+                              1.0, 0.6, "growing ramp", time_dependent=True)
+    plan = _shifted_plan(growing)
+    u = synthetic_smooth_field(plan.grid, 5)
+    early = apply_f(plan, u, tau=0.0).values
+    late = apply_f(plan, u, tau=1.0).values
+    assert _rel_gap(early, late) > 1e-4
+    for tau in (0.0, 1.0):
+        _check_band_matches_per_node_sum(plan, tau)
+
+
+def test_delta_on_plan_nodes_matches_per_node_delta():
+    plan = _shifted_plan(strategy_tanh_ramp(0.3))
+    got = delta_on_plan_nodes(plan, 0.0)
+    want = _per_node_delta(plan, 0.0)
+    assert np.ptp(want) > 0.0
+    assert _rel_gap(got, want) <= 1e-12
+
+
+def test_resolved_reach_beyond_the_padding_is_out_of_domain():
+    plan = _shifted_plan(strategy_tanh_ramp(0.3))
+    tight = make_grid(4.0, 256, reach=0.5)
+    # a declared reach inside the tight padding passes the field check, so
+    # only the resolved shifts can reveal the overreach
+    narrowed = dataclasses.replace(plan, grid=tight, reach=0.5)
+    u = synthetic_smooth_field(tight, 2)
+    with pytest.raises(OutOfDomainError, match="resolved shift reach"):
+        apply_f(narrowed, u)
+    with pytest.raises(OutOfDomainError, match="resolved shift reach"):
+        delta_on_plan_nodes(narrowed, 0.0)

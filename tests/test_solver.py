@@ -139,6 +139,35 @@ def test_single_steps_match_march():
     assert np.array_equal(mone.values, mvals[1])
 
 
+def test_single_steps_build_the_plan_once_per_problem(monkeypatch):
+    builds = []
+    real = solver.build_plan
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_plan", counting)
+    g = make_grid(4.0, 128, reach=3.2)
+
+    def problem():
+        return CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.03,
+                             measure=MERTON, initial=_gaussian(g),
+                             shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.04))
+
+    sch = SchemeConfig(dt=0.01)
+    shared = problem()
+    u0 = shared.initial
+    one = step_imex(shared, sch, u0)
+    two = step_imex(shared, sch, one, history=u0)
+    assert len(builds) == 1
+    fresh_one = step_imex(problem(), sch, u0)
+    fresh_two = step_imex(problem(), sch, fresh_one, history=u0)
+    assert len(builds) == 3
+    assert np.array_equal(one.values, fresh_one.values)
+    assert np.array_equal(two.values, fresh_two.values)
+
+
 def test_duhamel_identity_on_trajectory():
     g = _merton_grid(256)
     problem = CauchyProblem(g, sigma=0.2, horizon=0.5, rate=0.03,
