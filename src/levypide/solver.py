@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -97,11 +98,6 @@ class CauchyProblem:
     option_type: str = "call"
     diffusion_mode: str = "constant"
     delta_sign: float = -1.0
-    # the operator plan of single steps, built by the first one and reused
-    # by the next ones; dataclasses.replace starts empty.  Solves build
-    # their own plan and drop it with their result.
-    _step_plan: list = field(default_factory=list, init=False, repr=False,
-                             compare=False)
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -126,6 +122,13 @@ class CauchyProblem:
     @property
     def dim(self) -> int:
         return self.grid.dim
+
+    @cached_property
+    def _step_plan(self) -> OperatorPlan | None:
+        """The operator plan of single steps, built by the first one and
+        reused by the next ones.  Solves build their own plan and drop it
+        with their result."""
+        return _problem_plan(self)
 
 
 @dataclass(frozen=True)
@@ -673,9 +676,7 @@ def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
 
 def _step(problem: CauchyProblem, scheme: SchemeConfig, state: GridField,
           history: tuple | None = None) -> GridField:
-    if not problem._step_plan:
-        problem._step_plan.append(_problem_plan(problem))
-    plan = problem._step_plan[0]
+    plan = problem._step_plan
     L_hat, implicit, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
                                                         False, plan)
     _check_stability(problem, scheme, plan)
