@@ -4,7 +4,9 @@ Values are expressed in the transformed frame (time-to-maturity tau,
 x = ln(S/K)) where the undiscounted value solves a constant-coefficient
 parabolic equation; the original price is e^{-r tau} times the transformed
 value.  The normal CDF comes from scipy.special.ndtr (erfc-based, accurate to
-machine precision, far inside the 1e-12 requirement).
+machine precision, far inside the 1e-12 requirement), called only where its
+value is not exactly saturated (see _ndtr); most points of a padded grid
+sit far in either tail.
 """
 from __future__ import annotations
 
@@ -17,6 +19,25 @@ from scipy.special import ndtr
 from .errors import ParameterDomainError
 
 __all__ = ["BlackScholesClosedForm"]
+
+# ndtr rounds to exactly 1.0 from a = 8.3 and to exactly 0.0 from a = -38
+# (scipy 1.17.1); the cut-offs keep a margin on both sides.
+_NDTR_ONE = 9.0
+_NDTR_ZERO = -39.0
+
+
+def _ndtr(a):
+    """scipy.special.ndtr(a), bit for bit, with the saturated tails filled
+    in directly: 1.0 for a >= 9, 0.0 for a <= -39.  0-d input and NaN go to
+    ndtr itself."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        return ndtr(a)
+    one = a >= _NDTR_ONE
+    live = ~(one | (a <= _NDTR_ZERO))
+    out = one.astype(float)
+    out[live] = ndtr(a[live])
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,8 +87,8 @@ class BlackScholesClosedForm:
         d1, d2 = self._d12(tau, x)
         fwd = K * np.exp(x + self.rate * tau)
         if self.option_type == "call":
-            return fwd * ndtr(d1) - K * ndtr(d2)
-        return K * ndtr(-d2) - fwd * ndtr(-d1)
+            return fwd * _ndtr(d1) - K * _ndtr(d2)
+        return K * _ndtr(-d2) - fwd * _ndtr(-d1)
 
     def du_dx(self, tau: float, x):
         """x-derivative of the transformed value (jumps at x=0 when tau=0)."""
@@ -80,8 +101,8 @@ class BlackScholesClosedForm:
         d1, _ = self._d12(tau, x)
         fwd = self.strike * np.exp(x + self.rate * tau)
         if self.option_type == "call":
-            return fwd * ndtr(d1)
-        return -fwd * ndtr(-d1)
+            return fwd * _ndtr(d1)
+        return -fwd * _ndtr(-d1)
 
     def price(self, spot, tau: float):
         """Option price at spot price(s) and time-to-maturity tau."""

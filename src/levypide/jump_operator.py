@@ -137,8 +137,10 @@ class _Band:
     holds the weight that output point i puts on point (i + o - half) mod n,
     summed over the nodes, with the node mass already subtracted on the
     centre row.  xi holds the resolved shift of each node with weight
-    wh != 0, one row per node; xi_mean and exp_mean are sum wh xi and
-    sum wh (e^xi - 1) per point.
+    wh != 0, one row per node (one entry per node under the identity
+    shift); xi_mean and exp_mean are sum wh xi and
+    sum wh (e^xi - 1) per point.  fallback_points counts the points whose
+    shift came from the resolver's bracketed root solve.
     """
 
     wh: np.ndarray
@@ -146,6 +148,7 @@ class _Band:
     band: np.ndarray
     xi_mean: np.ndarray
     exp_mean: np.ndarray
+    fallback_points: int
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """sum_j wh_j (u(x + xi_j) - u(x)) with u cubic-interpolated."""
@@ -158,10 +161,12 @@ class _Band:
 @dataclass(eq=False)
 class _BandCache:
     """Bands built on one plan (one key for static shifts, the latest two
-    taus otherwise) and the perf_counter seconds spent building them."""
+    taus otherwise), the perf_counter seconds spent building them and the
+    resolver fallback points of those builds."""
 
     by_key: dict = field(default_factory=dict)
     build_s: float = 0.0
+    fallback_points: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +215,12 @@ class OperatorPlan:
     def band_build_s(self) -> float:
         """Seconds spent building quadrature bands on this plan so far."""
         return self._bands.build_s
+
+    @property
+    def shift_fallback_points(self) -> int:
+        """Points the shift resolver's bracketed root solve handled, summed
+        over the bands built on this plan so far."""
+        return self._bands.fallback_points
 
     def bounded_multiplier(self) -> np.ndarray:
         """symbol - mass: the advection-free part, spectral radius <= 2 mass."""
@@ -400,11 +411,12 @@ def _grad_values(plan: OperatorPlan, u: GridField, grad_u):
 
 
 def _identity_shifts(plan: OperatorPlan):
-    """(w h, xi) of the weighted nodes under the identity shift xi = z."""
+    """(w h, xi) of the weighted nodes under the identity shift xi = z; xi
+    is a (nodes, 1) column that broadcasts against the grid axis, so
+    functions of xi cost one evaluation per node."""
     wh = plan.z_weights * plan.z_density
     keep = wh != 0.0
-    z = plan.z_nodes[keep]
-    return wh[keep], np.broadcast_to(z[:, None], (z.size, plan.grid.n_total))
+    return wh[keep], plan.z_nodes[keep][:, None]
 
 
 def _build_band(plan: OperatorPlan, tau: float) -> _Band:
@@ -414,10 +426,12 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
     x = g.axis()
     n = g.n_total
     wh, xi = _identity_shifts(plan)
+    counts = {"shift_fallback_points": 0}
     if plan.shift is not None:
         # one array per node, not one (nodes, n) block: the block measured
         # 1.6 MB more peak RSS over a benchmark run of repeated solves
-        xi = [xi_on_grid(plan.shift, tau, x, float(zj)) for zj in xi[:, 0]]
+        xi = [xi_on_grid(plan.shift, tau, x, float(zj), counts)
+              for zj in xi[:, 0]]
     max_xi = max((float(np.max(np.abs(r))) for r in xi), default=0.0)
     if max_xi > g.pad * g.dx:
         raise OutOfDomainError(
@@ -438,7 +452,8 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
         xi_mean += whj * xij
         exp_mean += whj * np.expm1(xij)
     band[half] -= np.sum(wh)
-    return _Band(wh, xi, band, xi_mean, exp_mean)
+    return _Band(wh, xi, band, xi_mean, exp_mean,
+                 counts["shift_fallback_points"])
 
 
 def _band(plan: OperatorPlan, tau: float) -> _Band:
@@ -451,6 +466,7 @@ def _band(plan: OperatorPlan, tau: float) -> _Band:
         t0 = perf_counter()
         got = _build_band(plan, tau)
         cache.build_s += perf_counter() - t0
+        cache.fallback_points += got.fallback_points
         if len(cache.by_key) >= 2:
             cache.by_key.pop(next(iter(cache.by_key)))
         cache.by_key[key] = got
@@ -503,6 +519,12 @@ def apply_f_tilde(plan: OperatorPlan, u: GridField, grad_u=None,
     return u.with_values(b.apply(u.values) - b.exp_mean * grads[0])
 
 
+# Weighted nodes per closed-form block in apply_f_tilde_fn.  A few nodes
+# times the grid stays in cache; one block of all nodes measured slower than
+# a loop over single nodes (27 ms against 16 ms on 320 nodes x 768 points).
+_FN_BLOCK = 8
+
+
 def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
                      dfn: Callable[[np.ndarray], np.ndarray],
                      tau: float) -> np.ndarray:
@@ -512,7 +534,9 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
     shifted arguments are exact; use this for analytic sources and for fields
     (such as exponentials) whose growth defeats grid interpolation.  Values
     are on the grid axis; a feedback shift's resolved nodes come from the
-    plan's band at tau.
+    plan's band at tau.  fn is called on (nodes, n) blocks of shifted points
+    of _FN_BLOCK weighted nodes each, and the blocks are summed with one
+    matrix-vector product each.
     """
     if plan.dim != 1:
         raise UnsupportedConfigurationError("compensated operator is 1-D only")
@@ -525,9 +549,11 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
     base = np.asarray(fn(xv), dtype=float)
     slope = np.asarray(dfn(xv), dtype=float)
     out = np.zeros_like(base)
-    for whj, xij in zip(wh, xi):
-        out += whj * (np.asarray(fn(xv + xij), dtype=float) - base
-                      - np.expm1(xij) * slope)
+    for j in range(0, len(wh), _FN_BLOCK):
+        xij = np.asarray(xi[j:j + _FN_BLOCK])
+        terms = (np.asarray(fn(xv + xij), dtype=float) - base
+                 - np.expm1(xij) * slope)
+        out += wh[j:j + _FN_BLOCK] @ terms
     return out
 
 

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
+# brentq is not called here (_brentq_vec replaces it), but bench/tracing.py
+# rebinds it by this module's name, so the name must stay importable
+from scipy.optimize import brentq  # noqa: F401
 
 from .errors import (NoSolutionError, ParameterDomainError,
                      ToleranceNotMetError)
@@ -150,13 +152,15 @@ def resolve_xi_first_order(model: ShiftModel, tau: float, x, z):
 
 
 def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
-                      z: np.ndarray) -> np.ndarray:
+                      z: np.ndarray, stats: dict | None = None) -> np.ndarray:
     """Vectorized fixed-point solve of e^xi = e^z + rho * dpsi(xi).
 
     Works on w = xi - z, which satisfies w = log1p(rho e^(-z) dpsi) and stays
     well scaled for any z (the raw residual e^xi - e^z is not representable
     once e^z exceeds 1/eps).  Entries that stall, or whose log1p argument
-    transiently drops below -1, fall back to a bracketed scalar root search.
+    transiently drops below -1, go together to one vectorized bracketed root
+    solve (_bracketed_roots_w); stats, when given, counts them under
+    shift_fallback_points.
     """
     psi = model.strategy.psi
     rho = model.rho
@@ -189,14 +193,15 @@ def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
         if np.all(fallback | (res < model.fp_tol)):
             break
 
-    # bracketed scalar fallback on whatever did not converge
+    # bracketed fallback on whatever did not converge
     res = scaled_residual(w)
-    w_flat = w.ravel()
     todo = np.nonzero((res.ravel() >= model.fp_tol) | fallback.ravel())[0]
-    for i in todo:
-        w_flat[i] = _bracketed_root_w(model, tau, float(xb.ravel()[i]),
-                                      float(zb.ravel()[i]))
-    w = w_flat.reshape(shape)
+    w = w.ravel()
+    w[todo] = _bracketed_roots_w(model, tau, xb.ravel()[todo], zb.ravel()[todo])
+    w = w.reshape(shape)
+    if stats is not None:
+        stats["shift_fallback_points"] = (
+            stats.get("shift_fallback_points", 0) + int(todo.size))
     # fallback entries are root-polished to ~1e-15 in w itself; the residual
     # slope can be of order e^|z| there, so the sanity bound loosens to
     # sqrt(fp_tol) rather than fp_tol
@@ -208,37 +213,124 @@ def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
     return zb + w
 
 
-def _w_residual(model: ShiftModel, tau: float, x: float, z: float, w: float) -> float:
-    """expm1(w) - rho e^(-z) dpsi(x + z + w); zero exactly when xi = z + w
-    solves the shift balance."""
-    if w > 700.0:
-        return math.inf
+def _w_residual_fn(model: ShiftModel, tau: float, x: np.ndarray, z: np.ndarray):
+    """The w-residual as a function
+    g(w, idx) = expm1(w) - rho e^(-z) (psi(tau, x + z + w) - psi(tau, x))
+    at the entries idx of x and z (all of them by default), broadcast
+    against w; zero exactly when xi = z + w solves the shift balance, and
+    +inf where w > 700."""
     psi = model.strategy.psi
-    dpsi = float(np.asarray(psi(tau, np.array([x + z + w])))[0]
-                 - np.asarray(psi(tau, np.array([x])))[0])
-    return math.expm1(w) - model.rho * math.exp(min(-z, 700.0)) * dpsi
+    psi_x = np.asarray(psi(tau, x), dtype=float)
+    scale = model.rho * np.exp(np.minimum(-z, 700.0))
+
+    def g(w, idx=slice(None)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dpsi = np.asarray(psi(tau, x[idx] + z[idx] + w), dtype=float) - psi_x[idx]
+            r = np.expm1(w) - scale[idx] * dpsi
+        return np.where(w > 700.0, np.inf, r)
+
+    return g
 
 
-def _bracketed_root_w(model: ShiftModel, tau: float, x: float, z: float) -> float:
-    """Root of the w-residual nearest w = 0, by expanding scanned brackets."""
-    g = lambda w: _w_residual(model, tau, x, z, w)
+def _bracketed_roots_w(model: ShiftModel, tau: float, x: np.ndarray,
+                       z: np.ndarray) -> np.ndarray:
+    """Root of the w-residual nearest w = 0 for each entry of the 1-D x, z.
+
+    Scans 17 points on [-width, width] for width = 0.25, 0.5, ... up to 800;
+    an entry takes the first width whose scan changes sign and, within it,
+    the bracket whose midpoint is nearest 0 (the lower one on a tie), which
+    keeps the solve deterministic when the residual oscillates and admits
+    several roots.  The brackets are then polished together by _brentq_vec.
+    """
+    g = _w_residual_fn(model, tau, x, z)
+    m = x.size
+    lo, hi, g_lo, g_hi = (np.empty(m) for _ in range(4))
+    todo = np.arange(m)
     width = 0.25
-    while width <= 800.0:
+    while todo.size and width <= 800.0:
         pts = np.linspace(-width, width, 17)
-        sgn = np.sign([g(float(p)) for p in pts])
-        hit = np.nonzero(sgn[:-1] * sgn[1:] <= 0)[0]
-        if hit.size:
-            # bracket closest to 0 keeps the solve deterministic when the
-            # residual oscillates and admits several roots
-            order = hit[np.argsort(np.abs(pts[hit] + 0.5 * (pts[1] - pts[0])))]
-            j = int(order[0])
-            return float(brentq(g, float(pts[j]), float(pts[j + 1]),
-                                xtol=1e-15, rtol=8.9e-16, maxiter=200))
+        vals = g(pts, todo[:, None])
+        sgn = np.sign(vals)
+        hit = sgn[:, :-1] * sgn[:, 1:] <= 0
+        mid_dist = np.abs(pts[:-1] + 0.5 * (pts[1] - pts[0]))
+        j = np.argmin(np.where(hit, mid_dist, np.inf), axis=1)
+        found = np.nonzero(np.any(hit, axis=1))[0]
+        j = j[found]
+        dest = todo[found]
+        lo[dest], hi[dest] = pts[j], pts[j + 1]
+        g_lo[dest], g_hi[dest] = vals[found, j], vals[found, j + 1]
+        todo = np.delete(todo, found)
         width *= 2.0
-    raise NoSolutionError(
-        "shift balance has no root: the displaced level stays nonpositive "
-        f"for z={z:.4g} (rho or the strategy swing is too large)",
-        residual=abs(g(0.0)))
+    if todo.size:
+        i = todo[:1]
+        raise NoSolutionError(
+            "shift balance has no root: the displaced level stays nonpositive "
+            f"for z={float(z[i[0]]):.4g} (rho or the strategy swing is too large)",
+            residual=abs(float(g(np.zeros(1), i)[0])))
+    return _brentq_vec(g, lo, hi, g_lo, g_hi)
+
+
+def _brentq_vec(g, a: np.ndarray, b: np.ndarray, g_a: np.ndarray,
+                g_b: np.ndarray) -> np.ndarray:
+    """scipy.optimize.brentq, step for step, on many brackets at once.
+
+    g(w, idx) evaluates the residual of the brackets idx; g_a and g_b are its
+    values at the ends a and b, of opposite signs or zero.  A bracket stops
+    as brentq(xtol=1e-15, rtol=8.9e-16) does, once the bisection half-step
+    is below (xtol + rtol |w|) / 2; one still open after 200 steps returns
+    its last iterate and is left to the caller's residual check.
+    """
+    xtol, rtol = 1e-15, 8.9e-16
+    root = np.where(g_a == 0.0, a, b)
+    idx = np.nonzero((g_a != 0.0) & (g_b != 0.0))[0]
+    xpre, xcur, fpre, fcur = a[idx], b[idx], g_a[idx], g_b[idx]
+    xblk, fblk, spre, scur = (np.zeros(idx.size) for _ in range(4))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            if not idx.size:
+                break
+            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk = np.where(flip, xpre, xblk)
+            fblk = np.where(flip, fpre, fblk)
+            spre = np.where(flip, xcur - xpre, spre)
+            scur = np.where(flip, xcur - xpre, scur)
+            # keep the best iterate in xcur
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre),
+                                np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre),
+                                np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = 0.5 * (xtol + rtol * np.abs(xcur))
+            sbis = 0.5 * (xblk - xcur)
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            if np.any(done):
+                root[idx[done]] = xcur[done]
+                keep = ~done
+                (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+                 sbis) = (v[keep] for v in (idx, xpre, xcur, xblk, fpre, fcur,
+                                            fblk, spre, scur, delta, sbis))
+                if not idx.size:
+                    break
+            # secant step while only two distinct points are known, inverse
+            # quadratic interpolation otherwise; bisection unless the step is
+            # short enough
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quad = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, secant, quad)
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2.0 * np.abs(stry)
+                        < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)))
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                                   np.where(sbis > 0, delta, -delta))
+            fcur = g(xcur, idx)
+    root[idx] = xcur
+    return root
 
 
 def resolve_xi_fixed_point(model: ShiftModel, tau: float, x, z):
@@ -267,14 +359,19 @@ def resolve_xi(model: ShiftModel, tau: float, x, z):
     return resolve_xi_fixed_point(model, tau, x, z)
 
 
-def xi_on_grid(model: ShiftModel | None, tau: float, x: np.ndarray, z: float) -> np.ndarray:
-    """Shift values for one raw jump size z across a grid of x (fast path)."""
+def xi_on_grid(model: ShiftModel | None, tau: float, x: np.ndarray, z: float,
+               stats: dict | None = None) -> np.ndarray:
+    """Shift values for one raw jump size z across a grid of x (fast path).
+
+    When stats is given, stats["shift_fallback_points"] grows by the number
+    of points the fixed point handed to the bracketed root solve.
+    """
     if model is None or model.rho == 0.0:
         return np.full_like(np.asarray(x, dtype=float), float(z))
     if model.mode == "first_order":
         return np.asarray(resolve_xi_first_order(model, tau, x, float(z)), dtype=float)
     return np.asarray(_fixed_point_core(model, tau, np.asarray(x, dtype=float),
-                                        np.asarray(float(z))), dtype=float)
+                                        np.asarray(float(z)), stats), dtype=float)
 
 
 def count_xi_roots(model: ShiftModel, tau: float, x: float, z: float,
@@ -282,8 +379,8 @@ def count_xi_roots(model: ShiftModel, tau: float, x: float, z: float,
     """Sign changes of the shift residual for xi in [z - w, z + w]; > 1 flags
     non-uniqueness of the impacted jump size."""
     s = np.linspace(-half_width, half_width, samples)
-    vals = np.array([_w_residual(model, tau, x, z, float(si)) for si in s])
-    signs = np.sign(vals)
+    g = _w_residual_fn(model, tau, np.array([float(x)]), np.array([float(z)]))
+    signs = np.sign(g(s))
     signs = signs[signs != 0]
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 

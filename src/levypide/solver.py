@@ -173,8 +173,10 @@ class SolveResult:
     """Terminal state plus checkpoint diagnostics of one solve.
 
     stats records what the solve did: the jump operator path (operator:
-    "fft", "band" or None without a measure) and the perf_counter seconds
-    spent building the quadrature band (operator_build_s); and the source
+    "fft", "band" or None without a measure), the perf_counter seconds
+    spent building the quadrature band (operator_build_s) and the points
+    its shift resolution handed to the bracketed root solve
+    (shift_fallback_points, summed over the band builds); and the source
     work: source_analytic and source_propagated evaluations,
     source_reanchors (failed switch verifications), the verified anchor
     source_switch_tau and its source_switch_gap (both None when the source
@@ -502,7 +504,8 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
             return rhs_hat / (a0 - dt * L_hat)
 
     operator = None if plan is None else "fft" if plan.uses_fft else "band"
-    stats = {"operator": operator, "operator_build_s": 0.0, **_source_stats()}
+    stats = {"operator": operator, "operator_build_s": 0.0,
+             "shift_fallback_points": 0, **_source_stats()}
     source = None
     if shifted and plan is not None:
         source = _compensated_source(problem, plan, stats)
@@ -597,6 +600,7 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
                          needs_grad, on_level, store_stride)
     if plan is not None:
         stats["operator_build_s"] = plan.band_build_s
+        stats["shift_fallback_points"] = plan.shift_fallback_points
     background = difference = None
     if shifted:
         T = problem.horizon

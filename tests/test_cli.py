@@ -119,6 +119,7 @@ def test_price_command_writes_artifacts(tmp_path):
     assert manifest["stats"]["source_switch_gap"] <= 1e-10
     assert manifest["stats"]["operator"] == "fft"
     assert manifest["stats"]["operator_build_s"] == 0.0
+    assert manifest["stats"]["shift_fallback_points"] == 0
     assert "threads" not in manifest
 
 
@@ -142,6 +143,7 @@ def test_price_with_shift_runs(tmp_path):
     stats = json.loads((out / "manifest.json").read_text())["stats"]
     assert stats["operator"] == "band"
     assert stats["operator_build_s"] > 0.0
+    assert stats["shift_fallback_points"] > 0
 
 
 def test_diagnose_bessel(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from levypide import jump_operator
 from levypide.bessel import synthetic_smooth_field
+from levypide.blackscholes import BlackScholesClosedForm
 from levypide.errors import (OutOfDomainError, ParameterDomainError,
                              PlanInvalidError, UnsupportedConfigurationError)
 from levypide.grids import GridField, cubic_interp_periodic, gradient, make_grid
@@ -54,6 +55,38 @@ def test_operator_annihilates_compensated_exponential():
                                 lambda x: c * np.exp(x), 0.0)
         scale = c * math.exp(g.half_width + g.pad * g.dx)
         assert np.max(np.abs(vals)) < 1e-10 * scale
+
+
+def _per_node_f_tilde_fn(plan, fn, dfn, tau):
+    """The node-by-node sum that apply_f_tilde_fn evaluates in blocks."""
+    xv = plan.grid.axis()
+    if plan.shift is None:
+        wh, xi = jump_operator._identity_shifts(plan)
+    else:
+        band = jump_operator._band(plan, tau)
+        wh, xi = band.wh, band.xi
+    base, slope = fn(xv), dfn(xv)
+    out = np.zeros_like(base)
+    for whj, xij in zip(wh, xi):
+        out += whj * (fn(xv + xij) - base - np.expm1(xij) * slope)
+    return out
+
+
+@pytest.mark.parametrize("rho,nodes_per_panel", [(0.0, 7), (0.05, 16)])
+def test_block_f_tilde_fn_matches_per_node_sum(rho, nodes_per_panel):
+    # 7 nodes per panel leaves a last block shorter than the others
+    shift = ShiftModel(strategy_tanh_ramp(0.3), rho=rho)
+    g = make_grid(4.0, 256, reach=estimate_reach(MERTON, shift, 4.0))
+    plan = build_plan(g, MERTON, shift, force_quadrature=True,
+                      nodes_per_panel=nodes_per_panel)
+    assert (plan.shift is None) == (rho == 0.0)
+    bs = BlackScholesClosedForm(1.0, 0.03, 0.2, "put")
+    for tau in (0.002, 0.5):
+        got = apply_f_tilde_fn(plan, lambda p: bs.u(tau, p),
+                               lambda p: bs.du_dx(tau, p), tau)
+        want = _per_node_f_tilde_fn(plan, lambda p: bs.u(tau, p),
+                                    lambda p: bs.du_dx(tau, p), tau)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_fft_and_quadrature_paths_agree():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levypide import shift
 from levypide.blackscholes import BlackScholesClosedForm
 from levypide.errors import (NoSolutionError, ParameterDomainError,
                              ToleranceNotMetError)
@@ -141,3 +142,17 @@ def test_shifted_price_exceeds_unshifted_for_ramp():
                              n_core=512, scheme=sch).price
     assert shifted != plain
     assert abs(shifted - plain) < 0.5
+
+
+def test_shifted_price_calls_no_scalar_root_finder(monkeypatch):
+    # the resolver's fallback is one vectorized bracketed solve; a scalar
+    # brentq per point must not come back
+    def scalar_root(*args, **kwargs):
+        raise AssertionError("scalar brentq called by the shift resolver")
+
+    monkeypatch.setattr(shift, "brentq", scalar_root)
+    nu = make_merton(0.5, -0.1, 0.2)
+    res = price_european(MKT, nu, ShiftModel(strategy_tanh_ramp(0.3), rho=0.05),
+                         n_core=256, scheme=SchemeConfig(dt=0.05))
+    assert math.isfinite(res.price)
+    assert res.result.stats["shift_fallback_points"] > 0

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from levypide import shift
 from levypide.errors import NoSolutionError, ParameterDomainError
 from levypide.measures import make_merton, moments
 from levypide.shift import (ShiftModel, compute_delta, count_xi_roots,
@@ -169,3 +171,70 @@ def test_growth_bound_probe_passes_for_holder_strategy():
     assert np.isfinite(rep.max_ratio)
     with pytest.raises(ParameterDomainError):
         growth_bound_probe(model, np.array([0.0, 1.0]), np.array([0.0]))
+
+
+def _reference_root_w(model, tau, x, z):
+    """One point of the bracketed fallback, the scalar way: scan 17 points
+    on [-width, width] for width = 0.25 doubling up to 800, take the
+    bracket nearest w = 0 (lower one on a tie) and polish it with scipy's
+    brentq.  Returns the root and the number of brackets in the scan."""
+    psi = model.strategy.psi
+
+    def g(w):
+        if w > 700.0:
+            return math.inf
+        dpsi = float(psi(tau, np.array([x + z + w]))[0]
+                     - psi(tau, np.array([x]))[0])
+        return math.expm1(w) - model.rho * math.exp(min(-z, 700.0)) * dpsi
+
+    width = 0.25
+    while width <= 800.0:
+        pts = np.linspace(-width, width, 17)
+        sgn = np.sign([g(float(p)) for p in pts])
+        hit = np.nonzero(sgn[:-1] * sgn[1:] <= 0)[0]
+        if hit.size:
+            mid = np.abs(pts[hit] + 0.5 * (pts[1] - pts[0]))
+            j = int(hit[np.argsort(mid, kind="stable")[0]])
+            return brentq(g, float(pts[j]), float(pts[j + 1]), xtol=1e-15,
+                          rtol=8.9e-16, maxiter=200), hit.size
+        width *= 2.0
+    raise NoSolutionError("no bracket")
+
+
+# (model, raw jump z) pairs whose fixed point hands points to the fallback
+FALLBACK_CASES = {
+    "tanh_ramp": (ShiftModel(TANH, rho=0.05), -2.0),
+    "sin": (ShiftModel(strategy_sin(0.3), rho=0.3), -1.0),
+    "linear": (ShiftModel(strategy_linear(-0.5), rho=0.5), -2.0),
+    "table": (ShiftModel(strategy_from_table([-1.0, 0.0, 2.0],
+                                             [0.0, 1.0, -1.0]), rho=0.1), 0.3),
+    # residual oscillates: several brackets per scan, the nearest to 0 wins
+    "oscillating": (ShiftModel(strategy_sin(1.0, 20.0), rho=0.5), -1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_vectorized_fallback_matches_scalar_brentq(case):
+    model, z = FALLBACK_CASES[case]
+    xs = np.linspace(-3.0, 3.0, 61)
+    stats = {}
+    xi = xi_on_grid(model, 0.0, xs, z, stats)
+    assert stats["shift_fallback_points"] > 0
+    assert np.all(np.isfinite(xi))
+    got = shift._bracketed_roots_w(model, 0.0, xs, np.full_like(xs, z))
+    brackets = []
+    for x, w in zip(xs, got):
+        want, hits = _reference_root_w(model, 0.0, float(x), z)
+        brackets.append(hits)
+        assert abs(w - want) <= 4e-15 * (1.0 + abs(want)), (x, w, want)
+    if case == "oscillating":
+        assert max(brackets) >= 3
+
+
+def test_vectorized_fallback_raises_without_root():
+    # the first point has a root, the second none at any scan width
+    model = ShiftModel(strategy_tanh_ramp(1.0, center=0.0, width=1.0), rho=0.5)
+    _reference_root_w(model, 0.0, 0.0, 0.2)
+    with pytest.raises(NoSolutionError):
+        shift._bracketed_roots_w(model, 0.0, np.array([0.0, 5.0]),
+                                 np.array([0.2, -3.0]))
