@@ -534,9 +534,10 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
     shifted arguments are exact; use this for analytic sources and for fields
     (such as exponentials) whose growth defeats grid interpolation.  Values
     are on the grid axis; a feedback shift's resolved nodes come from the
-    plan's band at tau.  fn is called on (nodes, n) blocks of shifted points
-    of _FN_BLOCK weighted nodes each, and the blocks are summed with one
-    matrix-vector product each.
+    plan's band at tau.  fn and dfn must act elementwise on arrays of any
+    shape: fn is called on the 1-D grid axis and on 2-D (nodes, n) blocks of
+    shifted points of _FN_BLOCK weighted nodes each, and the blocks are
+    summed with one matrix-vector product each.
     """
     if plan.dim != 1:
         raise UnsupportedConfigurationError("compensated operator is 1-D only")

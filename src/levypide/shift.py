@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# brentq is not called here (_brentq_vec replaces it), but bench/tracing.py
+# brentq is not called here (_bisect_vec replaces it), but bench/tracing.py
 # rebinds it by this module's name, so the name must stay importable
 from scipy.optimize import brentq  # noqa: F401
 
@@ -186,7 +186,8 @@ def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
         res = np.where(fallback, np.inf, scaled_residual(w))
         if not np.any(fallback) and np.max(res) < model.fp_tol:
             return zb + w
-        stall = np.where(res >= prev_res, stall + 1, 0)
+        # a converged entry (res < fp_tol, often exactly 0) never stalls
+        stall = np.where((res >= prev_res) & (res >= model.fp_tol), stall + 1, 0)
         prev_res = res
         if np.max(np.where(fallback, 0, stall)) >= 5:
             break
@@ -240,7 +241,7 @@ def _bracketed_roots_w(model: ShiftModel, tau: float, x: np.ndarray,
     an entry takes the first width whose scan changes sign and, within it,
     the bracket whose midpoint is nearest 0 (the lower one on a tie), which
     keeps the solve deterministic when the residual oscillates and admits
-    several roots.  The brackets are then polished together by _brentq_vec.
+    several roots.  The brackets are then polished together by _bisect_vec.
     """
     g = _w_residual_fn(model, tau, x, z)
     m = x.size
@@ -267,70 +268,31 @@ def _bracketed_roots_w(model: ShiftModel, tau: float, x: np.ndarray,
             "shift balance has no root: the displaced level stays nonpositive "
             f"for z={float(z[i[0]]):.4g} (rho or the strategy swing is too large)",
             residual=abs(float(g(np.zeros(1), i)[0])))
-    return _brentq_vec(g, lo, hi, g_lo, g_hi)
+    return _bisect_vec(g, lo, hi, g_lo, g_hi)
 
 
-def _brentq_vec(g, a: np.ndarray, b: np.ndarray, g_a: np.ndarray,
-                g_b: np.ndarray) -> np.ndarray:
-    """scipy.optimize.brentq, step for step, on many brackets at once.
+def _bisect_vec(g, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray,
+                g_hi: np.ndarray) -> np.ndarray:
+    """Bisection on many brackets at once.
 
-    g(w, idx) evaluates the residual of the brackets idx; g_a and g_b are its
-    values at the ends a and b, of opposite signs or zero.  A bracket stops
-    as brentq(xtol=1e-15, rtol=8.9e-16) does, once the bisection half-step
-    is below (xtol + rtol |w|) / 2; one still open after 200 steps returns
-    its last iterate and is left to the caller's residual check.
+    g(w) evaluates the residual of every bracket; g_lo and g_hi are its
+    values at the ends lo and hi, of opposite signs or zero.  Each bracket
+    halves until it is shorter than xtol + rtol |w| with brentq's
+    tolerances xtol = 1e-15, rtol = 8.9e-16; its midpoint is the root.
     """
     xtol, rtol = 1e-15, 8.9e-16
-    root = np.where(g_a == 0.0, a, b)
-    idx = np.nonzero((g_a != 0.0) & (g_b != 0.0))[0]
-    xpre, xcur, fpre, fcur = a[idx], b[idx], g_a[idx], g_b[idx]
-    xblk, fblk, spre, scur = (np.zeros(idx.size) for _ in range(4))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(200):
-            if not idx.size:
-                break
-            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk = np.where(flip, xpre, xblk)
-            fblk = np.where(flip, fpre, fblk)
-            spre = np.where(flip, xcur - xpre, spre)
-            scur = np.where(flip, xcur - xpre, scur)
-            # keep the best iterate in xcur
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (np.where(swap, xcur, xpre),
-                                np.where(swap, xblk, xcur),
-                                np.where(swap, xcur, xblk))
-            fpre, fcur, fblk = (np.where(swap, fcur, fpre),
-                                np.where(swap, fblk, fcur),
-                                np.where(swap, fcur, fblk))
-            delta = 0.5 * (xtol + rtol * np.abs(xcur))
-            sbis = 0.5 * (xblk - xcur)
-            done = (fcur == 0) | (np.abs(sbis) < delta)
-            if np.any(done):
-                root[idx[done]] = xcur[done]
-                keep = ~done
-                (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
-                 sbis) = (v[keep] for v in (idx, xpre, xcur, xblk, fpre, fcur,
-                                            fblk, spre, scur, delta, sbis))
-                if not idx.size:
-                    break
-            # secant step while only two distinct points are known, inverse
-            # quadratic interpolation otherwise; bisection unless the step is
-            # short enough
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            quad = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, secant, quad)
-            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                     & (2.0 * np.abs(stry)
-                        < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)))
-            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur,
-                                   np.where(sbis > 0, delta, -delta))
-            fcur = g(xcur, idx)
-    root[idx] = xcur
-    return root
+    hi = np.where(g_lo == 0.0, lo, hi)
+    lo = np.where(g_hi == 0.0, hi, lo)
+    for _ in range(200):
+        mid = lo + 0.5 * (hi - lo)
+        if np.all(hi - lo < xtol + rtol * np.abs(mid)):
+            break
+        g_mid = g(mid)
+        exact = g_mid == 0.0
+        up = ~exact & (np.signbit(g_mid) == np.signbit(g_lo))
+        lo, g_lo = np.where(up | exact, mid, lo), np.where(up, g_mid, g_lo)
+        hi = np.where(up, hi, mid)
+    return lo + 0.5 * (hi - lo)
 
 
 def resolve_xi_fixed_point(model: ShiftModel, tau: float, x, z):

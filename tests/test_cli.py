@@ -143,6 +143,17 @@ def test_price_with_shift_runs(tmp_path):
     stats = json.loads((out / "manifest.json").read_text())["stats"]
     assert stats["operator"] == "band"
     assert stats["operator_build_s"] > 0.0
+
+
+def test_price_counts_shift_fallback_points(tmp_path):
+    # a steep strategy stalls the shift fixed point for the larger negative
+    # jumps; the manifest counts the points the bracketed solve took over
+    steep = SHIFT_CFG.replace("strategy = tanh_ramp\namplitude = 0.3\nwidth = 1.0",
+                              "strategy = sin\namplitude = 0.05\nfrequency = 10.0")
+    cfg = _write(tmp_path, steep.replace("rho = 0.05", "rho = 1.0"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "price"]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
     assert stats["shift_fallback_points"] > 0
 
 

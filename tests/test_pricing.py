@@ -12,7 +12,7 @@ from levypide.measures import make_merton
 from levypide.pricing import (MarketSpec, bs_closed_form, estimate_reach,
                               merton_series_oracle, price_european,
                               report_price, transform_to_pide)
-from levypide.shift import ShiftModel, strategy_tanh_ramp
+from levypide.shift import ShiftModel, strategy_sin, strategy_tanh_ramp
 from levypide.solver import SchemeConfig, solve_shifted
 
 MKT = MarketSpec(100.0, 100.0, 1.0, 0.05, 0.2, "call")
@@ -152,7 +152,9 @@ def test_shifted_price_calls_no_scalar_root_finder(monkeypatch):
 
     monkeypatch.setattr(shift, "brentq", scalar_root)
     nu = make_merton(0.5, -0.1, 0.2)
-    res = price_european(MKT, nu, ShiftModel(strategy_tanh_ramp(0.3), rho=0.05),
+    # a steep strategy (rho e^(-z) |psi'| > 1 for the larger negative jumps)
+    # stalls the fixed point there, so the bracketed solve does run
+    res = price_european(MKT, nu, ShiftModel(strategy_sin(0.05, 10.0), rho=1.0),
                          n_core=256, scheme=SchemeConfig(dt=0.05))
     assert math.isfinite(res.price)
     assert res.result.stats["shift_fallback_points"] > 0
