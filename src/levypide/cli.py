@@ -65,7 +65,8 @@ def _write_csv(path: Path, digest: str, header, rows) -> None:
 
 
 def _write_manifest(outdir: Path, cfg: RunConfig, outputs, t0: float,
-                    command: str, stats: dict | None, passed: bool) -> None:
+                    command: str, stats: dict | None, grid: dict | None,
+                    passed: bool) -> None:
     import scipy
     manifest = {
         "config_digest": cfg.digest,
@@ -76,8 +77,8 @@ def _write_manifest(outdir: Path, cfg: RunConfig, outputs, t0: float,
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "grid": {"half_width": cfg.half_width, "n_core": cfg.n_core,
-                 "reach": cfg.reach},
+        "grid": grid or {"half_width": cfg.half_width, "n_core": cfg.n_core,
+                         "reach": cfg.reach},
         "scheme": {"scheme": cfg.scheme.scheme, "dt": cfg.scheme.dt,
                    "startup_grading": cfg.scheme.startup_grading,
                    "delta_sign": cfg.delta_sign},
@@ -113,14 +114,18 @@ def _seedless_guard(enabled: bool):
             setattr(np.random, n, fn)
 
 
-def _problem_grid(cfg: RunConfig):
+def _problem_grid(cfg: RunConfig, n_core: int | None = None):
+    """The solve grid and the manifest record of it: the configured reach,
+    or the auto-sized one when the config leaves it out."""
     reach = cfg.reach if cfg.reach is not None else \
         estimate_reach(cfg.measure, cfg.shift, cfg.half_width)
-    return make_grid(cfg.half_width, cfg.n_core, reach=reach)
+    grid = make_grid(cfg.half_width, n_core or cfg.n_core, reach=reach)
+    return grid, {"half_width": grid.half_width, "n_core": grid.n_core,
+                  "reach": reach, "pad": grid.pad, "n_total": grid.n_total}
 
 
 def _cmd_price(cfg: RunConfig, outdir: Path):
-    grid = _problem_grid(cfg)
+    grid, record = _problem_grid(cfg)
     problem = transform_to_pide(cfg.market, grid, cfg.measure, cfg.shift,
                                 cfg.delta_sign)
     result = solve_shifted(problem, cfg.scheme)
@@ -136,7 +141,7 @@ def _cmd_price(cfg: RunConfig, outdir: Path):
     _write_csv(outdir / "price.csv", cfg.digest,
                ("S0", "K", "T", "price_pide", "price_oracle", "rel_err"), rows)
     passed = (not math.isfinite(rel)) or rel < cfg.oracle_rel_tol
-    return passed, [outdir / "price.csv"], result.stats
+    return passed, [outdir / "price.csv"], result.stats, record
 
 
 def _cmd_diagnose_bessel(cfg: RunConfig, outdir: Path):
@@ -224,9 +229,7 @@ def _cmd_convergence_study(cfg: RunConfig, outdir: Path, halvings: int):
     for i in range(halvings):
         n = cfg.n_core * 2 ** i
         dt = cfg.scheme.dt / 2 ** i
-        reach = cfg.reach if cfg.reach is not None else \
-            estimate_reach(cfg.measure, cfg.shift, cfg.half_width)
-        grid = make_grid(cfg.half_width, n, reach=reach)
+        grid, _ = _problem_grid(cfg, n)
         problem = transform_to_pide(cfg.market, grid, cfg.measure, cfg.shift,
                                     cfg.delta_sign)
         from dataclasses import replace
@@ -317,11 +320,11 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    stats = None
+    stats = grid = None
     try:
         with _seedless_guard(args.seedless):
             if args.command == "price":
-                passed, outputs, stats = _cmd_price(cfg, outdir)
+                passed, outputs, stats, grid = _cmd_price(cfg, outdir)
             elif args.command == "diagnose":
                 fn = {"bessel": _cmd_diagnose_bessel,
                       "operator": _cmd_diagnose_operator,
@@ -337,7 +340,7 @@ def main(argv=None) -> int:
         return 2
     command = " ".join(["levypide"] + list(argv if argv is not None
                                            else sys.argv[1:]))
-    _write_manifest(outdir, cfg, outputs, t0, command, stats, passed)
+    _write_manifest(outdir, cfg, outputs, t0, command, stats, grid, passed)
     for p in outputs:
         print(p)
     if not passed:

@@ -155,10 +155,6 @@ class GridField:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_function(cls, grid: Grid, fn, time_tag: float = 0.0) -> "GridField":
-        return cls(grid, fn(*grid.meshes()), time_tag)
-
-    @classmethod
     def zeros(cls, grid: Grid, time_tag: float = 0.0) -> "GridField":
         shape = (grid.n_total,) if grid.dim == 1 else (grid.n_total,) * 2
         return cls(grid, np.zeros(shape), time_tag)

@@ -19,8 +19,12 @@ time-dependent strategy has it rebuilt at each new tau.
 
 The compensated variant replaces the subtracted xi * grad(u) by
 (e^xi - 1) * grad(u); on closed-form fields (apply_f_tilde_fn) it kills
-exponentials c * e^x node-by-node — the cancellation is algebraic, not a
-quadrature limit.
+c0 + c1 e^x pair by pair — the cancellation is algebraic, not a quadrature
+limit.  A closed form that is such a profile outside a live interval (the
+Black-Scholes value outside the few kernel widths where N(d) is not
+saturated) therefore needs only the pairs (x, x + xi) with an end inside
+it, and apply_f_tilde_fn can sum each block of nodes over that window of
+grid columns alone.
 
 Singular densities (envelope exponent alpha > 0) are handled on quadrature
 nodes only, with the inner |z| < eps part either dropped (finite activity) or
@@ -138,13 +142,16 @@ class _Band:
     summed over the nodes, with the node mass already subtracted on the
     centre row.  xi holds the resolved shift of each node with weight
     wh != 0, one row per node (one entry per node under the identity
-    shift); xi_mean and exp_mean are sum wh xi and
-    sum wh (e^xi - 1) per point.  fallback_points counts the points whose
-    shift came from the resolver's bracketed root solve.
+    shift), and xi_min/xi_max its extremes over the grid; xi_mean and
+    exp_mean are sum wh xi and sum wh (e^xi - 1) per point.
+    fallback_points counts the points whose shift came from the resolver's
+    bracketed root solve.
     """
 
     wh: np.ndarray
     xi: Sequence[np.ndarray]
+    xi_min: np.ndarray
+    xi_max: np.ndarray
     band: np.ndarray
     xi_mean: np.ndarray
     exp_mean: np.ndarray
@@ -432,7 +439,9 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
         # 1.6 MB more peak RSS over a benchmark run of repeated solves
         xi = [xi_on_grid(plan.shift, tau, x, float(zj), counts)
               for zj in xi[:, 0]]
-    max_xi = max((float(np.max(np.abs(r))) for r in xi), default=0.0)
+    xi_min = np.array([float(np.min(r)) for r in xi])
+    xi_max = np.array([float(np.max(r)) for r in xi])
+    max_xi = float(np.max(np.abs([xi_min, xi_max]), initial=0.0))
     if max_xi > g.pad * g.dx:
         raise OutOfDomainError(
             f"resolved shift reach {max_xi:.3f} exceeds the padding "
@@ -452,7 +461,7 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
         xi_mean += whj * xij
         exp_mean += whj * np.expm1(xij)
     band[half] -= np.sum(wh)
-    return _Band(wh, xi, band, xi_mean, exp_mean,
+    return _Band(wh, xi, xi_min, xi_max, band, xi_mean, exp_mean,
                  counts["shift_fallback_points"])
 
 
@@ -519,15 +528,26 @@ def apply_f_tilde(plan: OperatorPlan, u: GridField, grad_u=None,
     return u.with_values(b.apply(u.values) - b.exp_mean * grads[0])
 
 
-# Weighted nodes per closed-form block in apply_f_tilde_fn.  A few nodes
-# times the grid stays in cache; one block of all nodes measured slower than
-# a loop over single nodes (27 ms against 16 ms on 320 nodes x 768 points).
+# Weighted nodes per closed-form block in apply_f_tilde_fn, without and with
+# a live window; a block must stay in cache.  Best of five on a 2-core
+# machine, ms per put source at 4, 8, 16, 32 and 64 nodes per block:
+#   full sum, Merton, 320 nodes x 1458 points:   10.3, 8.5, 14.7, 21.2, 19.1
+#   windowed, Merton, tau 1e-4..1e-2:              4.6, 2.5, 1.5, 1.0, 1.0
+#   windowed, Kou, 2400 points, same taus:         7.3, 4.8, 2.5, 1.4, 2.0
+#   windowed, tanh_ramp band, 768 points, 0..1:    6.4, 4.6, 3.6, 3.0, 3.1
+# Blocks also set the peak RSS: `levypide price` on the merton_call and
+# kou_put demo configs in one process peaks at 84.3 MB with 8/8 nodes
+# (full/windowed), 85.0 MB with 8/32, 86.8 MB with 8/64 and 87.2 MB with
+# 32/32, so the full sum keeps its small blocks.
 _FN_BLOCK = 8
+_FN_BLOCK_LIVE = 32
 
 
 def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
                      dfn: Callable[[np.ndarray], np.ndarray],
-                     tau: float) -> np.ndarray:
+                     tau: float,
+                     live: tuple[float, float] | None = None,
+                     counts: dict | None = None) -> np.ndarray:
     """Compensated operator on a closed-form field, no interpolation.
 
     fn and dfn evaluate the field and its derivative at arbitrary points, so
@@ -535,26 +555,51 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
     (such as exponentials) whose growth defeats grid interpolation.  Values
     are on the grid axis; a feedback shift's resolved nodes come from the
     plan's band at tau.  fn and dfn must act elementwise on arrays of any
-    shape: fn is called on the 1-D grid axis and on 2-D (nodes, n) blocks of
-    shifted points of _FN_BLOCK weighted nodes each, and the blocks are
-    summed with one matrix-vector product each.
+    shape: fn is called on the 1-D grid axis and on 2-D (nodes, window)
+    blocks of shifted points, and each block is summed with one
+    matrix-vector product.
+
+    live = (lo, hi) declares fn to be c0 + c1 e^x below lo and above hi
+    (each side with its own c0, c1, up to a negligible remainder), as
+    BlackScholesClosedForm.live_interval does for the closed form.  Every
+    term annihilates such a profile, so a pair (x, x + xi) with both ends on
+    one side is skipped: a block of nodes with shifts in [a, b] is evaluated
+    only on the columns x in [lo - max(0, b), hi - min(0, a)].  Without it
+    every pair is summed.  counts, when given, gets the evaluated pairs
+    added under "pairs".
     """
     if plan.dim != 1:
         raise UnsupportedConfigurationError("compensated operator is 1-D only")
     xv = plan.grid.axis()
-    if plan.shift is None:
+    identity = plan.shift is None
+    if identity:
         wh, xi = _identity_shifts(plan)
+        xi_min = xi_max = xi[:, 0]
     else:
         b = _band(plan, tau)
-        wh, xi = b.wh, b.xi
+        wh, xi, xi_min, xi_max = b.wh, b.xi, b.xi_min, b.xi_max
     base = np.asarray(fn(xv), dtype=float)
     slope = np.asarray(dfn(xv), dtype=float)
     out = np.zeros_like(base)
-    for j in range(0, len(wh), _FN_BLOCK):
-        xij = np.asarray(xi[j:j + _FN_BLOCK])
-        terms = (np.asarray(fn(xv + xij), dtype=float) - base
-                 - np.expm1(xij) * slope)
-        out += wh[j:j + _FN_BLOCK] @ terms
+    block = _FN_BLOCK if live is None else _FN_BLOCK_LIVE
+    pairs = 0
+    for j in range(0, len(wh), block):
+        nodes = slice(j, j + block)
+        cols = slice(0, xv.size)
+        if live is not None:
+            cols = slice(
+                np.searchsorted(xv, live[0] - max(0.0, xi_max[nodes].max())),
+                np.searchsorted(xv, live[1] - min(0.0, xi_min[nodes].min()),
+                                side="right"))
+            if cols.start >= cols.stop:
+                continue
+        xij = xi[nodes] if identity else np.stack([r[cols] for r in xi[nodes]])
+        terms = (np.asarray(fn(xv[cols] + xij), dtype=float) - base[cols]
+                 - np.expm1(xij) * slope[cols])
+        out[cols] += wh[nodes] @ terms
+        pairs += terms.size
+    if counts is not None:
+        counts["pairs"] = counts.get("pairs", 0) + pairs
     return out
 
 

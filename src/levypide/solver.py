@@ -34,7 +34,10 @@ built in two phases:
 
 * analytic phase — while sigma sqrt(tau) < SOURCE_SWITCH_CELLS * dx the
   operator is applied to the closed form at shifted arguments (no
-  interpolation of the kink);
+  interpolation of the kink).  Only the (node, point) pairs with an end in
+  the closed form's live interval are summed: outside it the put is
+  c0 + c1 e^x or below ndtr(-9) K, which the compensated operator
+  annihilates;
 * propagated phase — with the identity shift the operator is
   translation-invariant and commutes with the Black-Scholes generator L_BS,
   so h(tau) = exp((tau - tau_s) L_BS) h(tau_s) exactly.  The first analytic
@@ -45,7 +48,10 @@ The switch is verified: the first propagated level is also evaluated
 analytically, and a max-norm relative gap above SOURCE_SWITCH_TOL keeps the
 analytic value and moves the anchor to that level, to be verified again at
 the next one.  Feedback shifts (rho > 0) and any tau at or before the anchor
-stay analytic.  The counts, the anchor and the verified gap are reported in
+stay analytic.  The window is verified too: the first analytic level sums
+every pair and the window, keeps the full sum, and a gap above
+SOURCE_SWITCH_TOL leaves the window off for the rest of the solve.  The
+counts, the anchor, both gaps and the share of pairs summed are reported in
 SolveResult.stats.
 """
 from __future__ import annotations
@@ -163,8 +169,9 @@ class SchemeConfig:
 # cells wide (sigma sqrt(tau) >= SOURCE_SWITCH_CELLS * dx); earlier, the
 # smoothed kink is too sharp for the grid to carry it.
 SOURCE_SWITCH_CELLS = 2.0
-# Largest max-norm relative gap between the propagated and the analytic
-# source accepted at the switch.
+# Largest max-norm relative gap accepted between the propagated and the
+# analytic source at the switch, and between the live-window and the full
+# analytic source at the first level.
 SOURCE_SWITCH_TOL = 1e-10
 
 
@@ -176,11 +183,14 @@ class SolveResult:
     "fft", "band" or None without a measure), the perf_counter seconds
     spent building the quadrature band (operator_build_s) and the points
     its shift resolution handed to the bracketed root solve
-    (shift_fallback_points, summed over the band builds); and the source
+    (shift_fallback_points, summed over the band builds); the
+    stability_margin dt / bound of the explicit-part check; and the source
     work: source_analytic and source_propagated evaluations,
     source_reanchors (failed switch verifications), the verified anchor
     source_switch_tau and its source_switch_gap (both None when the source
-    never switched).
+    never switched), the live-window check's source_window_gap and the
+    source_pair_fraction, (node, point) pairs summed over
+    nodes x n_total x source_analytic (both None without a source).
     """
 
     field: GridField
@@ -377,7 +387,8 @@ def _problem_plan(problem: CauchyProblem) -> OperatorPlan | None:
 def _source_stats() -> dict:
     return {"source_analytic": 0, "source_propagated": 0,
             "source_reanchors": 0, "source_switch_tau": None,
-            "source_switch_gap": None}
+            "source_switch_gap": None, "source_window_gap": None,
+            "source_pair_fraction": None}
 
 
 def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
@@ -385,10 +396,11 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     """source(tau): the compensated operator on the closed form, on the grid.
 
     Analytic while the kernel is narrower than SOURCE_SWITCH_CELLS cells,
-    then propagated spectrally from a verified anchor (identity shift only);
-    see the module docstring.  The marchers call it in nondecreasing tau;
-    a tau at or before the anchor is evaluated analytically.  Counts go into
-    stats.
+    summed on the closed form's live window once the first level has checked
+    it, then propagated spectrally from a verified anchor (identity shift
+    only); see the module docstring.  The marchers call it in nondecreasing
+    tau; a tau at or before the anchor is evaluated analytically.  Counts go
+    into stats.
     """
     g = problem.grid
     # call and put share the source: the compensated operator kills the
@@ -402,16 +414,31 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
             + tr.ik[0] * (problem.rate - 0.5 * problem.sigma ** 2))
     anchor = None  # (tau_s, rfft of the analytic source at tau_s)
     verified = False
+    window = None  # live-window sums: None until checked, then pass/fail
+    counts = {"pairs": 0}
+    pairs_per_level = g.n_total * int(np.count_nonzero(plan.z_weights
+                                                       * plan.z_density))
     cache: dict[float, np.ndarray] = {}
 
     def analytic(tau: float) -> np.ndarray:
-        h = apply_f_tilde_fn(plan, lambda p: bs.u(tau, p),
-                             lambda p: bs.du_dx(tau, p), tau)
+        nonlocal window
+        fn, dfn = (lambda p: bs.u(tau, p)), (lambda p: bs.du_dx(tau, p))
+        live = bs.live_interval(tau) if window else None
+        h = apply_f_tilde_fn(plan, fn, dfn, tau, live, counts)
+        if window is None:
+            h_win = apply_f_tilde_fn(plan, fn, dfn, tau, bs.live_interval(tau),
+                                     counts)
+            gap = float(np.max(np.abs(h_win - h))) \
+                / max(float(np.max(np.abs(h))), 1e-300)
+            window = gap <= SOURCE_SWITCH_TOL
+            stats["source_window_gap"] = gap
         if not np.all(np.isfinite(h)):
             raise SingularityError(
                 f"compensated source is non-finite at tau={tau:.3e}; "
                 "use a finer graded startup mesh")
         stats["source_analytic"] += 1
+        stats["source_pair_fraction"] = counts["pairs"] / (
+            pairs_per_level * stats["source_analytic"])
         return h
 
     def evaluate(tau: float) -> np.ndarray:
@@ -546,8 +573,10 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
 
 
 def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
-                     plan: OperatorPlan | None) -> None:
-    """Explicit-part bounds vs the step, before any marching."""
+                     plan: OperatorPlan | None) -> float:
+    """Explicit-part bound vs the step, before any marching; both schemes
+    take the explicit terms at the same Lipschitz bound.  Returns the
+    stability margin dt / bound (0.0 when no explicit term is bounded)."""
     if problem.diffusion_mode == "feedback":
         # the whole drift is explicit: an advection bound on dt / dx
         b_est = abs(problem.rate) + 0.5 * problem.sigma ** 2
@@ -556,9 +585,9 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
             raise StabilityError(
                 f"dt = {scheme.dt:.3e} violates the explicit advection bound "
                 f"{bound:.3e} of feedback mode")
-        return
-    if scheme.scheme != "imex_bdf2" or plan is None:
-        return
+        return scheme.dt / bound
+    if plan is None:
+        return 0.0
     mass = plan.fft_mass if plan.uses_fft else plan.nu_mass
     lip = 2.0 * mass
     if not plan.uses_fft and plan.dim == 1:
@@ -566,10 +595,14 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
         dvals = delta_on_plan_nodes(plan, 0.0)
         lip += k_max * (abs(float(plan.mean_jump[0]))
                         + float(np.max(np.abs(dvals - plan.delta0))))
-    if lip > 0 and scheme.dt > scheme.stability_limit / lip:
+    if lip == 0.0:
+        return 0.0
+    bound = scheme.stability_limit / lip
+    if scheme.dt > bound:
         raise StabilityError(
             f"dt = {scheme.dt:.3e} exceeds the explicit-part bound "
-            f"{scheme.stability_limit / lip:.3e}")
+            f"{bound:.3e}")
+    return scheme.dt / bound
 
 
 def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
@@ -583,7 +616,7 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
     plan = _problem_plan(problem)
     L_hat, implicit, N_fn, needs_grad, stats = _prepare_rhs(
         problem, scheme, shifted, plan)
-    _check_stability(problem, scheme, plan)
+    stats["stability_margin"] = _check_stability(problem, scheme, plan)
     norm = FractionalNorm(g, scheme.monitor_gamma)
     T = float(taus[-1])
     marks = [T * (j + 1) / scheme.checkpoint_count

@@ -40,3 +40,27 @@ def test_closed_form_bits_match_plain_ndtr(option_type):
         # (nodes, n) blocks, as the analytic source passes them
         block = x.reshape(1, -1) + np.array([[-0.3], [0.0], [0.4]])
         assert np.array_equal(bs.u(tau, block)[1], u)
+
+
+@pytest.mark.parametrize("option_type", ["call", "put"])
+def test_closed_form_is_saturated_outside_the_live_interval(option_type):
+    K, r = 100.0, 0.05
+    bs = BlackScholesClosedForm(K, r, 0.2, option_type)
+    x = np.linspace(-12.0, 12.0, 24001)
+    tiny = ndtr(-9.0) * K
+    for tau in (1e-4, 0.002, 0.05, 0.5, 1.0, 5.0):
+        lo, hi = bs.live_interval(tau)
+        assert lo < 0.0 < hi
+        fwd = K * np.exp(x + r * tau)
+        u, du = bs.u(tau, x), bs.du_dx(tau, x)
+        # one side is c0 + c1 e^x bit for bit, the other below ndtr(-9) K
+        if option_type == "call":
+            affine, small, sign = x > hi, x < lo, 1.0
+        else:
+            affine, small, sign = x < lo, x > hi, -1.0
+        assert np.array_equal(u[affine], sign * (fwd[affine] - K))
+        assert np.array_equal(du[affine], sign * fwd[affine])
+        assert np.all(np.abs(u[small]) <= tiny)
+        assert np.all(np.abs(du[small]) <= tiny)
+        assert affine.any() and small.any()
+    assert bs.live_interval(0.0) == (0.0, 0.0)

@@ -7,6 +7,8 @@ import pytest
 from levypide.cli import _seedless_guard, main
 from levypide.config import load_config
 from levypide.errors import ConfigError, LevyPideError
+from levypide.grids import make_grid
+from levypide.pricing import estimate_reach
 
 MERTON_CFG = """\
 [market]
@@ -121,6 +123,25 @@ def test_price_command_writes_artifacts(tmp_path):
     assert manifest["stats"]["operator_build_s"] == 0.0
     assert manifest["stats"]["shift_fallback_points"] == 0
     assert "threads" not in manifest
+
+
+def test_manifest_records_the_grid_and_source_window_that_ran(tmp_path):
+    cfg = _write(tmp_path, MERTON_CFG)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "price"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # the config leaves the reach out, so the solve sized it itself
+    loaded = load_config(cfg)
+    assert loaded.reach is None
+    reach = estimate_reach(loaded.measure, None, 6.0)
+    grid = make_grid(6.0, 512, reach=reach)
+    assert manifest["grid"] == {"half_width": 6.0, "n_core": 512,
+                                "reach": reach, "pad": grid.pad,
+                                "n_total": grid.n_total}
+    stats = manifest["stats"]
+    assert stats["source_window_gap"] <= 1e-12
+    assert 0.0 < stats["source_pair_fraction"] < 0.25
+    assert 0.0 < stats["stability_margin"] < 1.0
 
 
 def test_price_runs_are_byte_deterministic(tmp_path):

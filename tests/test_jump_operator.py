@@ -329,3 +329,29 @@ def test_resolved_reach_beyond_the_padding_is_out_of_domain():
         apply_f(narrowed, u)
     with pytest.raises(OutOfDomainError, match="resolved shift reach"):
         delta_on_plan_nodes(narrowed, 0.0)
+
+
+@pytest.mark.parametrize("measure,strategy", [
+    (MERTON, None), (KOU, None), (make_exponential_tail(1.0, 0.5, 3.0), None),
+    (MERTON, strategy_tanh_ramp(0.3)), (MERTON, strategy_sin(0.2, 1.5)),
+    (MERTON, strategy_linear(0.1)),
+    (MERTON, strategy_from_table([-2.0, 0.0, 2.0], [0.0, 0.2, 0.1])),
+], ids=["merton", "kou", "exptail_alpha_0.5", "tanh_ramp", "sin", "linear",
+        "table"])
+def test_live_window_matches_full_f_tilde_fn(measure, strategy):
+    shift = ShiftModel(strategy, rho=0.05) if strategy is not None else None
+    g = make_grid(4.0, 256, reach=estimate_reach(measure, shift, 4.0))
+    plan = build_plan(g, measure, shift)
+    nodes = int(np.count_nonzero(plan.z_weights * plan.z_density))
+    # the put profile, as the solver's source uses: its affine side carries
+    # no e^x growth, so the full sum's rounding there stays small
+    bs = BlackScholesClosedForm(100.0, 0.05, 0.2, "put")
+    for tau in (1e-4, 0.002, 0.05, 0.5, 1.0):
+        fn, dfn = (lambda p: bs.u(tau, p)), (lambda p: bs.du_dx(tau, p))
+        full_counts, counts = {}, {}
+        want = apply_f_tilde_fn(plan, fn, dfn, tau, counts=full_counts)
+        got = apply_f_tilde_fn(plan, fn, dfn, tau, bs.live_interval(tau),
+                               counts)
+        assert _rel_gap(got, want) <= 1e-13, tau
+        assert full_counts["pairs"] == nodes * g.n_total
+        assert counts["pairs"] < 0.6 * full_counts["pairs"], tau

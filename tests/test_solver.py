@@ -422,3 +422,68 @@ def test_feedback_trajectory_stores_the_final_level():
     times = [t for t, _ in res.trajectory]
     assert times == [float(t) for t in res.taus[::3]] + [float(res.taus[-1])]
     assert np.array_equal(res.trajectory[-1][1], res.field.values)
+
+
+@pytest.mark.parametrize("scheme", ["imex_bdf2", "mild_etd2"])
+def test_stability_margin_is_dt_over_the_checked_bound(scheme):
+    g = _merton_grid(256)
+    problem = CauchyProblem(g, sigma=0.2, horizon=0.2, rate=0.03,
+                            measure=MERTON, initial=_gaussian(g))
+    res = solve_direct(problem, SchemeConfig(scheme=scheme, dt=0.05))
+    # FFT path: the explicit jump multiplier is bounded by 2 * mass
+    margin = res.stats["stability_margin"]
+    assert margin == pytest.approx(0.05 * 2.0 * res.plan.fft_mass, rel=1e-14)
+    assert 0.0 < margin < 1.0
+    # past the bound both schemes refuse to march
+    impact = ShiftModel(strategy_tanh_ramp(0.1), rho=0.01)
+    shifted = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.03,
+                            measure=MERTON, initial=_gaussian(g), shift=impact)
+    with pytest.raises(StabilityError):
+        solve_direct(shifted, SchemeConfig(scheme=scheme, dt=0.5))
+    with pytest.raises(StabilityError):
+        solve_direct(problem, SchemeConfig(scheme=scheme, dt=0.05,
+                                           stability_limit=0.9 * margin))
+
+
+def _full_sum_only(plan, fn, dfn, tau, live=None, counts=None):
+    """apply_f_tilde_fn with the live window switched off."""
+    return apply_f_tilde_fn(plan, fn, dfn, tau, counts=counts)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.05])
+def test_failed_window_check_falls_back_to_the_full_sum(monkeypatch, rho):
+    g = make_grid(4.0, 128, reach=2.6)
+    problem = CauchyProblem(g, sigma=0.2, horizon=0.1, rate=0.03,
+                            measure=MERTON, strike=100.0,
+                            shift=ShiftModel(strategy_tanh_ramp(0.3), rho=rho))
+    scheme = SchemeConfig(dt=0.02)
+    windowed = solve_shifted(problem, scheme)
+    assert windowed.stats["source_window_gap"] <= 1e-13
+    assert windowed.stats["source_pair_fraction"] < 0.5
+    # a tolerance no gap can meet fails the check (it also fails every
+    # propagation check, so the window-free run gets the same tolerance)
+    monkeypatch.setattr(solver, "SOURCE_SWITCH_TOL", -1.0)
+    failed = solve_shifted(problem, scheme)
+    monkeypatch.setattr(solver, "apply_f_tilde_fn", _full_sum_only)
+    disabled = solve_shifted(problem, scheme)
+    assert np.array_equal(failed.field.values, disabled.field.values)
+    assert failed.stats["source_window_gap"] >= 0.0
+    # every level evaluated the full sum, the check level the window too
+    assert 1.0 < failed.stats["source_pair_fraction"] < 1.5
+    assert not np.array_equal(failed.field.values, windowed.field.values)
+
+
+def test_window_check_catches_a_wrong_live_interval(monkeypatch):
+    g = make_grid(4.0, 128, reach=2.6)
+    problem = CauchyProblem(g, sigma=0.2, horizon=0.1, rate=0.03,
+                            measure=MERTON, strike=100.0)
+    scheme = SchemeConfig(dt=0.02)
+    monkeypatch.setattr(solver, "apply_f_tilde_fn", _full_sum_only)
+    disabled = solve_shifted(problem, scheme)
+    monkeypatch.undo()
+    # an interval that skips the pairs around the kink
+    monkeypatch.setattr(BlackScholesClosedForm, "live_interval",
+                        lambda self, tau: (1.0, 1.0))
+    broken = solve_shifted(problem, scheme)
+    assert broken.stats["source_window_gap"] > 1e-3
+    assert np.array_equal(broken.field.values, disabled.field.values)
