@@ -30,7 +30,7 @@ def kernels() -> None:
 
 def operator_symbol() -> None:
     print("jump operator symbol")
-    grid = make_grid(6.0, 1024, reach=MERTON.shape.tail_radius(1, 1e-10))
+    grid = make_grid(6.0, 1024, reach=MERTON.jump_radius)
     plan = build_plan(grid, MERTON)
     for k, node_sym, ref_sym, gap in plan_symbol_table(plan, (1.0, 2.0, 4.0)):
         print(f"  k={k}: plan {node_sym:.6f}  reference {ref_sym:.6f}"

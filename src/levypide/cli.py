@@ -26,6 +26,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +81,7 @@ def _write_manifest(outdir: Path, cfg: RunConfig, outputs, t0: float,
         "grid": grid or {"half_width": cfg.half_width, "n_core": cfg.n_core,
                          "reach": cfg.reach},
         "scheme": {"scheme": cfg.scheme.scheme, "dt": cfg.scheme.dt,
-                   "startup_grading": cfg.scheme.startup_grading,
-                   "delta_sign": cfg.delta_sign},
+                   "startup_grading": cfg.scheme.startup_grading},
         "stats": stats,
         "wall_clock_s": round(time.perf_counter() - t0, 3),
         "outputs": [str(p) for p in outputs],
@@ -124,18 +124,22 @@ def _problem_grid(cfg: RunConfig, n_core: int | None = None):
                   "reach": reach, "pad": grid.pad, "n_total": grid.n_total}
 
 
+def _oracle(cfg: RunConfig) -> float:
+    """The independent price of the configured contract: the Merton series
+    or the Black-Scholes closed form without a shift, nan otherwise."""
+    if cfg.shift is None and cfg.jump_family == "merton":
+        return merton_series_oracle(cfg.market, cfg.merton_params)
+    if cfg.shift is None and cfg.jump_family == "none":
+        return bs_closed_form(cfg.market)
+    return float("nan")
+
+
 def _cmd_price(cfg: RunConfig, outdir: Path):
     grid, record = _problem_grid(cfg)
-    problem = transform_to_pide(cfg.market, grid, cfg.measure, cfg.shift,
-                                cfg.delta_sign)
+    problem = transform_to_pide(cfg.market, grid, cfg.measure, cfg.shift)
     result = solve_shifted(problem, cfg.scheme)
     price = report_price(cfg.market, result)
-    oracle = float("nan")
-    if cfg.shift is None and cfg.delta_sign == -1.0:
-        if cfg.jump_family == "merton":
-            oracle = merton_series_oracle(cfg.market, cfg.merton_params)
-        elif cfg.jump_family == "none":
-            oracle = bs_closed_form(cfg.market)
+    oracle = _oracle(cfg)
     rel = abs(price / oracle - 1.0) if math.isfinite(oracle) else float("nan")
     rows = [(cfg.market.S0, cfg.market.K, cfg.market.T, price, oracle, rel)]
     _write_csv(outdir / "price.csv", cfg.digest,
@@ -204,8 +208,7 @@ def _cmd_diagnose_decay(cfg: RunConfig, outdir: Path):
     if cfg.measure is None:
         raise LevyPideError("diagnose decay needs a jump family in [jumps]")
     grid = make_grid(3.0, 8192, reach=estimate_reach(cfg.measure, None, 3.0))
-    problem = transform_to_pide(cfg.market, grid, cfg.measure, None,
-                                cfg.delta_sign)
+    problem = transform_to_pide(cfg.market, grid, cfg.measure, None)
     rows = []
     for gamma in (0.5, 0.75):
         rep = singular_source_decay_probe(problem, gamma)
@@ -218,21 +221,14 @@ def _cmd_diagnose_decay(cfg: RunConfig, outdir: Path):
 def _cmd_convergence_study(cfg: RunConfig, outdir: Path, halvings: int):
     if halvings < 2:
         raise LevyPideError("convergence-study needs at least 2 halvings")
-    oracle = float("nan")
-    if cfg.jump_family == "merton" and cfg.shift is None \
-            and cfg.delta_sign == -1.0:
-        oracle = merton_series_oracle(cfg.market, cfg.merton_params)
-    elif cfg.jump_family == "none" and cfg.shift is None:
-        oracle = bs_closed_form(cfg.market)
+    oracle = _oracle(cfg)
     prices = []
     levels = []
     for i in range(halvings):
         n = cfg.n_core * 2 ** i
         dt = cfg.scheme.dt / 2 ** i
         grid, _ = _problem_grid(cfg, n)
-        problem = transform_to_pide(cfg.market, grid, cfg.measure, cfg.shift,
-                                    cfg.delta_sign)
-        from dataclasses import replace
+        problem = transform_to_pide(cfg.market, grid, cfg.measure, cfg.shift)
         res = solve_shifted(problem, replace(cfg.scheme, dt=dt))
         prices.append(report_price(cfg.market, res))
         levels.append((i, n, dt, grid.dx))
@@ -270,7 +266,6 @@ def _cmd_xi_probe(cfg: RunConfig, outdir: Path):
     rows.append(("growth_spread", model.rho, growth.spread, 10.0,
                  growth.passed))
     # first-order expansion: gap to the fixed point shrinks ~4x as rho halves
-    from dataclasses import replace
     gaps = []
     for rho in (0.02, 0.01):
         mdl = replace(model, rho=rho)

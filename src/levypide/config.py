@@ -6,21 +6,26 @@ hashed into a digest that stamps every artifact derived from the run.
 
 Sections and keys:
 
-    [market]   spot, strike, maturity_years, rate_per_year, volatility,
-               option_type
-    [jumps]    family = none | merton | kou | exponential_tail;
-               merton: intensity_per_year, jump_mean, jump_std
-               kou: intensity_per_year, p_up, eta_up, eta_down
-               exponential_tail: c0, alpha, decay
-    [shift]    rho (0 disables); strategy = zero | linear | sin | tanh_ramp;
-               amplitude plus center/width (tanh_ramp) or frequency (sin);
-               mode, fp_tol (optional)
-    [grid]     half_width, n_core, reach (optional, auto-sized if absent)
-    [scheme]   scheme, dt, startup_grading, monitor_gamma, delta_sign,
-               cross_check (all optional except dt)
-    [assertions]  oracle_rel_tol, order_lo, order_hi (optional)
+    [market]      spot, strike, maturity_years, rate_per_year, volatility,
+                  option_type
+    [jumps]       family, intensity_per_year, jump_mean, jump_std, p_up,
+                  eta_up, eta_down, c0, alpha, decay
+    [shift]       rho, strategy, amplitude, center, width, frequency, fp_tol
+    [grid]        half_width, n_core, reach
+    [scheme]      scheme, dt, startup_grading, monitor_gamma, cross_check,
+                  cross_check_tol
+    [assertions]  oracle_rel_tol, order_lo, order_hi
 
-Missing or malformed keys raise ConfigError naming the dotted key path.
+[market] and its keys are required, option_type (call or put) aside.
+jumps.family is none (default), merton (intensity_per_year, jump_mean,
+jump_std), kou (intensity_per_year, p_up, eta_up, eta_down) or
+exponential_tail (c0, alpha, decay).  shift.rho = 0 (default) disables the
+shift; shift.strategy is zero, linear, sin or tanh_ramp (default), with
+amplitude plus center and width (tanh_ramp) or frequency (sin).  Absent,
+grid.reach is sized automatically; every other key has a default.
+
+Missing or malformed keys, unknown keys and unknown sections raise
+ConfigError naming the dotted key path.
 """
 from __future__ import annotations
 
@@ -51,7 +56,6 @@ class RunConfig:
     n_core: int
     reach: float | None
     scheme: SchemeConfig
-    delta_sign: float
     oracle_rel_tol: float
     order_lo: float
     order_hi: float
@@ -59,8 +63,34 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+# Every key each section may hold; see the module docstring.
+KEYS = {
+    "market": ("spot", "strike", "maturity_years", "rate_per_year",
+               "volatility", "option_type"),
+    "jumps": ("family", "intensity_per_year", "jump_mean", "jump_std", "p_up",
+              "eta_up", "eta_down", "c0", "alpha", "decay"),
+    "shift": ("rho", "strategy", "amplitude", "center", "width", "frequency",
+              "fp_tol"),
+    "grid": ("half_width", "n_core", "reach"),
+    "scheme": ("scheme", "dt", "startup_grading", "monitor_gamma",
+               "cross_check", "cross_check_tol"),
+    "assertions": ("oracle_rel_tol", "order_lo", "order_hi"),
+}
+
+
 def config_digest(raw_bytes: bytes) -> str:
     return hashlib.sha256(raw_bytes).hexdigest()
+
+
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    """Reject any section or key outside KEYS, which would be ignored."""
+    for name in parser.sections():
+        if name not in KEYS:
+            raise ConfigError(f"unknown section [{name}]", key=name)
+        for key in parser[name]:
+            if key not in KEYS[name]:
+                path = f"{name}.{key}"
+                raise ConfigError(f"unknown key {path}", key=path)
 
 
 class _Section:
@@ -147,8 +177,7 @@ def _build_shift(sec: _Section):
     else:
         raise ConfigError(f"unknown strategy {name!r} in shift.strategy",
                           key="shift.strategy")
-    return ShiftModel(strategy, rho=rho, mode=sec.text("mode", "fixed_point"),
-                      fp_tol=sec.number("fp_tol", 1e-12))
+    return ShiftModel(strategy, rho=rho, fp_tol=sec.number("fp_tol", 1e-12))
 
 
 def load_config(path: str) -> RunConfig:
@@ -163,6 +192,7 @@ def load_config(path: str) -> RunConfig:
         parser.read_string(raw_bytes.decode("utf-8"))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config not parseable: {exc}", key=path) from None
+    _check_keys(parser)
 
     market_sec = _Section(parser, "market")
     if not market_sec.present:
@@ -183,8 +213,9 @@ def load_config(path: str) -> RunConfig:
     half_width = grid_sec.number("half_width", 6.0)
     n_core = grid_sec.integer("n_core", 1024)
     reach = grid_sec.number("reach", -1.0)
-    if n_core < 16:
-        raise ConfigError("grid.n_core must be at least 16", key="grid.n_core")
+    if n_core < 16 or n_core % 2:
+        raise ConfigError("grid.n_core must be an even integer >= 16",
+                          key="grid.n_core")
 
     scheme_sec = _Section(parser, "scheme")
     scheme = SchemeConfig(
@@ -195,14 +226,12 @@ def load_config(path: str) -> RunConfig:
         cross_check=scheme_sec.flag("cross_check", False),
         cross_check_tol=scheme_sec.number("cross_check_tol", 1e-3),
     )
-    delta_sign = scheme_sec.number("delta_sign", -1.0)
 
     asrt = _Section(parser, "assertions")
     return RunConfig(
         market=market, jump_family=family, measure=measure,
         merton_params=merton_params, shift=shift, half_width=half_width,
         n_core=n_core, reach=None if reach < 0 else reach, scheme=scheme,
-        delta_sign=delta_sign,
         oracle_rel_tol=asrt.number("oracle_rel_tol", 1e-3),
         order_lo=asrt.number("order_lo", 1.5),
         order_hi=asrt.number("order_hi", 2.8),

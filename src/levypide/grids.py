@@ -121,15 +121,19 @@ class Transforms:
         return tuple(self.inv(ik * spectrum) for ik in self.ik)
 
 
+# Pad cells added beyond ceil(reach / dx): room for the cubic stencil.
+_STENCIL_MARGIN = 4
+
+
 def make_grid(half_width: float, n_core: int, reach: float = 0.0,
-              stencil_margin: int = 4, dim: int = 1) -> Grid:
+              dim: int = 1) -> Grid:
     """Build a grid whose padding covers a non-local reach.
 
     Pad cells are sized to ceil(reach / dx) plus a stencil margin, then grown
     symmetrically to the smallest even 5-smooth (FFT-friendly) padded length.
     """
     dx = 2.0 * half_width / n_core
-    pad = int(np.ceil(max(reach, 0.0) / dx)) + stencil_margin if reach > 0 or stencil_margin else 0
+    pad = int(np.ceil(max(reach, 0.0) / dx)) + _STENCIL_MARGIN
     # n_core is even, so an even length splits into two equal pads
     n_tot = 2 * next_fast_len((n_core + 2 * pad) // 2, real=True)
     pad += (n_tot - (n_core + 2 * pad)) // 2

@@ -27,10 +27,10 @@ it, and apply_f_tilde_fn can sum each block of nodes over that window of
 grid columns alone.
 
 Singular densities (envelope exponent alpha > 0) are handled on quadrature
-nodes only, with the inner |z| < eps part either dropped (finite activity) or
-folded into a diffusion correction; their compensated node sums converge
-because the integrand scales like z^2 near the origin even when the density
-does not integrate.
+nodes only.  With infinite activity the inner |z| < eps part is folded into
+a diffusion correction; the compensated node sums converge because the
+integrand scales like z^2 near the origin even when the density does not
+integrate.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from .errors import (OutOfDomainError, ParameterDomainError, PlanInvalidError,
 # this module's name, so the name must stay importable
 from .grids import (CUBIC_OFFSETS, Grid, GridField, Transforms,  # noqa: F401
                     cubic_interp_periodic, cubic_stencil, gradient)
-from .measures import AxisJumpPair, LevyMeasure
+from .measures import JUMP_TAIL_TOL, AxisJumpPair, LevyMeasure
 from .quadrature import adaptive_quad, gauss_legendre_panels
 from .shift import ShiftModel, xi_on_grid
 
@@ -192,7 +192,6 @@ class OperatorPlan:
     shift: ShiftModel | None
     eps_in: float
     r_out: float
-    small_jump_policy: str
     force_quadrature: bool
     z_nodes: np.ndarray | None
     z_weights: np.ndarray | None
@@ -206,7 +205,6 @@ class OperatorPlan:
     fft_mass: float
     fft_mean: np.ndarray
     fft_exp_mean: float
-    reach: float
     _bands: _BandCache = field(default_factory=_BandCache, init=False,
                                repr=False)
 
@@ -280,67 +278,49 @@ def _sampled_symbol_2d(grid: Grid, measure, r_out: float):
 
 
 def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
-               small_jump_policy: str = "diffusion_correction",
-               eps_in: float | None = None, r_out: float | None = None,
-               nodes_per_panel: int = 16, force_quadrature: bool = False,
-               tail_tol: float = 1e-10,
-               tau_probe: float = 0.0) -> OperatorPlan:
+               nodes_per_panel: int = 16,
+               force_quadrature: bool = False) -> OperatorPlan:
     """Precompute nodes, weights, moments, and (when available) the symbol.
 
-    The outer cutoff defaults to the envelope tail radius at tail_tol; the
-    inner cutoff defaults to 0 for finite-activity measures and otherwise to
-    the radius whose z^2-weighted inner mass is below tail_tol.  A shift model
-    with rho = 0 is normalized away so the identity path is taken verbatim.
+    The outer cutoff r_out is the measure's jump_radius; the inner cutoff
+    eps_in is 0 for finite-activity measures and otherwise the radius whose
+    z^2-weighted inner mass is below JUMP_TAIL_TOL, with the inner jumps
+    folded into sigma2_correction.  A shift model with rho = 0 is normalized
+    away so the identity path is taken verbatim.  The padding must cover
+    r_out; resolved shifts reaching further are rejected when the band is
+    built, which the solvers' stability check does before marching.
     """
-    if small_jump_policy not in ("drop", "diffusion_correction"):
-        raise ParameterDomainError("small_jump_policy must be drop or diffusion_correction")
     if shift is not None and shift.rho == 0.0:
         shift = None
 
-    pair = isinstance(measure, AxisJumpPair)
     mdim = measure.dim
     if mdim != grid.dim:
         raise ParameterDomainError(f"measure dim {mdim} does not match grid dim {grid.dim}")
+    axes = (measure.axis_x, measure.axis_y) \
+        if isinstance(measure, AxisJumpPair) else (measure,)
+    alpha = max(m.shape.alpha for m in axes)
+    finite_act = all(m.finite_activity for m in axes)
     if grid.dim == 2:
         if shift is not None:
             raise UnsupportedConfigurationError(
                 "feedback shifts are unsupported on two-dimensional grids")
-        alphas = [measure.axis_x.shape.alpha, measure.axis_y.shape.alpha] if pair \
-            else [measure.shape.alpha]
-        if any(a > 0 for a in alphas):
+        if alpha > 0:
             raise UnsupportedConfigurationError(
                 "two-dimensional plans require a density bounded at the origin")
-
-    shape = measure.axis_x.shape if pair else measure.shape
-    alpha = max(a.shape.alpha for a in (measure.axis_x, measure.axis_y)) if pair \
-        else shape.alpha
-    finite_act = (measure.axis_x.finite_activity and measure.axis_y.finite_activity) if pair \
-        else measure.finite_activity
     if alpha >= mdim + 2:
         raise ParameterDomainError(
             "envelope exponent implies a divergent second jump moment")
-    if not finite_act and small_jump_policy == "drop":
-        raise PlanInvalidError(
-            "drop policy needs finite activity; use diffusion_correction")
 
-    if r_out is None:
-        if pair:
-            r_out = max(measure.axis_x.shape.tail_radius(1, tail_tol),
-                        measure.axis_y.shape.tail_radius(1, tail_tol))
-        else:
-            r_out = shape.tail_radius(mdim, tail_tol)
-    r_out = float(r_out)
-
-    if eps_in is None:
-        if finite_act:
-            eps_in = 0.0
-        else:
-            c0 = shape.c0
-            eps_in = float(np.clip((tail_tol * (3.0 - alpha) / (2.0 * c0))
-                                   ** (1.0 / (3.0 - alpha)), 1e-10, 0.05))
-    eps_in = float(eps_in)
-    if not finite_act and eps_in <= 0:
-        raise PlanInvalidError("infinite-activity measures need a positive inner cutoff")
+    r_out = measure.jump_radius
+    if grid.dim == 1 and grid.pad * grid.dx < r_out:
+        raise OutOfDomainError(
+            f"padding {grid.pad * grid.dx:.3f} is below the operator reach "
+            f"{r_out:.3f}; enlarge the pad")
+    eps_in = 0.0
+    if not finite_act:
+        # 1-D here: a 2-D plan has alpha = 0, hence finite activity
+        eps_in = float(np.clip((JUMP_TAIL_TOL * (3.0 - alpha) / (2.0 * measure.shape.c0))
+                               ** (1.0 / (3.0 - alpha)), 1e-10, 0.05))
 
     # quadrature nodes: 1-D only; the 2-D paths are symbol-based
     z_nodes = z_weights = z_density = None
@@ -357,7 +337,7 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
         exp_mean = float(np.sum(wh * np.expm1(z_nodes)))
         delta0 = float(np.sum(wh * (np.expm1(z_nodes) - z_nodes)))
 
-    if small_jump_policy == "diffusion_correction" and eps_in > 0:
+    if eps_in > 0:
         sigma2_corr = small_jump_compensation(measure, eps_in)
     else:
         sigma2_corr = 0.0 if grid.dim == 1 else np.zeros((2, 2))
@@ -373,36 +353,20 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
         else:
             symbol_conv, fft_mass, fft_mean = _sampled_symbol_2d(grid, measure, r_out)
 
-    reach = r_out
-    if shift is not None:
-        probe_x = np.linspace(-grid.half_width, grid.half_width, 33)
-        probe_z = np.array([-r_out, -0.5 * r_out, -0.1, 0.1, 0.5 * r_out, r_out])
-        worst = 0.0
-        for zp in probe_z:
-            worst = max(worst, float(np.max(np.abs(
-                xi_on_grid(shift, tau_probe, probe_x, float(zp))))))
-        reach = max(r_out, 1.1 * worst)
-    if grid.dim == 1 and grid.pad * grid.dx < reach:
-        raise OutOfDomainError(
-            f"padding {grid.pad * grid.dx:.3f} is below the operator reach "
-            f"{reach:.3f}; enlarge the pad")
-
     return OperatorPlan(
         grid=grid, measure=measure, shift=shift, eps_in=eps_in, r_out=r_out,
-        small_jump_policy=small_jump_policy,
         force_quadrature=force_quadrature, z_nodes=z_nodes,
         z_weights=z_weights, z_density=z_density, nu_mass=nu_mass,
         mean_jump=np.array([mean]) if grid.dim == 1 else fft_mean,
         exp_mean=exp_mean, delta0=delta0, sigma2_correction=sigma2_corr,
         symbol_conv=symbol_conv,
-        fft_mass=fft_mass, fft_mean=fft_mean, fft_exp_mean=fft_exp_mean,
-        reach=reach)
+        fft_mass=fft_mass, fft_mean=fft_mean, fft_exp_mean=fft_exp_mean)
 
 
 def _check_field(plan: OperatorPlan, u: GridField) -> None:
     if u.grid != plan.grid:
         raise PlanInvalidError("field grid does not match the plan grid")
-    if plan.grid.pad * plan.grid.dx < plan.reach:
+    if plan.grid.pad * plan.grid.dx < plan.r_out:
         raise OutOfDomainError("padding is below the operator reach")
 
 
@@ -657,8 +621,7 @@ def f_bound_probe(plan: OperatorPlan, fields: Sequence[GridField],
     return FBoundReport(finite, gamma, mx, tuple(ratios))
 
 
-def plan_symbol_table(plan: OperatorPlan, wavenumbers: Sequence[float],
-                      rel_tol: float = 1e-10):
+def plan_symbol_table(plan: OperatorPlan, wavenumbers: Sequence[float]):
     """Rows (k, plan symbol, reference symbol, relative gap) for diagnostics.
 
     The plan symbol is evaluated from the quadrature nodes, matching what the
@@ -671,7 +634,7 @@ def plan_symbol_table(plan: OperatorPlan, wavenumbers: Sequence[float],
     for k in wavenumbers:
         node_sym = complex(np.sum(wh * (np.exp(1j * k * plan.z_nodes)
                                         - 1.0 - 1j * k * plan.z_nodes)))
-        ref = reference_symbol(plan.measure, float(k), rel_tol)
+        ref = reference_symbol(plan.measure, float(k))
         gap = abs(node_sym - ref) / max(abs(ref), 1e-300)
         rows.append((float(k), node_sym, ref, gap))
     return rows

@@ -14,19 +14,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterDomainError, UnsupportedConfigurationError
+from .errors import ParameterDomainError
 from .quadrature import adaptive_quad, quad_full_line, quad_half_line, quad_left_unit
 
 __all__ = [
     "ShapeParams", "LevyMeasure", "AxisJumpPair", "MeasureMoments",
     "AdmissibilityReport", "make_merton", "make_exponential_tail", "make_kou",
     "make_custom", "levy_pair", "check_admissibility", "moments",
-    "levy_exponent", "truncated_mass",
+    "levy_exponent",
 ]
+
+# Relative envelope tail beyond a measure's jump radius: the outer cutoff of
+# its quadrature nodes and the base of the grid padding.
+JUMP_TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,11 @@ class LevyMeasure:
     def __call__(self, *coords):
         return self.density(*coords)
 
+    @cached_property
+    def jump_radius(self) -> float:
+        """Envelope tail radius at JUMP_TAIL_TOL, searched once per measure."""
+        return self.shape.tail_radius(self.dim, JUMP_TAIL_TOL)
+
     @property
     def finite_activity(self) -> bool:
         return self.shape.alpha < self.dim
@@ -136,6 +146,11 @@ class AxisJumpPair:
     def __post_init__(self):
         if self.axis_x.dim != 1 or self.axis_y.dim != 1:
             raise ParameterDomainError("axis measures must be one-dimensional")
+
+    @cached_property
+    def jump_radius(self) -> float:
+        """The larger of the two axis measures' jump radii."""
+        return max(self.axis_x.jump_radius, self.axis_y.jump_radius)
 
 
 def levy_pair(axis_x: LevyMeasure, axis_y: LevyMeasure) -> AxisJumpPair:
@@ -384,21 +399,6 @@ def exp_moment_cutoff(shape: ShapeParams, log_floor: float = 740.0) -> float:
         drift = 1.0 - shape.d
         return (drift + np.sqrt(drift * drift + 4.0 * shape.mu * c)) / (2.0 * shape.mu)
     return c / (shape.d - 1.0)  # has_exp_moment guarantees d > 1 here
-
-
-def truncated_mass(measure: LevyMeasure, eps: float, outer: float = 1.0,
-                   tol: float = 1e-10) -> float:
-    """Mass of the annulus eps < |z| < outer."""
-    if not 0 < eps < outer:
-        raise ParameterDomainError("need 0 < eps < outer")
-    if measure.dim == 1:
-        return (adaptive_quad(lambda z: measure(z), eps, outer, tol)
-                + adaptive_quad(lambda z: measure(-z), eps, outer, tol))
-    if measure.radial_profile is not None:
-        return 2.0 * np.pi * adaptive_quad(
-            lambda p: p * measure.radial_profile(p), eps, outer, tol)
-    raise UnsupportedConfigurationError(
-        "annulus mass requires dim=1 or a radial profile")
 
 
 def levy_exponent(measure: LevyMeasure, y, drift=0.0, diffusion=0.0,

@@ -9,8 +9,9 @@ pricer.
 
 The series and the solver share one drift convention: the first-order
 coefficient compensates the jump expectation with integral (e^z - 1) nu(dz),
-so both price the same martingale dynamics.  The convention is settable on
-CauchyProblem (delta_sign) but the series is only valid for the default.
+so both price the same martingale dynamics.  Grid padding starts from the
+measure's jump_radius, the one tail-radius search of a measure object that
+build_plan reads as well.
 """
 from __future__ import annotations
 
@@ -73,8 +74,7 @@ class PriceResult:
 
 def transform_to_pide(market: MarketSpec, grid: Grid,
                       measure: LevyMeasure | None = None,
-                      shift: ShiftModel | None = None,
-                      delta_sign: float = -1.0) -> CauchyProblem:
+                      shift: ShiftModel | None = None) -> CauchyProblem:
     """Market data to forward Cauchy problem on the supplied grid.
 
     The initial field is the payoff in log-moneyness units (K(e^x - 1)^+ or
@@ -88,8 +88,7 @@ def transform_to_pide(market: MarketSpec, grid: Grid,
     return CauchyProblem(grid=grid, sigma=market.sigma, horizon=market.T,
                          rate=market.r, measure=measure, shift=shift,
                          initial=payoff, strike=market.K,
-                         option_type=market.option_type,
-                         delta_sign=delta_sign)
+                         option_type=market.option_type)
 
 
 def report_price(market: MarketSpec, result: SolveResult) -> float:
@@ -105,15 +104,14 @@ def bs_closed_form(market: MarketSpec) -> float:
     return float(bs.price(market.S0, market.T))
 
 
-def merton_series_oracle(market: MarketSpec, merton, terms: int = 120,
-                         tail_tol: float = 1e-12) -> float:
+def merton_series_oracle(market: MarketSpec, merton, terms: int = 120) -> float:
     """Closed-form price under lognormal jumps by conditioning on jump count.
 
     merton is (intensity, jump_mean, jump_std).  Each count k contributes a
     Poisson-weighted price with variance and rate adjusted by the realized
     jumps; the drift uses the compensator kappa = e^(m + s^2/2) - 1 matching
     the solver's convention.  The series is summed until the remaining
-    Poisson tail is below tail_tol relative; exhausting `terms` first raises
+    Poisson tail is below 1e-12 relative; exhausting `terms` first raises
     a tolerance error.
     """
     lam, m, s = (float(v) for v in merton)
@@ -141,7 +139,7 @@ def merton_series_oracle(market: MarketSpec, merton, terms: int = 120,
         if k >= 30:
             # Poisson tail beyond k is below (lam* T)^(k+1)/(k+1)! e^(...)
             tail = weight * lam_star * T / (k + 1.0)
-            if tail * max(market.S0, market.K) < tail_tol * max(total, 1e-300):
+            if tail * max(market.S0, market.K) < 1e-12 * max(total, 1e-300):
                 return total
     raise ToleranceNotMetError(
         f"jump-count series not converged within {terms} terms",
@@ -149,17 +147,17 @@ def merton_series_oracle(market: MarketSpec, merton, terms: int = 120,
 
 
 def estimate_reach(measure: LevyMeasure | None, shift: ShiftModel | None,
-                   half_width: float, tail_tol: float = 1e-10) -> float:
+                   half_width: float) -> float:
     """Padding needed so shifted jumps stay inside the extended box.
 
-    Identity shifts need the measure's tail radius; active shifts widen it by
+    Identity shifts need the measure's jump_radius; active shifts widen it by
     how far the displaced level can be pushed toward zero by the strategy
     swing.  Infeasible (rho, strategy) pairs are rejected here with the same
     no-solution diagnosis the resolver would give.
     """
     if measure is None:
         return 0.0
-    base = measure.shape.tail_radius(measure.dim, tail_tol)
+    base = measure.jump_radius
     if shift is None or shift.rho == 0.0:
         return 1.1 * base + 0.1
     xs = np.linspace(-half_width, half_width, 257)
@@ -178,12 +176,11 @@ def estimate_reach(measure: LevyMeasure | None, shift: ShiftModel | None,
 def price_european(market: MarketSpec, measure: LevyMeasure | None = None,
                    shift: ShiftModel | None = None, *,
                    half_width: float = 6.0, n_core: int = 1024,
-                   scheme: SchemeConfig | None = None,
-                   delta_sign: float = -1.0) -> PriceResult:
+                   scheme: SchemeConfig | None = None) -> PriceResult:
     """One-call European price: grid sizing, shifted solve, reassembly."""
     reach = estimate_reach(measure, shift, half_width)
     grid = make_grid(half_width, n_core, reach=reach)
-    problem = transform_to_pide(market, grid, measure, shift, delta_sign)
+    problem = transform_to_pide(market, grid, measure, shift)
     if scheme is None:
         scheme = SchemeConfig(scheme="imex_bdf2", dt=market.T / 500.0)
     result = solve_shifted(problem, scheme)

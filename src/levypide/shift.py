@@ -5,8 +5,8 @@ solves the balance
 
     e^xi = e^z + rho * (psi(tau, x + xi) - psi(tau, x)).
 
-`first_order` mode replaces the solve by the explicit linearization
-xi = z + rho e^(-z) (psi(tau, x + z) - psi(tau, x)); the gap between the two
+The explicit linearization xi = z + rho e^(-z) (psi(tau, x + z) - psi(tau, x))
+(resolve_xi_first_order) is kept as a diagnostic: its gap to the solve
 shrinks like rho^2.  The drift correction
 
     delta(tau, x) = int (e^xi - 1 - xi) h(z) dz
@@ -29,18 +29,21 @@ from scipy.optimize import brentq  # noqa: F401
 
 from .errors import (NoSolutionError, ParameterDomainError,
                      ToleranceNotMetError)
-from .measures import LevyMeasure, exp_moment_cutoff
+from .measures import LevyMeasure, exp_moment_cutoff, moments
 from .quadrature import adaptive_quad, quad_left_unit
 
 __all__ = [
     "TradingStrategy", "ShiftModel", "strategy_zero", "strategy_linear",
     "strategy_sin", "strategy_tanh_ramp", "strategy_from_table",
-    "estimate_holder_constant", "resolve_xi", "resolve_xi_fixed_point",
-    "resolve_xi_first_order", "xi_on_grid", "count_xi_roots", "resolve_H",
-    "compute_delta", "growth_bound_probe", "GrowthReport",
+    "estimate_holder_constant", "resolve_xi", "resolve_xi_first_order",
+    "xi_on_grid", "count_xi_roots", "resolve_H", "compute_delta",
+    "growth_bound_probe", "GrowthReport",
 ]
 
 _LOG_FLOOR = 1e-12
+# Iteration cap of the shift and amplitude fixed points; the shift's stall
+# detector hands what is left to the bracketed root solve.
+_FP_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -107,38 +110,30 @@ def strategy_from_table(x_table, psi_table) -> TradingStrategy:
         1.0, float(np.max(slopes)), "table", time_dependent=False)
 
 
-def estimate_holder_constant(strategy: TradingStrategy, x_cloud,
-                             tau_samples=(0.0,)) -> float:
-    """Empirical Holder constant max |dpsi| / |dx|^omega over cloud pairs."""
+def estimate_holder_constant(strategy: TradingStrategy, x_cloud) -> float:
+    """Empirical Holder constant max |dpsi| / |dx|^omega over cloud pairs at
+    tau = 0."""
     x = np.asarray(x_cloud, dtype=float)
-    w = strategy.holder_exponent
-    best = 0.0
-    for tau in tau_samples:
-        p = np.asarray(strategy.psi(float(tau), x), dtype=float)
-        dx = np.abs(x[:, None] - x[None, :])
-        dp = np.abs(p[:, None] - p[None, :])
-        mask = dx > 1e-12
-        best = max(best, float(np.max(dp[mask] / dx[mask] ** w)))
-    return best
+    p = np.asarray(strategy.psi(0.0, x), dtype=float)
+    dx = np.abs(x[:, None] - x[None, :])
+    dp = np.abs(p[:, None] - p[None, :])
+    mask = dx > 1e-12
+    return float(np.max(dp[mask] / dx[mask] ** strategy.holder_exponent))
 
 
 @dataclass(frozen=True)
 class ShiftModel:
-    """Strategy + impact strength rho and the xi resolution mode."""
+    """Strategy + impact strength rho and the fixed-point tolerance."""
 
     strategy: TradingStrategy
     rho: float
-    mode: str = "fixed_point"
     fp_tol: float = 1e-12
-    fp_max_iter: int = 64
 
     def __post_init__(self):
         if self.rho < 0:
             raise ParameterDomainError("rho must be nonnegative")
-        if self.mode not in ("fixed_point", "first_order"):
-            raise ParameterDomainError("mode must be fixed_point or first_order")
-        if self.fp_tol <= 0 or self.fp_max_iter < 1:
-            raise ParameterDomainError("fp_tol must be > 0 and fp_max_iter >= 1")
+        if self.fp_tol <= 0:
+            raise ParameterDomainError("fp_tol must be > 0")
 
 
 def resolve_xi_first_order(model: ShiftModel, tau: float, x, z):
@@ -178,7 +173,7 @@ def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
     fallback = np.zeros(shape, dtype=bool)
     prev_res = scaled_residual(w)
     stall = np.zeros(shape, dtype=np.int32)
-    for _ in range(model.fp_max_iter):
+    for _ in range(_FP_MAX_ITER):
         t = rho * em * (np.asarray(psi(tau, xb + zb + w), dtype=float) - psi_x)
         fallback |= (1.0 + t <= 0.0)
         t = np.where(fallback, 0.0, t)
@@ -295,7 +290,7 @@ def _bisect_vec(g, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray,
     return lo + 0.5 * (hi - lo)
 
 
-def resolve_xi_fixed_point(model: ShiftModel, tau: float, x, z):
+def resolve_xi(model: ShiftModel, tau: float, x, z):
     """Shift resolved by fixed-point iteration started at xi = z.
 
     rho = 0 returns z exactly (no arithmetic applied).  Scalar or array
@@ -312,15 +307,6 @@ def resolve_xi_fixed_point(model: ShiftModel, tau: float, x, z):
     return out.reshape(np.broadcast_shapes(x.shape, z.shape))
 
 
-def resolve_xi(model: ShiftModel, tau: float, x, z):
-    if model.mode == "first_order":
-        out = resolve_xi_first_order(model, tau, x, z)
-        if np.ndim(out) == 0 or (np.ndim(x) == 0 and np.ndim(z) == 0):
-            return float(np.asarray(out).reshape(-1)[0]) if np.ndim(x) == 0 and np.ndim(z) == 0 else out
-        return out
-    return resolve_xi_fixed_point(model, tau, x, z)
-
-
 def xi_on_grid(model: ShiftModel | None, tau: float, x: np.ndarray, z: float,
                stats: dict | None = None) -> np.ndarray:
     """Shift values for one raw jump size z across a grid of x (fast path).
@@ -330,17 +316,14 @@ def xi_on_grid(model: ShiftModel | None, tau: float, x: np.ndarray, z: float,
     """
     if model is None or model.rho == 0.0:
         return np.full_like(np.asarray(x, dtype=float), float(z))
-    if model.mode == "first_order":
-        return np.asarray(resolve_xi_first_order(model, tau, x, float(z)), dtype=float)
     return np.asarray(_fixed_point_core(model, tau, np.asarray(x, dtype=float),
                                         np.asarray(float(z)), stats), dtype=float)
 
 
-def count_xi_roots(model: ShiftModel, tau: float, x: float, z: float,
-                   half_width: float = 2.0, samples: int = 2048) -> int:
-    """Sign changes of the shift residual for xi in [z - w, z + w]; > 1 flags
+def count_xi_roots(model: ShiftModel, tau: float, x: float, z: float) -> int:
+    """Sign changes of the shift residual for xi in [z - 2, z + 2]; > 1 flags
     non-uniqueness of the impacted jump size."""
-    s = np.linspace(-half_width, half_width, samples)
+    s = np.linspace(-2.0, 2.0, 2048)
     g = _w_residual_fn(model, tau, np.array([float(x)]), np.array([float(z)]))
     signs = np.sign(g(s))
     signs = signs[signs != 0]
@@ -369,7 +352,7 @@ def resolve_H(model: ShiftModel, tau: float, spot: float, z: float,
     phi_s = phi(spot)
     h = base
     prev = abs(h)
-    for _ in range(model.fp_max_iter):
+    for _ in range(_FP_MAX_ITER):
         nxt = model.rho * spot * (phi(spot + h) - phi_s) + base
         if spot + nxt <= _LOG_FLOOR:
             raise NoSolutionError("impacted price S + H collapsed to zero")
@@ -393,7 +376,6 @@ def compute_delta(model: ShiftModel | None, measure: LevyMeasure, tau: float,
     if measure.dim != 1:
         raise ParameterDomainError("delta is one-dimensional")
     if model is None or model.rho == 0.0:
-        from .measures import moments
         return float(moments(measure, tol).compensated_exp_moment)
 
     cache: dict[float, float] = {}
@@ -432,12 +414,12 @@ class GrowthReport:
     detail: tuple
 
 
-def growth_bound_probe(model: ShiftModel, z_samples, x_samples,
-                       tau: float = 0.0, spread_limit: float = 10.0) -> GrowthReport:
-    """Ratios |xi| / (|z|^omega (1 + e^|z|)) over a (x, z) sample cloud.
+def growth_bound_probe(model: ShiftModel, z_samples, x_samples) -> GrowthReport:
+    """Ratios |xi| / (|z|^omega (1 + e^|z|)) over a (x, z) sample cloud at
+    tau = 0.
 
     For a Holder strategy the ratio stays bounded; the probe passes when the
-    max is within spread_limit of the median across two decades of |z|.
+    max is within 10 times the median across two decades of |z|.
     """
     omega = model.strategy.holder_exponent
     zs = np.asarray(z_samples, dtype=float)
@@ -446,12 +428,12 @@ def growth_bound_probe(model: ShiftModel, z_samples, x_samples,
         raise ParameterDomainError("z samples must be nonzero")
     ratios = []
     for z in zs:
-        xi = xi_on_grid(model, tau, xs, float(z))
+        xi = xi_on_grid(model, 0.0, xs, float(z))
         bound = abs(z) ** omega * (1.0 + math.exp(abs(z)))
         ratios.append(np.max(np.abs(xi)) / bound)
     ratios = np.asarray(ratios)
     med = float(np.median(ratios))
     mx = float(np.max(ratios))
     spread = mx / med if med > 0 else (np.inf if mx > 0 else 1.0)
-    return GrowthReport(spread <= spread_limit, mx, med, spread,
+    return GrowthReport(spread <= 10.0, mx, med, spread,
                         tuple(zip(zs.tolist(), ratios.tolist())))

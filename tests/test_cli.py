@@ -1,13 +1,19 @@
 import csv
+import importlib.util
 import json
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levypide import config
 from levypide.cli import _seedless_guard, main
 from levypide.config import load_config
 from levypide.errors import ConfigError, LevyPideError
 from levypide.grids import make_grid
+from levypide.measures import ShapeParams
 from levypide.pricing import estimate_reach
 
 MERTON_CFG = """\
@@ -63,6 +69,10 @@ dt = 0.04
 """
 
 
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.cfg"))
+
+
 def _write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -90,6 +100,76 @@ def test_load_config_rejects_malformed_value(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert "scheme.dt" in str(err.value)
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ("dt = 0.04", "dt = 0.04\ndelta_sign = 1", "scheme.delta_sign"),
+    ("width = 1.0", "width = 1.0\nmode = first_order", "shift.mode"),
+    ("volatility = 0.2", "volatilty = 0.2\nvolatility = 0.2",
+     "market.volatilty"),
+    ("[grid]", "[grids]", "grids"),
+])
+def test_unknown_keys_and_sections_exit_2_naming_them(tmp_path, capsys, old,
+                                                      new, key):
+    # a key nothing reads would otherwise be silently ignored
+    path = _write(tmp_path, SHIFT_CFG.replace(old, new, 1))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.key == key
+    capsys.readouterr()
+    assert main(["--config", path, "--out", str(tmp_path / "out"),
+                 "price"]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_odd_n_core_is_a_named_config_error(tmp_path):
+    path = _write(tmp_path, MERTON_CFG.replace("n_core = 512", "n_core = 513"))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.key == "grid.n_core"
+
+
+def test_docstring_key_list_is_the_key_table():
+    block = config.__doc__.split("Sections and keys:")[1].split("\n\n")[1]
+    listed = {}
+    for section, keys in re.findall(r"\[(\w+)\]([^\[]*)", block):
+        listed[section] = tuple(k.strip() for k in keys.split(","))
+    assert listed == config.KEYS
+
+
+def test_demo_and_benchmark_configs_load(tmp_path, monkeypatch):
+    assert len(DEMO_CONFIGS) == 3
+    for path in DEMO_CONFIGS:
+        load_config(str(path))
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    refs = workloads.load_references()
+    for kind in ("bs", "merton", "kou", *workloads.STRATEGY):
+        params = refs[workloads.table_of(kind)]["rows"][0]["params"]
+        for size in ("full", "tiny"):
+            load_config(_write(tmp_path, workloads.config_text(kind, params,
+                                                               size)))
+
+
+@pytest.mark.parametrize("name", ["merton_call.cfg", "kou_put.cfg"])
+def test_price_searches_the_tail_radius_once(tmp_path, monkeypatch, name):
+    # the reach estimate, the plan and the Kou cross-check solve all read the
+    # configured measure's cached jump_radius
+    calls = []
+    real = ShapeParams.tail_radius
+
+    def counting(self, dim, rel_tol=1e-10):
+        calls.append(rel_tol)
+        return real(self, dim, rel_tol)
+
+    monkeypatch.setattr(ShapeParams, "tail_radius", counting)
+    cfg = str(ROOT / "demos" / "configs" / name)
+    assert main(["--config", cfg, "--out", str(tmp_path), "price"]) == 0
+    assert calls == [1e-10]
 
 
 def test_digest_tracks_config_bytes(tmp_path):

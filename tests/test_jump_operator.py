@@ -8,7 +8,7 @@ from levypide import jump_operator
 from levypide.bessel import synthetic_smooth_field
 from levypide.blackscholes import BlackScholesClosedForm
 from levypide.errors import (OutOfDomainError, ParameterDomainError,
-                             PlanInvalidError, UnsupportedConfigurationError)
+                             UnsupportedConfigurationError)
 from levypide.grids import GridField, cubic_interp_periodic, gradient, make_grid
 from levypide.jump_operator import (apply_f, apply_f_tilde, apply_f_tilde_fn,
                                     build_plan, delta_on_plan_nodes,
@@ -17,9 +17,9 @@ from levypide.jump_operator import (apply_f, apply_f_tilde, apply_f_tilde_fn,
 from levypide.measures import (levy_pair, make_exponential_tail, make_kou,
                                make_merton, moments)
 from levypide.pricing import estimate_reach
-from levypide.shift import (ShiftModel, TradingStrategy, strategy_from_table,
-                            strategy_linear, strategy_sin, strategy_tanh_ramp,
-                            xi_on_grid)
+from levypide.shift import (ShiftModel, TradingStrategy, compute_delta,
+                            strategy_from_table, strategy_linear, strategy_sin,
+                            strategy_tanh_ramp, xi_on_grid)
 
 MERTON = make_merton(0.5, -0.1, 0.2)
 KOU = make_kou(0.4, 0.6, 8.0, 4.0)
@@ -170,9 +170,6 @@ def test_build_plan_validations():
     g1 = _grid_for(MERTON)
     with pytest.raises(ParameterDomainError):
         build_plan(g1, make_exponential_tail(0.5, 3.2, 1.0))
-    with pytest.raises(PlanInvalidError):
-        build_plan(g1, make_exponential_tail(0.5, 1.5, 1.0),
-                   small_jump_policy="drop")
     tight = make_grid(4.0, 512)  # stencil-only padding, far below the reach
     with pytest.raises(OutOfDomainError):
         build_plan(tight, MERTON)
@@ -318,12 +315,30 @@ def test_delta_on_plan_nodes_matches_per_node_delta():
     assert _rel_gap(got, want) <= 1e-12
 
 
+def test_delta_on_plan_nodes_matches_adaptive_compute_delta():
+    # compute_delta integrates (e^xi - 1 - xi) h over the whole line by
+    # adaptive quadrature, resolving each shift pointwise: a reference that
+    # shares neither the plan's nodes nor its outer cutoff.  A decreasing
+    # ramp keeps the shift balance solvable on the whole negative tail.
+    # Measured gaps: at most 3.5e-12 relative with the ramp at x = -2, -0.5,
+    # 0, 2, and 3.0e-16 under the identity shift.
+    plan = _shifted_plan(strategy_tanh_ramp(-0.3))
+    x = plan.grid.axis()
+    got = delta_on_plan_nodes(plan, 0.0)
+    for i in np.searchsorted(x, [-2.0, -0.5, 0.0, 2.0]):
+        want = compute_delta(plan.shift, MERTON, 0.0, float(x[i]))
+        assert abs(got[i] - want) <= 1e-11 * abs(want)
+    identity = build_plan(plan.grid, MERTON)
+    want = compute_delta(None, MERTON, 0.0, 0.0)
+    assert abs(identity.delta0 - want) <= 1e-14 * abs(want)
+
+
 def test_resolved_reach_beyond_the_padding_is_out_of_domain():
     plan = _shifted_plan(strategy_tanh_ramp(0.3))
     tight = make_grid(4.0, 256, reach=0.5)
-    # a declared reach inside the tight padding passes the field check, so
+    # an outer cutoff inside the tight padding passes the field check, so
     # only the resolved shifts can reveal the overreach
-    narrowed = dataclasses.replace(plan, grid=tight, reach=0.5)
+    narrowed = dataclasses.replace(plan, grid=tight, r_out=0.5)
     u = synthetic_smooth_field(tight, 2)
     with pytest.raises(OutOfDomainError, match="resolved shift reach"):
         apply_f(narrowed, u)

@@ -6,7 +6,7 @@ import pytest
 from levypide.errors import ParameterDomainError
 from levypide.measures import (ShapeParams, check_admissibility, levy_exponent,
                                levy_pair, make_custom, make_exponential_tail,
-                               make_kou, make_merton, moments, truncated_mass)
+                               make_kou, make_merton, moments)
 
 
 def test_merton_total_mass_is_intensity():
@@ -88,16 +88,6 @@ def test_levy_exponent_gaussian_part_is_additive():
     full = levy_exponent(meas, 2.0, drift=0.3, diffusion=0.5)
     # the drift/diffusion block adds i b y + a y^2 on top of the jump part
     assert abs((full - jump_only) - (0.5 * 4.0 + 1j * 0.3 * 2.0)) < 1e-12
-
-
-def test_truncated_mass_is_annulus_mass():
-    meas = make_exponential_tail(1.0, 0.5, 2.0)
-    wide = truncated_mass(meas, 1e-3)
-    narrow = truncated_mass(meas, 1e-1)
-    assert 0.0 < narrow < wide
-    # widening the annulus adds exactly the shaved inner band
-    band = truncated_mass(meas, 1e-3, outer=1e-1)
-    assert abs((narrow + band) - wide) < 1e-9
 
 
 def test_levy_pair_requires_one_dimensional_factors():

@@ -1,0 +1,63 @@
+"""The public names resolve, and the settable values that were removed stay
+removed.
+
+A stale `__all__` entry fails here rather than on a user's star import.
+"""
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import levypide
+from levypide.config import RunConfig
+from levypide.grids import make_grid
+from levypide.jump_operator import OperatorPlan, build_plan
+from levypide.pricing import estimate_reach, price_european, transform_to_pide
+from levypide.shift import ShiftModel
+from levypide.solver import CauchyProblem, SchemeConfig
+
+MODULES = sorted(f"levypide.{m.name}"
+                 for m in pkgutil.iter_modules(levypide.__path__))
+
+
+@pytest.mark.parametrize("module_name", ["levypide", *MODULES])
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    for name in getattr(module, "__all__", ()):
+        assert hasattr(module, name), f"{module_name}.{name}"
+
+
+@pytest.mark.parametrize("module_name,name", [
+    ("levypide.measures", "truncated_mass"),
+    ("levypide.shift", "resolve_xi_fixed_point"),
+])
+def test_removed_functions_are_gone(module_name, name):
+    module = importlib.import_module(module_name)
+    assert not hasattr(module, name)
+    assert name not in getattr(module, "__all__", ())
+    assert name not in levypide.__all__
+
+
+@pytest.mark.parametrize("owner,removed", [
+    (CauchyProblem, {"delta_sign"}),
+    (RunConfig, {"delta_sign"}),
+    (ShiftModel, {"mode", "fp_max_iter"}),
+    (SchemeConfig, {"startup_fraction", "startup_density"}),
+    (OperatorPlan, {"reach", "small_jump_policy"}),
+])
+def test_removed_fields_are_gone(owner, removed):
+    assert not removed & {f.name for f in dataclasses.fields(owner)}
+
+
+@pytest.mark.parametrize("fn,removed", [
+    (transform_to_pide, {"delta_sign"}),
+    (price_european, {"delta_sign"}),
+    (build_plan, {"small_jump_policy", "eps_in", "r_out", "tail_tol",
+                  "tau_probe"}),
+    (make_grid, {"stencil_margin"}),
+    (estimate_reach, {"tail_tol"}),
+])
+def test_removed_parameters_are_gone(fn, removed):
+    assert not removed & set(inspect.signature(fn).parameters)

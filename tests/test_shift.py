@@ -10,7 +10,7 @@ from levypide.measures import make_merton, moments
 from levypide.shift import (ShiftModel, compute_delta, count_xi_roots,
                             estimate_holder_constant, growth_bound_probe,
                             resolve_H, resolve_xi, resolve_xi_first_order,
-                            resolve_xi_fixed_point, strategy_from_table,
+                            strategy_from_table,
                             strategy_linear, strategy_sin, strategy_tanh_ramp,
                             strategy_zero, xi_on_grid)
 
@@ -21,15 +21,13 @@ def test_model_validation():
     with pytest.raises(ParameterDomainError):
         ShiftModel(TANH, rho=-0.1)
     with pytest.raises(ParameterDomainError):
-        ShiftModel(TANH, rho=0.1, mode="newton")
-    with pytest.raises(ParameterDomainError):
         strategy_tanh_ramp(0.3, width=0.0)
 
 
 def test_rho_zero_returns_raw_jump_exactly():
     model = ShiftModel(TANH, rho=0.0)
     z = np.array([-1.5, -0.2, 0.4, 2.0])
-    out = resolve_xi_fixed_point(model, 0.3, np.zeros_like(z), z)
+    out = resolve_xi(model, 0.3, np.zeros_like(z), z)
     assert np.array_equal(out, z)
     assert resolve_xi(model, 0.0, 0.1, -0.7) == -0.7
     grid = xi_on_grid(None, 0.0, np.linspace(-1, 1, 9), 0.25)
@@ -49,12 +47,12 @@ def test_fixed_point_satisfies_balance():
 
 
 def test_first_order_matches_linearization():
-    model = ShiftModel(TANH, rho=0.02, mode="first_order")
+    model = ShiftModel(TANH, rho=0.02)
     x, z = 0.4, -0.6
     psi = TANH.psi
     want = z + 0.02 * math.exp(-z) * float(
         psi(0.0, np.array([x + z]))[0] - psi(0.0, np.array([x]))[0])
-    assert abs(resolve_xi(model, 0.0, x, z) - want) < 1e-14
+    assert abs(resolve_xi_first_order(model, 0.0, x, z) - want) < 1e-14
 
 
 def test_first_order_gap_shrinks_quadratically():
@@ -81,7 +79,7 @@ def test_fixed_point_handles_extreme_raw_jumps():
     # rho * swing); z = 30 exercises the overflow-guarded branch
     model = ShiftModel(TANH, rho=0.05)
     for z in (-2.5, 30.0):
-        xi = resolve_xi_fixed_point(model, 0.0, 0.0, z)
+        xi = resolve_xi(model, 0.0, 0.0, z)
         assert np.isfinite(xi)
         assert abs(xi - z) < 1.0
 
@@ -91,7 +89,7 @@ def test_no_solution_regime_raises():
     # level e^z + rho dpsi stays below zero for every candidate shift
     model = ShiftModel(strategy_tanh_ramp(1.0, center=0.0, width=1.0), rho=0.5)
     with pytest.raises(NoSolutionError):
-        resolve_xi_fixed_point(model, 0.0, 5.0, -3.0)
+        resolve_xi(model, 0.0, 5.0, -3.0)
 
 
 def test_count_xi_roots_unique_for_weak_impact():

@@ -5,10 +5,11 @@ import pytest
 
 from levypide import solver
 from levypide.blackscholes import BlackScholesClosedForm
-from levypide.errors import (BlowUpError, ParameterDomainError,
-                             StabilityError, ToleranceNotMetError,
+from levypide.errors import (BlowUpError, OutOfDomainError,
+                             ParameterDomainError, StabilityError,
+                             ToleranceNotMetError,
                              UnsupportedConfigurationError)
-from levypide.grids import GridField, make_grid
+from levypide.grids import Grid, GridField, make_grid
 from levypide.jump_operator import apply_f_tilde_fn, build_plan
 from levypide.measures import make_exponential_tail, make_kou, make_merton
 from levypide.pricing import estimate_reach
@@ -63,11 +64,27 @@ def test_problem_validation():
     with pytest.raises(ParameterDomainError):
         CauchyProblem(g, sigma=0.0, horizon=1.0)
     with pytest.raises(ParameterDomainError):
-        CauchyProblem(g, sigma=0.2, horizon=1.0, delta_sign=0.5)
-    with pytest.raises(ParameterDomainError):
         CauchyProblem(g, sigma=0.2, horizon=1.0, diffusion_mode="feedback")
     with pytest.raises(ParameterDomainError):
         SchemeConfig(scheme="crank_nicolson")
+
+
+def test_pad_short_of_the_resolved_shifts_fails_before_marching(monkeypatch):
+    # the pad covers the jump radius, so the plan builds, but the increasing
+    # ramp pushes the negative jumps past it; the stability check builds the
+    # band, which rejects the resolved shifts before any level is marched
+    dx = 8.0 / 256
+    g = Grid(1, 4.0, 256, pad=math.ceil(MERTON.jump_radius / dx) + 2)
+    problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.05,
+                            measure=MERTON, strike=100.0,
+                            shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.05))
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched on a pad too small for the shifts")
+
+    monkeypatch.setattr(solver, "_march", no_march)
+    with pytest.raises(OutOfDomainError, match="resolved shift reach"):
+        solve_shifted(problem, SchemeConfig(dt=0.02))
 
 
 def test_measure_free_shifted_solve_is_exactly_zero():
