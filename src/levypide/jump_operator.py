@@ -2,10 +2,11 @@
 
 Two evaluation paths share one immutable plan.  With the identity shift and a
 density finite at the origin the jump convolution becomes a frequency-domain
-product with a sampled symbol, and the plan subtracts mass * u and
-mean * grad(u) afterwards.  Otherwise (a feedback shift, a singular density,
-or on request) a Gauss-Legendre quadrature in the raw jump size z sums cubic
-interpolants of u at x + xi(tau, x, z).
+product with a symbol sampled on the grid lattice, and the plan subtracts
+mass * u and mean * grad(u) afterwards.  Otherwise (a feedback shift, a
+singular density, or on request) a Gauss-Legendre quadrature in the raw jump
+size z sums cubic interpolants of u at x + xi(tau, x, z).  The plan's one
+moment set is that of the path that runs: lattice sums or node sums.
 
 That quadrature sum is one linear map, precomputed as a band: row o holds the
 weight output point i puts on point (i + o - half) mod n, filled from each
@@ -49,7 +50,7 @@ from .errors import (OutOfDomainError, ParameterDomainError, PlanInvalidError,
 # this module's name, so the name must stay importable
 from .grids import (CUBIC_OFFSETS, Grid, GridField, Transforms,  # noqa: F401
                     cubic_interp_periodic, cubic_stencil, gradient)
-from .measures import JUMP_TAIL_TOL, AxisJumpPair, LevyMeasure
+from .measures import JUMP_TAIL_TOL, AxisJumpPair, LevyMeasure, levy_exponent
 from .quadrature import adaptive_quad, gauss_legendre_panels
 from .shift import ShiftModel, xi_on_grid
 
@@ -64,22 +65,18 @@ __all__ = [
 def reference_symbol(measure: LevyMeasure, k: float, rel_tol: float = 1e-10) -> complex:
     """Plane-wave multiplier of the operator, by adaptive quadrature.
 
-    Independent of any plan: integral of (e^{ikz} - 1 - ikz) h(z) dz over the
-    line, split into real part (cos(kz) - 1) h and imaginary part
-    (sin(kz) - kz) h.  One-dimensional measures only.
+    Independent of any plan: the integral of (e^{ikz} - 1 - ikz) h(z) dz over
+    the line, which is -levy_exponent(k) with the drift
+    m_out = integral of z h(z) over |z| > 1 moving the exponent's
+    compensator from |z| <= 1 to the whole line.  One-dimensional measures
+    only.
     """
     if measure.dim != 1:
         raise ParameterDomainError("reference symbol is one-dimensional")
     h = measure.density
-    re = (adaptive_quad(lambda z: (math.cos(k * z) - 1.0) * float(h(z)), 0.0, 1.0, rel_tol)
-          + adaptive_quad(lambda z: (math.cos(k * z) - 1.0) * float(h(-z)), 0.0, 1.0, rel_tol)
-          + adaptive_quad(lambda z: (math.cos(k * z) - 1.0) * float(h(z)), 1.0, np.inf, rel_tol)
-          + adaptive_quad(lambda z: (math.cos(k * z) - 1.0) * float(h(-z)), 1.0, np.inf, rel_tol))
-    im = (adaptive_quad(lambda z: (math.sin(k * z) - k * z) * float(h(z)), 0.0, 1.0, rel_tol)
-          - adaptive_quad(lambda z: (math.sin(k * z) - k * z) * float(h(-z)), 0.0, 1.0, rel_tol)
-          + adaptive_quad(lambda z: (math.sin(k * z) - k * z) * float(h(z)), 1.0, np.inf, rel_tol)
-          - adaptive_quad(lambda z: (math.sin(k * z) - k * z) * float(h(-z)), 1.0, np.inf, rel_tol))
-    return complex(re, im)
+    m_out = (adaptive_quad(lambda z: z * float(h(z)), 1.0, np.inf, rel_tol)
+             - adaptive_quad(lambda z: z * float(h(-z)), 1.0, np.inf, rel_tol))
+    return -levy_exponent(measure, k, drift=m_out, tol=rel_tol)
 
 
 def small_jump_compensation(measure, eps_in: float):
@@ -180,31 +177,24 @@ class _BandCache:
 class OperatorPlan:
     """Immutable precomputation for evaluating the jump operator on one grid.
 
-    Quadrature data (z_nodes/z_weights/z_density) always exists in 1-D and
-    drives the quadrature path, drift corrections, and analytic sources.  The
-    symbol arrays exist whenever the fast path is available (identity shift,
-    alpha = 0) and carry the sampled-lattice mass/mean so the frequency-domain
-    product and its real-space subtractions stay mutually consistent.
+    z_nodes and wh = w h hold the 1-D quadrature nodes of nonzero weight
+    (None in 2-D).  symbol_conv is the lattice symbol when the fast path
+    runs, else None.  mass, mean_jump and delta0, the moments of h, z h and
+    (e^z - 1 - z) h (delta0 is 0.0 in 2-D), belong to the path that runs:
+    lattice sums beside the symbol, node sums otherwise.
     """
 
     grid: Grid
     measure: object
     shift: ShiftModel | None
-    eps_in: float
     r_out: float
-    force_quadrature: bool
     z_nodes: np.ndarray | None
-    z_weights: np.ndarray | None
-    z_density: np.ndarray | None
-    nu_mass: float
+    wh: np.ndarray | None
+    mass: float
     mean_jump: np.ndarray
-    exp_mean: float
     delta0: float
     sigma2_correction: object
     symbol_conv: np.ndarray | None
-    fft_mass: float
-    fft_mean: np.ndarray
-    fft_exp_mean: float
     _bands: _BandCache = field(default_factory=_BandCache, init=False,
                                repr=False)
 
@@ -214,7 +204,7 @@ class OperatorPlan:
 
     @property
     def uses_fft(self) -> bool:
-        return self.symbol_conv is not None and not self.force_quadrature
+        return self.symbol_conv is not None
 
     @property
     def band_build_s(self) -> float:
@@ -227,68 +217,54 @@ class OperatorPlan:
         over the bands built on this plan so far."""
         return self._bands.fallback_points
 
-    def bounded_multiplier(self) -> np.ndarray:
-        """symbol - mass: the advection-free part, spectral radius <= 2 mass."""
-        if self.symbol_conv is None:
-            raise PlanInvalidError("no fast path on this plan")
-        return self.symbol_conv - self.fft_mass
 
-
-def _lattice_offsets(n: int, dx: float) -> np.ndarray:
-    """Signed coordinates of lattice points in FFT storage order."""
+def _lattice_symbol(grid: Grid, measure, r_out: float):
+    """(symbol, mass, mean, delta0) of the density sampled on the grid
+    lattice within r_out; delta0, the (e^z - 1 - z) moment, is 1-D only."""
+    n, dx = grid.n_total, grid.dx
     idx = np.arange(n)
-    return np.where(idx <= n // 2, idx, idx - n) * dx
+    z = np.where(idx <= n // 2, idx, idx - n) * dx  # FFT storage order
 
+    def axis(density, transform):  # one axis, on rfft or full fft modes
+        h = np.asarray(density(z), dtype=float)
+        h[np.abs(z) > r_out] = 0.0
+        return h, np.conj(transform(h)) * dx
 
-def _sampled_symbol_1d(grid: Grid, density, r_out: float):
-    z = _lattice_offsets(grid.n_total, grid.dx)
-    h = np.asarray(density(z), dtype=float)
-    h[np.abs(z) > r_out] = 0.0
-    conv = np.conj(np.fft.rfft(h)) * grid.dx
-    mass = float(np.sum(h) * grid.dx)
-    mean = float(np.sum(z * h) * grid.dx)
-    expmean = float(np.sum(np.expm1(z) * h) * grid.dx)
-    return conv, mass, np.array([mean]), expmean
-
-
-def _sampled_symbol_2d(grid: Grid, measure, r_out: float):
-    n = grid.n_total
-    z1 = _lattice_offsets(n, grid.dx)
+    if grid.dim == 1:
+        h, conv = axis(measure.density, np.fft.rfft)
+        mean = float(np.sum(z * h) * dx)
+        return (conv, float(np.sum(h) * dx), np.array([mean]),
+                float(np.sum(np.expm1(z) * h) * dx) - mean)
     if isinstance(measure, AxisJumpPair):
         # jumps act along one axis at a time, so the symbol is the sum of the
         # two axis symbols on the tensor modes (full modes along axis 0, half
         # along axis 1, matching rfft2 storage)
-        hx = np.asarray(measure.axis_x.density(z1), dtype=float)
-        hx[np.abs(z1) > r_out] = 0.0
-        hy = np.asarray(measure.axis_y.density(z1), dtype=float)
-        hy[np.abs(z1) > r_out] = 0.0
-        sx = np.conj(np.fft.fft(hx)) * grid.dx
-        sy = np.conj(np.fft.rfft(hy)) * grid.dx
-        conv = sx[:, None] + sy[None, :]
-        mass = float((np.sum(hx) + np.sum(hy)) * grid.dx)
-        mean = np.array([float(np.sum(z1 * hx)), float(np.sum(z1 * hy))]) * grid.dx
-        return conv, mass, mean
-    zz1, zz2 = np.meshgrid(z1, z1, indexing="ij")
+        hx, sx = axis(measure.axis_x.density, np.fft.fft)
+        hy, sy = axis(measure.axis_y.density, np.fft.rfft)
+        mean = np.array([float(np.sum(z * hx)), float(np.sum(z * hy))]) * dx
+        return (sx[:, None] + sy[None, :], float((np.sum(hx) + np.sum(hy)) * dx),
+                mean, 0.0)
+    zz1, zz2 = np.meshgrid(z, z, indexing="ij")
     h = np.asarray(measure(zz1, zz2), dtype=float)
     h[zz1 ** 2 + zz2 ** 2 > r_out ** 2] = 0.0
-    conv = np.conj(np.fft.rfft2(h)) * grid.dx ** 2
-    mass = float(np.sum(h) * grid.dx ** 2)
-    mean = np.array([float(np.sum(zz1 * h)), float(np.sum(zz2 * h))]) * grid.dx ** 2
-    return conv, mass, mean
+    mean = np.array([float(np.sum(zz1 * h)), float(np.sum(zz2 * h))]) * dx ** 2
+    return np.conj(np.fft.rfft2(h)) * dx ** 2, float(np.sum(h) * dx ** 2), mean, 0.0
 
 
 def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
                nodes_per_panel: int = 16,
                force_quadrature: bool = False) -> OperatorPlan:
-    """Precompute nodes, weights, moments, and (when available) the symbol.
+    """Precompute weighted nodes, the symbol when available, and moments.
 
     The outer cutoff r_out is the measure's jump_radius; the inner cutoff
     eps_in is 0 for finite-activity measures and otherwise the radius whose
     z^2-weighted inner mass is below JUMP_TAIL_TOL, with the inner jumps
     folded into sigma2_correction.  A shift model with rho = 0 is normalized
-    away so the identity path is taken verbatim.  The padding must cover
-    r_out; resolved shifts reaching further are rejected when the band is
-    built, which the solvers' stability check does before marching.
+    away so the identity path is taken verbatim.  The symbol is built for
+    the identity shift with alpha = 0 unless force_quadrature is set, and
+    its lattice moments then replace the node moments.  The padding must
+    cover r_out; resolved shifts reaching further are rejected when the
+    band is built, which the solvers' stability check does before marching.
     """
     if shift is not None and shift.rho == 0.0:
         shift = None
@@ -323,19 +299,20 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
                                ** (1.0 / (3.0 - alpha)), 1e-10, 0.05))
 
     # quadrature nodes: 1-D only; the 2-D paths are symbol-based
-    z_nodes = z_weights = z_density = None
-    nu_mass = mean = exp_mean = delta0 = 0.0
+    z_nodes = wh = None
+    mass = delta0 = 0.0
+    mean = np.zeros(grid.dim)
     if grid.dim == 1:
         edges = _panel_edges(eps_in, r_out, alpha)
         pos_nodes, pos_w = gauss_legendre_panels(edges, nodes_per_panel)
-        z_nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
-        z_weights = np.concatenate([pos_w[::-1], pos_w])
-        z_density = np.asarray(measure.density(z_nodes), dtype=float)
-        wh = z_weights * z_density
-        nu_mass = float(np.sum(wh))
-        mean = float(np.sum(wh * z_nodes))
-        exp_mean = float(np.sum(wh * np.expm1(z_nodes)))
-        delta0 = float(np.sum(wh * (np.expm1(z_nodes) - z_nodes)))
+        z = np.concatenate([-pos_nodes[::-1], pos_nodes])
+        wh = (np.concatenate([pos_w[::-1], pos_w])
+              * np.asarray(measure.density(z), dtype=float))
+        mass = float(np.sum(wh))
+        mean = np.array([float(np.sum(wh * z))])
+        delta0 = float(np.sum(wh * (np.expm1(z) - z)))
+        keep = wh != 0.0
+        z_nodes, wh = z[keep], wh[keep]
 
     if eps_in > 0:
         sigma2_corr = small_jump_compensation(measure, eps_in)
@@ -344,23 +321,13 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
 
     # fast path: identity shift and a density finite at the origin
     symbol_conv = None
-    fft_mass, fft_exp_mean = 0.0, 0.0
-    fft_mean = np.zeros(grid.dim)
-    if shift is None and alpha == 0.0:
-        if grid.dim == 1:
-            symbol_conv, fft_mass, fft_mean, fft_exp_mean = _sampled_symbol_1d(
-                grid, measure.density, r_out)
-        else:
-            symbol_conv, fft_mass, fft_mean = _sampled_symbol_2d(grid, measure, r_out)
+    if shift is None and alpha == 0.0 and not force_quadrature:
+        symbol_conv, mass, mean, delta0 = _lattice_symbol(grid, measure, r_out)
 
     return OperatorPlan(
-        grid=grid, measure=measure, shift=shift, eps_in=eps_in, r_out=r_out,
-        force_quadrature=force_quadrature, z_nodes=z_nodes,
-        z_weights=z_weights, z_density=z_density, nu_mass=nu_mass,
-        mean_jump=np.array([mean]) if grid.dim == 1 else fft_mean,
-        exp_mean=exp_mean, delta0=delta0, sigma2_correction=sigma2_corr,
-        symbol_conv=symbol_conv,
-        fft_mass=fft_mass, fft_mean=fft_mean, fft_exp_mean=fft_exp_mean)
+        grid=grid, measure=measure, shift=shift, r_out=r_out, z_nodes=z_nodes,
+        wh=wh, mass=mass, mean_jump=mean, delta0=delta0,
+        sigma2_correction=sigma2_corr, symbol_conv=symbol_conv)
 
 
 def _check_field(plan: OperatorPlan, u: GridField) -> None:
@@ -385,9 +352,7 @@ def _identity_shifts(plan: OperatorPlan):
     """(w h, xi) of the weighted nodes under the identity shift xi = z; xi
     is a (nodes, 1) column that broadcasts against the grid axis, so
     functions of xi cost one evaluation per node."""
-    wh = plan.z_weights * plan.z_density
-    keep = wh != 0.0
-    return wh[keep], plan.z_nodes[keep][:, None]
+    return plan.wh, plan.z_nodes[:, None]
 
 
 def _build_band(plan: OperatorPlan, tau: float) -> _Band:
@@ -451,17 +416,17 @@ def apply_f(plan: OperatorPlan, u: GridField, grad_u=None,
     """Jump operator f(u) = integral of [u(x+xi) - u(x) - xi . grad u] dnu.
 
     Identity-shift plans with a symbol take the fast path: frequency-domain
-    product with the sampled symbol, then mass and mean subtractions using
-    grad_u (computed spectrally when not supplied).  Other plans apply the
-    precomputed quadrature band.
+    product with the lattice symbol, then the plan's mass and mean
+    subtractions using grad_u (computed spectrally when not supplied).  Other
+    plans apply the precomputed quadrature band.
     """
     _check_field(plan, u)
     tau = u.time_tag if tau is None else tau
     grads = _grad_values(plan, u, grad_u)
     if plan.uses_fft:
         out = (Transforms(plan.grid).apply(plan.symbol_conv, u.values)
-               - plan.fft_mass * u.values)
-        for mean, du in zip(plan.fft_mean, grads):
+               - plan.mass * u.values)
+        for mean, du in zip(plan.mean_jump, grads):
             out = out - mean * du
         return u.with_values(out)
     if plan.dim != 1:
@@ -476,20 +441,16 @@ def apply_f_tilde(plan: OperatorPlan, u: GridField, grad_u=None,
                   tau: float | None = None) -> GridField:
     """Compensated operator: integral of [u(x+xi) - u(x) - (e^xi - 1) grad u].
 
-    Equal to f(u) - delta * grad(u) with delta from the same nodes.
-    One-dimensional only.
+    Evaluated as f(u) - delta * grad(u), with delta from delta_on_plan_nodes
+    on the same plan (under the identity shift on the fast path, the lattice
+    moment).  One-dimensional only.
     """
     if plan.dim != 1:
         raise UnsupportedConfigurationError("compensated operator is 1-D only")
-    _check_field(plan, u)
     tau = u.time_tag if tau is None else tau
     grads = _grad_values(plan, u, grad_u)
-    if plan.uses_fft:
-        out = (Transforms(plan.grid).apply(plan.symbol_conv, u.values)
-               - plan.fft_mass * u.values - plan.fft_exp_mean * grads[0])
-        return u.with_values(out)
-    b = _band(plan, tau)
-    return u.with_values(b.apply(u.values) - b.exp_mean * grads[0])
+    f = apply_f(plan, u, grads, tau)
+    return f.with_values(f.values - delta_on_plan_nodes(plan, tau) * grads[0])
 
 
 # Weighted nodes per closed-form block in apply_f_tilde_fn, without and with
@@ -571,8 +532,10 @@ def delta_on_plan_nodes(plan: OperatorPlan, tau: float) -> np.ndarray:
     """Drift correction delta(tau, x) on the plan's jump nodes, on the grid
     axis.
 
-    Identity shift gives the constant integral of (e^z - 1 - z) dnu; with
-    feedback the resolved xi replaces z pointwise, from the plan's band.
+    Identity shift gives the plan's constant moment delta0 of
+    (e^z - 1 - z) dnu (the lattice moment on the fast path, the node sum
+    otherwise); with feedback the resolved xi replaces z pointwise, from the
+    plan's band.
     """
     if plan.dim != 1:
         raise UnsupportedConfigurationError("drift correction is 1-D only")
@@ -630,10 +593,9 @@ def plan_symbol_table(plan: OperatorPlan, wavenumbers: Sequence[float]):
     if plan.dim != 1:
         raise UnsupportedConfigurationError("symbol table is 1-D only")
     rows = []
-    wh = plan.z_weights * plan.z_density
     for k in wavenumbers:
-        node_sym = complex(np.sum(wh * (np.exp(1j * k * plan.z_nodes)
-                                        - 1.0 - 1j * k * plan.z_nodes)))
+        node_sym = complex(np.sum(plan.wh * (np.exp(1j * k * plan.z_nodes)
+                                             - 1.0 - 1j * k * plan.z_nodes)))
         ref = reference_symbol(plan.measure, float(k))
         gap = abs(node_sym - ref) / max(abs(ref), 1e-300)
         rows.append((float(k), node_sym, ref, gap))

@@ -397,8 +397,9 @@ def compute_delta(model: ShiftModel | None, measure: LevyMeasure, tau: float,
         # e^xi alone overflows although e^xi * h(z) is tame
         return math.exp(xi + math.log(hz)) - (1.0 + xi) * hz
 
+    # past the negligible negative tail the shift balance may have no root
     zc_pos = exp_moment_cutoff(measure.shape)
-    zc_neg = max(measure.shape.tail_radius(1, rel_tol=1e-13), 4.0) + 10.0
+    zc_neg = max(measure.shape.tail_radius(1, rel_tol=1e-13), 1.0)
     return (quad_left_unit(integrand, tol)
             + quad_left_unit(lambda z: integrand(-z), tol)
             + adaptive_quad(integrand, 1.0, zc_pos, tol)

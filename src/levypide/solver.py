@@ -411,8 +411,7 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     verified = False
     window = None  # live-window sums: None until checked, then pass/fail
     counts = {"pairs": 0}
-    pairs_per_level = g.n_total * int(np.count_nonzero(plan.z_weights
-                                                       * plan.z_density))
+    pairs_per_level = g.n_total * plan.wh.size
     cache: dict[float, np.ndarray] = {}
 
     def analytic(tau: float) -> np.ndarray:
@@ -501,10 +500,7 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
     pricing = problem.nonlinearity is None
     mean0 = delta00 = 0.0
     if plan is not None and g.dim == 1:
-        if plan.uses_fft:
-            mean0, delta00 = plan.fft_mean[0], plan.fft_exp_mean - plan.fft_mean[0]
-        else:
-            mean0, delta00 = float(plan.mean_jump[0]), plan.delta0
+        mean0, delta00 = plan.mean_jump[0], plan.delta0
 
     tr = Transforms(g)
     drift = (problem.rate - 0.5 * sigma2 - delta00 - mean0) if pricing else 0.0
@@ -534,7 +530,8 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
     coords = g.axis() if g.dim == 1 else g.meshes()
     fft_fast = plan is not None and plan.uses_fft
     quadrature = plan is not None and not fft_fast
-    bounded = plan.bounded_multiplier() if fft_fast else None
+    # symbol - mass: the advection-free part, spectral radius <= 2 mass
+    bounded = plan.symbol_conv - plan.mass if fft_fast else None
     # explicit first-order term of the pricing drift: the x-dependent excess
     # on the quadrature path, plus the constant drift that L_hat leaves out
     # with feedback diffusion
@@ -582,8 +579,7 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
         return scheme.dt / bound
     if plan is None:
         return 0.0
-    mass = plan.fft_mass if plan.uses_fft else plan.nu_mass
-    lip = 2.0 * mass
+    lip = 2.0 * plan.mass
     if not plan.uses_fft and plan.dim == 1:
         k_max = math.pi / problem.grid.dx
         dvals = delta_on_plan_nodes(plan, 0.0)

@@ -9,13 +9,15 @@ from levypide.bessel import synthetic_smooth_field
 from levypide.blackscholes import BlackScholesClosedForm
 from levypide.errors import (OutOfDomainError, ParameterDomainError,
                              UnsupportedConfigurationError)
-from levypide.grids import GridField, cubic_interp_periodic, gradient, make_grid
+from levypide.grids import (Grid, GridField, cubic_interp_periodic, gradient,
+                            make_grid)
 from levypide.jump_operator import (apply_f, apply_f_tilde, apply_f_tilde_fn,
                                     build_plan, delta_on_plan_nodes,
                                     f_bound_probe, plan_symbol_table,
                                     reference_symbol, small_jump_compensation)
-from levypide.measures import (levy_pair, make_exponential_tail, make_kou,
-                               make_merton, moments)
+from levypide.measures import (levy_exponent, levy_pair,
+                               make_exponential_tail, make_kou, make_merton,
+                               moments)
 from levypide.pricing import estimate_reach
 from levypide.shift import (ShiftModel, TradingStrategy, compute_delta,
                             strategy_from_table, strategy_linear, strategy_sin,
@@ -200,6 +202,24 @@ def test_two_dim_plan_on_x_only_field_matches_one_dim():
     assert np.max(np.abs(out2 - out2[:, :1])) < 1e-10 * scale
 
 
+@pytest.mark.parametrize("k", [(1, 0), (1, 2), (3, 1)])
+def test_joint_two_dim_plan_on_plane_waves(k):
+    # the box is 6 pi wide, so these k are exact lattice modes; the radial
+    # measure has a real exponent and no outer-mean term, so f of
+    # cos(k.x) and sin(k.x) is -levy_exponent(k) times the wave.  Measured
+    # gap: at most 8.1e-14 relative to the exponent.
+    m2 = make_merton(0.5, (0.0, 0.0), 0.2, dim=2)
+    g = Grid(dim=2, half_width=2.0 * math.pi, n_core=128, pad=32)
+    plan = build_plan(g, m2)
+    assert plan.uses_fft
+    psi = -levy_exponent(m2, k)
+    x1, x2 = g.meshes()
+    for wave in (np.cos, np.sin):
+        u = GridField(g, wave(k[0] * x1 + k[1] * x2))
+        gap = np.max(np.abs(apply_f(plan, u).values - psi.real * u.values))
+        assert gap <= 2e-13 * abs(psi), wave.__name__
+
+
 def test_f_bound_probe_ratios_and_domain():
     g = _grid_for(MERTON)
     plan = build_plan(g, MERTON)
@@ -222,9 +242,8 @@ def test_f_bound_probe_ratios_and_domain():
 def _node_shifts(plan, tau):
     """(w_j h_j, resolved shift on the grid axis) of every weighted node."""
     x = plan.grid.axis()
-    return [(wj * hj, xi_on_grid(plan.shift, tau, x, float(zj)))
-            for zj, wj, hj in zip(plan.z_nodes, plan.z_weights, plan.z_density)
-            if wj * hj != 0.0]
+    return [(whj, xi_on_grid(plan.shift, tau, x, float(zj)))
+            for zj, whj in zip(plan.z_nodes, plan.wh)]
 
 
 def _per_node_sum(plan, values, du, shifts, compensator):
@@ -315,14 +334,15 @@ def test_delta_on_plan_nodes_matches_per_node_delta():
     assert _rel_gap(got, want) <= 1e-12
 
 
-def test_delta_on_plan_nodes_matches_adaptive_compute_delta():
-    # compute_delta integrates (e^xi - 1 - xi) h over the whole line by
-    # adaptive quadrature, resolving each shift pointwise: a reference that
-    # shares neither the plan's nodes nor its outer cutoff.  A decreasing
-    # ramp keeps the shift balance solvable on the whole negative tail.
-    # Measured gaps: at most 3.5e-12 relative with the ramp at x = -2, -0.5,
-    # 0, 2, and 3.0e-16 under the identity shift.
-    plan = _shifted_plan(strategy_tanh_ramp(-0.3))
+@pytest.mark.parametrize("amplitude", [-0.3, 0.3],
+                         ids=["decreasing", "increasing"])
+def test_delta_on_plan_nodes_matches_adaptive_compute_delta(amplitude):
+    # compute_delta integrates (e^xi - 1 - xi) h over the line by adaptive
+    # quadrature, resolving each shift pointwise: a reference that shares
+    # neither the plan's nodes nor its outer cutoff.  Measured gaps: at most
+    # 3.5e-12 relative with either ramp at x = -2, -0.5, 0, 2, and 1.5e-16
+    # for the identity plan's lattice moment.
+    plan = _shifted_plan(strategy_tanh_ramp(amplitude))
     x = plan.grid.axis()
     got = delta_on_plan_nodes(plan, 0.0)
     for i in np.searchsorted(x, [-2.0, -0.5, 0.0, 2.0]):
@@ -357,7 +377,7 @@ def test_live_window_matches_full_f_tilde_fn(measure, strategy):
     shift = ShiftModel(strategy, rho=0.05) if strategy is not None else None
     g = make_grid(4.0, 256, reach=estimate_reach(measure, shift, 4.0))
     plan = build_plan(g, measure, shift)
-    nodes = int(np.count_nonzero(plan.z_weights * plan.z_density))
+    nodes = plan.wh.size
     # the put profile, as the solver's source uses: its affine side carries
     # no e^x growth, so the full sum's rounding there stays small
     bs = BlackScholesClosedForm(100.0, 0.05, 0.2, "put")

@@ -45,10 +45,15 @@ def test_removed_functions_are_gone(module_name, name):
     (RunConfig, {"delta_sign"}),
     (ShiftModel, {"mode", "fp_max_iter"}),
     (SchemeConfig, {"startup_fraction", "startup_density"}),
-    (OperatorPlan, {"reach", "small_jump_policy"}),
+    (OperatorPlan, {"reach", "small_jump_policy", "eps_in", "exp_mean",
+                    "force_quadrature", "z_weights", "z_density", "nu_mass",
+                    "fft_mass", "fft_mean", "fft_exp_mean",
+                    "bounded_multiplier"}),
 ])
 def test_removed_fields_are_gone(owner, removed):
     assert not removed & {f.name for f in dataclasses.fields(owner)}
+    # methods are no dataclass fields, so look for the attributes too
+    assert not [name for name in removed if hasattr(owner, name)]
 
 
 @pytest.mark.parametrize("fn,removed", [

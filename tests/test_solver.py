@@ -449,7 +449,7 @@ def test_stability_margin_is_dt_over_the_checked_bound(scheme):
     res = solve_direct(problem, SchemeConfig(scheme=scheme, dt=0.05))
     # FFT path: the explicit jump multiplier is bounded by 2 * mass
     margin = res.stats["stability_margin"]
-    assert margin == pytest.approx(0.05 * 2.0 * res.plan.fft_mass, rel=1e-14)
+    assert margin == pytest.approx(0.05 * 2.0 * res.plan.mass, rel=1e-14)
     assert 0.0 < margin < 1.0
     # past the bound both schemes refuse to march
     impact = ShiftModel(strategy_tanh_ramp(0.1), rho=0.01)
