@@ -80,8 +80,7 @@ def _write_manifest(outdir: Path, cfg: RunConfig, outputs, t0: float,
         },
         "grid": grid or {"half_width": cfg.half_width, "n_core": cfg.n_core,
                          "reach": cfg.reach},
-        "scheme": {"scheme": cfg.scheme.scheme, "dt": cfg.scheme.dt,
-                   "startup_grading": cfg.scheme.startup_grading},
+        "scheme": {"scheme": cfg.scheme.scheme, "dt": cfg.scheme.dt},
         "stats": stats,
         "wall_clock_s": round(time.perf_counter() - t0, 3),
         "outputs": [str(p) for p in outputs],

@@ -10,10 +10,9 @@ Sections and keys:
                   option_type
     [jumps]       family, intensity_per_year, jump_mean, jump_std, p_up,
                   eta_up, eta_down, c0, alpha, decay
-    [shift]       rho, strategy, amplitude, center, width, frequency, fp_tol
+    [shift]       rho, strategy, amplitude, center, width, frequency
     [grid]        half_width, n_core, reach
-    [scheme]      scheme, dt, startup_grading, monitor_gamma, cross_check,
-                  cross_check_tol
+    [scheme]      scheme, dt, monitor_gamma, cross_check, cross_check_tol
     [assertions]  oracle_rel_tol, order_lo, order_hi
 
 [market] and its keys are required, option_type (call or put) aside.
@@ -69,11 +68,10 @@ KEYS = {
                "volatility", "option_type"),
     "jumps": ("family", "intensity_per_year", "jump_mean", "jump_std", "p_up",
               "eta_up", "eta_down", "c0", "alpha", "decay"),
-    "shift": ("rho", "strategy", "amplitude", "center", "width", "frequency",
-              "fp_tol"),
+    "shift": ("rho", "strategy", "amplitude", "center", "width", "frequency"),
     "grid": ("half_width", "n_core", "reach"),
-    "scheme": ("scheme", "dt", "startup_grading", "monitor_gamma",
-               "cross_check", "cross_check_tol"),
+    "scheme": ("scheme", "dt", "monitor_gamma", "cross_check",
+               "cross_check_tol"),
     "assertions": ("oracle_rel_tol", "order_lo", "order_hi"),
 }
 
@@ -177,7 +175,7 @@ def _build_shift(sec: _Section):
     else:
         raise ConfigError(f"unknown strategy {name!r} in shift.strategy",
                           key="shift.strategy")
-    return ShiftModel(strategy, rho=rho, fp_tol=sec.number("fp_tol", 1e-12))
+    return ShiftModel(strategy, rho=rho)
 
 
 def load_config(path: str) -> RunConfig:
@@ -221,7 +219,6 @@ def load_config(path: str) -> RunConfig:
     scheme = SchemeConfig(
         scheme=scheme_sec.text("scheme", "imex_bdf2"),
         dt=scheme_sec.number("dt", market.T / 500.0),
-        startup_grading=scheme_sec.flag("startup_grading", True),
         monitor_gamma=scheme_sec.number("monitor_gamma", 0.0),
         cross_check=scheme_sec.flag("cross_check", False),
         cross_check_tol=scheme_sec.number("cross_check_tol", 1e-3),

@@ -63,10 +63,6 @@ class Grid:
             return (ax,)
         return np.meshgrid(ax, ax, indexing="ij")
 
-    def core_slice(self):
-        s = slice(self.pad, self.pad + self.n_core)
-        return s if self.dim == 1 else (s, s)
-
     def wavenumbers(self) -> np.ndarray:
         """Angular wavenumbers matching the real FFT along one axis."""
         return 2.0 * np.pi * np.fft.rfftfreq(self.n_total, d=self.dx)
@@ -157,14 +153,6 @@ class GridField:
         if not np.all(np.isfinite(v)):
             raise ParameterDomainError("field values must be finite")
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def zeros(cls, grid: Grid, time_tag: float = 0.0) -> "GridField":
-        shape = (grid.n_total,) if grid.dim == 1 else (grid.n_total,) * 2
-        return cls(grid, np.zeros(shape), time_tag)
-
-    def core(self) -> np.ndarray:
-        return self.values[self.grid.core_slice()]
 
     def with_values(self, values: np.ndarray, time_tag: float | None = None) -> "GridField":
         return replace(self, values=values,

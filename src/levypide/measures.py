@@ -9,18 +9,23 @@ The envelope drives all analytic classification: activity is finite iff
 alpha < dim, variation is finite iff alpha < dim + 1, and exponential moments
 of e^z exist iff mu > 0 or d > 1.  Divergent moments are flagged from the
 shape parameters instead of being discovered by a failing quadrature.
+
+Moments are one-dimensional.  Each 1-D integral against h, in moments and
+levy_exponent, is one quadrature.quad_line call: (0, 1] through z = e^s,
+then [1, inf), on both sides.  The characteristic exponent of a 2-D density
+is a radial integral of ring averages.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterDomainError
-from .quadrature import adaptive_quad, quad_full_line, quad_half_line, quad_left_unit
+from .quadrature import adaptive_quad, quad_left_unit, quad_line
 
 __all__ = [
     "ShapeParams", "LevyMeasure", "AxisJumpPair", "MeasureMoments",
@@ -97,8 +102,6 @@ class LevyMeasure:
     density: Callable
     dim: int
     shape: ShapeParams
-    family_tag: str
-    params: dict = field(default_factory=dict)
     radial_profile: Callable | None = None
     product_factors: tuple | None = None
 
@@ -179,8 +182,7 @@ def make_merton(intensity: float, jump_mean, jump_std: float, dim: int = 1) -> L
     if dim == 1:
         m0 = float(m[0])
         density = lambda z: norm * np.exp(-((np.asarray(z) - m0) ** 2) / (2.0 * s2))
-        return LevyMeasure(density, 1, shape, "merton",
-                           {"intensity": intensity, "jump_mean": m0, "jump_std": jump_std})
+        return LevyMeasure(density, 1, shape)
     m1, m2 = float(m[0]), float(m[1])
     density = lambda z1, z2: norm * np.exp(
         -((np.asarray(z1) - m1) ** 2 + (np.asarray(z2) - m2) ** 2) / (2.0 * s2))
@@ -189,9 +191,8 @@ def make_merton(intensity: float, jump_mean, jump_std: float, dim: int = 1) -> L
     radial = None
     if m1 == 0.0 and m2 == 0.0:
         radial = lambda p: norm * np.exp(-np.asarray(p) ** 2 / (2.0 * s2))
-    return LevyMeasure(density, 2, shape, "merton",
-                       {"intensity": intensity, "jump_mean": (m1, m2), "jump_std": jump_std},
-                       radial_profile=radial, product_factors=factors)
+    return LevyMeasure(density, 2, shape, radial_profile=radial,
+                       product_factors=factors)
 
 
 def make_exponential_tail(c0: float, alpha: float, decay: float, dim: int = 1) -> LevyMeasure:
@@ -201,13 +202,10 @@ def make_exponential_tail(c0: float, alpha: float, decay: float, dim: int = 1) -
     shape = ShapeParams(c0=c0, alpha=alpha, d=decay, mu=0.0)
     if dim == 1:
         density = lambda z: c0 * np.abs(z) ** (-alpha) * np.exp(-decay * np.abs(z))
-        return LevyMeasure(density, 1, shape, "exponential_tail",
-                           {"c0": c0, "alpha": alpha, "decay": decay})
+        return LevyMeasure(density, 1, shape)
     profile = lambda p: c0 * np.asarray(p) ** (-alpha) * np.exp(-decay * np.asarray(p))
     density = lambda z1, z2: profile(np.hypot(z1, z2))
-    return LevyMeasure(density, 2, shape, "exponential_tail",
-                       {"c0": c0, "alpha": alpha, "decay": decay},
-                       radial_profile=profile)
+    return LevyMeasure(density, 2, shape, radial_profile=profile)
 
 
 def make_kou(intensity: float, p_up: float, eta_plus: float, eta_minus: float) -> LevyMeasure:
@@ -235,17 +233,15 @@ def make_kou(intensity: float, p_up: float, eta_plus: float, eta_minus: float) -
         dn = intensity * (1.0 - p_up) * eta_minus * np.exp(eta_minus * np.clip(z, None, 0.0))
         return np.where(z > 0, up, np.where(z < 0, dn, 0.0))
 
-    return LevyMeasure(density, 1, shape, "kou",
-                       {"intensity": intensity, "p_up": p_up,
-                        "eta_plus": eta_plus, "eta_minus": eta_minus})
+    return LevyMeasure(density, 1, shape)
 
 
 def make_custom(density: Callable, shape: ShapeParams, dim: int = 1,
                 radial_profile: Callable | None = None,
                 product_factors: tuple | None = None) -> LevyMeasure:
     """Wrap a user density with a claimed envelope; check_admissibility tests it."""
-    return LevyMeasure(density, dim, shape, "custom", {},
-                       radial_profile=radial_profile, product_factors=product_factors)
+    return LevyMeasure(density, dim, shape, radial_profile=radial_profile,
+                       product_factors=product_factors)
 
 
 @dataclass(frozen=True)
@@ -287,108 +283,36 @@ def check_admissibility(measure: LevyMeasure, z_grid) -> AdmissibilityReport:
 
 @dataclass(frozen=True)
 class MeasureMoments:
-    """Key integrals of a jump measure; divergent entries are +-inf."""
+    """Key integrals of a 1-D jump measure; divergent entries are inf, and
+    the mean jump is nan where it is undefined."""
 
     total_mass: float
-    first_abs_moment_near_0: float
-    compensated_exp_moment: float | None
+    compensated_exp_moment: float
     mean_jump: np.ndarray
 
 
-def _polar_integral(measure: LevyMeasure, radial_fn, rel_tol: float,
-                    n_theta: int = 128) -> float:
-    """2-D integral int radial_fn(rho) * h(z) dz via polar coordinates.
-
-    Periodic trapezoid in angle (spectrally accurate), adaptive in radius.
-    """
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    ct, st = np.cos(theta), np.sin(theta)
-
-    def ring(p: float) -> float:
-        return float(np.mean(measure(p * ct, p * st))) * 2.0 * np.pi
-
-    f = lambda p: radial_fn(p) * ring(p) * p
-    inner = quad_left_unit(f, rel_tol)
-    outer = adaptive_quad(f, 1.0, np.inf, rel_tol)
-    return inner + outer
-
-
 def moments(measure: LevyMeasure, tol: float = 1e-10) -> MeasureMoments:
-    """Total mass, small-jump |z| moment, compensated e^z moment, and mean jump.
+    """Total mass, compensated e^z moment int (e^z - 1 - z) h(z) dz, and mean
+    jump int z h(z) dz of a 1-D measure.
 
     Divergence is decided from the shape parameters; only convergent entries
     are sent to quadrature.
     """
-    sh, n = measure.shape, measure.dim
-
-    if sh.alpha >= n:
-        total = np.inf
-    elif n == 1:
-        total = quad_full_line(lambda z: measure(z), tol)
-    elif measure.radial_profile is not None:
-        total = 2.0 * np.pi * quad_half_line(
-            lambda p: p * measure.radial_profile(p), tol)
-    elif measure.product_factors is not None:
-        f1, f2 = measure.product_factors
-        total = (quad_full_line(lambda z: f1(z), tol)
-                 * quad_full_line(lambda z: f2(z), tol))
+    if measure.dim != 1:
+        raise ParameterDomainError("moments are one-dimensional")
+    sh = measure.shape
+    total = np.inf if sh.alpha >= 1 else quad_line(lambda z: measure(z), tol)
+    if sh.alpha >= 2:
+        mean = np.full(1, np.nan)
     else:
-        total = _polar_integral(measure, lambda p: 1.0, tol)
-
-    if sh.alpha >= n + 1:
-        small = np.inf
-    elif n == 1:
-        small = (quad_left_unit(lambda z: z * measure(z), tol)
-                 + quad_left_unit(lambda z: z * measure(-z), tol))
-    elif measure.radial_profile is not None:
-        small = 2.0 * np.pi * quad_left_unit(
-            lambda p: p * p * measure.radial_profile(p), tol)
-    else:
-        theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-        ct, st = np.cos(theta), np.sin(theta)
-        ring = lambda p: float(np.mean(measure(p * ct, p * st))) * 2.0 * np.pi
-        small = quad_left_unit(lambda p: p * p * ring(p), tol)
-
-    if sh.alpha >= n + 1:
-        mean = np.full(n, np.nan)
-    elif n == 1:
-        mean = np.array([
-            quad_left_unit(lambda z: z * measure(z), tol)
-            - quad_left_unit(lambda z: z * measure(-z), tol)
-            + adaptive_quad(lambda z: z * measure(z), 1.0, np.inf, tol)
-            - adaptive_quad(lambda z: z * measure(-z), 1.0, np.inf, tol)])
-    elif measure.radial_profile is not None:
-        mean = np.zeros(2)
-    elif measure.product_factors is not None:
-        f1, f2 = measure.product_factors
-        m1 = moments(f1, tol)
-        m2 = moments(f2, tol)
-        mean = np.array([m1.mean_jump[0] * m2.total_mass,
-                         m1.total_mass * m2.mean_jump[0]])
-    else:
-        theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-        ct, st = np.cos(theta), np.sin(theta)
-        comp = []
-        for trig in (ct, st):
-            ring = lambda p: float(np.mean(trig * measure(p * ct, p * st))) * 2.0 * np.pi
-            comp.append(quad_left_unit(lambda p: p * p * ring(p), tol)
-                        + adaptive_quad(lambda p: p * p * ring(p), 1.0, np.inf, tol))
-        mean = np.array(comp)
-
-    if n != 1:
-        comp_exp: float | None = None
-    elif not measure.has_exp_moment:
+        mean = np.array([quad_line(lambda z: z * measure(z), tol)])
+    if not measure.has_exp_moment:
         comp_exp = np.inf
     else:
-        zc = exp_moment_cutoff(sh)
-        comp_exp = (quad_left_unit(lambda z: (np.exp(z) - 1.0 - z) * measure(z), tol)
-                    + quad_left_unit(lambda z: (np.exp(-z) - 1.0 + z) * measure(-z), tol)
-                    + adaptive_quad(lambda z: (np.exp(z) - 1.0 - z) * measure(z),
-                                    1.0, zc, tol)
-                    + adaptive_quad(lambda z: (np.exp(-z) - 1.0 + z) * measure(-z),
-                                    1.0, np.inf, tol))
-
-    return MeasureMoments(total, small, comp_exp, mean)
+        # expm1 keeps the O(z^2) integrand accurate near the origin
+        comp_exp = quad_line(lambda z: (np.expm1(z) - z) * measure(z), tol,
+                             ends=(exp_moment_cutoff(sh), np.inf))
+    return MeasureMoments(total, comp_exp, mean)
 
 
 def exp_moment_cutoff(shape: ShapeParams, log_floor: float = 740.0) -> float:
@@ -434,37 +358,26 @@ def levy_exponent(measure: LevyMeasure, y, drift=0.0, diffusion=0.0,
 
     if n == 1:
         k = float(y[0])
-        re = (quad_left_unit(lambda z: (1.0 - np.cos(k * z)) * measure(z), tol)
-              + quad_left_unit(lambda z: (1.0 - np.cos(k * z)) * measure(-z), tol)
-              + adaptive_quad(lambda z: (1.0 - np.cos(k * z)) * measure(z), 1.0, np.inf, tol)
-              + adaptive_quad(lambda z: (1.0 - np.cos(k * z)) * measure(-z), 1.0, np.inf, tol))
-        im = (quad_left_unit(lambda z: (k * z - np.sin(k * z)) * measure(z), tol)
-              + quad_left_unit(lambda z: (np.sin(k * z) - k * z) * measure(-z), tol)
-              + adaptive_quad(lambda z: -np.sin(k * z) * measure(z), 1.0, np.inf, tol)
-              + adaptive_quad(lambda z: np.sin(k * z) * measure(-z), 1.0, np.inf, tol))
+        re = quad_line(lambda z: (1.0 - np.cos(k * z)) * measure(z), tol)
+        im = quad_line(lambda z: (k * z - np.sin(k * z)) * measure(z), tol,
+                       outer=lambda z: -np.sin(k * z) * measure(z))
         return complex(quad_form + re, lin + im)
 
-    # 2-D: polar coordinates; angular average by periodic trapezoid.
+    # 2-D: polar coordinates; angular average by periodic trapezoid of
+    # weight(y.z) h(z) on the ring |z| = p.
     ky = float(np.hypot(y[0], y[1]))
     theta_y = math.atan2(y[1], y[0])
     theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     ct, st = np.cos(theta), np.sin(theta)
     cos_rel = np.cos(theta - theta_y)
 
-    def ring_re(p: float) -> float:
+    def ring(p: float, weight) -> float:
         hvals = np.asarray(measure(p * ct, p * st), dtype=float)
-        return float(np.mean((1.0 - np.cos(ky * p * cos_rel)) * hvals)) * 2.0 * np.pi
+        return float(np.mean(weight(ky * p * cos_rel) * hvals)) * 2.0 * np.pi
 
-    def ring_im_inner(p: float) -> float:
-        hvals = np.asarray(measure(p * ct, p * st), dtype=float)
-        return float(np.mean((ky * p * cos_rel - np.sin(ky * p * cos_rel)) * hvals)) * 2.0 * np.pi
-
-    def ring_im_outer(p: float) -> float:
-        hvals = np.asarray(measure(p * ct, p * st), dtype=float)
-        return float(np.mean(-np.sin(ky * p * cos_rel) * hvals)) * 2.0 * np.pi
-
-    re = (quad_left_unit(lambda p: p * ring_re(p), tol)
-          + adaptive_quad(lambda p: p * ring_re(p), 1.0, np.inf, tol))
-    im = (quad_left_unit(lambda p: p * ring_im_inner(p), tol)
-          + adaptive_quad(lambda p: p * ring_im_outer(p), 1.0, np.inf, tol))
+    re_w = lambda a: 1.0 - np.cos(a)
+    re = (quad_left_unit(lambda p: p * ring(p, re_w), tol)
+          + adaptive_quad(lambda p: p * ring(p, re_w), 1.0, np.inf, tol))
+    im = (quad_left_unit(lambda p: p * ring(p, lambda a: a - np.sin(a)), tol)
+          + adaptive_quad(lambda p: p * ring(p, lambda a: -np.sin(a)), 1.0, np.inf, tol))
     return complex(quad_form + re, lin + im)

@@ -37,18 +37,20 @@ def quad_left_unit(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14) -> float:
     g = lambda s: f(np.exp(s)) * np.exp(s)
     return adaptive_quad(g, -60.0, 0.0, rel_tol, abs_tol)
 
-def quad_half_line(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14) -> float:
-    """Integrate f on (0, inf), split at 1 with the singular piece substituted."""
-    inner = quad_left_unit(f, rel_tol, abs_tol)
-    outer = adaptive_quad(f, 1.0, np.inf, rel_tol, abs_tol)
-    return inner + outer
 
+def quad_line(f, rel_tol: float = 1e-10, outer=None,
+              ends: tuple = (np.inf, np.inf)) -> float:
+    """Integrate f over the real line, split at 0 and +-1.
 
-def quad_full_line(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14) -> float:
-    """Integrate f over the real line, split at 0 and +-1."""
-    pos = quad_half_line(f, rel_tol, abs_tol)
-    neg = quad_half_line(lambda z: f(-z), rel_tol, abs_tol)
-    return pos + neg
+    (0, 1] and [-1, 0) go through quad_left_unit; [1, ends[0]] and
+    [-ends[1], -1] are adaptive, with the integrand `outer` (f by default)
+    there.  The four pieces are summed in that order.
+    """
+    g = f if outer is None else outer
+    return (quad_left_unit(f, rel_tol)
+            + quad_left_unit(lambda z: f(-z), rel_tol)
+            + adaptive_quad(g, 1.0, ends[0], rel_tol)
+            + adaptive_quad(lambda z: g(-z), 1.0, ends[1], rel_tol))
 
 
 def tanh_sinh_rule(n: int = 120, t_max: float = 3.2):

@@ -44,6 +44,9 @@ _LOG_FLOOR = 1e-12
 # Iteration cap of the shift and amplitude fixed points; the shift's stall
 # detector hands what is left to the bracketed root solve.
 _FP_MAX_ITER = 64
+# Convergence tolerance of the shift fixed point (scaled residual) and of the
+# amplitude fixed point (relative step)
+_FP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,6 @@ class TradingStrategy:
     psi: Callable[[float, np.ndarray], np.ndarray]
     holder_exponent: float = 1.0
     holder_constant: float | None = None
-    name: str = "custom"
     # set False only when psi ignores tau; lets callers reuse resolved shifts
     # across time steps
     time_dependent: bool = True
@@ -72,18 +74,18 @@ class TradingStrategy:
 
 def strategy_zero() -> TradingStrategy:
     return TradingStrategy(lambda tau, x: np.zeros_like(np.asarray(x, dtype=float)),
-                           1.0, 0.0, "zero", time_dependent=False)
+                           1.0, 0.0, time_dependent=False)
 
 
 def strategy_linear(slope: float) -> TradingStrategy:
     return TradingStrategy(lambda tau, x: slope * np.asarray(x, dtype=float),
-                           1.0, abs(slope), "linear", time_dependent=False)
+                           1.0, abs(slope), time_dependent=False)
 
 
 def strategy_sin(amplitude: float, frequency: float = 1.0) -> TradingStrategy:
     return TradingStrategy(
         lambda tau, x: amplitude * np.sin(frequency * np.asarray(x, dtype=float)),
-        1.0, abs(amplitude * frequency), "sin", time_dependent=False)
+        1.0, abs(amplitude * frequency), time_dependent=False)
 
 
 def strategy_tanh_ramp(amplitude: float, center: float = 0.0,
@@ -92,7 +94,7 @@ def strategy_tanh_ramp(amplitude: float, center: float = 0.0,
         raise ParameterDomainError("width must be positive")
     return TradingStrategy(
         lambda tau, x: amplitude * np.tanh((np.asarray(x, dtype=float) - center) / width),
-        1.0, abs(amplitude / width), "tanh_ramp", time_dependent=False)
+        1.0, abs(amplitude / width), time_dependent=False)
 
 
 def strategy_from_table(x_table, psi_table) -> TradingStrategy:
@@ -107,7 +109,7 @@ def strategy_from_table(x_table, psi_table) -> TradingStrategy:
     slopes = np.abs(np.diff(pt) / np.diff(xt))
     return TradingStrategy(
         lambda tau, x: np.interp(np.asarray(x, dtype=float), xt, pt),
-        1.0, float(np.max(slopes)), "table", time_dependent=False)
+        1.0, float(np.max(slopes)), time_dependent=False)
 
 
 def estimate_holder_constant(strategy: TradingStrategy, x_cloud) -> float:
@@ -123,17 +125,14 @@ def estimate_holder_constant(strategy: TradingStrategy, x_cloud) -> float:
 
 @dataclass(frozen=True)
 class ShiftModel:
-    """Strategy + impact strength rho and the fixed-point tolerance."""
+    """Strategy + impact strength rho."""
 
     strategy: TradingStrategy
     rho: float
-    fp_tol: float = 1e-12
 
     def __post_init__(self):
         if self.rho < 0:
             raise ParameterDomainError("rho must be nonnegative")
-        if self.fp_tol <= 0:
-            raise ParameterDomainError("fp_tol must be > 0")
 
 
 def resolve_xi_first_order(model: ShiftModel, tau: float, x, z):
@@ -146,91 +145,85 @@ def resolve_xi_first_order(model: ShiftModel, tau: float, x, z):
     return z + model.rho * np.exp(-z) * (psi(tau, x + z) - psi(tau, x))
 
 
-def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
-                      z: np.ndarray, stats: dict | None = None) -> np.ndarray:
-    """Vectorized fixed-point solve of e^xi = e^z + rho * dpsi(xi).
+def _balance(model: ShiftModel, tau: float, x: np.ndarray, z: np.ndarray):
+    """The impact term of the shift balance on the 1-D x and z, as a function
 
-    Works on w = xi - z, which satisfies w = log1p(rho e^(-z) dpsi) and stays
-    well scaled for any z (the raw residual e^xi - e^z is not representable
-    once e^z exceeds 1/eps).  Entries that stall, or whose log1p argument
-    transiently drops below -1, go together to one vectorized bracketed root
-    solve (_bracketed_roots_w); stats, when given, counts them under
-    shift_fallback_points.
-    """
-    psi = model.strategy.psi
-    rho = model.rho
-    shape = np.broadcast_shapes(x.shape, z.shape)
-    xb = np.ascontiguousarray(np.broadcast_to(x, shape), dtype=float)
-    zb = np.ascontiguousarray(np.broadcast_to(z, shape), dtype=float)
-    psi_x = np.broadcast_to(np.asarray(psi(tau, xb), dtype=float), shape)
-    em = np.exp(np.minimum(-zb, 700.0))
+        t(w, idx) = rho e^(-z) (psi(tau, x + z + w) - psi(tau, x))
 
-    def scaled_residual(w):
-        t = rho * em * (np.asarray(psi(tau, xb + zb + w), dtype=float) - psi_x)
-        return np.abs(np.expm1(w) - t) / (1.0 + np.abs(t))
-
-    w = np.zeros(shape)
-    fallback = np.zeros(shape, dtype=bool)
-    prev_res = scaled_residual(w)
-    stall = np.zeros(shape, dtype=np.int32)
-    for _ in range(_FP_MAX_ITER):
-        t = rho * em * (np.asarray(psi(tau, xb + zb + w), dtype=float) - psi_x)
-        fallback |= (1.0 + t <= 0.0)
-        t = np.where(fallback, 0.0, t)
-        w = np.where(fallback, w, np.log1p(t))
-        res = np.where(fallback, np.inf, scaled_residual(w))
-        if not np.any(fallback) and np.max(res) < model.fp_tol:
-            return zb + w
-        # a converged entry (res < fp_tol, often exactly 0) never stalls
-        stall = np.where((res >= prev_res) & (res >= model.fp_tol), stall + 1, 0)
-        prev_res = res
-        if np.max(np.where(fallback, 0, stall)) >= 5:
-            break
-        if np.all(fallback | (res < model.fp_tol)):
-            break
-
-    # bracketed fallback on whatever did not converge
-    res = scaled_residual(w)
-    todo = np.nonzero((res.ravel() >= model.fp_tol) | fallback.ravel())[0]
-    w = w.ravel()
-    w[todo] = _bracketed_roots_w(model, tau, xb.ravel()[todo], zb.ravel()[todo])
-    w = w.reshape(shape)
-    if stats is not None:
-        stats["shift_fallback_points"] = (
-            stats.get("shift_fallback_points", 0) + int(todo.size))
-    # fallback entries are root-polished to ~1e-15 in w itself; the residual
-    # slope can be of order e^|z| there, so the sanity bound loosens to
-    # sqrt(fp_tol) rather than fp_tol
-    worst = float(np.max(scaled_residual(w)))
-    if worst >= math.sqrt(model.fp_tol):
-        raise ToleranceNotMetError(
-            f"shift fixed point stalled at scaled residual {worst:.3e}",
-            estimate=float(np.max(np.abs(zb + w))), error=worst)
-    return zb + w
-
-
-def _w_residual_fn(model: ShiftModel, tau: float, x: np.ndarray, z: np.ndarray):
-    """The w-residual as a function
-    g(w, idx) = expm1(w) - rho e^(-z) (psi(tau, x + z + w) - psi(tau, x))
-    at the entries idx of x and z (all of them by default), broadcast
-    against w; zero exactly when xi = z + w solves the shift balance, and
-    +inf where w > 700."""
+    at the entries idx (all of them by default), broadcast against w.
+    xi = z + w solves the balance exactly when expm1(w) = t(w)."""
     psi = model.strategy.psi
     psi_x = np.asarray(psi(tau, x), dtype=float)
     scale = model.rho * np.exp(np.minimum(-z, 700.0))
 
-    def g(w, idx=slice(None)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            dpsi = np.asarray(psi(tau, x[idx] + z[idx] + w), dtype=float) - psi_x[idx]
-            r = np.expm1(w) - scale[idx] * dpsi
-        return np.where(w > 700.0, np.inf, r)
+    def t(w, idx=slice(None)):
+        return scale[idx] * (np.asarray(psi(tau, x[idx] + z[idx] + w), dtype=float)
+                             - psi_x[idx])
 
-    return g
+    return t
+
+
+def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
+                      z: np.ndarray, stats: dict | None = None) -> np.ndarray:
+    """Vectorized fixed-point solve of e^xi = e^z + rho * dpsi(xi).
+
+    Works on w = xi - z, which satisfies w = log1p(t(w)) and stays well
+    scaled for any z (the raw residual e^xi - e^z is not representable once
+    e^z exceeds 1/eps); psi runs once per iterate.  Entries that stall, or
+    whose log1p argument transiently drops below -1, go together to one
+    vectorized bracketed root solve (_bracketed_roots_w); stats, when given,
+    counts them under shift_fallback_points.
+    """
+    shape = np.broadcast_shapes(x.shape, z.shape)
+    xb = np.ascontiguousarray(np.broadcast_to(x, shape), dtype=float).ravel()
+    zb = np.ascontiguousarray(np.broadcast_to(z, shape), dtype=float).ravel()
+    t = _balance(model, tau, xb, zb)
+
+    def scaled_residual(w, tw):
+        return np.abs(np.expm1(w) - tw) / (1.0 + np.abs(tw))
+
+    w = np.zeros(xb.size)
+    fallback = np.zeros(xb.size, dtype=bool)
+    tw = t(w)
+    prev_res = scaled_residual(w, tw)
+    stall = np.zeros(xb.size, dtype=np.int32)
+    for _ in range(_FP_MAX_ITER):
+        fallback |= (1.0 + tw <= 0.0)
+        w = np.where(fallback, w, np.log1p(np.where(fallback, 0.0, tw)))
+        tw = t(w)
+        res = np.where(fallback, np.inf, scaled_residual(w, tw))
+        if not np.any(fallback) and np.max(res) < _FP_TOL:
+            return (zb + w).reshape(shape)
+        # a converged entry (res < _FP_TOL, often exactly 0) never stalls
+        stall = np.where((res >= prev_res) & (res >= _FP_TOL), stall + 1, 0)
+        prev_res = res
+        if np.max(np.where(fallback, 0, stall)) >= 5:
+            break
+        if np.all(fallback | (res < _FP_TOL)):
+            break
+
+    # bracketed fallback on whatever did not converge
+    todo = np.nonzero((res >= _FP_TOL) | fallback)[0]
+    if stats is not None:
+        stats["shift_fallback_points"] = (
+            stats.get("shift_fallback_points", 0) + int(todo.size))
+    if todo.size:
+        w[todo] = _bracketed_roots_w(model, tau, xb[todo], zb[todo])
+        # fallback entries are root-polished to ~1e-15 in w itself; the
+        # residual slope can be of order e^|z| there, so the sanity bound
+        # loosens to sqrt(_FP_TOL) rather than _FP_TOL
+        worst = float(np.max(scaled_residual(w[todo], t(w[todo], todo))))
+        if worst >= math.sqrt(_FP_TOL):
+            raise ToleranceNotMetError(
+                f"shift fixed point stalled at scaled residual {worst:.3e}",
+                estimate=float(np.max(np.abs(zb + w))), error=worst)
+    return (zb + w).reshape(shape)
 
 
 def _bracketed_roots_w(model: ShiftModel, tau: float, x: np.ndarray,
                        z: np.ndarray) -> np.ndarray:
-    """Root of the w-residual nearest w = 0 for each entry of the 1-D x, z.
+    """Root nearest w = 0 of the w-residual g(w) = expm1(w) - t(w) (t from
+    _balance; g is +inf where w > 700) for each entry of the 1-D x, z.
 
     Scans 17 points on [-width, width] for width = 0.25, 0.5, ... up to 800;
     an entry takes the first width whose scan changes sign and, within it,
@@ -238,7 +231,13 @@ def _bracketed_roots_w(model: ShiftModel, tau: float, x: np.ndarray,
     keeps the solve deterministic when the residual oscillates and admits
     several roots.  The brackets are then polished together by _bisect_vec.
     """
-    g = _w_residual_fn(model, tau, x, z)
+    t = _balance(model, tau, x, z)
+
+    def g(w, idx=slice(None)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.expm1(w) - t(w, idx)
+        return np.where(w > 700.0, np.inf, r)
+
     m = x.size
     lo, hi, g_lo, g_hi = (np.empty(m) for _ in range(4))
     todo = np.arange(m)
@@ -324,8 +323,8 @@ def count_xi_roots(model: ShiftModel, tau: float, x: float, z: float) -> int:
     """Sign changes of the shift residual for xi in [z - 2, z + 2]; > 1 flags
     non-uniqueness of the impacted jump size."""
     s = np.linspace(-2.0, 2.0, 2048)
-    g = _w_residual_fn(model, tau, np.array([float(x)]), np.array([float(z)]))
-    signs = np.sign(g(s))
+    t = _balance(model, tau, np.array([float(x)]), np.array([float(z)]))
+    signs = np.sign(np.expm1(s) - t(s))
     signs = signs[signs != 0]
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
@@ -356,7 +355,7 @@ def resolve_H(model: ShiftModel, tau: float, spot: float, z: float,
         nxt = model.rho * spot * (phi(spot + h) - phi_s) + base
         if spot + nxt <= _LOG_FLOOR:
             raise NoSolutionError("impacted price S + H collapsed to zero")
-        if abs(nxt - h) < model.fp_tol * max(1.0, abs(nxt)):
+        if abs(nxt - h) < _FP_TOL * max(1.0, abs(nxt)):
             return nxt
         h, prev = nxt, abs(nxt - h)
     raise ToleranceNotMetError("amplitude fixed point did not converge",
@@ -393,7 +392,7 @@ def compute_delta(model: ShiftModel | None, measure: LevyMeasure, tau: float,
             return 0.0
         xi = xi_of(float(z))
         if xi <= 700.0:
-            return (math.exp(xi) - 1.0 - xi) * hz
+            return (math.expm1(xi) - xi) * hz
         # e^xi alone overflows although e^xi * h(z) is tame
         return math.exp(xi + math.log(hz)) - (1.0 + xi) * hz
 

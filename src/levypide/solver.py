@@ -136,15 +136,10 @@ class CauchyProblem:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Marching scheme selection and step control.
-
-    startup_grading puts the graded head of build_time_mesh (its default
-    fraction and density) in front of a shifted solve's uniform steps.
-    """
+    """Marching scheme selection and step control."""
 
     scheme: str = "imex_bdf2"
     dt: float = 1e-3
-    startup_grading: bool = True
     stability_limit: float = 1.0
     checkpoint_count: int = 10
     monitor_gamma: float = 0.0
@@ -684,8 +679,7 @@ def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig,
     if problem.nonlinearity is not None:
         raise UnsupportedConfigurationError(
             "shifted solves use the built-in pricing drift")
-    taus = build_time_mesh(problem.horizon, scheme.dt,
-                           grade=scheme.startup_grading)
+    taus = build_time_mesh(problem.horizon, scheme.dt, grade=True)
     return _run(problem, scheme, np.zeros(problem.grid.n_total), taus,
                 shifted=True, store_stride=store_stride)
 

@@ -108,6 +108,8 @@ def test_load_config_rejects_malformed_value(tmp_path):
     ("volatility = 0.2", "volatilty = 0.2\nvolatility = 0.2",
      "market.volatilty"),
     ("[grid]", "[grids]", "grids"),
+    ("width = 1.0", "width = 1.0\nfp_tol = 1e-12", "shift.fp_tol"),
+    ("dt = 0.04", "dt = 0.04\nstartup_grading = true", "scheme.startup_grading"),
 ])
 def test_unknown_keys_and_sections_exit_2_naming_them(tmp_path, capsys, old,
                                                       new, key):

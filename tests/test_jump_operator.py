@@ -316,7 +316,7 @@ def test_static_band_is_built_once_per_plan(monkeypatch):
 def test_time_dependent_strategy_rebuilds_the_band_per_tau():
     ramp = strategy_tanh_ramp(0.3)
     growing = TradingStrategy(lambda tau, x: (1.0 + tau) * ramp.psi(tau, x),
-                              1.0, 0.6, "growing ramp", time_dependent=True)
+                              1.0, 0.6, time_dependent=True)
     plan = _shifted_plan(growing)
     u = synthetic_smooth_field(plan.grid, 5)
     early = apply_f(plan, u, tau=0.0).values

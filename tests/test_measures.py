@@ -90,6 +90,11 @@ def test_levy_exponent_gaussian_part_is_additive():
     assert abs((full - jump_only) - (0.5 * 4.0 + 1j * 0.3 * 2.0)) < 1e-12
 
 
+def test_moments_are_one_dimensional():
+    with pytest.raises(ParameterDomainError):
+        moments(make_merton(1.0, (0.0, 0.0), 0.2, dim=2))
+
+
 def test_levy_pair_requires_one_dimensional_factors():
     nux = make_merton(0.3, 0.0, 0.2)
     nuy = make_merton(0.4, 0.1, 0.3)

@@ -11,11 +11,13 @@ import pkgutil
 import pytest
 
 import levypide
+from levypide.bessel import _l1_shift_difference, modulus_of_continuity_probe
 from levypide.config import RunConfig
-from levypide.grids import make_grid
+from levypide.grids import Grid, GridField, make_grid
 from levypide.jump_operator import OperatorPlan, build_plan
+from levypide.measures import LevyMeasure, MeasureMoments
 from levypide.pricing import estimate_reach, price_european, transform_to_pide
-from levypide.shift import ShiftModel
+from levypide.shift import ShiftModel, TradingStrategy
 from levypide.solver import CauchyProblem, SchemeConfig
 
 MODULES = sorted(f"levypide.{m.name}"
@@ -32,6 +34,10 @@ def test_every_exported_name_resolves(module_name):
 @pytest.mark.parametrize("module_name,name", [
     ("levypide.measures", "truncated_mass"),
     ("levypide.shift", "resolve_xi_fixed_point"),
+    ("levypide.quadrature", "quad_full_line"),
+    ("levypide.quadrature", "quad_half_line"),
+    ("levypide.measures", "_polar_integral"),
+    ("levypide.shift", "_w_residual_fn"),
 ])
 def test_removed_functions_are_gone(module_name, name):
     module = importlib.import_module(module_name)
@@ -43,12 +49,17 @@ def test_removed_functions_are_gone(module_name, name):
 @pytest.mark.parametrize("owner,removed", [
     (CauchyProblem, {"delta_sign"}),
     (RunConfig, {"delta_sign"}),
-    (ShiftModel, {"mode", "fp_max_iter"}),
-    (SchemeConfig, {"startup_fraction", "startup_density"}),
+    (ShiftModel, {"mode", "fp_max_iter", "fp_tol"}),
+    (SchemeConfig, {"startup_fraction", "startup_density", "startup_grading"}),
     (OperatorPlan, {"reach", "small_jump_policy", "eps_in", "exp_mean",
                     "force_quadrature", "z_weights", "z_density", "nu_mass",
                     "fft_mass", "fft_mean", "fft_exp_mean",
                     "bounded_multiplier"}),
+    (MeasureMoments, {"first_abs_moment_near_0"}),
+    (LevyMeasure, {"family_tag", "params"}),
+    (TradingStrategy, {"name"}),
+    (GridField, {"zeros", "core"}),
+    (Grid, {"core_slice"}),
 ])
 def test_removed_fields_are_gone(owner, removed):
     assert not removed & {f.name for f in dataclasses.fields(owner)}
@@ -63,6 +74,8 @@ def test_removed_fields_are_gone(owner, removed):
                   "tau_probe"}),
     (make_grid, {"stencil_margin"}),
     (estimate_reach, {"tail_tol"}),
+    (modulus_of_continuity_probe, {"spread_limit"}),
+    (_l1_shift_difference, {"n_panel"}),
 ])
 def test_removed_parameters_are_gone(fn, removed):
     assert not removed & set(inspect.signature(fn).parameters)

@@ -3,19 +3,24 @@ import math
 import numpy as np
 
 from levypide.quadrature import (adaptive_quad, gauss_legendre_panels,
-                                 panel_quad, panels_quad, quad_full_line,
-                                 quad_half_line, quad_left_unit,
-                                 tanh_sinh_rule)
+                                 panel_quad, panels_quad, quad_left_unit,
+                                 quad_line, tanh_sinh_rule)
 
 
 def test_gaussian_full_line():
-    got = quad_full_line(lambda z: math.exp(-z * z))
+    got = quad_line(lambda z: math.exp(-z * z))
     assert abs(got - math.sqrt(math.pi)) < 1e-12
 
 
 def test_exponential_half_line():
-    got = quad_half_line(lambda z: math.exp(-3.0 * z))
+    # zero on the negative side; the outer pieces take their own integrand
+    # and the positive one stops at ends[0]
+    f = lambda z: math.exp(-3.0 * z) if z > 0 else 0.0
+    got = quad_line(f)
     assert abs(got - 1.0 / 3.0) < 1e-12
+    cut = quad_line(f, outer=lambda z: 2.0 * f(z), ends=(2.0, math.inf))
+    want = 1.0 / 3.0 + (math.exp(-3.0) - 2.0 * math.exp(-6.0)) / 3.0
+    assert abs(cut - want) < 1e-12
 
 
 def test_inverse_sqrt_endpoint_singularity():

@@ -6,8 +6,11 @@ from scipy.optimize import brentq
 
 from levypide import shift
 from levypide.errors import NoSolutionError, ParameterDomainError
-from levypide.measures import make_merton, moments
-from levypide.shift import (ShiftModel, compute_delta, count_xi_roots,
+from levypide.grids import make_grid
+from levypide.jump_operator import build_plan
+from levypide.measures import make_exponential_tail, make_merton, moments
+from levypide.shift import (ShiftModel, TradingStrategy, compute_delta,
+                            count_xi_roots,
                             estimate_holder_constant, growth_bound_probe,
                             resolve_H, resolve_xi, resolve_xi_first_order,
                             strategy_from_table,
@@ -138,6 +141,50 @@ def test_compute_delta_first_order_in_rho():
     e1, e2 = excess(0.01), excess(0.02)
     assert e1 != 0.0
     assert abs(e2 / e1 - 2.0) < 0.2
+
+
+def test_compensated_exp_moment_of_an_infinite_activity_measure():
+    # h ~ |z|^(-1.5) near 0, where e^z - 1 - z cancels: written that way the
+    # (0, 1] quadrature missed its tolerance.  The plan sums the moment on
+    # its own nodes and folds the jumps inside eps_in into
+    # sigma2_correction; measured gap 4.0e-9.
+    nu = make_exponential_tail(1.0, 1.5, 3.0)
+    want = moments(nu).compensated_exp_moment
+    plan = build_plan(make_grid(6.0, 256, reach=8.0), nu)
+    assert abs(plan.delta0 + 0.5 * plan.sigma2_correction - want) <= 1e-7
+    assert compute_delta(None, nu, 0.0, 0.0) == want
+    # the shifted integrand meets the same cancellation; its excess over
+    # the unshifted moment is first order in rho (measured ratio 1.990)
+    down = strategy_tanh_ramp(-0.3)
+    e1, e2 = (compute_delta(ShiftModel(down, rho=rho), nu, 0.0, 0.0) - want
+              for rho in (0.01, 0.02))
+    assert e1 != 0.0
+    assert abs(e2 / e1 - 2.0) < 0.05
+
+
+def test_shift_fixed_point_evaluates_psi_once_per_iterate():
+    # psi runs at x, at the start w = 0, and once per iterate: the residual
+    # check of an iterate reuses the t(w) the next iterate starts from.
+    # This case converges in 8 iterates (18 calls with psi evaluated twice
+    # per iterate).
+    calls = []
+
+    def psi(tau, x):
+        calls.append(1)
+        return TANH.psi(tau, x)
+
+    counted = ShiftModel(TradingStrategy(psi, 1.0, 0.3, time_dependent=False),
+                         rho=0.05)
+    xs = np.linspace(-3.0, 3.0, 61)
+    stats = {}
+    xi = xi_on_grid(counted, 0.0, xs, -1.0, stats)
+    assert len(calls) == 10
+    assert stats.get("shift_fallback_points", 0) == 0
+    assert np.array_equal(xi, xi_on_grid(ShiftModel(TANH, rho=0.05), 0.0, xs, -1.0))
+    # a stalling case hands the same points to the bracketed solve
+    stats = {}
+    xi_on_grid(ShiftModel(strategy_sin(0.3), rho=0.3), 0.0, xs, -2.0, stats)
+    assert stats["shift_fallback_points"] == 31
 
 
 def test_holder_constant_estimates():
