@@ -13,7 +13,8 @@ shape parameters instead of being discovered by a failing quadrature.
 Moments are one-dimensional.  Each 1-D integral against h, in moments and
 levy_exponent, is one quadrature.quad_line call: (0, 1] through z = e^s,
 then [1, inf), on both sides.  The characteristic exponent of a 2-D density
-is a radial integral of ring averages.
+is a radial integral of ring averages, split at 1 in the same way on its
+one side.
 """
 from __future__ import annotations
 
@@ -309,9 +310,13 @@ def moments(measure: LevyMeasure, tol: float = 1e-10) -> MeasureMoments:
     if not measure.has_exp_moment:
         comp_exp = np.inf
     else:
-        # expm1 keeps the O(z^2) integrand accurate near the origin
-        comp_exp = quad_line(lambda z: (np.expm1(z) - z) * measure(z), tol,
-                             ends=(exp_moment_cutoff(sh), np.inf))
+        # expm1 keeps the O(z^2) integrand accurate near the origin; where h
+        # has underflowed the product is 0 even if e^z overflows
+        def comp(z):
+            hz = measure(z)
+            return (np.expm1(z) - z) * hz if hz > 0.0 else 0.0
+
+        comp_exp = quad_line(comp, tol, end=exp_moment_cutoff(sh))
     return MeasureMoments(total, comp_exp, mean)
 
 

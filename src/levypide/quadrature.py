@@ -39,18 +39,18 @@ def quad_left_unit(f, rel_tol: float = 1e-10, abs_tol: float = 1e-14) -> float:
 
 
 def quad_line(f, rel_tol: float = 1e-10, outer=None,
-              ends: tuple = (np.inf, np.inf)) -> float:
-    """Integrate f over the real line, split at 0 and +-1.
+              end: float = np.inf) -> float:
+    """Integrate f over (-inf, end], split at 0 and +-1.
 
-    (0, 1] and [-1, 0) go through quad_left_unit; [1, ends[0]] and
-    [-ends[1], -1] are adaptive, with the integrand `outer` (f by default)
-    there.  The four pieces are summed in that order.
+    (0, 1] and [-1, 0) go through quad_left_unit; [1, end] and (-inf, -1]
+    are adaptive, with the integrand `outer` (f by default) there.  The four
+    pieces are summed in that order.
     """
     g = f if outer is None else outer
     return (quad_left_unit(f, rel_tol)
             + quad_left_unit(lambda z: f(-z), rel_tol)
-            + adaptive_quad(g, 1.0, ends[0], rel_tol)
-            + adaptive_quad(lambda z: g(-z), 1.0, ends[1], rel_tol))
+            + adaptive_quad(g, 1.0, end, rel_tol)
+            + adaptive_quad(lambda z: g(-z), 1.0, np.inf, rel_tol))
 
 
 def tanh_sinh_rule(n: int = 120, t_max: float = 3.2):

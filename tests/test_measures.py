@@ -37,6 +37,14 @@ def test_kou_total_mass_and_compensator():
     assert abs(want - 0.125) < 1e-15
 
 
+def test_kou_compensator_is_finite_when_the_cutoff_passes_exp_overflow():
+    # envelope decay d = 2 puts the e^z cutoff near 740, past where e^z
+    # overflows; h has underflowed there, so the integrand is 0, not nan
+    mom = moments(make_kou(1.0, 0.4, 3.0, 2.0))
+    want = 0.4 * 3.0 / 2.0 + 0.6 * 2.0 / 3.0 - 1.0 - (0.4 / 3.0 - 0.6 / 2.0)
+    assert abs(mom.compensated_exp_moment - want) < 1e-10
+
+
 def test_kou_requires_eta_plus_above_one():
     with pytest.raises(ParameterDomainError):
         make_kou(1.0, 0.5, 0.9, 3.0)

@@ -14,11 +14,11 @@ def test_gaussian_full_line():
 
 def test_exponential_half_line():
     # zero on the negative side; the outer pieces take their own integrand
-    # and the positive one stops at ends[0]
+    # and the positive one stops at end
     f = lambda z: math.exp(-3.0 * z) if z > 0 else 0.0
     got = quad_line(f)
     assert abs(got - 1.0 / 3.0) < 1e-12
-    cut = quad_line(f, outer=lambda z: 2.0 * f(z), ends=(2.0, math.inf))
+    cut = quad_line(f, outer=lambda z: 2.0 * f(z), end=2.0)
     want = 1.0 / 3.0 + (math.exp(-3.0) - 2.0 * math.exp(-6.0)) / 3.0
     assert abs(cut - want) < 1e-12
 
