@@ -230,7 +230,7 @@ def q_estimate_probe(u: GridField, xi_1: np.ndarray, xi_2: np.ndarray,
     return num / den
 
 
-def synthetic_smooth_field(grid: Grid, index: int, amplitude: float = 1.0) -> GridField:
+def synthetic_smooth_field(grid: Grid, index: int) -> GridField:
     """Deterministic localized smooth field; the index walks a fixed
     golden-ratio phase/amplitude table (no random numbers anywhere)."""
     x = grid.axis()
@@ -240,7 +240,7 @@ def synthetic_smooth_field(grid: Grid, index: int, amplitude: float = 1.0) -> Gr
         phase = 2.0 * np.pi * ((index * _GOLDEN + 0.17 * m) % 1.0)
         amp = 0.3 + 0.7 * ((index * _GOLDEN * m + 0.31) % 1.0)
         out += amp * np.sin(np.pi * m * x / grid.half_width + phase)
-    return GridField(grid, amplitude * out * np.exp(-(x / w) ** 2))
+    return GridField(grid, out * np.exp(-(x / w) ** 2))
 
 
 def synthetic_bounded_shift(grid: Grid, index: int, bound: float) -> np.ndarray:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .measures import LevyMeasure, make_exponential_tail, make_kou, make_merton
@@ -59,7 +59,6 @@ class RunConfig:
     order_lo: float
     order_hi: float
     digest: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 # Every key each section may hold; see the module docstring.
@@ -233,5 +232,4 @@ def load_config(path: str) -> RunConfig:
         order_lo=asrt.number("order_lo", 1.5),
         order_hi=asrt.number("order_hi", 2.8),
         digest=config_digest(raw_bytes),
-        raw={s: dict(parser[s]) for s in parser.sections()},
     )

@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 
-def reference_symbol(measure: LevyMeasure, k: float, rel_tol: float = 1e-10) -> complex:
+def reference_symbol(measure: LevyMeasure, k: float) -> complex:
     """Plane-wave multiplier of the operator, by adaptive quadrature.
 
     Independent of any plan: the integral of (e^{ikz} - 1 - ikz) h(z) dz over
@@ -74,9 +74,9 @@ def reference_symbol(measure: LevyMeasure, k: float, rel_tol: float = 1e-10) -> 
     if measure.dim != 1:
         raise ParameterDomainError("reference symbol is one-dimensional")
     h = measure.density
-    m_out = (adaptive_quad(lambda z: z * float(h(z)), 1.0, np.inf, rel_tol)
-             - adaptive_quad(lambda z: z * float(h(-z)), 1.0, np.inf, rel_tol))
-    return -levy_exponent(measure, k, drift=m_out, tol=rel_tol)
+    m_out = (adaptive_quad(lambda z: z * float(h(z)), 1.0, np.inf)
+             - adaptive_quad(lambda z: z * float(h(-z)), 1.0, np.inf))
+    return -levy_exponent(measure, k, drift=m_out, tol=1e-10)
 
 
 def small_jump_compensation(measure, eps_in: float):
@@ -141,8 +141,6 @@ class _Band:
     wh != 0, one row per node (one entry per node under the identity
     shift), and xi_min/xi_max its extremes over the grid; xi_mean and
     exp_mean are sum wh xi and sum wh (e^xi - 1) per point.
-    fallback_points counts the points whose shift came from the resolver's
-    bracketed root solve.
     """
 
     wh: np.ndarray
@@ -152,7 +150,6 @@ class _Band:
     band: np.ndarray
     xi_mean: np.ndarray
     exp_mean: np.ndarray
-    fallback_points: int
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """sum_j wh_j (u(x + xi_j) - u(x)) with u cubic-interpolated."""
@@ -162,15 +159,9 @@ class _Band:
         return np.einsum("oi,oi->i", self.band, sliding_window_view(wrapped, n))
 
 
-@dataclass(eq=False)
-class _BandCache:
-    """Bands built on one plan (one key for static shifts, the latest two
-    taus otherwise), the perf_counter seconds spent building them and the
-    resolver fallback points of those builds."""
-
-    by_key: dict = field(default_factory=dict)
-    build_s: float = 0.0
-    fallback_points: int = 0
+def _new_stats() -> dict:
+    return {"operator_build_s": 0.0, "shift_fp_iterations": 0,
+            "shift_fallback_points": 0, "source_pairs": 0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +173,12 @@ class OperatorPlan:
     runs, else None.  mass, mean_jump and delta0, the moments of h, z h and
     (e^z - 1 - z) h (delta0 is 0.0 in 2-D), belong to the path that runs:
     lattice sums beside the symbol, node sums otherwise.
+
+    stats counts the work done on the plan: the perf_counter seconds spent
+    building quadrature bands (operator_build_s), the shift resolver's
+    fixed-point iterates (shift_fp_iterations) and the points it handed to
+    its bracketed root solve (shift_fallback_points), and the (node, point)
+    pairs apply_f_tilde_fn evaluated (source_pairs).
     """
 
     grid: Grid
@@ -195,8 +192,8 @@ class OperatorPlan:
     delta0: float
     sigma2_correction: object
     symbol_conv: np.ndarray | None
-    _bands: _BandCache = field(default_factory=_BandCache, init=False,
-                               repr=False)
+    _bands: dict = field(default_factory=dict, init=False, repr=False)
+    stats: dict = field(default_factory=_new_stats, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -205,17 +202,6 @@ class OperatorPlan:
     @property
     def uses_fft(self) -> bool:
         return self.symbol_conv is not None
-
-    @property
-    def band_build_s(self) -> float:
-        """Seconds spent building quadrature bands on this plan so far."""
-        return self._bands.build_s
-
-    @property
-    def shift_fallback_points(self) -> int:
-        """Points the shift resolver's bracketed root solve handled, summed
-        over the bands built on this plan so far."""
-        return self._bands.fallback_points
 
 
 def _lattice_symbol(grid: Grid, measure, r_out: float):
@@ -263,8 +249,9 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
     away so the identity path is taken verbatim.  The symbol is built for
     the identity shift with alpha = 0 unless force_quadrature is set, and
     its lattice moments then replace the node moments.  The padding must
-    cover r_out; resolved shifts reaching further are rejected when the
-    band is built, which the solvers' stability check does before marching.
+    cover r_out, in 2-D too; resolved shifts reaching further are rejected
+    when the band is built, which the solvers' stability check does before
+    marching.
     """
     if shift is not None and shift.rho == 0.0:
         shift = None
@@ -288,7 +275,7 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
             "envelope exponent implies a divergent second jump moment")
 
     r_out = measure.jump_radius
-    if grid.dim == 1 and grid.pad * grid.dx < r_out:
+    if grid.pad * grid.dx < r_out:
         raise OutOfDomainError(
             f"padding {grid.pad * grid.dx:.3f} is below the operator reach "
             f"{r_out:.3f}; enlarge the pad")
@@ -333,19 +320,6 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
 def _check_field(plan: OperatorPlan, u: GridField) -> None:
     if u.grid != plan.grid:
         raise PlanInvalidError("field grid does not match the plan grid")
-    if plan.grid.pad * plan.grid.dx < plan.r_out:
-        raise OutOfDomainError("padding is below the operator reach")
-
-
-def _grad_values(plan: OperatorPlan, u: GridField, grad_u):
-    if grad_u is None:
-        return gradient(u)
-    if isinstance(grad_u, GridField):
-        return (grad_u.values,)
-    if isinstance(grad_u, (tuple, list)):
-        return tuple(g.values if isinstance(g, GridField) else np.asarray(g)
-                     for g in grad_u)
-    return (np.asarray(grad_u),)
 
 
 def _identity_shifts(plan: OperatorPlan):
@@ -362,11 +336,10 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
     x = g.axis()
     n = g.n_total
     wh, xi = _identity_shifts(plan)
-    counts = {"shift_fallback_points": 0}
     if plan.shift is not None:
         # one array per node, not one (nodes, n) block: the block measured
         # 1.6 MB more peak RSS over a benchmark run of repeated solves
-        xi = [xi_on_grid(plan.shift, tau, x, float(zj), counts)
+        xi = [xi_on_grid(plan.shift, tau, x, float(zj), plan.stats)
               for zj in xi[:, 0]]
     xi_min = np.array([float(np.min(r)) for r in xi])
     xi_max = np.array([float(np.max(r)) for r in xi])
@@ -390,24 +363,22 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
         xi_mean += whj * xij
         exp_mean += whj * np.expm1(xij)
     band[half] -= np.sum(wh)
-    return _Band(wh, xi, xi_min, xi_max, band, xi_mean, exp_mean,
-                 counts["shift_fallback_points"])
+    return _Band(wh, xi, xi_min, xi_max, band, xi_mean, exp_mean)
 
 
 def _band(plan: OperatorPlan, tau: float) -> _Band:
     """The plan's quadrature band at tau, built on first use."""
     static = plan.shift is None or not plan.shift.strategy.time_dependent
     key = None if static else float(tau)
-    cache = plan._bands
-    got = cache.by_key.get(key)
+    bands = plan._bands  # one key if static, else the latest two taus
+    got = bands.get(key)
     if got is None:
         t0 = perf_counter()
         got = _build_band(plan, tau)
-        cache.build_s += perf_counter() - t0
-        cache.fallback_points += got.fallback_points
-        if len(cache.by_key) >= 2:
-            cache.by_key.pop(next(iter(cache.by_key)))
-        cache.by_key[key] = got
+        plan.stats["operator_build_s"] += perf_counter() - t0
+        if len(bands) >= 2:
+            bands.pop(next(iter(bands)))
+        bands[key] = got
     return got
 
 
@@ -417,12 +388,13 @@ def apply_f(plan: OperatorPlan, u: GridField, grad_u=None,
 
     Identity-shift plans with a symbol take the fast path: frequency-domain
     product with the lattice symbol, then the plan's mass and mean
-    subtractions using grad_u (computed spectrally when not supplied).  Other
-    plans apply the precomputed quadrature band.
+    subtractions using grad_u, the tuple of per-axis gradient arrays
+    (computed spectrally when not supplied).  Other plans apply the
+    precomputed quadrature band.
     """
     _check_field(plan, u)
     tau = u.time_tag if tau is None else tau
-    grads = _grad_values(plan, u, grad_u)
+    grads = gradient(u) if grad_u is None else grad_u
     if plan.uses_fft:
         out = (Transforms(plan.grid).apply(plan.symbol_conv, u.values)
                - plan.mass * u.values)
@@ -448,7 +420,7 @@ def apply_f_tilde(plan: OperatorPlan, u: GridField, grad_u=None,
     if plan.dim != 1:
         raise UnsupportedConfigurationError("compensated operator is 1-D only")
     tau = u.time_tag if tau is None else tau
-    grads = _grad_values(plan, u, grad_u)
+    grads = gradient(u) if grad_u is None else grad_u
     f = apply_f(plan, u, grads, tau)
     return f.with_values(f.values - delta_on_plan_nodes(plan, tau) * grads[0])
 
@@ -471,8 +443,7 @@ _FN_BLOCK_LIVE = 32
 def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
                      dfn: Callable[[np.ndarray], np.ndarray],
                      tau: float,
-                     live: tuple[float, float] | None = None,
-                     counts: dict | None = None) -> np.ndarray:
+                     live: tuple[float, float] | None = None) -> np.ndarray:
     """Compensated operator on a closed-form field, no interpolation.
 
     fn and dfn evaluate the field and its derivative at arbitrary points, so
@@ -490,8 +461,8 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
     term annihilates such a profile, so a pair (x, x + xi) with both ends on
     one side is skipped: a block of nodes with shifts in [a, b] is evaluated
     only on the columns x in [lo - max(0, b), hi - min(0, a)].  Without it
-    every pair is summed.  counts, when given, gets the evaluated pairs
-    added under "pairs".
+    every pair is summed.  The evaluated pairs are added to
+    plan.stats["source_pairs"].
     """
     if plan.dim != 1:
         raise UnsupportedConfigurationError("compensated operator is 1-D only")
@@ -507,7 +478,6 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
     slope = np.asarray(dfn(xv), dtype=float)
     out = np.zeros_like(base)
     block = _FN_BLOCK if live is None else _FN_BLOCK_LIVE
-    pairs = 0
     for j in range(0, len(wh), block):
         nodes = slice(j, j + block)
         cols = slice(0, xv.size)
@@ -522,9 +492,7 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
         terms = (np.asarray(fn(xv[cols] + xij), dtype=float) - base[cols]
                  - np.expm1(xij) * slope[cols])
         out[cols] += wh[nodes] @ terms
-        pairs += terms.size
-    if counts is not None:
-        counts["pairs"] = counts.get("pairs", 0) + pairs
+        plan.stats["source_pairs"] += terms.size
     return out
 
 

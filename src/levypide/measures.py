@@ -310,20 +310,32 @@ def moments(measure: LevyMeasure, tol: float = 1e-10) -> MeasureMoments:
     if not measure.has_exp_moment:
         comp_exp = np.inf
     else:
-        # expm1 keeps the O(z^2) integrand accurate near the origin; where h
-        # has underflowed the product is 0 even if e^z overflows
-        def comp(z):
-            hz = measure(z)
-            return (np.expm1(z) - z) * hz if hz > 0.0 else 0.0
-
-        comp_exp = quad_line(comp, tol, end=exp_moment_cutoff(sh))
+        comp_exp = quad_line(lambda z: compensated_exp_term(z, measure(z)), tol,
+                             end=exp_moment_cutoff(sh))
     return MeasureMoments(total, comp_exp, mean)
 
 
-def exp_moment_cutoff(shape: ShapeParams, log_floor: float = 740.0) -> float:
+def compensated_exp_term(z: float, hz: float) -> float:
+    """(e^z - 1 - z) hz, the integrand of the compensated e^z moment.
+
+    Below |z| = 1e-2, where expm1(z) - z keeps only a relative accuracy of
+    about 2 eps / |z|, the Taylor series to z^7 replaces it.  The term is 0
+    where hz is, and e^z hz is exp(z + log hz) where e^z alone overflows.
+    """
+    if hz == 0.0:
+        return 0.0
+    if abs(z) < 1e-2:
+        return z * z * (0.5 + z * (1 / 6 + z * (1 / 24 + z * (
+            1 / 120 + z * (1 / 720 + z / 5040))))) * hz
+    if z <= 700.0:
+        return (math.expm1(z) - z) * hz
+    return math.exp(z + math.log(hz)) - (1.0 + z) * hz
+
+
+def exp_moment_cutoff(shape: ShapeParams) -> float:
     """Upper limit beyond which e^z * envelope(z) underflows; keeps
     e^z-weighted quadratures from overflowing before the taper wins."""
-    c = log_floor + max(np.log(shape.c0), 0.0)
+    c = 740.0 + max(np.log(shape.c0), 0.0)
     if shape.mu > 0:
         drift = 1.0 - shape.d
         return (drift + np.sqrt(drift * drift + 4.0 * shape.mu * c)) / (2.0 * shape.mu)

@@ -68,7 +68,6 @@ class PriceResult:
     """Price in spot coordinates plus the solve it came from."""
 
     price: float
-    market: MarketSpec
     result: SolveResult
 
 
@@ -184,4 +183,4 @@ def price_european(market: MarketSpec, measure: LevyMeasure | None = None,
     if scheme is None:
         scheme = SchemeConfig(scheme="imex_bdf2", dt=market.T / 500.0)
     result = solve_shifted(problem, scheme)
-    return PriceResult(report_price(market, result), market, result)
+    return PriceResult(report_price(market, result), result)

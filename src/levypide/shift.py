@@ -29,7 +29,8 @@ from scipy.optimize import brentq  # noqa: F401
 
 from .errors import (NoSolutionError, ParameterDomainError,
                      ToleranceNotMetError)
-from .measures import LevyMeasure, exp_moment_cutoff, moments
+from .measures import (LevyMeasure, compensated_exp_term, exp_moment_cutoff,
+                       moments)
 from .quadrature import adaptive_quad, quad_left_unit
 
 __all__ = [
@@ -171,8 +172,9 @@ def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
     scaled for any z (the raw residual e^xi - e^z is not representable once
     e^z exceeds 1/eps); psi runs once per iterate.  Entries that stall, or
     whose log1p argument transiently drops below -1, go together to one
-    vectorized bracketed root solve (_bracketed_roots_w); stats, when given,
-    counts them under shift_fallback_points.
+    vectorized bracketed root solve (_bracketed_roots_w).  stats, when
+    given, counts the iterates under shift_fp_iterations and those entries
+    under shift_fallback_points.
     """
     shape = np.broadcast_shapes(x.shape, z.shape)
     xb = np.ascontiguousarray(np.broadcast_to(x, shape), dtype=float).ravel()
@@ -187,13 +189,13 @@ def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
     tw = t(w)
     prev_res = scaled_residual(w, tw)
     stall = np.zeros(xb.size, dtype=np.int32)
-    for _ in range(_FP_MAX_ITER):
+    for iterates in range(1, _FP_MAX_ITER + 1):
         fallback |= (1.0 + tw <= 0.0)
         w = np.where(fallback, w, np.log1p(np.where(fallback, 0.0, tw)))
         tw = t(w)
         res = np.where(fallback, np.inf, scaled_residual(w, tw))
         if not np.any(fallback) and np.max(res) < _FP_TOL:
-            return (zb + w).reshape(shape)
+            break
         # a converged entry (res < _FP_TOL, often exactly 0) never stalls
         stall = np.where((res >= prev_res) & (res >= _FP_TOL), stall + 1, 0)
         prev_res = res
@@ -205,6 +207,8 @@ def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
     # bracketed fallback on whatever did not converge
     todo = np.nonzero((res >= _FP_TOL) | fallback)[0]
     if stats is not None:
+        stats["shift_fp_iterations"] = (
+            stats.get("shift_fp_iterations", 0) + iterates)
         stats["shift_fallback_points"] = (
             stats.get("shift_fallback_points", 0) + int(todo.size))
     if todo.size:
@@ -310,8 +314,9 @@ def xi_on_grid(model: ShiftModel | None, tau: float, x: np.ndarray, z: float,
                stats: dict | None = None) -> np.ndarray:
     """Shift values for one raw jump size z across a grid of x (fast path).
 
-    When stats is given, stats["shift_fallback_points"] grows by the number
-    of points the fixed point handed to the bracketed root solve.
+    When stats is given, stats["shift_fp_iterations"] grows by the fixed
+    point's iterates and stats["shift_fallback_points"] by the number of
+    points it handed to the bracketed root solve.
     """
     if model is None or model.rho == 0.0:
         return np.full_like(np.asarray(x, dtype=float), float(z))
@@ -388,13 +393,8 @@ def compute_delta(model: ShiftModel | None, measure: LevyMeasure, tau: float,
 
     def integrand(z: float) -> float:
         hz = float(measure(z))
-        if hz == 0.0:
-            return 0.0
-        xi = xi_of(float(z))
-        if xi <= 700.0:
-            return (math.expm1(xi) - xi) * hz
-        # e^xi alone overflows although e^xi * h(z) is tame
-        return math.exp(xi + math.log(hz)) - (1.0 + xi) * hz
+        # no shift is resolved where h vanishes
+        return 0.0 if hz == 0.0 else compensated_exp_term(xi_of(float(z)), hz)
 
     # past the negligible negative tail the shift balance may have no root
     zc_pos = exp_moment_cutoff(measure.shape)

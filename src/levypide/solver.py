@@ -70,8 +70,8 @@ from .errors import (BlowUpError, ParameterDomainError, SingularityError,
                      StabilityError, ToleranceNotMetError,
                      UnsupportedConfigurationError)
 from .grids import Grid, GridField, Transforms
-from .jump_operator import (OperatorPlan, apply_f, apply_f_tilde_fn,
-                            build_plan, delta_on_plan_nodes)
+from .jump_operator import (OperatorPlan, _new_stats, apply_f,
+                            apply_f_tilde_fn, build_plan, delta_on_plan_nodes)
 from .shift import ShiftModel
 
 __all__ = [
@@ -140,7 +140,6 @@ class SchemeConfig:
 
     scheme: str = "imex_bdf2"
     dt: float = 1e-3
-    stability_limit: float = 1.0
     checkpoint_count: int = 10
     monitor_gamma: float = 0.0
     cross_check: bool = False
@@ -170,26 +169,22 @@ class SolveResult:
     """Terminal state plus checkpoint diagnostics of one solve.
 
     stats records what the solve did: the jump operator path (operator:
-    "fft", "band" or None without a measure), the perf_counter seconds
-    spent building the quadrature band (operator_build_s) and the points
-    its shift resolution handed to the bracketed root solve
-    (shift_fallback_points, summed over the band builds); the
-    stability_margin dt / bound of the explicit-part check; and the source
-    work: source_analytic and source_propagated evaluations,
-    source_reanchors (failed switch verifications), the verified anchor
-    source_switch_tau and its source_switch_gap (both None when the source
-    never switched), the live-window check's source_window_gap and the
-    source_pair_fraction, (node, point) pairs summed over
-    nodes x n_total x source_analytic (both None without a source).
+    "fft", "band" or None without a measure); the plan's counters
+    operator_build_s, shift_fp_iterations, shift_fallback_points and
+    source_pairs (see OperatorPlan; 0 without a measure); the
+    stability_margin dt / bound of the explicit-part check; the calls of N
+    (explicit_evaluations); and the source work: source_analytic and
+    source_propagated evaluations, source_reanchors (failed switch
+    verifications), the verified anchor source_switch_tau and its
+    source_switch_gap (both None when the source never switched), the
+    live-window check's source_window_gap and the source_pair_fraction,
+    source_pairs over nodes x n_total x source_analytic (both None without
+    a source).
     """
 
     field: GridField
     checkpoints: tuple
     taus: np.ndarray
-    scheme: SchemeConfig
-    plan: OperatorPlan | None
-    background: GridField | None = None
-    difference: GridField | None = None
     trajectory: tuple = ()
     cross_check_gap: float | None = None
     stats: dict = field(default_factory=dict)
@@ -207,15 +202,14 @@ def heat_semigroup(u: GridField, sigma: float, dt: float) -> GridField:
 
 
 def build_time_mesh(horizon: float, dt: float, grade: bool = False,
-                    fraction: float = 0.05, tau0: float = 0.0,
-                    density: float = 8.0) -> np.ndarray:
+                    tau0: float = 0.0) -> np.ndarray:
     """Time levels from tau0 to horizon.
 
     Uniform by default (dt shrunk to divide the span).  Graded meshes spend
-    the first `fraction` of the span on quadratically growing steps
-    tau_j ~ j (j+1), whose step ratios stay below the variable-step BDF2
-    stability threshold, then continue uniformly; `density` scales how many
-    steps the graded head gets relative to dt.
+    the first 5% of the span on quadratically growing steps tau_j ~ j (j+1),
+    whose step ratios stay below the variable-step BDF2 stability threshold,
+    then continue uniformly; the graded head gets 8 times the steps dt would
+    give it.
     """
     span = horizon - tau0
     if span <= 0 or dt <= 0:
@@ -223,8 +217,8 @@ def build_time_mesh(horizon: float, dt: float, grade: bool = False,
     if not grade:
         n = max(1, math.ceil(span / dt - 1e-12))
         return tau0 + span * np.arange(n + 1) / n
-    head = fraction * span
-    j_max = max(2, round(density * head / dt))
+    head = 0.05 * span
+    j_max = max(2, round(8.0 * head / dt))
     j = np.arange(j_max + 1, dtype=float)
     graded = tau0 + head * (j * (j + 1.0)) / (j_max * (j_max + 1.0))
     # geometric ramp from the graded tail step up to dt keeps the junction
@@ -389,8 +383,9 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     summed on the closed form's live window once the first level has checked
     it, then propagated spectrally from a verified anchor (identity shift
     only); see the module docstring.  The marchers call it in nondecreasing
-    tau; a tau at or before the anchor is evaluated analytically.  Counts go
-    into stats.
+    tau (mild_etd2 twice in a row at the next level's tau, hence the kept
+    latest value); a tau at or before the anchor is evaluated analytically.
+    Counts go into stats.
     """
     g = problem.grid
     # call and put share the source: the compensated operator kills the
@@ -405,18 +400,16 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     anchor = None  # (tau_s, rfft of the analytic source at tau_s)
     verified = False
     window = None  # live-window sums: None until checked, then pass/fail
-    counts = {"pairs": 0}
     pairs_per_level = g.n_total * plan.wh.size
-    cache: dict[float, np.ndarray] = {}
+    latest = (None, None)  # (tau, source(tau)) of the latest call
 
     def analytic(tau: float) -> np.ndarray:
         nonlocal window
         fn, dfn = (lambda p: bs.u(tau, p)), (lambda p: bs.du_dx(tau, p))
         live = bs.live_interval(tau) if window else None
-        h = apply_f_tilde_fn(plan, fn, dfn, tau, live, counts)
+        h = apply_f_tilde_fn(plan, fn, dfn, tau, live)
         if window is None:
-            h_win = apply_f_tilde_fn(plan, fn, dfn, tau, bs.live_interval(tau),
-                                     counts)
+            h_win = apply_f_tilde_fn(plan, fn, dfn, tau, bs.live_interval(tau))
             gap = float(np.max(np.abs(h_win - h))) \
                 / max(float(np.max(np.abs(h))), 1e-300)
             window = gap <= SOURCE_SWITCH_TOL
@@ -426,7 +419,7 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
                 f"compensated source is non-finite at tau={tau:.3e}; "
                 "use a finer graded startup mesh")
         stats["source_analytic"] += 1
-        stats["source_pair_fraction"] = counts["pairs"] / (
+        stats["source_pair_fraction"] = plan.stats["source_pairs"] / (
             pairs_per_level * stats["source_analytic"])
         return h
 
@@ -457,13 +450,10 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         return h_prop
 
     def source(tau: float) -> np.ndarray:
-        got = cache.get(tau)
-        if got is None:
-            got = evaluate(tau)
-            if len(cache) > 6:
-                cache.pop(next(iter(cache)))
-            cache[tau] = got
-        return got
+        nonlocal latest
+        if latest[0] != tau:
+            latest = (tau, evaluate(tau))
+        return latest[1]
 
     return source
 
@@ -471,7 +461,7 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
 def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
                  plan: OperatorPlan | None):
     """Assemble (L_hat, implicit, N_fn, needs_grad, stats) for one solve on
-    the problem's plan.
+    the problem's plan, after the stability check (_check_stability).
 
     With constant diffusion the implicit part is the Fourier multiplier
     L_hat: diffusion plus, in pricing form, the constant part of the drift
@@ -516,8 +506,9 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
             return rhs_hat / (a0 - dt * L_hat)
 
     operator = None if plan is None else "fft" if plan.uses_fft else "band"
-    stats = {"operator": operator, "operator_build_s": 0.0,
-             "shift_fallback_points": 0, **_source_stats()}
+    stats = {"operator": operator, "explicit_evaluations": 0,
+             **_source_stats(),
+             "stability_margin": _check_stability(problem, scheme, plan)}
     source = None
     if shifted and plan is not None:
         source = _compensated_source(problem, plan, stats)
@@ -535,24 +526,22 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
     needs_grad = quadrature or feedback or not pricing
 
     def N_fn(tau: float, v: np.ndarray, grads):
-        out = None
+        stats["explicit_evaluations"] += 1
+        out = np.zeros_like(v)
         if fft_fast:
-            out = tr.apply(bounded, v)
+            out += tr.apply(bounded, v)
         elif plan is not None:
-            out = apply_f(plan, GridField(g, v, tau), grads, tau).values
+            out += apply_f(plan, GridField(g, v, tau), grads, tau).values
         if advects:
             coef = drift_out + mean0
             if plan is not None and plan.shift is not None:
                 coef = coef - (delta_on_plan_nodes(plan, tau) - delta00)
-            out = coef * grads[0] if out is None else out + coef * grads[0]
+            out += coef * grads[0]
         if not pricing:
-            gval = problem.nonlinearity(tau, coords, v,
+            out += problem.nonlinearity(tau, coords, v,
                                         grads[0] if g.dim == 1 else grads)
-            out = gval if out is None else out + gval
         if source is not None:
-            out = source(tau) if out is None else out + source(tau)
-        if out is None:
-            out = np.zeros_like(v)
+            out += source(tau)
         return out
 
     return L_hat, implicit, N_fn, needs_grad, stats
@@ -566,7 +555,7 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
     if problem.diffusion_mode == "feedback":
         # the whole drift is explicit: an advection bound on dt / dx
         b_est = abs(problem.rate) + 0.5 * problem.sigma ** 2
-        bound = scheme.stability_limit * problem.grid.dx / b_est
+        bound = problem.grid.dx / b_est
         if scheme.dt > bound:
             raise StabilityError(
                 f"dt = {scheme.dt:.3e} violates the explicit advection bound "
@@ -582,7 +571,7 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
                         + float(np.max(np.abs(dvals - plan.delta0))))
     if lip == 0.0:
         return 0.0
-    bound = scheme.stability_limit / lip
+    bound = 1.0 / lip
     if scheme.dt > bound:
         raise StabilityError(
             f"dt = {scheme.dt:.3e} exceeds the explicit-part bound "
@@ -601,7 +590,6 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
     plan = _problem_plan(problem)
     L_hat, implicit, N_fn, needs_grad, stats = _prepare_rhs(
         problem, scheme, shifted, plan)
-    stats["stability_margin"] = _check_stability(problem, scheme, plan)
     norm = FractionalNorm(g, scheme.monitor_gamma)
     T = float(taus[-1])
     marks = [T * (j + 1) / scheme.checkpoint_count
@@ -616,17 +604,12 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
 
     v_T, stored = _march(g, L_hat, implicit, N_fn, v0, taus, scheme,
                          needs_grad, on_level, store_stride)
-    if plan is not None:
-        stats["operator_build_s"] = plan.band_build_s
-        stats["shift_fallback_points"] = plan.shift_fallback_points
-    background = difference = None
+    stats.update(plan.stats if plan is not None else _new_stats())
     if shifted:
         T = problem.horizon
         bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
                                     problem.option_type)
-        background = GridField(g, bs.u(T, g.axis()), T)
-        difference = GridField(g, v_T, T)
-        v_T = v_T + background.values
+        v_T = v_T + bs.u(T, g.axis())
     gap = None
     if scheme.cross_check:
         other = "mild_etd2" if scheme.scheme == "imex_bdf2" else "imex_bdf2"
@@ -639,8 +622,7 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
             raise ToleranceNotMetError(
                 f"scheme cross-check gap {gap:.3e} exceeds "
                 f"{scheme.cross_check_tol:.3e}", error=gap)
-    return SolveResult(GridField(g, v_T, T), tuple(checkpoints), taus, scheme,
-                       plan, background=background, difference=difference,
+    return SolveResult(GridField(g, v_T, T), tuple(checkpoints), taus,
                        trajectory=tuple(stored), cross_check_gap=gap,
                        stats=stats)
 
@@ -662,14 +644,12 @@ def solve_direct(problem: CauchyProblem, scheme: SchemeConfig,
                 store_stride=store_stride)
 
 
-def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig,
-                  store_stride: int = 0) -> SolveResult:
+def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig) -> SolveResult:
     """Price with kinked payoff data by evolving U = u - u_closed_form.
 
     U starts identically zero; the payoff kink and the exponential growth
     both live in the closed form, which also supplies the analytic source.
-    Returns the reassembled u as `field`, with the difference and background
-    attached.
+    Returns the reassembled u as `field`; no trajectory is stored.
     """
     if problem.dim != 1:
         raise UnsupportedConfigurationError("shifted solves are 1-D only")
@@ -681,7 +661,7 @@ def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig,
             "shifted solves use the built-in pricing drift")
     taus = build_time_mesh(problem.horizon, scheme.dt, grade=True)
     return _run(problem, scheme, np.zeros(problem.grid.n_total), taus,
-                shifted=True, store_stride=store_stride)
+                shifted=True, store_stride=0)
 
 
 def _replace_scheme(scheme: SchemeConfig, name: str) -> SchemeConfig:
@@ -698,7 +678,6 @@ def _step(problem: CauchyProblem, scheme: SchemeConfig, state: GridField,
     plan = problem._step_plan
     L_hat, implicit, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
                                                         False, plan)
-    _check_stability(problem, scheme, plan)
     taus = np.array([state.time_tag, state.time_tag + scheme.dt])
     v, _ = _march(problem.grid, L_hat, implicit, N_fn, state.values, taus,
                   scheme, needs_grad, history=history)
@@ -759,24 +738,21 @@ def singular_source_decay_probe(problem: CauchyProblem,
 
 
 def duhamel_gap(problem: CauchyProblem, scheme: SchemeConfig,
-                result: SolveResult, checkpoints: int = 3,
-                shifted: bool | None = None) -> float:
+                result: SolveResult) -> float:
     """Residual of the variation-of-constants identity along the trajectory.
 
     Re-integrates the stored trajectory's explicit terms against the exact
-    semigroup by trapezoid and compares with the stored terminal state;
-    needs a solve run with store_stride.  Returns the worst relative L2 gap
-    over `checkpoints` target times.  Constant diffusion only: feedback
-    diffusion has no Fourier-diagonal semigroup.
+    semigroup by trapezoid and compares with the stored states; needs a
+    solve_direct run with store_stride.  Returns the worst relative L2 gap
+    over three target times.  Constant diffusion only: feedback diffusion
+    has no Fourier-diagonal semigroup.
     """
     if len(result.trajectory) < 3:
         raise ParameterDomainError("run the solve with store_stride to use this")
     if problem.diffusion_mode == "feedback":
         raise UnsupportedConfigurationError(
             "the Duhamel identity needs constant diffusion")
-    if shifted is None:
-        shifted = result.difference is not None
-    L_hat, _, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, shifted,
+    L_hat, _, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, False,
                                                  _problem_plan(problem))
     tr = Transforms(problem.grid)
     times = [t for t, _ in result.trajectory]
@@ -785,8 +761,7 @@ def duhamel_gap(problem: CauchyProblem, scheme: SchemeConfig,
     for t, v in result.trajectory:
         v_hat = tr.fwd(v)
         n_hats.append(tr.fwd(N_fn(t, v, tr.grad(v_hat) if needs_grad else None)))
-    targets = np.linspace(len(times) // checkpoints, len(times) - 1,
-                          checkpoints).astype(int)
+    targets = np.linspace(len(times) // 3, len(times) - 1, 3).astype(int)
     worst = 0.0
     u0_hat = tr.fwd(vals[0])
     for m in targets:

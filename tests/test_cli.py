@@ -204,6 +204,9 @@ def test_price_command_writes_artifacts(tmp_path):
     assert manifest["stats"]["operator"] == "fft"
     assert manifest["stats"]["operator_build_s"] == 0.0
     assert manifest["stats"]["shift_fallback_points"] == 0
+    assert manifest["stats"]["shift_fp_iterations"] == 0
+    assert manifest["stats"]["explicit_evaluations"] > 0
+    assert manifest["stats"]["source_pairs"] > 0
     assert "threads" not in manifest
 
 
@@ -246,6 +249,7 @@ def test_price_with_shift_runs(tmp_path):
     stats = json.loads((out / "manifest.json").read_text())["stats"]
     assert stats["operator"] == "band"
     assert stats["operator_build_s"] > 0.0
+    assert stats["shift_fp_iterations"] > 0
 
 
 def test_price_counts_shift_fallback_points(tmp_path):

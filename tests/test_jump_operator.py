@@ -310,7 +310,7 @@ def test_static_band_is_built_once_per_plan(monkeypatch):
         apply_f(plan, u, tau=tau)
         delta_on_plan_nodes(plan, tau)
     assert len(builds) == 1
-    assert plan.band_build_s > 0.0
+    assert plan.stats["operator_build_s"] > 0.0
 
 
 def test_time_dependent_strategy_rebuilds_the_band_per_tau():
@@ -356,8 +356,8 @@ def test_delta_on_plan_nodes_matches_adaptive_compute_delta(amplitude):
 def test_resolved_reach_beyond_the_padding_is_out_of_domain():
     plan = _shifted_plan(strategy_tanh_ramp(0.3))
     tight = make_grid(4.0, 256, reach=0.5)
-    # an outer cutoff inside the tight padding passes the field check, so
-    # only the resolved shifts can reveal the overreach
+    # the plan was checked against its own wide grid, so only the resolved
+    # shifts can reveal the overreach
     narrowed = dataclasses.replace(plan, grid=tight, r_out=0.5)
     u = synthetic_smooth_field(tight, 2)
     with pytest.raises(OutOfDomainError, match="resolved shift reach"):
@@ -383,10 +383,11 @@ def test_live_window_matches_full_f_tilde_fn(measure, strategy):
     bs = BlackScholesClosedForm(100.0, 0.05, 0.2, "put")
     for tau in (1e-4, 0.002, 0.05, 0.5, 1.0):
         fn, dfn = (lambda p: bs.u(tau, p)), (lambda p: bs.du_dx(tau, p))
-        full_counts, counts = {}, {}
-        want = apply_f_tilde_fn(plan, fn, dfn, tau, counts=full_counts)
-        got = apply_f_tilde_fn(plan, fn, dfn, tau, bs.live_interval(tau),
-                               counts)
+        before = plan.stats["source_pairs"]
+        want = apply_f_tilde_fn(plan, fn, dfn, tau)
+        full_pairs = plan.stats["source_pairs"] - before
+        got = apply_f_tilde_fn(plan, fn, dfn, tau, bs.live_interval(tau))
+        pairs = plan.stats["source_pairs"] - before - full_pairs
         assert _rel_gap(got, want) <= 1e-13, tau
-        assert full_counts["pairs"] == nodes * g.n_total
-        assert counts["pairs"] < 0.6 * full_counts["pairs"], tau
+        assert full_pairs == nodes * g.n_total
+        assert pairs < 0.6 * full_pairs, tau

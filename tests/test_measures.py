@@ -45,6 +45,19 @@ def test_kou_compensator_is_finite_when_the_cutoff_passes_exp_overflow():
     assert abs(mom.compensated_exp_moment - want) < 1e-10
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_exponential_tail_compensated_exp_moment_closed_form(alpha):
+    # int (e^z - 1 - z) c0 |z|^-alpha e^-d|z| dz over the line; at alpha = 2.5
+    # the integrand ~ |z|^-0.5 / 2 near 0 needs e^z - 1 - z to full
+    # relative accuracy there
+    c0, d = 1.0, 3.0
+    want = c0 * math.gamma(1.0 - alpha) * ((d - 1.0) ** (alpha - 1.0)
+                                           + (d + 1.0) ** (alpha - 1.0)
+                                           - 2.0 * d ** (alpha - 1.0))
+    got = moments(make_exponential_tail(c0, alpha, d)).compensated_exp_moment
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_kou_requires_eta_plus_above_one():
     with pytest.raises(ParameterDomainError):
         make_kou(1.0, 0.5, 0.9, 3.0)

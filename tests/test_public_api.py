@@ -11,14 +11,19 @@ import pkgutil
 import pytest
 
 import levypide
-from levypide.bessel import _l1_shift_difference, modulus_of_continuity_probe
+from levypide.bessel import (_l1_shift_difference, modulus_of_continuity_probe,
+                             synthetic_smooth_field)
 from levypide.config import RunConfig
 from levypide.grids import Grid, GridField, make_grid
-from levypide.jump_operator import OperatorPlan, build_plan
-from levypide.measures import LevyMeasure, MeasureMoments
-from levypide.pricing import estimate_reach, price_european, transform_to_pide
+from levypide.jump_operator import (OperatorPlan, _Band, apply_f_tilde_fn,
+                                    build_plan, reference_symbol)
+from levypide.measures import LevyMeasure, MeasureMoments, exp_moment_cutoff
+from levypide.pricing import (PriceResult, estimate_reach, price_european,
+                              transform_to_pide)
+from levypide.quadrature import adaptive_quad, quad_left_unit, tanh_sinh_rule
 from levypide.shift import ShiftModel, TradingStrategy
-from levypide.solver import CauchyProblem, SchemeConfig
+from levypide.solver import (CauchyProblem, SchemeConfig, SolveResult,
+                             build_time_mesh, duhamel_gap, solve_shifted)
 
 MODULES = sorted(f"levypide.{m.name}"
                  for m in pkgutil.iter_modules(levypide.__path__))
@@ -38,6 +43,8 @@ def test_every_exported_name_resolves(module_name):
     ("levypide.quadrature", "quad_half_line"),
     ("levypide.measures", "_polar_integral"),
     ("levypide.shift", "_w_residual_fn"),
+    ("levypide.jump_operator", "_BandCache"),
+    ("levypide.jump_operator", "_grad_values"),
 ])
 def test_removed_functions_are_gone(module_name, name):
     module = importlib.import_module(module_name)
@@ -60,6 +67,12 @@ def test_removed_functions_are_gone(module_name, name):
     (TradingStrategy, {"name"}),
     (GridField, {"zeros", "core"}),
     (Grid, {"core_slice"}),
+    (OperatorPlan, {"band_build_s", "shift_fallback_points"}),
+    (_Band, {"fallback_points"}),
+    (SolveResult, {"scheme", "plan", "background", "difference"}),
+    (PriceResult, {"market"}),
+    (RunConfig, {"raw"}),
+    (SchemeConfig, {"stability_limit"}),
 ])
 def test_removed_fields_are_gone(owner, removed):
     assert not removed & {f.name for f in dataclasses.fields(owner)}
@@ -76,6 +89,16 @@ def test_removed_fields_are_gone(owner, removed):
     (estimate_reach, {"tail_tol"}),
     (modulus_of_continuity_probe, {"spread_limit"}),
     (_l1_shift_difference, {"n_panel"}),
+    (apply_f_tilde_fn, {"counts"}),
+    (solve_shifted, {"store_stride"}),
+    (duhamel_gap, {"checkpoints", "shifted"}),
+    (build_time_mesh, {"fraction", "density"}),
+    (exp_moment_cutoff, {"log_floor"}),
+    (adaptive_quad, {"limit"}),
+    (quad_left_unit, {"abs_tol"}),
+    (tanh_sinh_rule, {"t_max"}),
+    (reference_symbol, {"rel_tol"}),
+    (synthetic_smooth_field, {"amplitude"}),
 ])
 def test_removed_parameters_are_gone(fn, removed):
     assert not removed & set(inspect.signature(fn).parameters)

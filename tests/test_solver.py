@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from levypide.errors import (BlowUpError, OutOfDomainError,
                              UnsupportedConfigurationError)
 from levypide.grids import Grid, GridField, make_grid
 from levypide.jump_operator import apply_f_tilde_fn, build_plan
-from levypide.measures import make_exponential_tail, make_kou, make_merton
+from levypide.measures import (levy_pair, make_exponential_tail, make_kou,
+                               make_merton)
 from levypide.pricing import estimate_reach
 from levypide.shift import ShiftModel, strategy_tanh_ramp
 from levypide.solver import (CauchyProblem, SchemeConfig, build_time_mesh,
@@ -48,7 +50,7 @@ def test_build_time_mesh_uniform_and_graded():
     steps = np.diff(taus)
     assert np.all(steps > 0)
     assert np.max(steps) <= 0.03 + 1e-15
-    graded = build_time_mesh(2.0, 0.01, grade=True, fraction=0.05)
+    graded = build_time_mesh(2.0, 0.01, grade=True)
     assert graded[0] == 0.0 and abs(graded[-1] - 2.0) < 1e-14
     gsteps = np.diff(graded)
     assert np.all(gsteps > 0)
@@ -93,9 +95,8 @@ def test_measure_free_shifted_solve_is_exactly_zero():
     g = make_grid(4.0, 256)
     problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.05)
     res = solve_shifted(problem, SchemeConfig(dt=0.05))
-    assert np.max(np.abs(res.difference.values)) == 0.0
     bs = BlackScholesClosedForm(1.0, 0.05, 0.2, "call")
-    assert np.max(np.abs(res.field.values - bs.u(1.0, g.axis()))) < 1e-14
+    assert np.array_equal(res.field.values, bs.u(1.0, g.axis()))
 
 
 def test_shifted_solve_converges_to_series_price():
@@ -430,6 +431,34 @@ def test_impacted_solve_keeps_the_source_analytic():
     assert res.stats["source_propagated"] == 0
     assert res.stats["source_analytic"] == res.taus.size - 1
     assert res.stats["source_switch_tau"] is None
+    assert res.stats["shift_fp_iterations"] > 0
+
+
+@pytest.mark.parametrize("scheme,per_level", [("imex_bdf2", 1),
+                                              ("mild_etd2", 2)])
+def test_solve_counts_explicit_evaluations(scheme, per_level):
+    g = _merton_grid(256)
+    problem = CauchyProblem(g, sigma=0.2, horizon=0.2, rate=0.03,
+                            measure=MERTON)
+    res = solve_shifted(problem, SchemeConfig(scheme=scheme, dt=0.02))
+    assert res.stats["explicit_evaluations"] == per_level * (res.taus.size - 1)
+    # the identity shift resolves nothing
+    assert res.stats["shift_fp_iterations"] == 0
+    assert res.stats["shift_fallback_points"] == 0
+
+
+def test_two_dimensional_plan_checks_the_padding_against_the_jump_radius():
+    # pad * dx = 0.625 against a jump radius of 2.56: the lattice symbol
+    # would wrap the long jumps around the periodic box
+    g = make_grid(5.0, 64, reach=0.0, dim=2)
+    nu = levy_pair(make_merton(0.3, 0.1, 0.25), make_merton(0.4, -0.2, 0.2))
+    assert g.pad * g.dx < nu.jump_radius
+    x = g.axis()
+    problem = CauchyProblem(g, sigma=0.3, horizon=0.1, measure=nu,
+                            initial=GridField(g, np.outer(np.exp(-x ** 2),
+                                                          np.exp(-x ** 2))))
+    with pytest.raises(OutOfDomainError, match="padding"):
+        solve_direct(problem, SchemeConfig(dt=0.01))
 
 
 def test_feedback_trajectory_stores_the_final_level():
@@ -449,7 +478,8 @@ def test_stability_margin_is_dt_over_the_checked_bound(scheme):
     res = solve_direct(problem, SchemeConfig(scheme=scheme, dt=0.05))
     # FFT path: the explicit jump multiplier is bounded by 2 * mass
     margin = res.stats["stability_margin"]
-    assert margin == pytest.approx(0.05 * 2.0 * res.plan.mass, rel=1e-14)
+    assert margin == pytest.approx(0.05 * 2.0 * build_plan(g, MERTON).mass,
+                                   rel=1e-14)
     assert 0.0 < margin < 1.0
     # past the bound both schemes refuse to march
     impact = ShiftModel(strategy_tanh_ramp(0.1), rho=0.01)
@@ -457,14 +487,15 @@ def test_stability_margin_is_dt_over_the_checked_bound(scheme):
                             measure=MERTON, initial=_gaussian(g), shift=impact)
     with pytest.raises(StabilityError):
         solve_direct(shifted, SchemeConfig(scheme=scheme, dt=0.5))
+    # a step 10% past 1 / (2 mass), on a horizon long enough to take it
+    long = dataclasses.replace(problem, horizon=5.0)
     with pytest.raises(StabilityError):
-        solve_direct(problem, SchemeConfig(scheme=scheme, dt=0.05,
-                                           stability_limit=0.9 * margin))
+        solve_direct(long, SchemeConfig(scheme=scheme, dt=1.1 * 0.05 / margin))
 
 
-def _full_sum_only(plan, fn, dfn, tau, live=None, counts=None):
+def _full_sum_only(plan, fn, dfn, tau, live=None):
     """apply_f_tilde_fn with the live window switched off."""
-    return apply_f_tilde_fn(plan, fn, dfn, tau, counts=counts)
+    return apply_f_tilde_fn(plan, fn, dfn, tau)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.05])
