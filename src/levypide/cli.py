@@ -66,8 +66,7 @@ def _write_csv(path: Path, digest: str, header, rows) -> None:
 
 
 def _write_manifest(outdir: Path, cfg: RunConfig, outputs, t0: float,
-                    command: str, stats: dict | None, grid: dict | None,
-                    passed: bool) -> None:
+                    command: str, record: dict, passed: bool) -> None:
     import scipy
     manifest = {
         "config_digest": cfg.digest,
@@ -78,10 +77,9 @@ def _write_manifest(outdir: Path, cfg: RunConfig, outputs, t0: float,
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "grid": grid or {"half_width": cfg.half_width, "n_core": cfg.n_core,
-                         "reach": cfg.reach},
-        "scheme": {"scheme": cfg.scheme.scheme, "dt": cfg.scheme.dt},
-        "stats": stats,
+        "grid": record.get("grid"),
+        "scheme": record.get("scheme"),
+        "stats": record.get("stats"),
         "wall_clock_s": round(time.perf_counter() - t0, 3),
         "outputs": [str(p) for p in outputs],
         "assertions_passed": passed,
@@ -113,14 +111,23 @@ def _seedless_guard(enabled: bool):
             setattr(np.random, n, fn)
 
 
-def _problem_grid(cfg: RunConfig, n_core: int | None = None):
-    """The solve grid and the manifest record of it: the configured reach,
-    or the auto-sized one when the config leaves it out."""
-    reach = cfg.reach if cfg.reach is not None else \
-        estimate_reach(cfg.measure, cfg.shift, cfg.half_width)
-    grid = make_grid(cfg.half_width, n_core or cfg.n_core, reach=reach)
+def _grid_record(half_width: float, n_core: int, reach: float):
+    """A grid sized for the reach, and the manifest record of it."""
+    grid = make_grid(half_width, n_core, reach=reach)
     return grid, {"half_width": grid.half_width, "n_core": grid.n_core,
                   "reach": reach, "pad": grid.pad, "n_total": grid.n_total}
+
+
+def _problem_grid(cfg: RunConfig, n_core: int | None = None):
+    """The solve grid and its record: the configured reach, or the
+    auto-sized one when the config leaves it out."""
+    reach = cfg.reach if cfg.reach is not None else \
+        estimate_reach(cfg.measure, cfg.shift, cfg.half_width)
+    return _grid_record(cfg.half_width, n_core or cfg.n_core, reach)
+
+
+def _scheme_record(cfg: RunConfig) -> dict:
+    return {"scheme": cfg.scheme.scheme, "dt": cfg.scheme.dt}
 
 
 def _oracle(cfg: RunConfig) -> float:
@@ -144,7 +151,8 @@ def _cmd_price(cfg: RunConfig, outdir: Path):
     _write_csv(outdir / "price.csv", cfg.digest,
                ("S0", "K", "T", "price_pide", "price_oracle", "rel_err"), rows)
     passed = (not math.isfinite(rel)) or rel < cfg.oracle_rel_tol
-    return passed, [outdir / "price.csv"], result.stats, record
+    return passed, [outdir / "price.csv"], {
+        "grid": record, "scheme": _scheme_record(cfg), "stats": result.stats}
 
 
 def _cmd_diagnose_bessel(cfg: RunConfig, outdir: Path):
@@ -172,7 +180,7 @@ def _cmd_diagnose_bessel(cfg: RunConfig, outdir: Path):
     _write_csv(outdir / "bessel.csv", cfg.digest,
                ("check", "parameter", "dim", "value", "target", "passed"),
                rows)
-    return all(r[-1] for r in rows), [outdir / "bessel.csv"]
+    return all(r[-1] for r in rows), [outdir / "bessel.csv"], {}
 
 
 def _cmd_diagnose_operator(cfg: RunConfig, outdir: Path):
@@ -180,8 +188,8 @@ def _cmd_diagnose_operator(cfg: RunConfig, outdir: Path):
         raise LevyPideError("diagnose operator needs a jump family in [jumps]")
     # diagnostic-owned grid: half-width a multiple of pi so the probe
     # wavenumbers k = 1, 2, 4 are exact lattice modes
-    grid = make_grid(4.0 * math.pi, 2048,
-                     reach=estimate_reach(cfg.measure, None, 4.0 * math.pi))
+    grid, record = _grid_record(
+        4.0 * math.pi, 2048, estimate_reach(cfg.measure, None, 4.0 * math.pi))
     plan = build_plan(grid, cfg.measure)
     rows = []
     ok = True
@@ -200,13 +208,13 @@ def _cmd_diagnose_operator(cfg: RunConfig, outdir: Path):
     _write_csv(outdir / "operator.csv", cfg.digest,
                ("check", "k", "value_re", "value_im", "ref_re", "ref_im",
                 "rel_gap", "passed"), rows)
-    return ok, [outdir / "operator.csv"]
+    return ok, [outdir / "operator.csv"], {"grid": record}
 
 
 def _cmd_diagnose_decay(cfg: RunConfig, outdir: Path):
     if cfg.measure is None:
         raise LevyPideError("diagnose decay needs a jump family in [jumps]")
-    grid = make_grid(3.0, 8192, reach=estimate_reach(cfg.measure, None, 3.0))
+    grid, record = _grid_record(3.0, 8192, estimate_reach(cfg.measure, None, 3.0))
     problem = transform_to_pide(cfg.market, grid, cfg.measure, None)
     rows = []
     for gamma in (0.5, 0.75):
@@ -214,19 +222,24 @@ def _cmd_diagnose_decay(cfg: RunConfig, outdir: Path):
         rows.append((gamma, rep.slope, rep.bound, rep.passed))
     _write_csv(outdir / "decay.csv", cfg.digest,
                ("gamma", "slope", "bound", "passed"), rows)
-    return all(r[-1] for r in rows), [outdir / "decay.csv"]
+    return all(r[-1] for r in rows), [outdir / "decay.csv"], {"grid": record}
 
 
 def _cmd_convergence_study(cfg: RunConfig, outdir: Path, halvings: int):
-    if halvings < 2:
-        raise LevyPideError("convergence-study needs at least 2 halvings")
     oracle = _oracle(cfg)
+    # without an oracle the finest level is the reference, so an observed
+    # order needs two more levels
+    least = 2 if math.isfinite(oracle) else 3
+    if halvings < least:
+        raise LevyPideError(f"convergence-study needs --halvings >= {least}")
     prices = []
     levels = []
+    grids = []
     for i in range(halvings):
         n = cfg.n_core * 2 ** i
         dt = cfg.scheme.dt / 2 ** i
-        grid, _ = _problem_grid(cfg, n)
+        grid, record = _problem_grid(cfg, n)
+        grids.append(record)
         problem = transform_to_pide(cfg.market, grid, cfg.measure, cfg.shift)
         res = solve_shifted(problem, replace(cfg.scheme, dt=dt))
         prices.append(report_price(cfg.market, res))
@@ -250,7 +263,8 @@ def _cmd_convergence_study(cfg: RunConfig, outdir: Path, halvings: int):
                ("level", "n_core", "dt", "h", "rel_err", "observed_order"),
                rows)
     passed = bool(orders) and cfg.order_lo <= orders[-1] <= cfg.order_hi
-    return passed, [outdir / "convergence.csv"]
+    return passed, [outdir / "convergence.csv"], {
+        "grid": grids, "scheme": _scheme_record(cfg)}
 
 
 def _cmd_xi_probe(cfg: RunConfig, outdir: Path):
@@ -284,7 +298,7 @@ def _cmd_xi_probe(cfg: RunConfig, outdir: Path):
     rows.append(("multi_root_cells", model.rho, n_multi, 0, True))
     _write_csv(outdir / "xi_probe.csv", cfg.digest,
                ("probe", "parameter", "value", "target", "passed"), rows)
-    return all(r[-1] for r in rows), [outdir / "xi_probe.csv"]
+    return all(r[-1] for r in rows), [outdir / "xi_probe.csv"], {}
 
 
 def main(argv=None) -> int:
@@ -314,27 +328,26 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    stats = grid = None
     try:
         with _seedless_guard(args.seedless):
             if args.command == "price":
-                passed, outputs, stats, grid = _cmd_price(cfg, outdir)
+                passed, outputs, record = _cmd_price(cfg, outdir)
             elif args.command == "diagnose":
                 fn = {"bessel": _cmd_diagnose_bessel,
                       "operator": _cmd_diagnose_operator,
                       "decay": _cmd_diagnose_decay}[args.what]
-                passed, outputs = fn(cfg, outdir)
+                passed, outputs, record = fn(cfg, outdir)
             elif args.command == "convergence-study":
-                passed, outputs = _cmd_convergence_study(cfg, outdir,
-                                                         args.halvings)
+                passed, outputs, record = _cmd_convergence_study(
+                    cfg, outdir, args.halvings)
             else:
-                passed, outputs = _cmd_xi_probe(cfg, outdir)
+                passed, outputs, record = _cmd_xi_probe(cfg, outdir)
     except LevyPideError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     command = " ".join(["levypide"] + list(argv if argv is not None
                                            else sys.argv[1:]))
-    _write_manifest(outdir, cfg, outputs, t0, command, stats, grid, passed)
+    _write_manifest(outdir, cfg, outputs, t0, command, record, passed)
     for p in outputs:
         print(p)
     if not passed:

@@ -12,7 +12,7 @@ Sections and keys:
                   eta_up, eta_down, c0, alpha, decay
     [shift]       rho, strategy, amplitude, center, width, frequency
     [grid]        half_width, n_core, reach
-    [scheme]      scheme, dt, monitor_gamma, cross_check, cross_check_tol
+    [scheme]      scheme, dt, cross_check, cross_check_tol
     [assertions]  oracle_rel_tol, order_lo, order_hi
 
 [market] and its keys are required, option_type (call or put) aside.
@@ -69,8 +69,7 @@ KEYS = {
               "eta_up", "eta_down", "c0", "alpha", "decay"),
     "shift": ("rho", "strategy", "amplitude", "center", "width", "frequency"),
     "grid": ("half_width", "n_core", "reach"),
-    "scheme": ("scheme", "dt", "monitor_gamma", "cross_check",
-               "cross_check_tol"),
+    "scheme": ("scheme", "dt", "cross_check", "cross_check_tol"),
     "assertions": ("oracle_rel_tol", "order_lo", "order_hi"),
 }
 
@@ -218,7 +217,6 @@ def load_config(path: str) -> RunConfig:
     scheme = SchemeConfig(
         scheme=scheme_sec.text("scheme", "imex_bdf2"),
         dt=scheme_sec.number("dt", market.T / 500.0),
-        monitor_gamma=scheme_sec.number("monitor_gamma", 0.0),
         cross_check=scheme_sec.flag("cross_check", False),
         cross_check_tol=scheme_sec.number("cross_check_tol", 1e-3),
     )

@@ -79,39 +79,21 @@ def reference_symbol(measure: LevyMeasure, k: float) -> complex:
     return -levy_exponent(measure, k, drift=m_out, tol=1e-10)
 
 
-def small_jump_compensation(measure, eps_in: float):
-    """Second moment of the jump density over |z| < eps_in.
+def small_jump_compensation(measure, eps_in: float) -> float:
+    """Second moment of a 1-D jump density over |z| < eps_in.
 
     This is the diffusion coefficient picked up when inner jumps are folded
-    away; no drift survives because the integrand is compensated.  In two
-    dimensions the correction is a 2x2 matrix.
+    away; no drift survives because the integrand is compensated.  Only 1-D
+    plans have an inner cutoff: 2-D plans need a density bounded at the origin.
     """
+    if measure.dim != 1:
+        raise ParameterDomainError("small-jump compensation is one-dimensional")
     if eps_in <= 0:
         raise ParameterDomainError("eps_in must be positive")
-    if isinstance(measure, AxisJumpPair):
-        sx = small_jump_compensation(measure.axis_x, eps_in)
-        sy = small_jump_compensation(measure.axis_y, eps_in)
-        return np.diag([sx, sy])
-    if measure.dim == 1:
-        h = measure.density
-        s2 = (adaptive_quad(lambda z: z * z * float(h(z)), 0.0, eps_in, 1e-12)
-              + adaptive_quad(lambda z: z * z * float(h(-z)), 0.0, eps_in, 1e-12))
-        return float(s2)
-    if measure.radial_profile is not None:
-        prof = measure.radial_profile
-        m2 = adaptive_quad(lambda r: r ** 3 * float(prof(r)), 0.0, eps_in, 1e-12)
-        return np.eye(2) * (math.pi * m2)
-    if measure.product_factors is not None:
-        fx, fy = measure.product_factors
-        mx = float(adaptive_quad(lambda z: float(fx.density(z)), -np.inf, np.inf, 1e-12))
-        my = float(adaptive_quad(lambda z: float(fy.density(z)), -np.inf, np.inf, 1e-12))
-        sx = small_jump_compensation(fx, eps_in)
-        sy = small_jump_compensation(fy, eps_in)
-        # product density: inner square, second moment per axis times the
-        # other factor's (near-total) mass — adequate for the tiny eps used
-        return np.diag([sx * my, sy * mx])
-    raise UnsupportedConfigurationError(
-        "two-dimensional correction needs a radial profile or product factors")
+    h = measure.density
+    s2 = (adaptive_quad(lambda z: z * z * float(h(z)), 0.0, eps_in, 1e-12)
+          + adaptive_quad(lambda z: z * z * float(h(-z)), 0.0, eps_in, 1e-12))
+    return float(s2)
 
 
 def _panel_edges(eps: float, outer: float, alpha: float) -> np.ndarray:
@@ -172,7 +154,9 @@ class OperatorPlan:
     (None in 2-D).  symbol_conv is the lattice symbol when the fast path
     runs, else None.  mass, mean_jump and delta0, the moments of h, z h and
     (e^z - 1 - z) h (delta0 is 0.0 in 2-D), belong to the path that runs:
-    lattice sums beside the symbol, node sums otherwise.
+    lattice sums beside the symbol, node sums otherwise.  sigma2_correction
+    is the diffusion coefficient of the folded inner jumps, 0.0 unless the
+    plan has an inner cutoff (1-D infinite activity).
 
     stats counts the work done on the plan: the perf_counter seconds spent
     building quadrature bands (operator_build_s), the shift resolver's
@@ -184,13 +168,12 @@ class OperatorPlan:
     grid: Grid
     measure: object
     shift: ShiftModel | None
-    r_out: float
     z_nodes: np.ndarray | None
     wh: np.ndarray | None
     mass: float
     mean_jump: np.ndarray
     delta0: float
-    sigma2_correction: object
+    sigma2_correction: float
     symbol_conv: np.ndarray | None
     _bands: dict = field(default_factory=dict, init=False, repr=False)
     stats: dict = field(default_factory=_new_stats, init=False, repr=False)
@@ -206,35 +189,26 @@ class OperatorPlan:
 
 def _lattice_symbol(grid: Grid, measure, r_out: float):
     """(symbol, mass, mean, delta0) of the density sampled on the grid
-    lattice within r_out; delta0, the (e^z - 1 - z) moment, is 1-D only."""
+    lattice within r_out, one n^dim array in FFT storage order; delta0, the
+    (e^z - 1 - z) moment, is 1-D only.  An axis pair puts its axis_x density
+    on column 0 and its axis_y density on row 0, as line masses dx wide."""
     n, dx = grid.n_total, grid.dx
     idx = np.arange(n)
     z = np.where(idx <= n // 2, idx, idx - n) * dx  # FFT storage order
-
-    def axis(density, transform):  # one axis, on rfft or full fft modes
-        h = np.asarray(density(z), dtype=float)
-        h[np.abs(z) > r_out] = 0.0
-        return h, np.conj(transform(h)) * dx
-
-    if grid.dim == 1:
-        h, conv = axis(measure.density, np.fft.rfft)
-        mean = float(np.sum(z * h) * dx)
-        return (conv, float(np.sum(h) * dx), np.array([mean]),
-                float(np.sum(np.expm1(z) * h) * dx) - mean)
+    coords = (z,) if grid.dim == 1 else (z[:, None], z[None, :])
     if isinstance(measure, AxisJumpPair):
-        # jumps act along one axis at a time, so the symbol is the sum of the
-        # two axis symbols on the tensor modes (full modes along axis 0, half
-        # along axis 1, matching rfft2 storage)
-        hx, sx = axis(measure.axis_x.density, np.fft.fft)
-        hy, sy = axis(measure.axis_y.density, np.fft.rfft)
-        mean = np.array([float(np.sum(z * hx)), float(np.sum(z * hy))]) * dx
-        return (sx[:, None] + sy[None, :], float((np.sum(hx) + np.sum(hy)) * dx),
-                mean, 0.0)
-    zz1, zz2 = np.meshgrid(z, z, indexing="ij")
-    h = np.asarray(measure(zz1, zz2), dtype=float)
-    h[zz1 ** 2 + zz2 ** 2 > r_out ** 2] = 0.0
-    mean = np.array([float(np.sum(zz1 * h)), float(np.sum(zz2 * h))]) * dx ** 2
-    return np.conj(np.fft.rfft2(h)) * dx ** 2, float(np.sum(h) * dx ** 2), mean, 0.0
+        h = np.zeros((n, n))
+        h[:, 0] = measure.axis_x.density(z) / dx
+        h[0, :] += measure.axis_y.density(z) / dx
+    else:
+        h = np.asarray(measure.density(*coords), dtype=float)
+    h[np.sqrt(sum(za ** 2 for za in coords)) > r_out] = 0.0
+    cell = dx ** grid.dim
+    mean = np.array([float(np.sum(za * h)) for za in coords]) * cell
+    delta0 = float(np.sum(np.expm1(z) * h) * dx - mean[0]) \
+        if grid.dim == 1 else 0.0
+    return (np.conj(Transforms(grid).fwd(h)) * cell, float(np.sum(h) * cell),
+            mean, delta0)
 
 
 def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
@@ -245,7 +219,8 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
     The outer cutoff r_out is the measure's jump_radius; the inner cutoff
     eps_in is 0 for finite-activity measures and otherwise the radius whose
     z^2-weighted inner mass is below JUMP_TAIL_TOL, with the inner jumps
-    folded into sigma2_correction.  A shift model with rho = 0 is normalized
+    folded into sigma2_correction (0.0 in 2-D, where alpha = 0).  A shift
+    model with rho = 0 is normalized
     away so the identity path is taken verbatim.  The symbol is built for
     the identity shift with alpha = 0 unless force_quadrature is set, and
     its lattice moments then replace the node moments.  The padding must
@@ -256,13 +231,12 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
     if shift is not None and shift.rho == 0.0:
         shift = None
 
-    mdim = measure.dim
-    if mdim != grid.dim:
-        raise ParameterDomainError(f"measure dim {mdim} does not match grid dim {grid.dim}")
+    if measure.dim != grid.dim:
+        raise ParameterDomainError(
+            f"measure dim {measure.dim} does not match grid dim {grid.dim}")
     axes = (measure.axis_x, measure.axis_y) \
         if isinstance(measure, AxisJumpPair) else (measure,)
     alpha = max(m.shape.alpha for m in axes)
-    finite_act = all(m.finite_activity for m in axes)
     if grid.dim == 2:
         if shift is not None:
             raise UnsupportedConfigurationError(
@@ -270,7 +244,7 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
         if alpha > 0:
             raise UnsupportedConfigurationError(
                 "two-dimensional plans require a density bounded at the origin")
-    if alpha >= mdim + 2:
+    if alpha >= grid.dim + 2:
         raise ParameterDomainError(
             "envelope exponent implies a divergent second jump moment")
 
@@ -280,8 +254,7 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
             f"padding {grid.pad * grid.dx:.3f} is below the operator reach "
             f"{r_out:.3f}; enlarge the pad")
     eps_in = 0.0
-    if not finite_act:
-        # 1-D here: a 2-D plan has alpha = 0, hence finite activity
+    if grid.dim == 1 and not measure.finite_activity:
         eps_in = float(np.clip((JUMP_TAIL_TOL * (3.0 - alpha) / (2.0 * measure.shape.c0))
                                ** (1.0 / (3.0 - alpha)), 1e-10, 0.05))
 
@@ -301,10 +274,7 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
         keep = wh != 0.0
         z_nodes, wh = z[keep], wh[keep]
 
-    if eps_in > 0:
-        sigma2_corr = small_jump_compensation(measure, eps_in)
-    else:
-        sigma2_corr = 0.0 if grid.dim == 1 else np.zeros((2, 2))
+    sigma2_corr = small_jump_compensation(measure, eps_in) if eps_in > 0 else 0.0
 
     # fast path: identity shift and a density finite at the origin
     symbol_conv = None
@@ -312,7 +282,7 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
         symbol_conv, mass, mean, delta0 = _lattice_symbol(grid, measure, r_out)
 
     return OperatorPlan(
-        grid=grid, measure=measure, shift=shift, r_out=r_out, z_nodes=z_nodes,
+        grid=grid, measure=measure, shift=shift, z_nodes=z_nodes,
         wh=wh, mass=mass, mean_jump=mean, delta0=delta0,
         sigma2_correction=sigma2_corr, symbol_conv=symbol_conv)
 
@@ -367,17 +337,18 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
 
 
 def _band(plan: OperatorPlan, tau: float) -> _Band:
-    """The plan's quadrature band at tau, built on first use."""
+    """The plan's quadrature band at tau, built on first use.  A
+    time-dependent strategy's plan keeps the latest tau's band only: the
+    marchers never ask for an earlier tau again."""
     static = plan.shift is None or not plan.shift.strategy.time_dependent
     key = None if static else float(tau)
-    bands = plan._bands  # one key if static, else the latest two taus
+    bands = plan._bands
     got = bands.get(key)
     if got is None:
         t0 = perf_counter()
         got = _build_band(plan, tau)
         plan.stats["operator_build_s"] += perf_counter() - t0
-        if len(bands) >= 2:
-            bands.pop(next(iter(bands)))
+        bands.clear()
         bands[key] = got
     return got
 
@@ -415,10 +386,8 @@ def apply_f_tilde(plan: OperatorPlan, u: GridField, grad_u=None,
 
     Evaluated as f(u) - delta * grad(u), with delta from delta_on_plan_nodes
     on the same plan (under the identity shift on the fast path, the lattice
-    moment).  One-dimensional only.
+    moment).  One-dimensional only, as delta_on_plan_nodes is.
     """
-    if plan.dim != 1:
-        raise UnsupportedConfigurationError("compensated operator is 1-D only")
     tau = u.time_tag if tau is None else tau
     grads = gradient(u) if grad_u is None else grad_u
     f = apply_f(plan, u, grads, tau)
@@ -530,9 +499,8 @@ def f_bound_probe(plan: OperatorPlan, fields: Sequence[GridField],
     """
     if not 0.5 <= gamma < 1.0:
         raise ParameterDomainError("gamma must satisfy 1/2 <= gamma < 1")
-    pair = isinstance(plan.measure, AxisJumpPair)
-    alpha = max(plan.measure.axis_x.shape.alpha, plan.measure.axis_y.shape.alpha) \
-        if pair else plan.measure.shape.alpha
+    # 2-D plans need a density bounded at the origin
+    alpha = plan.measure.shape.alpha if plan.dim == 1 else 0.0
     omega = plan.shift.strategy.holder_exponent if plan.shift is not None else 1.0
     floor = (alpha - plan.dim) / (2.0 * omega)
     if gamma <= floor:

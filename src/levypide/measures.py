@@ -95,16 +95,13 @@ class LevyMeasure:
     """A jump measure with density `density` on R^dim and a certified envelope.
 
     density is vectorized: one array argument for dim=1, two broadcastable
-    coordinate arrays for dim=2.  `radial_profile`, when present, gives
-    h(|z|) for radially symmetric 2-D densities; `product_factors` holds the
-    two 1-D measures of a separable 2-D density h(z) = h1(z1) * h2(z2).
+    coordinate arrays for dim=2.  A radial 2-D density reads its profile as
+    density(r, 0).
     """
 
     density: Callable
     dim: int
     shape: ShapeParams
-    radial_profile: Callable | None = None
-    product_factors: tuple | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -187,13 +184,7 @@ def make_merton(intensity: float, jump_mean, jump_std: float, dim: int = 1) -> L
     m1, m2 = float(m[0]), float(m[1])
     density = lambda z1, z2: norm * np.exp(
         -((np.asarray(z1) - m1) ** 2 + (np.asarray(z2) - m2) ** 2) / (2.0 * s2))
-    factors = (make_merton(intensity, m1, jump_std),
-               make_merton(1.0, m2, jump_std))  # unit-mass second factor
-    radial = None
-    if m1 == 0.0 and m2 == 0.0:
-        radial = lambda p: norm * np.exp(-np.asarray(p) ** 2 / (2.0 * s2))
-    return LevyMeasure(density, 2, shape, radial_profile=radial,
-                       product_factors=factors)
+    return LevyMeasure(density, 2, shape)
 
 
 def make_exponential_tail(c0: float, alpha: float, decay: float, dim: int = 1) -> LevyMeasure:
@@ -206,7 +197,7 @@ def make_exponential_tail(c0: float, alpha: float, decay: float, dim: int = 1) -
         return LevyMeasure(density, 1, shape)
     profile = lambda p: c0 * np.asarray(p) ** (-alpha) * np.exp(-decay * np.asarray(p))
     density = lambda z1, z2: profile(np.hypot(z1, z2))
-    return LevyMeasure(density, 2, shape, radial_profile=profile)
+    return LevyMeasure(density, 2, shape)
 
 
 def make_kou(intensity: float, p_up: float, eta_plus: float, eta_minus: float) -> LevyMeasure:
@@ -237,12 +228,10 @@ def make_kou(intensity: float, p_up: float, eta_plus: float, eta_minus: float) -
     return LevyMeasure(density, 1, shape)
 
 
-def make_custom(density: Callable, shape: ShapeParams, dim: int = 1,
-                radial_profile: Callable | None = None,
-                product_factors: tuple | None = None) -> LevyMeasure:
+def make_custom(density: Callable, shape: ShapeParams,
+                dim: int = 1) -> LevyMeasure:
     """Wrap a user density with a claimed envelope; check_admissibility tests it."""
-    return LevyMeasure(density, dim, shape, radial_profile=radial_profile,
-                       product_factors=product_factors)
+    return LevyMeasure(density, dim, shape)
 
 
 @dataclass(frozen=True)

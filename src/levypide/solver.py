@@ -179,14 +179,14 @@ class SolveResult:
     source_switch_gap (both None when the source never switched), the
     live-window check's source_window_gap and the source_pair_fraction,
     source_pairs over nodes x n_total x source_analytic (both None without
-    a source).
+    a source); and the relative L2 gap to the other scheme's solve,
+    cross_check_gap (None when no cross-check ran).
     """
 
     field: GridField
     checkpoints: tuple
     taus: np.ndarray
     trajectory: tuple = ()
-    cross_check_gap: float | None = None
     stats: dict = field(default_factory=dict)
 
 
@@ -478,9 +478,8 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
             "feedback diffusion is implemented for imex_bdf2 only, so it has "
             "no mild_etd2 cross-check")
     sigma2 = problem.sigma ** 2
-    corr = plan.sigma2_correction if plan is not None else 0.0
-    if g.dim == 1 and np.ndim(corr) == 0:
-        sigma2 += float(corr)
+    if plan is not None:
+        sigma2 += plan.sigma2_correction
 
     pricing = problem.nonlinearity is None
     mean0 = delta00 = 0.0
@@ -610,21 +609,20 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
         bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
                                     problem.option_type)
         v_T = v_T + bs.u(T, g.axis())
-    gap = None
+    stats["cross_check_gap"] = None
     if scheme.cross_check:
         other = "mild_etd2" if scheme.scheme == "imex_bdf2" else "imex_bdf2"
         # through the public entry point, so whoever wraps it sees the
         # alternate solve as one more solve
         solve = solve_shifted if shifted else solve_direct
         alt = solve(problem, _replace_scheme(scheme, other))
-        gap = _rel_l2(v_T, alt.field.values)
+        gap = stats["cross_check_gap"] = _rel_l2(v_T, alt.field.values)
         if gap > scheme.cross_check_tol:
             raise ToleranceNotMetError(
                 f"scheme cross-check gap {gap:.3e} exceeds "
                 f"{scheme.cross_check_tol:.3e}", error=gap)
     return SolveResult(GridField(g, v_T, T), tuple(checkpoints), taus,
-                       trajectory=tuple(stored), cross_check_gap=gap,
-                       stats=stats)
+                       trajectory=tuple(stored), stats=stats)
 
 
 def solve_direct(problem: CauchyProblem, scheme: SchemeConfig,

@@ -110,6 +110,7 @@ def test_load_config_rejects_malformed_value(tmp_path):
     ("[grid]", "[grids]", "grids"),
     ("width = 1.0", "width = 1.0\nfp_tol = 1e-12", "shift.fp_tol"),
     ("dt = 0.04", "dt = 0.04\nstartup_grading = true", "scheme.startup_grading"),
+    ("dt = 0.04", "dt = 0.04\nmonitor_gamma = 0.5", "scheme.monitor_gamma"),
 ])
 def test_unknown_keys_and_sections_exit_2_naming_them(tmp_path, capsys, old,
                                                       new, key):
@@ -143,6 +144,17 @@ def test_demo_and_benchmark_configs_load(tmp_path, monkeypatch):
     assert len(DEMO_CONFIGS) == 3
     for path in DEMO_CONFIGS:
         load_config(str(path))
+    # the jump family and the strategy no demo config names
+    tail = load_config(_write(tmp_path, MERTON_CFG.replace(
+        "family = merton\nintensity_per_year = 0.5\njump_mean = -0.1\n"
+        "jump_std = 0.2", "family = exponential_tail\nc0 = 1.0\nalpha = 0.5\n"
+        "decay = 3.0")))
+    assert tail.jump_family == "exponential_tail"
+    assert tail.measure.shape == ShapeParams(1.0, 0.5, 3.0, 0.0)
+    zero = load_config(_write(tmp_path, SHIFT_CFG.replace(
+        "strategy = tanh_ramp", "strategy = zero")))
+    assert zero.shift.rho == 0.05
+    assert not np.any(zero.shift.strategy.psi(0.0, np.linspace(-2.0, 2.0, 9)))
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -172,6 +184,12 @@ def test_price_searches_the_tail_radius_once(tmp_path, monkeypatch, name):
     cfg = str(ROOT / "demos" / "configs" / name)
     assert main(["--config", cfg, "--out", str(tmp_path), "price"]) == 0
     assert calls == [1e-10]
+    # the manifest records the gap of the cross-check that ran
+    stats = json.loads((tmp_path / "manifest.json").read_text())["stats"]
+    if name == "kou_put.cfg":
+        assert 0.0 <= stats["cross_check_gap"] <= 1e-3
+    else:
+        assert stats["cross_check_gap"] is None
 
 
 def test_digest_tracks_config_bytes(tmp_path):
@@ -207,6 +225,7 @@ def test_price_command_writes_artifacts(tmp_path):
     assert manifest["stats"]["shift_fp_iterations"] == 0
     assert manifest["stats"]["explicit_evaluations"] > 0
     assert manifest["stats"]["source_pairs"] > 0
+    assert manifest["scheme"] == {"scheme": "imex_bdf2", "dt": 0.04}
     assert "threads" not in manifest
 
 
@@ -286,6 +305,11 @@ def test_diagnose_operator(tmp_path):
     assert [float(r[1]) for r in sym_rows] == [1.0, 2.0, 4.0]
     assert all(float(r[6]) < 1e-6 for r in sym_rows)
     assert any(r[0] == "annihilation" for r in rows)
+    # the manifest records the diagnostic's own grid, and no march ran
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["grid"]["n_core"] == 2048
+    assert manifest["grid"]["half_width"] == 4.0 * np.pi
+    assert manifest["scheme"] is None and manifest["stats"] is None
 
 
 def test_diagnose_decay(tmp_path):
@@ -310,6 +334,24 @@ def test_convergence_study(tmp_path):
     assert len(rows) == 2
     order = float(rows[1][5])
     assert 1.5 <= order <= 2.8
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [g["n_core"] for g in manifest["grid"]] == [512, 1024]
+    assert manifest["scheme"] == {"scheme": "imex_bdf2", "dt": 0.04}
+
+
+def test_convergence_study_without_oracle_needs_three_levels(tmp_path, capsys):
+    # with no oracle the finest level is the reference, so two levels give
+    # no observed order: the run is refused before any solve
+    cfg = str(ROOT / "demos" / "configs" / "kou_put.cfg")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "convergence-study",
+                 "--halvings", "2"]) == 2
+    assert "--halvings" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()
+    assert main(["--config", cfg, "--out", str(out), "convergence-study",
+                 "--halvings", "3"]) == 0
+    _, _, rows = _read_rows(out / "convergence.csv")
+    assert np.isfinite(float(rows[1][5]))
 
 
 def test_xi_probe(tmp_path):

@@ -166,6 +166,10 @@ def test_small_jump_compensation_scaling():
     assert abs(s_full / s_half - 2.0 ** 2.5) < 0.05 * 2.0 ** 2.5
     with pytest.raises(ParameterDomainError):
         small_jump_compensation(nu, 0.0)
+    # only 1-D plans have an inner cutoff
+    for nu2 in (levy_pair(nu, nu), make_exponential_tail(1.0, 0.5, 1.0, dim=2)):
+        with pytest.raises(ParameterDomainError):
+            small_jump_compensation(nu2, 1e-3)
 
 
 def test_build_plan_validations():
@@ -184,22 +188,27 @@ def test_build_plan_validations():
 
 
 def test_two_dim_plan_on_x_only_field_matches_one_dim():
-    # a field constant in y only feels the x-axis jumps
-    pair = levy_pair(MERTON, make_merton(0.2, 0.1, 0.15))
+    # a field constant along one axis only feels the other axis's jumps; the
+    # lattice holds the axis_x density on column 0 and axis_y on row 0, so
+    # both axes are checked
+    other = make_merton(0.2, 0.1, 0.15)
     g2 = make_grid(4.0, 128, reach=MERTON.shape.tail_radius(1, 1e-10), dim=2)
     g1 = make_grid(4.0, 128, reach=MERTON.shape.tail_radius(1, 1e-10), dim=1)
     assert g1.n_total == g2.n_total
-    plan2 = build_plan(g2, pair)
     plan1 = build_plan(g1, MERTON)
     u1 = synthetic_smooth_field(g1, 3)
-    u2 = GridField(g2, np.repeat(u1.values[:, None], g2.n_total, axis=1))
-    out2 = apply_f(plan2, u2).values
     out1 = apply_f(plan1, u1).values
-    col = out2[:, g2.n_total // 2]
     scale = max(np.max(np.abs(out1)), 1e-30)
-    assert np.max(np.abs(col - out1)) < 1e-8 * scale
-    # and constancy in y is preserved
-    assert np.max(np.abs(out2 - out2[:, :1])) < 1e-10 * scale
+    u2 = np.repeat(u1.values[:, None], g2.n_total, axis=1)
+    for axis, pair in ((0, levy_pair(MERTON, other)),
+                       (1, levy_pair(other, MERTON))):
+        plan2 = build_plan(g2, pair)
+        out2 = apply_f(plan2, GridField(g2, np.moveaxis(u2, 0, axis))).values
+        out2 = np.moveaxis(out2, axis, 0)
+        col = out2[:, g2.n_total // 2]
+        assert np.max(np.abs(col - out1)) < 1e-8 * scale, axis
+        # and constancy along the other axis is preserved
+        assert np.max(np.abs(out2 - out2[:, :1])) < 1e-10 * scale, axis
 
 
 @pytest.mark.parametrize("k", [(1, 0), (1, 2), (3, 1)])
@@ -358,7 +367,7 @@ def test_resolved_reach_beyond_the_padding_is_out_of_domain():
     tight = make_grid(4.0, 256, reach=0.5)
     # the plan was checked against its own wide grid, so only the resolved
     # shifts can reveal the overreach
-    narrowed = dataclasses.replace(plan, grid=tight, r_out=0.5)
+    narrowed = dataclasses.replace(plan, grid=tight)
     u = synthetic_smooth_field(tight, 2)
     with pytest.raises(OutOfDomainError, match="resolved shift reach"):
         apply_f(narrowed, u)

@@ -127,8 +127,8 @@ def test_cross_check_attaches_gap():
     problem = CauchyProblem(g, sigma=0.2, horizon=0.5, rate=0.03,
                             measure=MERTON)
     res = solve_shifted(problem, SchemeConfig(dt=0.01, cross_check=True))
-    assert res.cross_check_gap is not None
-    assert 0.0 <= res.cross_check_gap < 1e-4
+    assert res.stats["cross_check_gap"] is not None
+    assert 0.0 <= res.stats["cross_check_gap"] < 1e-4
     with pytest.raises(ToleranceNotMetError):
         solve_shifted(problem, SchemeConfig(dt=0.01, cross_check=True,
                                             cross_check_tol=1e-18))
