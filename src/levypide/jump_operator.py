@@ -8,15 +8,16 @@ singular density, or on request) a Gauss-Legendre quadrature in the raw jump
 size z sums cubic interpolants of u at x + xi(tau, x, z).  The plan's one
 moment set is that of the path that runs: lattice sums or node sums.
 
-That quadrature sum is one linear map, precomputed as a band: row o holds the
-weight output point i puts on point (i + o - half) mod n, filled from each
-node's resolved shift with the cubic Lagrange weights of grids.cubic_stencil,
-with the node mass taken off the centre row.  Applying it is one product
-with a sliding window of the wrapped values.  The build also keeps the
-resolved shifts and the two vectors sum w h xi and sum w h (e^xi - 1), which
-give the subtracted drift terms and delta(tau, x).  The band is cached on the
-plan for the identity shift and for strategies that ignore tau; a
-time-dependent strategy has it rebuilt at each new tau.
+That quadrature sum is one linear map, precomputed as a band: entry (i, o)
+holds the weight output point i puts on point (i + o - half) mod n, filled
+from each node's resolved shift with the cubic Lagrange weights of
+grids.cubic_stencil, with the node mass taken off the centre offset.
+Applying it is one product with a sliding window of the wrapped values.  The build resolves and keeps
+the shifts in blocks of nodes, and the two vectors sum w h xi and
+sum w h (e^xi - 1), which give the subtracted drift terms and
+delta(tau, x).  The band is cached on the plan for the identity shift and
+for strategies that ignore tau; a time-dependent strategy has it rebuilt
+at each new tau.
 
 The compensated variant replaces the subtracted xi * grad(u) by
 (e^xi - 1) * grad(u); on closed-form fields (apply_f_tilde_fn) it kills
@@ -112,17 +113,45 @@ def _panel_edges(eps: float, outer: float, alpha: float) -> np.ndarray:
     return np.array(edges[::-1])
 
 
+# Node blocks.  A band holds its resolved shifts in blocks of _NODE_BLOCK
+# nodes, one resolver call each, and scatters each block into the band
+# _FN_BLOCK nodes at a time.  apply_f_tilde_fn sums the closed form over
+# blocks of _FN_BLOCK nodes without a live window and of _NODE_BLOCK nodes
+# with one, so each of its blocks is a slice of one stored block.  A block
+# of closed-form terms must stay in cache.  Best of five on a 2-core
+# machine, ms per put source at 4, 8, 16, 32 and 64 nodes per block:
+#   full sum, Merton, 320 nodes x 1458 points:   10.3, 8.5, 14.7, 21.2, 19.1
+#   windowed, Merton, tau 1e-4..1e-2:              4.6, 2.5, 1.5, 1.0, 1.0
+#   windowed, Kou, 2400 points, same taus:         7.3, 4.8, 2.5, 1.4, 2.0
+#   windowed, tanh_ramp band, 768 points, 0..1:    6.4, 4.6, 3.6, 3.0, 3.1
+# Blocks also set the peak RSS: `levypide price` on the merton_call and
+# kou_put demo configs in one process peaks at 84.3 MB with 8/8 nodes
+# (full/windowed), 85.0 MB with 8/32, 86.8 MB with 8/64 and 87.2 MB with
+# 32/32, so the full sum keeps its small blocks.  So does the scatter: four
+# rounds of the benchmark's impacted_book in one process peak at 91.1 MB
+# with 8-node scatters and 93.9 MB with 32-node ones.
+_FN_BLOCK = 8
+_NODE_BLOCK = 32
+
+
 @dataclass(frozen=True, eq=False)
 class _Band:
     """The quadrature operator at one tau, precomputed on the grid axis.
 
-    band is (2 half + 1, n), half covering the largest resolved shift: row o
-    holds the weight that output point i puts on point (i + o - half) mod n,
-    summed over the nodes, with the node mass already subtracted on the
-    centre row.  xi holds the resolved shift of each node with weight
-    wh != 0, one row per node (one entry per node under the identity
-    shift), and xi_min/xi_max its extremes over the grid; xi_mean and
-    exp_mean are sum wh xi and sum wh (e^xi - 1) per point.
+    band is (n, 2 half + 1), half covering the largest resolved shift: row i
+    holds the weights that output point i puts on the points
+    (i + o - half) mod n, o = 0 .. 2 half, summed over the nodes, with the
+    node mass already subtracted at o = half.  The offsets run along the
+    rows so that the apply reads each output point's weights contiguously:
+    read with a stride of n entries, the (2 half + 1, n) transpose takes
+    14.7 ms per apply against 1.05 ms at n = 3072, where the band is 20 MB.
+
+    xi holds the resolved shifts of the nodes with weight wh != 0 in node
+    blocks: block b is a (_NODE_BLOCK, n) array (the last may be shorter)
+    whose row k is node b _NODE_BLOCK + k across the grid, or a
+    (_NODE_BLOCK, 1) column under the identity shift.  xi_min and xi_max
+    are each node's extremes over the grid; xi_mean and exp_mean are
+    sum wh xi and sum wh (e^xi - 1) per point.
     """
 
     wh: np.ndarray
@@ -136,14 +165,17 @@ class _Band:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """sum_j wh_j (u(x + xi_j) - u(x)) with u cubic-interpolated."""
         n = values.shape[0]
-        half = self.band.shape[0] // 2
+        width = self.band.shape[1]
+        half = width // 2
         wrapped = np.concatenate([values[n - half:], values, values[:half]])
-        return np.einsum("oi,oi->i", self.band, sliding_window_view(wrapped, n))
+        return np.einsum("io,io->i", self.band,
+                         sliding_window_view(wrapped, width))
 
 
 def _new_stats() -> dict:
-    return {"operator_build_s": 0.0, "shift_fp_iterations": 0,
-            "shift_fallback_points": 0, "source_pairs": 0}
+    return {"operator_build_s": 0.0, "shift_resolve_s": 0.0,
+            "shift_fp_iterations": 0, "shift_fallback_points": 0,
+            "source_pairs": 0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,9 +191,10 @@ class OperatorPlan:
     plan has an inner cutoff (1-D infinite activity).
 
     stats counts the work done on the plan: the perf_counter seconds spent
-    building quadrature bands (operator_build_s), the shift resolver's
-    fixed-point iterates (shift_fp_iterations) and the points it handed to
-    its bracketed root solve (shift_fallback_points), and the (node, point)
+    building quadrature bands (operator_build_s) and, within them, resolving
+    shifts (shift_resolve_s), the shift resolver's fixed-point
+    entry-iterates (shift_fp_iterations) and the points it handed to its
+    bracketed root solve (shift_fallback_points), and the (node, point)
     pairs apply_f_tilde_fn evaluated (source_pairs).
     """
 
@@ -300,19 +333,23 @@ def _identity_shifts(plan: OperatorPlan):
 
 
 def _build_band(plan: OperatorPlan, tau: float) -> _Band:
-    """Resolve each weighted node's shift at tau and sum its cubic
-    interpolation weights into the band."""
+    """Resolve the weighted nodes' shifts at tau, one node block per
+    resolver call, and sum their cubic interpolation weights into the band,
+    _FN_BLOCK nodes per scatter."""
     g = plan.grid
     x = g.axis()
     n = g.n_total
-    wh, xi = _identity_shifts(plan)
-    if plan.shift is not None:
-        # one array per node, not one (nodes, n) block: the block measured
-        # 1.6 MB more peak RSS over a benchmark run of repeated solves
-        xi = [xi_on_grid(plan.shift, tau, x, float(zj), plan.stats)
-              for zj in xi[:, 0]]
-    xi_min = np.array([float(np.min(r)) for r in xi])
-    xi_max = np.array([float(np.max(r)) for r in xi])
+    wh, z = _identity_shifts(plan)
+    starts = range(0, wh.size, _NODE_BLOCK)
+    if plan.shift is None:
+        xi = [z[j:j + _NODE_BLOCK] for j in starts]
+    else:
+        t0 = perf_counter()
+        xi = [xi_on_grid(plan.shift, tau, x, z[j:j + _NODE_BLOCK, 0],
+                         plan.stats) for j in starts]
+        plan.stats["shift_resolve_s"] += perf_counter() - t0
+    xi_min = np.concatenate([np.min(b, axis=1) for b in xi])
+    xi_max = np.concatenate([np.max(b, axis=1) for b in xi])
     max_xi = float(np.max(np.abs([xi_min, xi_max]), initial=0.0))
     if max_xi > g.pad * g.dx:
         raise OutOfDomainError(
@@ -321,18 +358,28 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
     # |xi| <= max_xi puts every stencil point within ceil(max_xi / dx) + 2
     # cells of its output point; one more cell absorbs rounding in floor()
     half = math.ceil(max_xi / g.dx) + 3
-    band = np.zeros((2 * half + 1, n))
+    band = np.zeros((n, 2 * half + 1))
     xi_mean = np.zeros(n)
     exp_mean = np.zeros(n)
     cols = np.arange(n)
-    for whj, xij in zip(wh, xi):
-        base, weights = cubic_stencil(g.x_lo, g.dx, x + xij)
-        rows = base - cols + half
-        for off, wk in zip(CUBIC_OFFSETS, weights):
-            band[rows + off, cols] += whj * wk
-        xi_mean += whj * xij
-        exp_mean += whj * np.expm1(xij)
-    band[half] -= np.sum(wh)
+    for j, block in zip(starts, xi):
+        wh_block = wh[j:j + _NODE_BLOCK]
+        for k in range(0, wh_block.size, _FN_BLOCK):
+            base, weights = cubic_stencil(g.x_lo, g.dx,
+                                          x + block[k:k + _FN_BLOCK])
+            offsets = base - cols + half
+            # one bincount onto the band columns this sub-block reaches
+            lo = int(np.min(offsets)) + CUBIC_OFFSETS[0]
+            hi = int(np.max(offsets)) + CUBIC_OFFSETS[-1] + 1
+            flat = cols * (hi - lo) + offsets - lo
+            whk = wh_block[k:k + _FN_BLOCK, None]
+            band[:, lo:hi] += np.bincount(
+                np.concatenate([(flat + off).ravel() for off in CUBIC_OFFSETS]),
+                np.concatenate([(whk * wk).ravel() for wk in weights]),
+                minlength=n * (hi - lo)).reshape(n, hi - lo)
+        xi_mean += wh_block @ block
+        exp_mean += wh_block @ np.expm1(block)
+    band[:, half] -= np.sum(wh)
     return _Band(wh, xi, xi_min, xi_max, band, xi_mean, exp_mean)
 
 
@@ -394,21 +441,6 @@ def apply_f_tilde(plan: OperatorPlan, u: GridField, grad_u=None,
     return f.with_values(f.values - delta_on_plan_nodes(plan, tau) * grads[0])
 
 
-# Weighted nodes per closed-form block in apply_f_tilde_fn, without and with
-# a live window; a block must stay in cache.  Best of five on a 2-core
-# machine, ms per put source at 4, 8, 16, 32 and 64 nodes per block:
-#   full sum, Merton, 320 nodes x 1458 points:   10.3, 8.5, 14.7, 21.2, 19.1
-#   windowed, Merton, tau 1e-4..1e-2:              4.6, 2.5, 1.5, 1.0, 1.0
-#   windowed, Kou, 2400 points, same taus:         7.3, 4.8, 2.5, 1.4, 2.0
-#   windowed, tanh_ramp band, 768 points, 0..1:    6.4, 4.6, 3.6, 3.0, 3.1
-# Blocks also set the peak RSS: `levypide price` on the merton_call and
-# kou_put demo configs in one process peaks at 84.3 MB with 8/8 nodes
-# (full/windowed), 85.0 MB with 8/32, 86.8 MB with 8/64 and 87.2 MB with
-# 32/32, so the full sum keeps its small blocks.
-_FN_BLOCK = 8
-_FN_BLOCK_LIVE = 32
-
-
 def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
                      dfn: Callable[[np.ndarray], np.ndarray],
                      tau: float,
@@ -418,11 +450,13 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
     fn and dfn evaluate the field and its derivative at arbitrary points, so
     shifted arguments are exact; use this for analytic sources and for fields
     (such as exponentials) whose growth defeats grid interpolation.  Values
-    are on the grid axis; a feedback shift's resolved nodes come from the
-    plan's band at tau.  fn and dfn must act elementwise on arrays of any
-    shape: fn is called on the 1-D grid axis and on 2-D (nodes, window)
-    blocks of shifted points, and each block is summed with one
-    matrix-vector product.
+    are on the grid axis.  The nodes are summed in blocks, _FN_BLOCK nodes
+    each without a live window and _NODE_BLOCK with one; under a feedback
+    shift a block's resolved shifts are a slice of one of the node blocks
+    the plan's band at tau keeps.  fn and dfn must act elementwise on
+    arrays of any shape: fn is called on the 1-D grid axis and on 2-D
+    (nodes, window) blocks of shifted points, and each block is summed with
+    one matrix-vector product.
 
     live = (lo, hi) declares fn to be c0 + c1 e^x below lo and above hi
     (each side with its own c0, c1, up to a negligible remainder), as
@@ -442,11 +476,11 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
         xi_min = xi_max = xi[:, 0]
     else:
         b = _band(plan, tau)
-        wh, xi, xi_min, xi_max = b.wh, b.xi, b.xi_min, b.xi_max
+        wh, xi_min, xi_max = b.wh, b.xi_min, b.xi_max
     base = np.asarray(fn(xv), dtype=float)
     slope = np.asarray(dfn(xv), dtype=float)
     out = np.zeros_like(base)
-    block = _FN_BLOCK if live is None else _FN_BLOCK_LIVE
+    block = _FN_BLOCK if live is None else _NODE_BLOCK
     for j in range(0, len(wh), block):
         nodes = slice(j, j + block)
         cols = slice(0, xv.size)
@@ -457,7 +491,11 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
                                 side="right"))
             if cols.start >= cols.stop:
                 continue
-        xij = xi[nodes] if identity else np.stack([r[cols] for r in xi[nodes]])
+        if identity:
+            xij = xi[nodes]
+        else:
+            k = j % _NODE_BLOCK
+            xij = b.xi[j // _NODE_BLOCK][k:k + block, cols]
         terms = (np.asarray(fn(xv[cols] + xij), dtype=float) - base[cols]
                  - np.expm1(xij) * slope[cols])
         out[cols] += wh[nodes] @ terms

@@ -147,19 +147,34 @@ def resolve_xi_first_order(model: ShiftModel, tau: float, x, z):
 
 
 def _balance(model: ShiftModel, tau: float, x: np.ndarray, z: np.ndarray):
-    """The impact term of the shift balance on the 1-D x and z, as a function
+    """The impact term of the shift balance on x and z, as a function
 
         t(w, idx) = rho e^(-z) (psi(tau, x + z + w) - psi(tau, x))
 
-    at the entries idx (all of them by default), broadcast against w.
-    xi = z + w solves the balance exactly when expm1(w) = t(w)."""
+    at the entries idx of the flattened broadcast of x and z (all of them by
+    default), broadcast against w.  psi(tau, x) is evaluated on x itself.
+    xi = z + w solves the balance exactly when expm1(w) = t(w).  A psi that
+    is not finite where it is evaluated raises ParameterDomainError naming
+    the first such point."""
     psi = model.strategy.psi
-    psi_x = np.asarray(psi(tau, x), dtype=float)
-    scale = model.rho * np.exp(np.minimum(-z, 700.0))
+
+    def psi_at(pts):
+        vals = np.asarray(psi(tau, pts), dtype=float)
+        finite = np.isfinite(vals)
+        if not np.all(finite):
+            at = np.broadcast_arrays(pts, vals)[0].ravel()[np.argmin(finite)]
+            raise ParameterDomainError(
+                f"strategy psi is not finite at tau={tau:.6g}, x={at:.6g}")
+        return vals
+
+    shape = np.broadcast_shapes(x.shape, z.shape)
+    psi_x = np.broadcast_to(psi_at(x), shape).ravel()
+    scale = np.broadcast_to(model.rho * np.exp(np.minimum(-z, 700.0)),
+                            shape).ravel()
+    xz = (x + z).ravel()
 
     def t(w, idx=slice(None)):
-        return scale[idx] * (np.asarray(psi(tau, x[idx] + z[idx] + w), dtype=float)
-                             - psi_x[idx])
+        return scale[idx] * (psi_at(xz[idx] + w) - psi_x[idx])
 
     return t
 
@@ -170,49 +185,68 @@ def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
 
     Works on w = xi - z, which satisfies w = log1p(t(w)) and stays well
     scaled for any z (the raw residual e^xi - e^z is not representable once
-    e^z exceeds 1/eps); psi runs once per iterate.  Entries that stall, or
-    whose log1p argument transiently drops below -1, go together to one
-    vectorized bracketed root solve (_bracketed_roots_w).  stats, when
-    given, counts the iterates under shift_fp_iterations and those entries
-    under shift_fallback_points.
+    e^z exceeds 1/eps); psi runs once per iterate, on the entries still
+    iterating.  Each entry of the broadcast x, z stops on its own: it has
+    converged once its scaled residual is below _FP_TOL, and it goes to the
+    bracketed root solve (_bracketed_roots_w) once its residual has failed
+    to fall 5 times in a row, once its log1p argument 1 + t drops to 0 or
+    below, or when _FP_MAX_ITER iterates leave it unconverged.  An entry's
+    shift therefore does not depend on the entries that share the call.
+    stats, when given, counts the entry-iterates under shift_fp_iterations
+    and the fallback entries under shift_fallback_points.
     """
     shape = np.broadcast_shapes(x.shape, z.shape)
-    xb = np.ascontiguousarray(np.broadcast_to(x, shape), dtype=float).ravel()
-    zb = np.ascontiguousarray(np.broadcast_to(z, shape), dtype=float).ravel()
-    t = _balance(model, tau, xb, zb)
+    size = math.prod(shape)
+    t = _balance(model, tau, x, z)
 
     def scaled_residual(w, tw):
         return np.abs(np.expm1(w) - tw) / (1.0 + np.abs(tw))
 
-    w = np.zeros(xb.size)
-    fallback = np.zeros(xb.size, dtype=bool)
-    tw = t(w)
-    prev_res = scaled_residual(w, tw)
-    stall = np.zeros(xb.size, dtype=np.int32)
-    for iterates in range(1, _FP_MAX_ITER + 1):
-        fallback |= (1.0 + tw <= 0.0)
-        w = np.where(fallback, w, np.log1p(np.where(fallback, 0.0, tw)))
-        tw = t(w)
-        res = np.where(fallback, np.inf, scaled_residual(w, tw))
-        if not np.any(fallback) and np.max(res) < _FP_TOL:
-            break
-        # a converged entry (res < _FP_TOL, often exactly 0) never stalls
-        stall = np.where((res >= prev_res) & (res >= _FP_TOL), stall + 1, 0)
-        prev_res = res
-        if np.max(np.where(fallback, 0, stall)) >= 5:
-            break
-        if np.all(fallback | (res < _FP_TOL)):
-            break
+    w = np.zeros(size)
+    fallback = np.zeros(size, dtype=bool)
+    # the entries still iterating: their indices, t(w), scaled residuals
+    # and stall counts, compacted as entries leave
+    live = np.arange(size)
+    tw_l = t(w)
+    res_l = scaled_residual(w, tw_l)
+    stall_l = np.zeros(size, dtype=np.int32)
+    entry_iterates = 0
+    for _ in range(_FP_MAX_ITER):
+        open_ = 1.0 + tw_l > 0.0
+        if not np.all(open_):
+            fallback[live[~open_]] = True
+            live, tw_l, res_l, stall_l = (
+                a[open_] for a in (live, tw_l, res_l, stall_l))
+            if not live.size:
+                break
+        w_l = np.log1p(tw_l)
+        tw_l = t(w_l, live)
+        res_next = scaled_residual(w_l, tw_l)
+        stall_l = np.where(res_next >= res_l, stall_l + 1, 0)
+        res_l = res_next
+        entry_iterates += live.size
+        converged = res_l < _FP_TOL
+        left = converged | (stall_l >= 5)
+        if np.any(left):
+            w[live[converged]] = w_l[converged]
+            fallback[live[left & ~converged]] = True
+            stay = ~left
+            live, tw_l, res_l, stall_l = (
+                a[stay] for a in (live, tw_l, res_l, stall_l))
+            if not live.size:
+                break
+    fallback[live] = True
 
-    # bracketed fallback on whatever did not converge
-    todo = np.nonzero((res >= _FP_TOL) | fallback)[0]
+    todo = np.flatnonzero(fallback)
     if stats is not None:
         stats["shift_fp_iterations"] = (
-            stats.get("shift_fp_iterations", 0) + iterates)
+            stats.get("shift_fp_iterations", 0) + entry_iterates)
         stats["shift_fallback_points"] = (
             stats.get("shift_fallback_points", 0) + int(todo.size))
     if todo.size:
-        w[todo] = _bracketed_roots_w(model, tau, xb[todo], zb[todo])
+        at = np.unravel_index(todo, shape)
+        w[todo] = _bracketed_roots_w(model, tau, np.broadcast_to(x, shape)[at],
+                                     np.broadcast_to(z, shape)[at])
         # fallback entries are root-polished to ~1e-15 in w itself; the
         # residual slope can be of order e^|z| there, so the sanity bound
         # loosens to sqrt(_FP_TOL) rather than _FP_TOL
@@ -220,8 +254,9 @@ def _fixed_point_core(model: ShiftModel, tau: float, x: np.ndarray,
         if worst >= math.sqrt(_FP_TOL):
             raise ToleranceNotMetError(
                 f"shift fixed point stalled at scaled residual {worst:.3e}",
-                estimate=float(np.max(np.abs(zb + w))), error=worst)
-    return (zb + w).reshape(shape)
+                estimate=float(np.max(np.abs(z + w.reshape(shape)))),
+                error=worst)
+    return z + w.reshape(shape)
 
 
 def _bracketed_roots_w(model: ShiftModel, tau: float, x: np.ndarray,
@@ -273,23 +308,29 @@ def _bisect_vec(g, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray,
                 g_hi: np.ndarray) -> np.ndarray:
     """Bisection on many brackets at once.
 
-    g(w) evaluates the residual of every bracket; g_lo and g_hi are its
-    values at the ends lo and hi, of opposite signs or zero.  Each bracket
-    halves until it is shorter than xtol + rtol |w| with brentq's
-    tolerances xtol = 1e-15, rtol = 8.9e-16; its midpoint is the root.
+    g(w, idx) evaluates the residual of the brackets idx at w; g_lo and g_hi
+    are its values at the ends lo and hi, of opposite signs or zero.  Each
+    bracket halves until it is shorter than xtol + rtol |w| with brentq's
+    tolerances xtol = 1e-15, rtol = 8.9e-16, and is then left alone, so its
+    root does not depend on the other brackets; its midpoint is the root.
     """
     xtol, rtol = 1e-15, 8.9e-16
     hi = np.where(g_lo == 0.0, lo, hi)
     lo = np.where(g_hi == 0.0, hi, lo)
+    g_lo = np.array(g_lo, dtype=float)
+    live = np.arange(lo.size)
     for _ in range(200):
-        mid = lo + 0.5 * (hi - lo)
-        if np.all(hi - lo < xtol + rtol * np.abs(mid)):
+        mid = lo[live] + 0.5 * (hi[live] - lo[live])
+        wide = hi[live] - lo[live] >= xtol + rtol * np.abs(mid)
+        live, mid = live[wide], mid[wide]
+        if not live.size:
             break
-        g_mid = g(mid)
+        g_mid = g(mid, live)
         exact = g_mid == 0.0
-        up = ~exact & (np.signbit(g_mid) == np.signbit(g_lo))
-        lo, g_lo = np.where(up | exact, mid, lo), np.where(up, g_mid, g_lo)
-        hi = np.where(up, hi, mid)
+        up = ~exact & (np.signbit(g_mid) == np.signbit(g_lo[live]))
+        lo[live] = np.where(up | exact, mid, lo[live])
+        g_lo[live] = np.where(up, g_mid, g_lo[live])
+        hi[live] = np.where(up, hi[live], mid)
     return lo + 0.5 * (hi - lo)
 
 
@@ -310,18 +351,24 @@ def resolve_xi(model: ShiftModel, tau: float, x, z):
     return out.reshape(np.broadcast_shapes(x.shape, z.shape))
 
 
-def xi_on_grid(model: ShiftModel | None, tau: float, x: np.ndarray, z: float,
+def xi_on_grid(model: ShiftModel | None, tau: float, x: np.ndarray, z,
                stats: dict | None = None) -> np.ndarray:
-    """Shift values for one raw jump size z across a grid of x (fast path).
+    """Shift values for raw jump sizes z across a grid of x (fast path).
 
-    When stats is given, stats["shift_fp_iterations"] grows by the fixed
-    point's iterates and stats["shift_fallback_points"] by the number of
-    points it handed to the bracketed root solve.
+    A scalar z gives one value per x; a 1-D array of node sizes gives one
+    row per node, a (len(z), x.size) array.  Every entry is resolved on its
+    own, so a row equals the call for its node alone, bit for bit.  When
+    stats is given, stats["shift_fp_iterations"] grows by the fixed point's
+    entry-iterates and stats["shift_fallback_points"] by the number of
+    entries it handed to the bracketed root solve.
     """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if z.ndim:
+        z = z[:, None]
     if model is None or model.rho == 0.0:
-        return np.full_like(np.asarray(x, dtype=float), float(z))
-    return np.asarray(_fixed_point_core(model, tau, np.asarray(x, dtype=float),
-                                        np.asarray(float(z)), stats), dtype=float)
+        return np.broadcast_to(z, np.broadcast_shapes(x.shape, z.shape)).copy()
+    return _fixed_point_core(model, tau, x, z, stats)
 
 
 def count_xi_roots(model: ShiftModel, tau: float, x: float, z: float) -> int:
@@ -426,12 +473,9 @@ def growth_bound_probe(model: ShiftModel, z_samples, x_samples) -> GrowthReport:
     xs = np.asarray(x_samples, dtype=float)
     if np.any(zs == 0):
         raise ParameterDomainError("z samples must be nonzero")
-    ratios = []
-    for z in zs:
-        xi = xi_on_grid(model, 0.0, xs, float(z))
-        bound = abs(z) ** omega * (1.0 + math.exp(abs(z)))
-        ratios.append(np.max(np.abs(xi)) / bound)
-    ratios = np.asarray(ratios)
+    xi = xi_on_grid(model, 0.0, xs, zs)
+    bound = [abs(z) ** omega * (1.0 + math.exp(abs(z))) for z in zs.tolist()]
+    ratios = np.max(np.abs(xi), axis=1) / np.array(bound)
     med = float(np.median(ratios))
     mx = float(np.max(ratios))
     spread = mx / med if med > 0 else (np.inf if mx > 0 else 1.0)

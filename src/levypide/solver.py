@@ -170,8 +170,9 @@ class SolveResult:
 
     stats records what the solve did: the jump operator path (operator:
     "fft", "band" or None without a measure); the plan's counters
-    operator_build_s, shift_fp_iterations, shift_fallback_points and
-    source_pairs (see OperatorPlan; 0 without a measure); the
+    operator_build_s, shift_resolve_s, shift_fp_iterations,
+    shift_fallback_points and source_pairs (see OperatorPlan; 0 without a
+    measure); the
     stability_margin dt / bound of the explicit-part check; the calls of N
     (explicit_evaluations); and the source work: source_analytic and
     source_propagated evaluations, source_reanchors (failed switch

@@ -221,6 +221,7 @@ def test_price_command_writes_artifacts(tmp_path):
     assert manifest["stats"]["source_switch_gap"] <= 1e-10
     assert manifest["stats"]["operator"] == "fft"
     assert manifest["stats"]["operator_build_s"] == 0.0
+    assert manifest["stats"]["shift_resolve_s"] == 0.0
     assert manifest["stats"]["shift_fallback_points"] == 0
     assert manifest["stats"]["shift_fp_iterations"] == 0
     assert manifest["stats"]["explicit_evaluations"] > 0
@@ -268,6 +269,7 @@ def test_price_with_shift_runs(tmp_path):
     stats = json.loads((out / "manifest.json").read_text())["stats"]
     assert stats["operator"] == "band"
     assert stats["operator_build_s"] > 0.0
+    assert 0.0 < stats["shift_resolve_s"] <= stats["operator_build_s"]
     assert stats["shift_fp_iterations"] > 0
 
 

@@ -66,7 +66,7 @@ def _per_node_f_tilde_fn(plan, fn, dfn, tau):
         wh, xi = jump_operator._identity_shifts(plan)
     else:
         band = jump_operator._band(plan, tau)
-        wh, xi = band.wh, band.xi
+        wh, xi = band.wh, [row for block in band.xi for row in block]
     base, slope = fn(xv), dfn(xv)
     out = np.zeros_like(base)
     for whj, xij in zip(wh, xi):

@@ -12,7 +12,8 @@ from levypide.measures import make_merton
 from levypide.pricing import (MarketSpec, bs_closed_form, estimate_reach,
                               merton_series_oracle, price_european,
                               report_price, transform_to_pide)
-from levypide.shift import ShiftModel, strategy_sin, strategy_tanh_ramp
+from levypide.shift import (ShiftModel, TradingStrategy, strategy_sin,
+                            strategy_tanh_ramp)
 from levypide.solver import SchemeConfig, solve_shifted
 
 MKT = MarketSpec(100.0, 100.0, 1.0, 0.05, 0.2, "call")
@@ -158,3 +159,17 @@ def test_shifted_price_calls_no_scalar_root_finder(monkeypatch):
                          n_core=256, scheme=SchemeConfig(dt=0.05))
     assert math.isfinite(res.price)
     assert res.result.stats["shift_fallback_points"] > 0
+
+
+def test_non_finite_strategy_fails_the_price_with_a_domain_error():
+    # a psi that is NaN for x > 1 stops the solve with a named error rather
+    # than reaching the band build as NaN shifts
+    def psi(tau, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 1.0, np.nan, 0.3 * np.tanh(x))
+
+    model = ShiftModel(TradingStrategy(psi, 1.0, 0.3, time_dependent=False),
+                       rho=0.05)
+    with pytest.raises(ParameterDomainError, match="psi is not finite"):
+        price_european(MKT, make_merton(0.5, -0.1, 0.2), model, n_core=128,
+                       scheme=SchemeConfig(dt=0.05))

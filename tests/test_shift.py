@@ -181,10 +181,12 @@ def test_shift_fixed_point_evaluates_psi_once_per_iterate():
     assert len(calls) == 10
     assert stats.get("shift_fallback_points", 0) == 0
     assert np.array_equal(xi, xi_on_grid(ShiftModel(TANH, rho=0.05), 0.0, xs, -1.0))
-    # a stalling case hands the same points to the bracketed solve
+    # a stalling case: each point whose residual stops falling goes to the
+    # bracketed solve on its own, while the rest keep iterating, and 2 of
+    # them converge after the first point has stalled
     stats = {}
     xi_on_grid(ShiftModel(strategy_sin(0.3), rho=0.3), 0.0, xs, -2.0, stats)
-    assert stats["shift_fallback_points"] == 31
+    assert stats["shift_fallback_points"] == 29
 
 
 def test_holder_constant_estimates():
@@ -289,6 +291,45 @@ def test_fixed_point_hands_only_stalled_points_to_fallback(case, fallbacks):
     lo, hi = fallbacks
     assert lo <= stats.get("shift_fallback_points", 0) <= hi
     assert np.all(np.isfinite(xi))
+
+
+@pytest.mark.parametrize("case", ["tanh_ramp", "sin", "oscillating"])
+def test_node_block_matches_per_node_calls_bit_for_bit(case):
+    # every entry stops, and every fallback bracket freezes, on its own, so
+    # a row of a node block is the call for its node alone; the sin case
+    # mixes converged and stalled entries in one call, the oscillating one
+    # sends every entry to the bracketed solve
+    model, z = BRACKET_CASES[case]
+    xs = np.linspace(-3.0, 3.0, 61)
+    zs = z + np.array([0.0, 0.05, 0.1, 0.2, 0.35])
+    block_stats, node_stats = {}, {}
+    block = xi_on_grid(model, 0.0, xs, zs, block_stats)
+    rows = np.stack([xi_on_grid(model, 0.0, xs, float(zj), node_stats)
+                     for zj in zs])
+    assert block.shape == (zs.size, xs.size)
+    assert np.array_equal(block, rows)
+    # the counters count entries, so they do not depend on the block either
+    assert block_stats == node_stats
+    if case != "tanh_ramp":
+        assert block_stats["shift_fallback_points"] > 0
+
+
+def test_non_finite_strategy_is_a_domain_error():
+    # psi is NaN beyond x = 1: the resolver names the first such point,
+    # among the grid points or among the displaced ones x + xi
+    def psi(tau, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 1.0, np.nan, 0.3 * np.tanh(x))
+
+    model = ShiftModel(TradingStrategy(psi, 1.0, 0.3, time_dependent=False),
+                       rho=0.05)
+    xs = np.linspace(-3.0, 3.0, 61)
+    with pytest.raises(ParameterDomainError, match=r"tau=0\.5, x=1\.1\b"):
+        xi_on_grid(model, 0.5, xs, np.array([-0.5, 0.5]))
+    with pytest.raises(ParameterDomainError, match="not finite"):
+        xi_on_grid(model, 0.0, np.array([0.2, 0.8]), 0.5)
+    nan_free = xi_on_grid(model, 0.0, np.array([0.2, 0.8]), -0.5)
+    assert np.all(np.isfinite(nan_free))
 
 
 def test_vectorized_fallback_raises_without_root():

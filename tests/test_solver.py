@@ -434,6 +434,26 @@ def test_impacted_solve_keeps_the_source_analytic():
     assert res.stats["shift_fp_iterations"] > 0
 
 
+def test_shift_resolve_time_is_part_of_the_band_build():
+    g = make_grid(4.0, 128, reach=3.2)
+    shifted = CauchyProblem(g, sigma=0.2, horizon=0.5, rate=0.03,
+                            measure=MERTON,
+                            shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.04))
+    stats = solve_shifted(shifted, SchemeConfig(dt=0.05)).stats
+    assert stats["operator"] == "band"
+    assert 0.0 < stats["shift_resolve_s"] <= stats["operator_build_s"]
+    # a singular density takes the band under the identity shift, which
+    # resolves nothing
+    tail = make_exponential_tail(1.0, 0.5, 3.0)
+    g = make_grid(4.0, 128, reach=estimate_reach(tail, None, 4.0))
+    identity = CauchyProblem(g, sigma=0.2, horizon=0.5, rate=0.03,
+                             measure=tail)
+    stats = solve_shifted(identity, SchemeConfig(dt=0.05)).stats
+    assert stats["operator"] == "band"
+    assert stats["operator_build_s"] > 0.0
+    assert stats["shift_resolve_s"] == 0.0
+
+
 @pytest.mark.parametrize("scheme,per_level", [("imex_bdf2", 1),
                                               ("mild_etd2", 2)])
 def test_solve_counts_explicit_evaluations(scheme, per_level):
