@@ -127,11 +127,23 @@ def xgamma_norm(u: GridField, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """Ratios of a probe over its samples; spread is max / median."""
+
     passed: bool
     max_ratio: float
     median_ratio: float
     spread: float
     detail: tuple
+
+    @classmethod
+    def from_ratios(cls, samples: np.ndarray, ratios: np.ndarray) -> ProbeReport:
+        """Passes when the max ratio is within 10 times the median; with a
+        zero median the spread is infinite unless every ratio is 0."""
+        med = float(np.median(ratios))
+        mx = float(np.max(ratios))
+        spread = mx / med if med > 0 else (np.inf if mx > 0 else 1.0)
+        return cls(spread <= 10.0, mx, med, spread,
+                   tuple(zip(samples.tolist(), ratios.tolist())))
 
 
 def _l1_shift_difference(kernel: BesselKernel, h: float) -> float:
@@ -181,11 +193,7 @@ def modulus_of_continuity_probe(order: float, dim: int, shifts) -> ProbeReport:
     if np.any(hs <= 0):
         raise ParameterDomainError("shifts must be nonzero")
     ratios = np.array([_l1_shift_difference(kernel, float(h)) / h ** order for h in hs])
-    med = float(np.median(ratios))
-    mx = float(np.max(ratios))
-    spread = mx / med if med > 0 else np.inf
-    return ProbeReport(spread <= 10.0, mx, med, spread,
-                       tuple(zip(hs.tolist(), ratios.tolist())))
+    return ProbeReport.from_ratios(hs, ratios)
 
 
 def _compensated_shift(u: GridField, xi: np.ndarray, du: np.ndarray) -> np.ndarray:

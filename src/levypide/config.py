@@ -24,7 +24,8 @@ amplitude plus center and width (tanh_ramp) or frequency (sin).  Absent,
 grid.reach is sized automatically; every other key has a default.
 
 Missing or malformed keys, unknown keys and unknown sections raise
-ConfigError naming the dotted key path.
+ConfigError naming the dotted key path, as do a negative grid.reach and an
+unknown shift.strategy (also when rho = 0).
 """
 from __future__ import annotations
 
@@ -72,6 +73,7 @@ KEYS = {
     "scheme": ("scheme", "dt", "cross_check", "cross_check_tol"),
     "assertions": ("oracle_rel_tol", "order_lo", "order_hi"),
 }
+STRATEGIES = ("zero", "linear", "sin", "tanh_ramp")
 
 
 def config_digest(raw_bytes: bytes) -> str:
@@ -89,8 +91,12 @@ def _check_keys(parser: configparser.ConfigParser) -> None:
                 raise ConfigError(f"unknown key {path}", key=path)
 
 
+_REQUIRED = object()
+
+
 class _Section:
-    """One INI section with typed, path-naming accessors."""
+    """One INI section with typed, path-naming accessors; a key without a
+    default is required."""
 
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self.name = name
@@ -117,20 +123,17 @@ class _Section:
             raise ConfigError(
                 f"key {path} has malformed value {raw!r}", key=path) from None
 
-    def number(self, key, default=None):
-        return self._fetch(key, float, _REQUIRED if default is None else default)
+    def number(self, key, default=_REQUIRED):
+        return self._fetch(key, float, default)
 
-    def integer(self, key, default=None):
-        return self._fetch(key, int, _REQUIRED if default is None else default)
+    def integer(self, key, default=_REQUIRED):
+        return self._fetch(key, int, default)
 
-    def text(self, key, default=None):
-        return self._fetch(key, str, _REQUIRED if default is None else default)
+    def text(self, key, default=_REQUIRED):
+        return self._fetch(key, str, default)
 
     def flag(self, key, default=False):
         return self._fetch(key, bool, default)
-
-
-_REQUIRED = object()
 
 
 def _build_measure(sec: _Section):
@@ -157,9 +160,12 @@ def _build_shift(sec: _Section):
     if not sec.present:
         return None
     rho = sec.number("rho", 0.0)
+    name = sec.text("strategy", "tanh_ramp").lower()
+    if name not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {name!r} in shift.strategy",
+                          key="shift.strategy")
     if rho == 0.0:
         return None
-    name = sec.text("strategy", "tanh_ramp").lower()
     amplitude = sec.number("amplitude", 0.3)
     if name == "zero":
         strategy = strategy_zero()
@@ -167,12 +173,9 @@ def _build_shift(sec: _Section):
         strategy = strategy_linear(amplitude)
     elif name == "sin":
         strategy = strategy_sin(amplitude, sec.number("frequency", 1.0))
-    elif name == "tanh_ramp":
+    else:
         strategy = strategy_tanh_ramp(amplitude, sec.number("center", 0.0),
                                       sec.number("width", 1.0))
-    else:
-        raise ConfigError(f"unknown strategy {name!r} in shift.strategy",
-                          key="shift.strategy")
     return ShiftModel(strategy, rho=rho)
 
 
@@ -208,10 +211,13 @@ def load_config(path: str) -> RunConfig:
     grid_sec = _Section(parser, "grid")
     half_width = grid_sec.number("half_width", 6.0)
     n_core = grid_sec.integer("n_core", 1024)
-    reach = grid_sec.number("reach", -1.0)
+    reach = grid_sec.number("reach", None)
     if n_core < 16 or n_core % 2:
         raise ConfigError("grid.n_core must be an even integer >= 16",
                           key="grid.n_core")
+    if reach is not None and not reach >= 0.0:
+        raise ConfigError("grid.reach must be a nonnegative number",
+                          key="grid.reach")
 
     scheme_sec = _Section(parser, "scheme")
     scheme = SchemeConfig(
@@ -225,7 +231,7 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(
         market=market, jump_family=family, measure=measure,
         merton_params=merton_params, shift=shift, half_width=half_width,
-        n_core=n_core, reach=None if reach < 0 else reach, scheme=scheme,
+        n_core=n_core, reach=reach, scheme=scheme,
         oracle_rel_tol=asrt.number("oracle_rel_tol", 1e-3),
         order_lo=asrt.number("order_lo", 1.5),
         order_hi=asrt.number("order_hi", 2.8),

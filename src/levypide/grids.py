@@ -48,11 +48,6 @@ class Grid:
         """Left edge of the padded box."""
         return -self.half_width - self.pad * self.dx
 
-    @property
-    def length(self) -> float:
-        """Period of the padded box."""
-        return self.n_total * self.dx
-
     def axis(self) -> np.ndarray:
         """Padded coordinates along one axis (identical in both axes for dim=2)."""
         return self.x_lo + self.dx * np.arange(self.n_total)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackscholes import BlackScholesClosedForm
-from .errors import (NoSolutionError, ParameterDomainError,
-                     ToleranceNotMetError)
+from .errors import (NoSolutionError, OutOfDomainError,
+                     ParameterDomainError, ToleranceNotMetError)
 from .grids import Grid, GridField, field_interp, make_grid
 from .measures import LevyMeasure
 from .shift import ShiftModel
@@ -91,8 +91,17 @@ def transform_to_pide(market: MarketSpec, grid: Grid,
 
 
 def report_price(market: MarketSpec, result: SolveResult) -> float:
-    """V(0, S0) = e^(-rT) u(T, ln(S0/K)), cubic-interpolated off-node."""
-    u = field_interp(result.field, np.array([market.log_moneyness]))
+    """V(0, S0) = e^(-rT) u(T, ln(S0/K)), cubic-interpolated off-node.
+
+    ln(S0/K) must lie in the core window [-half_width, half_width]: past it
+    the interpolation reads the padding or wraps around the periodic box.
+    """
+    x, half_width = market.log_moneyness, result.field.grid.half_width
+    if abs(x) > half_width:
+        raise OutOfDomainError(
+            f"ln(S0/K) = {x:.6g} lies outside the core window of half-width "
+            f"{half_width:.6g}")
+    u = field_interp(result.field, np.array([x]))
     return float(math.exp(-market.r * market.T) * u[0])
 
 
@@ -152,7 +161,9 @@ def estimate_reach(measure: LevyMeasure | None, shift: ShiftModel | None,
     Identity shifts need the measure's jump_radius; active shifts widen it by
     how far the displaced level can be pushed toward zero by the strategy
     swing.  Infeasible (rho, strategy) pairs are rejected here with the same
-    no-solution diagnosis the resolver would give.
+    no-solution diagnosis the resolver would give, and a strategy that is
+    not finite on the core window with a ParameterDomainError naming the
+    first such sample.
     """
     if measure is None:
         return 0.0
@@ -161,6 +172,10 @@ def estimate_reach(measure: LevyMeasure | None, shift: ShiftModel | None,
         return 1.1 * base + 0.1
     xs = np.linspace(-half_width, half_width, 257)
     psi_vals = np.asarray(shift.strategy.psi(0.0, xs), dtype=float)
+    finite = np.isfinite(psi_vals)
+    if not np.all(finite):
+        raise ParameterDomainError(
+            f"strategy psi is not finite at tau=0, x={xs[np.argmin(finite)]:.6g}")
     swing = float(np.max(psi_vals) - np.min(psi_vals))
     margin = math.exp(-base) - shift.rho * swing
     if margin <= 0.0:

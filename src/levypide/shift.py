@@ -5,7 +5,12 @@ solves the balance
 
     e^xi = e^z + rho * (psi(tau, x + xi) - psi(tau, x)).
 
-The explicit linearization xi = z + rho e^(-z) (psi(tau, x + z) - psi(tau, x))
+resolve_xi and xi_on_grid share one solve: a fixed point on w = xi - z
+whose stalled entries go to a bracket scan, each bracket then polished by
+scipy's elementwise find_root.  The explicit linearization
+
+    xi = z + rho e^(-z) (psi(tau, x + z) - psi(tau, x))
+
 (resolve_xi_first_order) is kept as a diagnostic: its gap to the solve
 shrinks like rho^2.  The drift correction
 
@@ -23,10 +28,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# brentq is not called here (_bisect_vec replaces it), but bench/tracing.py
-# rebinds it by this module's name, so the name must stay importable
+# brentq is not called here, but bench/tracing.py rebinds it by this
+# module's name, so the name must stay importable
 from scipy.optimize import brentq  # noqa: F401
 
+from .bessel import ProbeReport
 from .errors import (NoSolutionError, ParameterDomainError,
                      ToleranceNotMetError)
 from .measures import (LevyMeasure, compensated_exp_term, exp_moment_cutoff,
@@ -38,7 +44,7 @@ __all__ = [
     "strategy_sin", "strategy_tanh_ramp", "strategy_from_table",
     "estimate_holder_constant", "resolve_xi", "resolve_xi_first_order",
     "xi_on_grid", "count_xi_roots", "resolve_H", "compute_delta",
-    "growth_bound_probe", "GrowthReport",
+    "growth_bound_probe",
 ]
 
 _LOG_FLOOR = 1e-12
@@ -268,8 +274,15 @@ def _bracketed_roots_w(model: ShiftModel, tau: float, x: np.ndarray,
     an entry takes the first width whose scan changes sign and, within it,
     the bracket whose midpoint is nearest 0 (the lower one on a tie), which
     keeps the solve deterministic when the residual oscillates and admits
-    several roots.  The brackets are then polished together by _bisect_vec.
+    several roots.  scipy's elementwise find_root (Chandrupatla's method)
+    then polishes each bracket on its own, with brentq's tolerances
+    xtol = 1e-15 and rtol = 8.9e-16, so an entry's root does not depend on
+    the entries that share the call.
     """
+    # imported here: the fallback is rare, and loading the module costs
+    # memory in every process that imports the package
+    from scipy.optimize.elementwise import find_root
+
     t = _balance(model, tau, x, z)
 
     def g(w, idx=slice(None)):
@@ -278,21 +291,17 @@ def _bracketed_roots_w(model: ShiftModel, tau: float, x: np.ndarray,
         return np.where(w > 700.0, np.inf, r)
 
     m = x.size
-    lo, hi, g_lo, g_hi = (np.empty(m) for _ in range(4))
+    lo, hi = np.empty(m), np.empty(m)
     todo = np.arange(m)
     width = 0.25
     while todo.size and width <= 800.0:
         pts = np.linspace(-width, width, 17)
-        vals = g(pts, todo[:, None])
-        sgn = np.sign(vals)
+        sgn = np.sign(g(pts, todo[:, None]))
         hit = sgn[:, :-1] * sgn[:, 1:] <= 0
         mid_dist = np.abs(pts[:-1] + 0.5 * (pts[1] - pts[0]))
         j = np.argmin(np.where(hit, mid_dist, np.inf), axis=1)
         found = np.nonzero(np.any(hit, axis=1))[0]
-        j = j[found]
-        dest = todo[found]
-        lo[dest], hi[dest] = pts[j], pts[j + 1]
-        g_lo[dest], g_hi[dest] = vals[found, j], vals[found, j + 1]
+        lo[todo[found]], hi[todo[found]] = pts[j[found]], pts[j[found] + 1]
         todo = np.delete(todo, found)
         width *= 2.0
     if todo.size:
@@ -301,54 +310,30 @@ def _bracketed_roots_w(model: ShiftModel, tau: float, x: np.ndarray,
             "shift balance has no root: the displaced level stays nonpositive "
             f"for z={float(z[i[0]]):.4g} (rho or the strategy swing is too large)",
             residual=abs(float(g(np.zeros(1), i)[0])))
-    return _bisect_vec(g, lo, hi, g_lo, g_hi)
+    return find_root(g, (lo, hi), args=(np.arange(m),),
+                     tolerances=dict(xatol=1e-15, xrtol=8.9e-16, fatol=0.0,
+                                     frtol=0.0)).x
 
 
-def _bisect_vec(g, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray,
-                g_hi: np.ndarray) -> np.ndarray:
-    """Bisection on many brackets at once.
-
-    g(w, idx) evaluates the residual of the brackets idx at w; g_lo and g_hi
-    are its values at the ends lo and hi, of opposite signs or zero.  Each
-    bracket halves until it is shorter than xtol + rtol |w| with brentq's
-    tolerances xtol = 1e-15, rtol = 8.9e-16, and is then left alone, so its
-    root does not depend on the other brackets; its midpoint is the root.
-    """
-    xtol, rtol = 1e-15, 8.9e-16
-    hi = np.where(g_lo == 0.0, lo, hi)
-    lo = np.where(g_hi == 0.0, hi, lo)
-    g_lo = np.array(g_lo, dtype=float)
-    live = np.arange(lo.size)
-    for _ in range(200):
-        mid = lo[live] + 0.5 * (hi[live] - lo[live])
-        wide = hi[live] - lo[live] >= xtol + rtol * np.abs(mid)
-        live, mid = live[wide], mid[wide]
-        if not live.size:
-            break
-        g_mid = g(mid, live)
-        exact = g_mid == 0.0
-        up = ~exact & (np.signbit(g_mid) == np.signbit(g_lo[live]))
-        lo[live] = np.where(up | exact, mid, lo[live])
-        g_lo[live] = np.where(up, g_mid, g_lo[live])
-        hi[live] = np.where(up, hi[live], mid)
-    return lo + 0.5 * (hi - lo)
+def _resolve(model: ShiftModel | None, tau: float, x, z,
+             stats: dict | None = None):
+    """The shift on the broadcast of x and z, a float when both are scalars;
+    no model or rho = 0 returns z exactly (no arithmetic applied)."""
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    shape = np.broadcast_shapes(x.shape, z.shape)
+    if model is None or model.rho == 0.0:
+        out = np.broadcast_to(z, shape).copy()
+    else:
+        out = _fixed_point_core(model, tau, np.atleast_1d(x),
+                                np.atleast_1d(z), stats).reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def resolve_xi(model: ShiftModel, tau: float, x, z):
-    """Shift resolved by fixed-point iteration started at xi = z.
-
-    rho = 0 returns z exactly (no arithmetic applied).  Scalar or array
-    x and z broadcast together.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if model.rho == 0.0:
-        out = np.broadcast_to(z, np.broadcast_shapes(x.shape, z.shape)).copy()
-        return float(out) if out.ndim == 0 else out
-    out = _fixed_point_core(model, tau, np.atleast_1d(x), np.atleast_1d(z))
-    if x.ndim == 0 and z.ndim == 0:
-        return float(out[0])
-    return out.reshape(np.broadcast_shapes(x.shape, z.shape))
+    """Shift resolved by fixed-point iteration started at xi = z; scalar or
+    array x and z broadcast together, and rho = 0 returns z exactly."""
+    return _resolve(model, tau, x, z)
 
 
 def xi_on_grid(model: ShiftModel | None, tau: float, x: np.ndarray, z,
@@ -362,13 +347,8 @@ def xi_on_grid(model: ShiftModel | None, tau: float, x: np.ndarray, z,
     entry-iterates and stats["shift_fallback_points"] by the number of
     entries it handed to the bracketed root solve.
     """
-    x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    if z.ndim:
-        z = z[:, None]
-    if model is None or model.rho == 0.0:
-        return np.broadcast_to(z, np.broadcast_shapes(x.shape, z.shape)).copy()
-    return _fixed_point_core(model, tau, x, z, stats)
+    return _resolve(model, tau, x, z[:, None] if z.ndim else z, stats)
 
 
 def count_xi_roots(model: ShiftModel, tau: float, x: float, z: float) -> int:
@@ -452,16 +432,7 @@ def compute_delta(model: ShiftModel | None, measure: LevyMeasure, tau: float,
             + adaptive_quad(lambda z: integrand(-z), 1.0, zc_neg, tol))
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    passed: bool
-    max_ratio: float
-    median_ratio: float
-    spread: float
-    detail: tuple
-
-
-def growth_bound_probe(model: ShiftModel, z_samples, x_samples) -> GrowthReport:
+def growth_bound_probe(model: ShiftModel, z_samples, x_samples) -> ProbeReport:
     """Ratios |xi| / (|z|^omega (1 + e^|z|)) over a (x, z) sample cloud at
     tau = 0.
 
@@ -476,8 +447,4 @@ def growth_bound_probe(model: ShiftModel, z_samples, x_samples) -> GrowthReport:
     xi = xi_on_grid(model, 0.0, xs, zs)
     bound = [abs(z) ** omega * (1.0 + math.exp(abs(z))) for z in zs.tolist()]
     ratios = np.max(np.abs(xi), axis=1) / np.array(bound)
-    med = float(np.median(ratios))
-    mx = float(np.max(ratios))
-    spread = mx / med if med > 0 else (np.inf if mx > 0 else 1.0)
-    return GrowthReport(spread <= 10.0, mx, med, spread,
-                        tuple(zip(zs.tolist(), ratios.tolist())))
+    return ProbeReport.from_ratios(zs, ratios)

@@ -770,8 +770,5 @@ def duhamel_gap(problem: CauchyProblem, scheme: SchemeConfig,
             dt = times[i + 1] - times[i]
             acc += 0.5 * dt * (np.exp(L_hat * (tm - times[i])) * n_hats[i]
                                + np.exp(L_hat * (tm - times[i + 1])) * n_hats[i + 1])
-        rec = tr.inv(acc)
-        den = float(np.linalg.norm(vals[m]))
-        gap = float(np.linalg.norm(rec - vals[m])) / (den if den > 0 else 1.0)
-        worst = max(worst, gap)
+        worst = max(worst, _rel_l2(vals[m], tr.inv(acc)))
     return worst

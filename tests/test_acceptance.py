@@ -122,7 +122,7 @@ def test_criterion_05_compensated_exponential_annihilation():
 def test_criterion_06_plane_wave_symbol():
     # pad chosen so the probe wavenumbers are exact modes of the padded box
     g = Grid(dim=1, half_width=4.0 * math.pi, n_core=2048, pad=256)
-    assert abs(g.length - 10.0 * math.pi) < 1e-12
+    assert abs(g.n_total * g.dx - 10.0 * math.pi) < 1e-12
     plan = build_plan(g, MERTON)
     x = g.axis()
     worst_apply = 0.0

@@ -111,10 +111,17 @@ def test_load_config_rejects_malformed_value(tmp_path):
     ("width = 1.0", "width = 1.0\nfp_tol = 1e-12", "shift.fp_tol"),
     ("dt = 0.04", "dt = 0.04\nstartup_grading = true", "scheme.startup_grading"),
     ("dt = 0.04", "dt = 0.04\nmonitor_gamma = 0.5", "scheme.monitor_gamma"),
+    # bad values the loader must not drop: a negative or NaN reach, and a
+    # strategy name that rho = 0 would otherwise never look at
+    ("n_core = 512", "n_core = 512\nreach = -3.0", "grid.reach"),
+    ("n_core = 512", "n_core = 512\nreach = nan", "grid.reach"),
+    ("rho = 0.05\nstrategy = tanh_ramp", "rho = 0.0\nstrategy = bogus",
+     "shift.strategy"),
 ])
 def test_unknown_keys_and_sections_exit_2_naming_them(tmp_path, capsys, old,
                                                       new, key):
-    # a key nothing reads would otherwise be silently ignored
+    # a key nothing reads, or a value nothing checks, would otherwise be
+    # silently ignored
     path = _write(tmp_path, SHIFT_CFG.replace(old, new, 1))
     with pytest.raises(ConfigError) as err:
         load_config(path)
@@ -123,6 +130,17 @@ def test_unknown_keys_and_sections_exit_2_naming_them(tmp_path, capsys, old,
     assert main(["--config", path, "--out", str(tmp_path / "out"),
                  "price"]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_spot_outside_the_core_window_exits_2(tmp_path, capsys):
+    # ln(100 / 0.1) = 6.91 lies past half_width = 6, where the price would
+    # be read from the padding
+    path = _write(tmp_path, MERTON_CFG.replace("strike = 100.0",
+                                               "strike = 0.1"))
+    assert main(["--config", path, "--out", str(tmp_path / "out"),
+                 "price"]) == 2
+    err = capsys.readouterr().err
+    assert "OutOfDomainError" in err and "ln(S0/K) = 6.90776" in err
 
 
 def test_odd_n_core_is_a_named_config_error(tmp_path):

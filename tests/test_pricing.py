@@ -5,8 +5,8 @@ import pytest
 
 from levypide import shift
 from levypide.blackscholes import BlackScholesClosedForm
-from levypide.errors import (NoSolutionError, ParameterDomainError,
-                             ToleranceNotMetError)
+from levypide.errors import (NoSolutionError, OutOfDomainError,
+                             ParameterDomainError, ToleranceNotMetError)
 from levypide.grids import make_grid
 from levypide.measures import make_merton
 from levypide.pricing import (MarketSpec, bs_closed_form, estimate_reach,
@@ -113,6 +113,17 @@ def test_report_price_interpolates_off_node():
     assert abs(got - bs_closed_form(mkt)) < 1e-5
 
 
+@pytest.mark.parametrize("strike", [0.1, 0.2])
+def test_price_outside_the_core_window_is_out_of_domain(strike):
+    # ln(S0/K) = 6.91 and 6.21 lie past half_width = 6: cubic interpolation
+    # read the padding or wrapped around the box there (K = 0.1 gave
+    # -7.9e-180 against the closed form's 99.905)
+    mkt = MarketSpec(100.0, strike, 1.0, 0.05, 0.2, "call")
+    with pytest.raises(OutOfDomainError,
+                       match=r"ln\(S0/K\) = 6\.\d+.*half-width 6\b"):
+        price_european(mkt, None, n_core=256, scheme=SchemeConfig(dt=0.05))
+
+
 def test_transform_to_pide_carries_market_data():
     g = make_grid(6.0, 512)
     problem = transform_to_pide(MKT, g)
@@ -132,6 +143,19 @@ def test_estimate_reach_modes():
     assert active > base
     with pytest.raises(NoSolutionError):
         estimate_reach(nu, ShiftModel(strategy_tanh_ramp(2.0), rho=0.5), 6.0)
+
+
+def test_estimate_reach_rejects_a_non_finite_strategy():
+    # a NaN swing used to slip past the feasibility test and size the pad
+    # as if there were no shift
+    def psi(tau, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 1.0, np.nan, 0.3 * np.tanh(x))
+
+    model = ShiftModel(TradingStrategy(psi, 1.0, 0.3, time_dependent=False),
+                       rho=0.05)
+    with pytest.raises(ParameterDomainError, match=r"tau=0, x=1\.03125\b"):
+        estimate_reach(make_merton(0.5, -0.1, 0.2), model, 6.0)
 
 
 def test_shifted_price_exceeds_unshifted_for_ramp():

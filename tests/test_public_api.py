@@ -46,6 +46,8 @@ def test_every_exported_name_resolves(module_name):
     ("levypide.shift", "_w_residual_fn"),
     ("levypide.jump_operator", "_BandCache"),
     ("levypide.jump_operator", "_grad_values"),
+    ("levypide.shift", "_bisect_vec"),
+    ("levypide.shift", "GrowthReport"),
 ])
 def test_removed_functions_are_gone(module_name, name):
     module = importlib.import_module(module_name)
@@ -77,6 +79,7 @@ def test_removed_functions_are_gone(module_name, name):
     (LevyMeasure, {"radial_profile", "product_factors"}),
     (OperatorPlan, {"r_out"}),
     (SolveResult, {"cross_check_gap"}),
+    (Grid, {"length"}),
 ])
 def test_removed_fields_are_gone(owner, removed):
     assert not removed & {f.name for f in dataclasses.fields(owner)}
