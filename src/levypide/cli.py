@@ -40,7 +40,8 @@ from .grids import make_grid
 from .jump_operator import apply_f_tilde_fn, build_plan, plan_symbol_table
 from .pricing import (bs_closed_form, estimate_reach, merton_series_oracle,
                       report_price, transform_to_pide)
-from .shift import count_xi_roots, growth_bound_probe, resolve_xi, resolve_xi_first_order
+from .shift import (count_xi_roots, growth_bound_probe,
+                    resolve_xi_first_order, xi_on_grid)
 from .solver import SchemeConfig, singular_source_decay_probe, solve_shifted
 
 _SCHEMA = "levypide-csv-1"
@@ -120,7 +121,9 @@ def _grid_record(half_width: float, n_core: int, reach: float):
 
 def _problem_grid(cfg: RunConfig, n_core: int | None = None):
     """The solve grid and its record: the configured reach, or the
-    auto-sized one when the config leaves it out."""
+    auto-sized one when the config leaves it out.  A spot outside the core
+    window fails here, before anything is solved."""
+    cfg.market.check_core_window(cfg.half_width)
     reach = cfg.reach if cfg.reach is not None else \
         estimate_reach(cfg.measure, cfg.shift, cfg.half_width)
     return _grid_record(cfg.half_width, n_core or cfg.n_core, reach)
@@ -282,12 +285,9 @@ def _cmd_xi_probe(cfg: RunConfig, outdir: Path):
     gaps = []
     for rho in (0.02, 0.01):
         mdl = replace(model, rho=rho)
-        worst = 0.0
-        for z in zs:
-            fp = resolve_xi(mdl, 0.0, xs, float(z))
-            fo = resolve_xi_first_order(mdl, 0.0, xs, float(z))
-            worst = max(worst, float(np.max(np.abs(fp - fo))))
-        gaps.append(worst)
+        gap = xi_on_grid(mdl, 0.0, xs, zs) - resolve_xi_first_order(
+            mdl, 0.0, xs, zs[:, None])
+        gaps.append(float(np.max(np.abs(gap))))
     ratio = gaps[0] / gaps[1] if gaps[1] > 0 else float("inf")
     rows.append(("first_order_gap_ratio", 0.02, ratio, 4.0,
                  bool(3.0 <= ratio <= 5.0)))

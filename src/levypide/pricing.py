@@ -62,6 +62,17 @@ class MarketSpec:
     def log_moneyness(self) -> float:
         return math.log(self.S0 / self.K)
 
+    def check_core_window(self, half_width: float) -> float:
+        """ln(S0/K), which must lie in the core window [-half_width,
+        half_width]: past it a price would be read from the padding or wrap
+        around the periodic box.  Checked before a grid is built."""
+        x = self.log_moneyness
+        if abs(x) > half_width:
+            raise OutOfDomainError(
+                f"ln(S0/K) = {x:.6g} lies outside the core window of "
+                f"half-width {half_width:.6g}")
+        return x
+
 
 @dataclass(frozen=True)
 class PriceResult:
@@ -91,16 +102,9 @@ def transform_to_pide(market: MarketSpec, grid: Grid,
 
 
 def report_price(market: MarketSpec, result: SolveResult) -> float:
-    """V(0, S0) = e^(-rT) u(T, ln(S0/K)), cubic-interpolated off-node.
-
-    ln(S0/K) must lie in the core window [-half_width, half_width]: past it
-    the interpolation reads the padding or wraps around the periodic box.
-    """
-    x, half_width = market.log_moneyness, result.field.grid.half_width
-    if abs(x) > half_width:
-        raise OutOfDomainError(
-            f"ln(S0/K) = {x:.6g} lies outside the core window of half-width "
-            f"{half_width:.6g}")
+    """V(0, S0) = e^(-rT) u(T, ln(S0/K)), cubic-interpolated off-node;
+    ln(S0/K) must lie in the solve's core window (check_core_window)."""
+    x = market.check_core_window(result.field.grid.half_width)
     u = field_interp(result.field, np.array([x]))
     return float(math.exp(-market.r * market.T) * u[0])
 
@@ -171,11 +175,7 @@ def estimate_reach(measure: LevyMeasure | None, shift: ShiftModel | None,
     if shift is None or shift.rho == 0.0:
         return 1.1 * base + 0.1
     xs = np.linspace(-half_width, half_width, 257)
-    psi_vals = np.asarray(shift.strategy.psi(0.0, xs), dtype=float)
-    finite = np.isfinite(psi_vals)
-    if not np.all(finite):
-        raise ParameterDomainError(
-            f"strategy psi is not finite at tau=0, x={xs[np.argmin(finite)]:.6g}")
+    psi_vals = shift.strategy.values(0.0, xs)
     swing = float(np.max(psi_vals) - np.min(psi_vals))
     margin = math.exp(-base) - shift.rho * swing
     if margin <= 0.0:
@@ -192,6 +192,7 @@ def price_european(market: MarketSpec, measure: LevyMeasure | None = None,
                    half_width: float = 6.0, n_core: int = 1024,
                    scheme: SchemeConfig | None = None) -> PriceResult:
     """One-call European price: grid sizing, shifted solve, reassembly."""
+    market.check_core_window(half_width)
     reach = estimate_reach(measure, shift, half_width)
     grid = make_grid(half_width, n_core, reach=reach)
     problem = transform_to_pide(market, grid, measure, shift)

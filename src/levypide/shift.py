@@ -16,10 +16,12 @@ shrinks like rho^2.  The drift correction
 
     delta(tau, x) = int (e^xi - 1 - xi) h(z) dz
 
-feeds the transport term of the pricing equation, and in original variables
+feeds the transport term of the pricing equation.  In original variables
 the impacted jump amplitude H solves
-H = rho S (phi(t, S + H) - phi(t, S)) + S (e^z - 1), tied to xi by
-H = S (e^xi - 1).
+H = rho S (phi(t, S + H) - phi(t, S)) + S (e^z - 1), which is the same
+balance at x = ln(S / K): resolve_H returns H = S (e^xi - 1) from the one
+solve.  Every evaluation of psi goes through TradingStrategy.values, which
+rejects a value that is not finite.
 """
 from __future__ import annotations
 
@@ -47,12 +49,10 @@ __all__ = [
     "growth_bound_probe",
 ]
 
-_LOG_FLOOR = 1e-12
-# Iteration cap of the shift and amplitude fixed points; the shift's stall
-# detector hands what is left to the bracketed root solve.
+# Iteration cap of the shift fixed point; its stall detector hands what is
+# left to the bracketed root solve.
 _FP_MAX_ITER = 64
-# Convergence tolerance of the shift fixed point (scaled residual) and of the
-# amplitude fixed point (relative step)
+# Convergence tolerance of the shift fixed point (scaled residual)
 _FP_TOL = 1e-12
 
 
@@ -77,6 +77,17 @@ class TradingStrategy:
             raise ParameterDomainError("holder_exponent must lie in (0, 1]")
         if self.holder_constant is not None and self.holder_constant < 0:
             raise ParameterDomainError("holder_constant must be nonnegative")
+
+    def values(self, tau: float, x) -> np.ndarray:
+        """psi(tau, x) as a float array; a value that is not finite raises
+        ParameterDomainError naming the first such (tau, x)."""
+        vals = np.asarray(self.psi(tau, x), dtype=float)
+        finite = np.isfinite(vals)
+        if not np.all(finite):
+            at = np.broadcast_arrays(x, vals)[0].ravel()[np.argmin(finite)]
+            raise ParameterDomainError(
+                f"strategy psi is not finite at tau={tau:.6g}, x={at:.6g}")
+        return vals
 
 
 def strategy_zero() -> TradingStrategy:
@@ -123,7 +134,7 @@ def estimate_holder_constant(strategy: TradingStrategy, x_cloud) -> float:
     """Empirical Holder constant max |dpsi| / |dx|^omega over cloud pairs at
     tau = 0."""
     x = np.asarray(x_cloud, dtype=float)
-    p = np.asarray(strategy.psi(0.0, x), dtype=float)
+    p = strategy.values(0.0, x)
     dx = np.abs(x[:, None] - x[None, :])
     dp = np.abs(p[:, None] - p[None, :])
     mask = dx > 1e-12
@@ -146,10 +157,10 @@ def resolve_xi_first_order(model: ShiftModel, tau: float, x, z):
     """Explicit linearized shift xi = z + rho e^(-z) (psi(tau, x+z) - psi(tau, x))."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
+    shape = np.broadcast_shapes(x.shape, z.shape)
     if model.rho == 0.0:
-        return np.broadcast_to(z, np.broadcast_shapes(x.shape, z.shape)).copy()
-    psi = model.strategy.psi
-    return z + model.rho * np.exp(-z) * (psi(tau, x + z) - psi(tau, x))
+        return np.broadcast_to(z, shape).copy()
+    return z + _balance(model, tau, x, z)(0.0).reshape(shape)
 
 
 def _balance(model: ShiftModel, tau: float, x: np.ndarray, z: np.ndarray):
@@ -159,28 +170,17 @@ def _balance(model: ShiftModel, tau: float, x: np.ndarray, z: np.ndarray):
 
     at the entries idx of the flattened broadcast of x and z (all of them by
     default), broadcast against w.  psi(tau, x) is evaluated on x itself.
-    xi = z + w solves the balance exactly when expm1(w) = t(w).  A psi that
-    is not finite where it is evaluated raises ParameterDomainError naming
-    the first such point."""
-    psi = model.strategy.psi
-
-    def psi_at(pts):
-        vals = np.asarray(psi(tau, pts), dtype=float)
-        finite = np.isfinite(vals)
-        if not np.all(finite):
-            at = np.broadcast_arrays(pts, vals)[0].ravel()[np.argmin(finite)]
-            raise ParameterDomainError(
-                f"strategy psi is not finite at tau={tau:.6g}, x={at:.6g}")
-        return vals
-
+    xi = z + w solves the balance exactly when expm1(w) = t(w).  psi goes
+    through TradingStrategy.values, so a value that is not finite raises."""
+    values = model.strategy.values
     shape = np.broadcast_shapes(x.shape, z.shape)
-    psi_x = np.broadcast_to(psi_at(x), shape).ravel()
+    psi_x = np.broadcast_to(values(tau, x), shape).ravel()
     scale = np.broadcast_to(model.rho * np.exp(np.minimum(-z, 700.0)),
                             shape).ravel()
     xz = (x + z).ravel()
 
     def t(w, idx=slice(None)):
-        return scale[idx] * (psi_at(xz[idx] + w) - psi_x[idx])
+        return scale[idx] * (values(tau, xz[idx] + w) - psi_x[idx])
 
     return t
 
@@ -367,31 +367,15 @@ def resolve_H(model: ShiftModel, tau: float, spot: float, z: float,
 
         H = rho S (phi(t, S+H) - phi(t, S)) + S (e^z - 1),
 
-    where phi(t, S) = psi(tau, log(S / strike)).  Fixed point started at the
-    impact-free amplitude S (e^z - 1); rho = 0 returns it exactly.
+    where phi(t, S) = psi(tau, log(S / strike)).  This is the shift balance
+    at x = log(S / strike) with S + H = S e^xi, so H = S (e^xi - 1) from
+    resolve_xi; rho = 0 returns the impact-free S (e^z - 1) exactly.
     """
     if spot <= 0 or strike <= 0:
         raise ParameterDomainError("spot and strike must be positive")
-    base = spot * (math.exp(z) - 1.0)
     if model.rho == 0.0:
-        return base
-    psi = model.strategy.psi
-
-    def phi(s: float) -> float:
-        return float(np.asarray(psi(tau, np.array([math.log(s / strike)])))[0])
-
-    phi_s = phi(spot)
-    h = base
-    prev = abs(h)
-    for _ in range(_FP_MAX_ITER):
-        nxt = model.rho * spot * (phi(spot + h) - phi_s) + base
-        if spot + nxt <= _LOG_FLOOR:
-            raise NoSolutionError("impacted price S + H collapsed to zero")
-        if abs(nxt - h) < _FP_TOL * max(1.0, abs(nxt)):
-            return nxt
-        h, prev = nxt, abs(nxt - h)
-    raise ToleranceNotMetError("amplitude fixed point did not converge",
-                               estimate=h, error=prev)
+        return spot * (math.exp(z) - 1.0)
+    return spot * math.expm1(resolve_xi(model, tau, math.log(spot / strike), z))
 
 
 def compute_delta(model: ShiftModel | None, measure: LevyMeasure, tau: float,

@@ -90,6 +90,7 @@ class CauchyProblem:
     risk-neutral drift r - sigma^2/2 minus the jump compensator
     integral (e^z - 1) nu(dz) (with feedback, the resolved e^xi - 1); a
     callable nonlinearity g(tau, x, u, grad_u) replaces that drift entirely.
+    The pricing drift is 1-D: a 2-D problem needs a nonlinearity.
     """
 
     grid: Grid
@@ -319,12 +320,11 @@ def _march(grid: Grid, L_hat: np.ndarray | None, implicit, N_fn,
 
 def _feedback_coefficient(problem: CauchyProblem, tau: float, x: np.ndarray,
                           sigma2: float) -> np.ndarray:
-    psi = problem.shift.strategy.psi
+    psi = problem.shift.strategy.values
     rho = problem.shift.rho
     eps = problem.grid.dx
-    dpsi = (8.0 * (np.asarray(psi(tau, x + eps)) - np.asarray(psi(tau, x - eps)))
-            - (np.asarray(psi(tau, x + 2 * eps)) - np.asarray(psi(tau, x - 2 * eps)))
-            ) / (12.0 * eps)
+    dpsi = (8.0 * (psi(tau, x + eps) - psi(tau, x - eps))
+            - (psi(tau, x + 2 * eps) - psi(tau, x - 2 * eps))) / (12.0 * eps)
     gap = 1.0 - rho * dpsi
     worst = float(np.max(np.abs(rho * dpsi)))
     if worst > 0.9:
@@ -483,6 +483,10 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
         sigma2 += plan.sigma2_correction
 
     pricing = problem.nonlinearity is None
+    if pricing and g.dim != 1:
+        raise UnsupportedConfigurationError(
+            "the pricing drift is one-dimensional; a 2-D problem needs a "
+            "nonlinearity")
     mean0 = delta00 = 0.0
     if plan is not None and g.dim == 1:
         mean0, delta00 = plan.mean_jump[0], plan.delta0

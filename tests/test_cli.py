@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levypide import config
+from levypide import cli, config
 from levypide.cli import _seedless_guard, main
 from levypide.config import load_config
 from levypide.errors import ConfigError, LevyPideError
@@ -132,15 +132,21 @@ def test_unknown_keys_and_sections_exit_2_naming_them(tmp_path, capsys, old,
     assert key in capsys.readouterr().err
 
 
-def test_spot_outside_the_core_window_exits_2(tmp_path, capsys):
+def test_spot_outside_the_core_window_exits_2(tmp_path, capsys, monkeypatch):
     # ln(100 / 0.1) = 6.91 lies past half_width = 6, where the price would
-    # be read from the padding
+    # be read from the padding; the window is checked before any solve
+    solves = []
+    real = cli.solve_shifted
+    monkeypatch.setattr(cli, "solve_shifted",
+                        lambda *a: solves.append(a) or real(*a))
     path = _write(tmp_path, MERTON_CFG.replace("strike = 100.0",
                                                "strike = 0.1"))
-    assert main(["--config", path, "--out", str(tmp_path / "out"),
-                 "price"]) == 2
-    err = capsys.readouterr().err
-    assert "OutOfDomainError" in err and "ln(S0/K) = 6.90776" in err
+    for command in (["price"], ["convergence-study", "--halvings", "2"]):
+        assert main(["--config", path, "--out", str(tmp_path / "out"),
+                     *command]) == 2
+        err = capsys.readouterr().err
+        assert "OutOfDomainError" in err and "ln(S0/K) = 6.90776" in err
+    assert solves == []
 
 
 def test_odd_n_core_is_a_named_config_error(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levypide import shift
+from levypide import pricing, shift
 from levypide.blackscholes import BlackScholesClosedForm
 from levypide.errors import (NoSolutionError, OutOfDomainError,
                              ParameterDomainError, ToleranceNotMetError)
@@ -114,14 +114,19 @@ def test_report_price_interpolates_off_node():
 
 
 @pytest.mark.parametrize("strike", [0.1, 0.2])
-def test_price_outside_the_core_window_is_out_of_domain(strike):
+def test_price_outside_the_core_window_is_out_of_domain(strike, monkeypatch):
     # ln(S0/K) = 6.91 and 6.21 lie past half_width = 6: cubic interpolation
     # read the padding or wrapped around the box there (K = 0.1 gave
-    # -7.9e-180 against the closed form's 99.905)
+    # -7.9e-180 against the closed form's 99.905); nothing is solved first
+    solves = []
+    real = pricing.solve_shifted
+    monkeypatch.setattr(pricing, "solve_shifted",
+                        lambda *a: solves.append(a) or real(*a))
     mkt = MarketSpec(100.0, strike, 1.0, 0.05, 0.2, "call")
     with pytest.raises(OutOfDomainError,
                        match=r"ln\(S0/K\) = 6\.\d+.*half-width 6\b"):
         price_european(mkt, None, n_core=256, scheme=SchemeConfig(dt=0.05))
+    assert solves == []
 
 
 def test_transform_to_pide_carries_market_data():

@@ -48,6 +48,7 @@ def test_every_exported_name_resolves(module_name):
     ("levypide.jump_operator", "_grad_values"),
     ("levypide.shift", "_bisect_vec"),
     ("levypide.shift", "GrowthReport"),
+    ("levypide.shift", "_LOG_FLOOR"),
 ])
 def test_removed_functions_are_gone(module_name, name):
     module = importlib.import_module(module_name)

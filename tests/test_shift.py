@@ -9,6 +9,7 @@ from levypide.errors import NoSolutionError, ParameterDomainError
 from levypide.grids import make_grid
 from levypide.jump_operator import build_plan
 from levypide.measures import make_exponential_tail, make_merton, moments
+from levypide.pricing import estimate_reach
 from levypide.shift import (ShiftModel, TradingStrategy, compute_delta,
                             count_xi_roots,
                             estimate_holder_constant, growth_bound_probe,
@@ -314,15 +315,53 @@ def test_node_block_matches_per_node_calls_bit_for_bit(case):
         assert block_stats["shift_fallback_points"] > 0
 
 
+@pytest.mark.parametrize("case", sorted(BRACKET_CASES))
+def test_resolve_H_solves_the_amplitude_balance(case):
+    # H = S (e^xi - 1) from the shift solve, so every point with a shift
+    # has an amplitude, including those whose plain fixed point on H
+    # stalled or stepped below S + H = 0
+    model, z = BRACKET_CASES[case]
+    K = 100.0
+    for x in np.linspace(-3.0, 3.0, 61):
+        S = K * math.exp(x)
+        H = resolve_H(model, 0.0, S, z, strike=K)
+        phi_S, phi_SH = model.strategy.psi(
+            0.0, np.log(np.array([S, S + H]) / K))
+        residual = H - model.rho * S * (phi_SH - phi_S) - S * math.expm1(z)
+        assert abs(residual) < 1e-9 * max(1.0, abs(H)), (x, H, residual)
+
+
+def _nan_beyond_one(tau, x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 1.0, np.nan, 0.3 * np.tanh(x))
+
+
+NAN_MODEL = ShiftModel(TradingStrategy(_nan_beyond_one, 1.0, 0.3,
+                                       time_dependent=False), rho=0.05)
+XS = np.linspace(-3.0, 3.0, 61)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: xi_on_grid(NAN_MODEL, 0.0, XS, 0.5),
+    lambda: resolve_xi_first_order(NAN_MODEL, 0.0, XS, 0.5),
+    lambda: resolve_H(NAN_MODEL, 0.0, 100.0 * math.exp(1.5), 0.1, strike=100.0),
+    lambda: count_xi_roots(NAN_MODEL, 0.0, 0.5, 0.3),
+    lambda: growth_bound_probe(NAN_MODEL, np.array([-0.5, 0.5]), XS),
+    lambda: estimate_reach(make_merton(0.5, -0.1, 0.2), NAN_MODEL, 6.0),
+    lambda: estimate_holder_constant(NAN_MODEL.strategy, XS),
+], ids=["xi_on_grid", "resolve_xi_first_order", "resolve_H", "count_xi_roots",
+        "growth_bound_probe", "estimate_reach", "estimate_holder_constant"])
+def test_every_strategy_evaluation_rejects_a_non_finite_psi(evaluate):
+    # every layer evaluates psi through TradingStrategy.values, so none of
+    # them returns nan or a misleading convergence error
+    with pytest.raises(ParameterDomainError, match="not finite"):
+        evaluate()
+
+
 def test_non_finite_strategy_is_a_domain_error():
     # psi is NaN beyond x = 1: the resolver names the first such point,
     # among the grid points or among the displaced ones x + xi
-    def psi(tau, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 1.0, np.nan, 0.3 * np.tanh(x))
-
-    model = ShiftModel(TradingStrategy(psi, 1.0, 0.3, time_dependent=False),
-                       rho=0.05)
+    model = NAN_MODEL
     xs = np.linspace(-3.0, 3.0, 61)
     with pytest.raises(ParameterDomainError, match=r"tau=0\.5, x=1\.1\b"):
         xi_on_grid(model, 0.5, xs, np.array([-0.5, 0.5]))

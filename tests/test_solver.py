@@ -467,6 +467,18 @@ def test_solve_counts_explicit_evaluations(scheme, per_level):
     assert res.stats["shift_fallback_points"] == 0
 
 
+def test_two_dimensional_pricing_form_is_unsupported():
+    # the pricing drift r - sigma^2/2 - mean is one-dimensional: a 2-D
+    # problem without a nonlinearity marched diffusion alone and returned
+    # the same field for every rate
+    g = make_grid(5.0, 64, dim=2)
+    xx, yy = g.meshes()
+    problem = CauchyProblem(g, sigma=0.3, horizon=0.5, rate=0.5,
+                            initial=GridField(g, np.exp(-(xx ** 2 + yy ** 2))))
+    with pytest.raises(UnsupportedConfigurationError, match="nonlinearity"):
+        solve_direct(problem, SchemeConfig(dt=0.01))
+
+
 def test_two_dimensional_plan_checks_the_padding_against_the_jump_radius():
     # pad * dx = 0.625 against a jump radius of 2.56: the lattice symbol
     # would wrap the long jumps around the periodic box
