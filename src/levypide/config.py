@@ -24,13 +24,15 @@ amplitude plus center and width (tanh_ramp) or frequency (sin).  Absent,
 grid.reach is sized automatically; every other key has a default.
 
 Missing or malformed keys, unknown keys and unknown sections raise
-ConfigError naming the dotted key path, as do a negative grid.reach and an
-unknown shift.strategy (also when rho = 0).
+ConfigError naming the dotted key path, as do a grid.half_width that is not
+positive and finite, a negative grid.reach and an unknown shift.strategy
+(also when rho = 0).
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -212,6 +214,9 @@ def load_config(path: str) -> RunConfig:
     half_width = grid_sec.number("half_width", 6.0)
     n_core = grid_sec.integer("n_core", 1024)
     reach = grid_sec.number("reach", None)
+    if not 0.0 < half_width < math.inf:
+        raise ConfigError("grid.half_width must be a positive finite number",
+                          key="grid.half_width")
     if n_core < 16 or n_core % 2:
         raise ConfigError("grid.n_core must be an even integer >= 16",
                           key="grid.n_core")

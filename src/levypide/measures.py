@@ -57,15 +57,15 @@ class ShapeParams:
         if self.mu == 0 and self.d <= 0:
             raise ParameterDomainError("d must be positive when mu == 0")
 
-    def envelope(self, r):
-        """Envelope value at radius r > 0."""
-        r = np.asarray(r, dtype=float)
-        return self.c0 * r ** (-self.alpha) * np.exp(-self.d * r - self.mu * r * r)
+    def envelope(self, r: float) -> float:
+        """Envelope value at radius r > 0, in scalar float arithmetic: the
+        tail quadratures call it once per point."""
+        return self.c0 * r ** (-self.alpha) * math.exp(-self.d * r - self.mu * r * r)
 
     def tail_mass(self, radius: float, dim: int) -> float:
         """Envelope mass beyond the given radius (exact up to quadrature)."""
         if dim == 1:
-            return 2.0 * adaptive_quad(lambda z: self.envelope(z), radius, np.inf,
+            return 2.0 * adaptive_quad(self.envelope, radius, np.inf,
                                        rel_tol=1e-9, abs_tol=1e-250)
         return 2.0 * np.pi * adaptive_quad(lambda p: p * self.envelope(p), radius,
                                            np.inf, rel_tol=1e-9, abs_tol=1e-250)

@@ -47,14 +47,17 @@ class MarketSpec:
     option_type: str = "call"
 
     def __post_init__(self):
-        if self.S0 <= 0:
-            raise ParameterDomainError("spot S0 must be positive")
-        if self.K <= 0:
-            raise ParameterDomainError("strike K must be positive")
-        if self.T <= 0:
-            raise ParameterDomainError("maturity T must be positive")
-        if self.sigma <= 0:
-            raise ParameterDomainError("volatility sigma must be positive")
+        if not 0.0 < self.S0 < math.inf:
+            raise ParameterDomainError("spot S0 must be positive and finite")
+        if not 0.0 < self.K < math.inf:
+            raise ParameterDomainError("strike K must be positive and finite")
+        if not 0.0 < self.T < math.inf:
+            raise ParameterDomainError("maturity T must be positive and finite")
+        if not math.isfinite(self.r):
+            raise ParameterDomainError("rate r must be finite")
+        if not 0.0 < self.sigma < math.inf:
+            raise ParameterDomainError(
+                "volatility sigma must be positive and finite")
         if self.option_type not in ("call", "put"):
             raise ParameterDomainError("option_type must be call or put")
 

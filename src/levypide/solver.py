@@ -51,14 +51,23 @@ the next one.  Feedback shifts (rho > 0) and any tau at or before the anchor
 stay analytic.  The window is verified too: the first analytic level sums
 every pair and the window, keeps the full sum, and a gap above
 SOURCE_SWITCH_TOL leaves the window off for the rest of the solve.  The
-counts, the anchor, both gaps and the share of pairs summed are reported in
-SolveResult.stats.
+counts, the anchor, both gaps, the share of pairs summed and the seconds
+spent on analytic levels are reported in SolveResult.stats.
+
+A cross-checked solve then marches the other scheme on the same operator
+plan and time levels.  Its source takes the window decision and reads back
+every analytic level the first solve kept, so it evaluates only what that
+solve never reached: mild_etd2's last stage at the horizon, which is
+propagated under the identity shift and one analytic level with feedback.
+The replay makes the same switch decisions, so the other scheme's field is
+bit for bit its own solve's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -106,12 +115,14 @@ class CauchyProblem:
     diffusion_mode: str = "constant"
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ParameterDomainError("sigma must be positive")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ParameterDomainError("horizon must be positive")
-        if self.strike <= 0:
+        if not self.strike > 0:
             raise ParameterDomainError("strike must be positive")
+        if not math.isfinite(self.rate):
+            raise ParameterDomainError("rate must be finite")
         if self.option_type not in ("call", "put"):
             raise ParameterDomainError("option_type must be call or put")
         if self.diffusion_mode not in ("constant", "feedback"):
@@ -149,10 +160,12 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in ("imex_bdf2", "mild_etd2"):
             raise ParameterDomainError("scheme must be imex_bdf2 or mild_etd2")
-        if self.dt <= 0:
-            raise ParameterDomainError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ParameterDomainError("dt must be positive and finite")
         if self.checkpoint_count < 1:
             raise ParameterDomainError("checkpoint_count must be >= 1")
+        if not self.cross_check_tol >= 0:
+            raise ParameterDomainError("cross_check_tol must be nonnegative")
 
 
 # The source is propagated once the Black-Scholes kernel is this many grid
@@ -173,16 +186,18 @@ class SolveResult:
     "fft", "band" or None without a measure); the plan's counters
     operator_build_s, shift_resolve_s, shift_fp_iterations,
     shift_fallback_points and source_pairs (see OperatorPlan; 0 without a
-    measure); the
-    stability_margin dt / bound of the explicit-part check; the calls of N
-    (explicit_evaluations); and the source work: source_analytic and
-    source_propagated evaluations, source_reanchors (failed switch
-    verifications), the verified anchor source_switch_tau and its
-    source_switch_gap (both None when the source never switched), the
-    live-window check's source_window_gap and the source_pair_fraction,
-    source_pairs over nodes x n_total x source_analytic (both None without
-    a source); and the relative L2 gap to the other scheme's solve,
-    cross_check_gap (None when no cross-check ran).
+    measure); the stability_margin dt / bound of the explicit-part check;
+    the calls of N (explicit_evaluations); and the source work:
+    source_analytic and source_propagated evaluations, source_analytic_s
+    (perf_counter seconds of the analytic ones, window check included; 0.0
+    without a source), source_reanchors (failed switch verifications), the
+    verified anchor source_switch_tau and its source_switch_gap (both None
+    when the source never switched), the live-window check's
+    source_window_gap and the source_pair_fraction, source_pairs over
+    nodes x n_total x source_analytic (both None without a source); and
+    the relative L2 gap to the other scheme's solve, cross_check_gap (None
+    when no cross-check ran).  That solve's own work stays out of the
+    record.
     """
 
     field: GridField
@@ -370,14 +385,26 @@ def _problem_plan(problem: CauchyProblem) -> OperatorPlan | None:
 
 
 def _source_stats() -> dict:
-    return {"source_analytic": 0, "source_propagated": 0,
-            "source_reanchors": 0, "source_switch_tau": None,
-            "source_switch_gap": None, "source_window_gap": None,
-            "source_pair_fraction": None}
+    return {"source_analytic": 0, "source_analytic_s": 0.0,
+            "source_propagated": 0, "source_reanchors": 0,
+            "source_switch_tau": None, "source_switch_gap": None,
+            "source_window_gap": None, "source_pair_fraction": None}
+
+
+@dataclass(eq=False)
+class _SourceMemo:
+    """What one solve's analytic source decided and computed, for the
+    cross-check's solve of the same problem on the same plan to reuse: the
+    live-window decision (None until the first analytic level checks it)
+    and, when levels is a dict, every analytic value by tau."""
+
+    window: bool | None = None
+    levels: dict | None = None
 
 
 def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
-                        stats: dict) -> Callable[[float], np.ndarray]:
+                        stats: dict, memo: _SourceMemo | None = None
+                        ) -> Callable[[float], np.ndarray]:
     """source(tau): the compensated operator on the closed form, on the grid.
 
     Analytic while the kernel is narrower than SOURCE_SWITCH_CELLS cells,
@@ -386,8 +413,12 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     only); see the module docstring.  The marchers call it in nondecreasing
     tau (mild_etd2 twice in a row at the next level's tau, hence the kept
     latest value); a tau at or before the anchor is evaluated analytically.
-    Counts go into stats.
+    An analytic value memo.levels already holds is read back, not
+    evaluated; memo.window carries the window decision (a fresh memo by
+    default).  Counts and the seconds spent evaluating go into stats.
     """
+    if memo is None:
+        memo = _SourceMemo()
     g = problem.grid
     # call and put share the source: the compensated operator kills the
     # affine gap between the two closed forms, and the put profile keeps
@@ -400,20 +431,21 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
             + tr.ik[0] * (problem.rate - 0.5 * problem.sigma ** 2))
     anchor = None  # (tau_s, rfft of the analytic source at tau_s)
     verified = False
-    window = None  # live-window sums: None until checked, then pass/fail
     pairs_per_level = g.n_total * plan.wh.size
     latest = (None, None)  # (tau, source(tau)) of the latest call
 
     def analytic(tau: float) -> np.ndarray:
-        nonlocal window
+        if memo.levels is not None and tau in memo.levels:
+            return memo.levels[tau]
+        t0 = perf_counter()
         fn, dfn = (lambda p: bs.u(tau, p)), (lambda p: bs.du_dx(tau, p))
-        live = bs.live_interval(tau) if window else None
+        live = bs.live_interval(tau) if memo.window else None
         h = apply_f_tilde_fn(plan, fn, dfn, tau, live)
-        if window is None:
+        if memo.window is None:
             h_win = apply_f_tilde_fn(plan, fn, dfn, tau, bs.live_interval(tau))
             gap = float(np.max(np.abs(h_win - h))) \
                 / max(float(np.max(np.abs(h))), 1e-300)
-            window = gap <= SOURCE_SWITCH_TOL
+            memo.window = gap <= SOURCE_SWITCH_TOL
             stats["source_window_gap"] = gap
         if not np.all(np.isfinite(h)):
             raise SingularityError(
@@ -422,6 +454,9 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         stats["source_analytic"] += 1
         stats["source_pair_fraction"] = plan.stats["source_pairs"] / (
             pairs_per_level * stats["source_analytic"])
+        if memo.levels is not None:
+            memo.levels[tau] = h
+        stats["source_analytic_s"] += perf_counter() - t0
         return h
 
     def evaluate(tau: float) -> np.ndarray:
@@ -460,9 +495,10 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
 
 
 def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
-                 plan: OperatorPlan | None):
+                 plan: OperatorPlan | None, memo: _SourceMemo | None = None):
     """Assemble (L_hat, implicit, N_fn, needs_grad, stats) for one solve on
-    the problem's plan, after the stability check (_check_stability).
+    the problem's plan, after the stability check (_check_stability).  A
+    shifted solve's source shares memo (see _compensated_source).
 
     With constant diffusion the implicit part is the Fourier multiplier
     L_hat: diffusion plus, in pricing form, the constant part of the drift
@@ -515,7 +551,7 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
              "stability_margin": _check_stability(problem, scheme, plan)}
     source = None
     if shifted and plan is not None:
-        source = _compensated_source(problem, plan, stats)
+        source = _compensated_source(problem, plan, stats, memo)
 
     coords = g.axis() if g.dim == 1 else g.meshes()
     fft_fast = plan is not None and plan.uses_fft
@@ -584,16 +620,23 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
 
 
 def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
-         taus: np.ndarray, shifted: bool, store_stride: int) -> SolveResult:
-    """One full solve: march, checkpoints, reassembly and cross-check.
+         taus: np.ndarray, shifted: bool, store_stride: int,
+         plan: OperatorPlan | None, memo: _SourceMemo | None = None
+         ) -> SolveResult:
+    """One full solve on the plan: march, checkpoints, reassembly and
+    cross-check.
 
     In shifted mode v0 and the marched state are the difference U, and the
-    closed form is added back at the horizon.
+    closed form is added back at the horizon.  The cross-check marches the
+    other scheme on the same plan and taus; its source reads back every
+    analytic level this solve kept in memo, so it evaluates only the levels
+    this solve never reached (mild_etd2's last stage at the horizon).
     """
     g = problem.grid
-    plan = _problem_plan(problem)
+    if scheme.cross_check:
+        memo = _SourceMemo(levels={})
     L_hat, implicit, N_fn, needs_grad, stats = _prepare_rhs(
-        problem, scheme, shifted, plan)
+        problem, scheme, shifted, plan, memo)
     norm = FractionalNorm(g, scheme.monitor_gamma)
     T = float(taus[-1])
     marks = [T * (j + 1) / scheme.checkpoint_count
@@ -617,10 +660,8 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
     stats["cross_check_gap"] = None
     if scheme.cross_check:
         other = "mild_etd2" if scheme.scheme == "imex_bdf2" else "imex_bdf2"
-        # through the public entry point, so whoever wraps it sees the
-        # alternate solve as one more solve
-        solve = solve_shifted if shifted else solve_direct
-        alt = solve(problem, _replace_scheme(scheme, other))
+        alt = _run(problem, _replace_scheme(scheme, other), v0, taus, shifted,
+                   0, plan, memo)
         gap = stats["cross_check_gap"] = _rel_l2(v_T, alt.field.values)
         if gap > scheme.cross_check_tol:
             raise ToleranceNotMetError(
@@ -644,7 +685,7 @@ def solve_direct(problem: CauchyProblem, scheme: SchemeConfig,
     taus = build_time_mesh(problem.horizon, scheme.dt, grade=False,
                            tau0=problem.initial.time_tag)
     return _run(problem, scheme, problem.initial.values, taus, shifted=False,
-                store_stride=store_stride)
+                store_stride=store_stride, plan=_problem_plan(problem))
 
 
 def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig) -> SolveResult:
@@ -664,7 +705,7 @@ def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig) -> SolveResult:
             "shifted solves use the built-in pricing drift")
     taus = build_time_mesh(problem.horizon, scheme.dt, grade=True)
     return _run(problem, scheme, np.zeros(problem.grid.n_total), taus,
-                shifted=True, store_stride=0)
+                shifted=True, store_stride=0, plan=_problem_plan(problem))
 
 
 def _replace_scheme(scheme: SchemeConfig, name: str) -> SchemeConfig:

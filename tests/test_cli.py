@@ -149,6 +149,41 @@ def test_spot_outside_the_core_window_exits_2(tmp_path, capsys, monkeypatch):
     assert solves == []
 
 
+@pytest.mark.parametrize("demo,old,new", [
+    # a NaN tolerance passes every cross-check: gap > nan is False
+    ("kou_put.cfg", "cross_check_tol = 1e-3", "cross_check_tol = nan"),
+    ("kou_put.cfg", "cross_check_tol = 1e-3", "cross_check_tol = -1e-3"),
+    ("kou_put.cfg", "dt = 0.01", "dt = nan"),
+    ("kou_put.cfg", "dt = 0.01", "dt = inf"),
+    ("kou_put.cfg", "maturity_years = 0.5", "maturity_years = nan"),
+    ("kou_put.cfg", "maturity_years = 0.5", "maturity_years = inf"),
+    ("kou_put.cfg", "half_width = 6.0", "half_width = nan"),
+    ("kou_put.cfg", "half_width = 6.0", "half_width = inf"),
+    ("merton_call.cfg", "volatility = 0.2", "volatility = nan"),
+    ("merton_call.cfg", "volatility = 0.2", "volatility = inf"),
+    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = nan"),
+    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = inf"),
+])
+def test_non_finite_numbers_exit_2_before_any_solve(tmp_path, capsys,
+                                                    monkeypatch, demo, old,
+                                                    new):
+    solves = []
+    real = cli.solve_shifted
+    monkeypatch.setattr(cli, "solve_shifted",
+                        lambda *a: solves.append(a) or real(*a))
+    text = (ROOT / "demos" / "configs" / demo).read_text()
+    assert old in text
+    path = _write(tmp_path, text.replace(old, new).replace(
+        "n_core = 1024", "n_core = 128"))
+    with pytest.raises(LevyPideError):
+        load_config(path)
+    assert main(["--config", path, "--out", str(tmp_path / "out"),
+                 "price"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert solves == []
+    assert not (tmp_path / "out" / "price.csv").exists()
+
+
 def test_odd_n_core_is_a_named_config_error(tmp_path):
     path = _write(tmp_path, MERTON_CFG.replace("n_core = 512", "n_core = 513"))
     with pytest.raises(ConfigError) as err:
@@ -245,6 +280,8 @@ def test_price_command_writes_artifacts(tmp_path):
     assert manifest["stats"]["source_switch_gap"] <= 1e-10
     assert manifest["stats"]["operator"] == "fft"
     assert manifest["stats"]["operator_build_s"] == 0.0
+    assert 0.0 < manifest["stats"]["source_analytic_s"] \
+        < manifest["wall_clock_s"]
     assert manifest["stats"]["shift_resolve_s"] == 0.0
     assert manifest["stats"]["shift_fallback_points"] == 0
     assert manifest["stats"]["shift_fp_iterations"] == 0

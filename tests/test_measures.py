@@ -130,3 +130,33 @@ def test_merton_density_peak_location():
     z = np.linspace(-0.5, 0.3, 1601)
     vals = np.asarray(meas(z))
     assert abs(z[int(np.argmax(vals))] + 0.1) < 1e-3
+
+
+# (factory, {rel_tol: the tail radius, as its float bits}); the searched
+# radii size the padding and the quadrature nodes of every plan, so a
+# faster envelope must keep them to the last bit
+PINNED_RADII = {
+    "merton": (lambda: make_merton(0.5, -0.1, 0.2),
+               {1e-10: "0x1.11a8000000000p+1", 1e-13: "0x1.3081a00000000p+1"}),
+    "kou": (lambda: make_kou(0.4, 0.6, 8.0, 4.0),
+            {1e-10: "0x1.b069f00000000p+2", 1e-13: "0x1.0f78100000000p+3"}),
+    "exptail_alpha_0.5": (lambda: make_exponential_tail(1.0, 0.5, 3.0),
+                          {1e-10: "0x1.0b6bb00000000p+3",
+                           1e-13: "0x1.53dde00000000p+3"}),
+    "exptail_alpha_1.5": (lambda: make_exponential_tail(1.0, 1.5, 3.0),
+                          {1e-10: "0x1.efcf300000000p+2",
+                           1e-13: "0x1.3dc0100000000p+3"}),
+    "merton_2d": (lambda: make_merton(0.5, [-0.1, 0.05], 0.2, dim=2),
+                  {1e-10: "0x1.1507600000000p+1",
+                   1e-13: "0x1.33fb800000000p+1"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RADII))
+def test_tail_radius_keeps_its_bits(name):
+    factory, radii = PINNED_RADII[name]
+    measure = factory()
+    assert measure.jump_radius == float.fromhex(radii[1e-10])
+    for rel_tol, bits in radii.items():
+        assert measure.shape.tail_radius(measure.dim, rel_tol) \
+            == float.fromhex(bits)

@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levypide import solver
+from levypide import jump_operator, solver
 from levypide.blackscholes import BlackScholesClosedForm
+from levypide.config import load_config
 from levypide.errors import (BlowUpError, OutOfDomainError,
                              ParameterDomainError, StabilityError,
                              ToleranceNotMetError,
@@ -14,7 +18,7 @@ from levypide.grids import Grid, GridField, make_grid
 from levypide.jump_operator import apply_f_tilde_fn, build_plan
 from levypide.measures import (levy_pair, make_exponential_tail, make_kou,
                                make_merton)
-from levypide.pricing import estimate_reach
+from levypide.pricing import estimate_reach, transform_to_pide
 from levypide.shift import ShiftModel, strategy_tanh_ramp
 from levypide.solver import (CauchyProblem, SchemeConfig, build_time_mesh,
                              duhamel_gap, heat_semigroup,
@@ -132,6 +136,95 @@ def test_cross_check_attaches_gap():
     with pytest.raises(ToleranceNotMetError):
         solve_shifted(problem, SchemeConfig(dt=0.01, cross_check=True,
                                             cross_check_tol=1e-18))
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+def _demo_problem(name, n_core):
+    """The demo config's problem on an n_core grid, and its scheme."""
+    cfg = load_config(str(DEMO_CONFIGS / name))
+    g = make_grid(cfg.half_width, n_core,
+                  reach=estimate_reach(cfg.measure, cfg.shift, cfg.half_width))
+    return transform_to_pide(cfg.market, g, cfg.measure, cfg.shift), cfg.scheme
+
+
+def _traced_solve(problem, scheme):
+    """solve_shifted, with every _run result (innermost first), the taus of
+    the analytic source evaluations and the plan and band builds.  The
+    solver's and the plan's timers read clocks that tick once per reading,
+    so equal work gives equal stats."""
+    trace = {"runs": [], "source_taus": [], "plans": 0, "bands": 0}
+    run, fn = solver._run, solver.apply_f_tilde_fn
+    plan, band = solver.build_plan, jump_operator._build_band
+
+    def traced_run(*args, **kwargs):
+        trace["runs"].append(run(*args, **kwargs))
+        return trace["runs"][-1]
+
+    def traced_fn(plan_, fn_, dfn, tau, live=None):
+        trace["source_taus"].append(tau)
+        return fn(plan_, fn_, dfn, tau, live)
+
+    def count(key, real):
+        return lambda *a, **k: trace.__setitem__(key, trace[key] + 1) \
+            or real(*a, **k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_run", traced_run)
+        mp.setattr(solver, "apply_f_tilde_fn", traced_fn)
+        mp.setattr(solver, "build_plan", count("plans", plan))
+        mp.setattr(jump_operator, "_build_band", count("bands", band))
+        for module in (solver, jump_operator):
+            mp.setattr(module, "perf_counter", itertools.count().__next__)
+        trace["result"] = solve_shifted(problem, scheme)
+    return trace
+
+
+@pytest.mark.parametrize("demo,n_core", [("kou_put.cfg", 256),
+                                         ("impact_call.cfg", 128)])
+def test_cross_check_reuses_the_plan_and_the_analytic_source(demo, n_core):
+    problem, scheme = _demo_problem(demo, n_core)
+    plain = _traced_solve(problem, dataclasses.replace(scheme,
+                                                       cross_check=False))
+    checked = _traced_solve(problem, dataclasses.replace(scheme,
+                                                         cross_check=True))
+    alone = _traced_solve(problem, dataclasses.replace(
+        scheme, scheme="mild_etd2", cross_check=False))
+    alt, main = checked["runs"]
+    assert main is checked["result"]
+    # the other scheme runs on the main solve's plan (and band) and reads
+    # back its analytic source levels; only mild_etd2's last stage at the
+    # horizon is new, and with the identity shift that one is propagated
+    assert checked["plans"] == plain["plans"] == 1
+    assert checked["bands"] == plain["bands"]
+    done = len(plain["source_taus"])
+    assert checked["source_taus"][:done] == plain["source_taus"]
+    horizon = [float(main.taus[-1])] if problem.shift is not None else []
+    assert checked["source_taus"][done:] == horizon
+    assert alt.stats["source_analytic"] == len(horizon)
+    # and gives the bits of the other scheme's own solve
+    assert np.array_equal(alt.field.values, alone["result"].field.values)
+    assert np.array_equal(main.field.values, plain["result"].field.values)
+    assert main.stats["cross_check_gap"] == solver._rel_l2(
+        plain["result"].field.values, alone["result"].field.values)
+    # the record is the main solve's alone: one tick per analytic level
+    assert main.stats == {**plain["result"].stats,
+                          "cross_check_gap": main.stats["cross_check_gap"]}
+    assert main.stats["source_analytic_s"] == main.stats["source_analytic"]
+
+
+def test_source_time_is_part_of_the_solve():
+    g = _merton_grid(256)
+    problem = CauchyProblem(g, sigma=0.2, horizon=0.5, rate=0.03,
+                            measure=MERTON)
+    t0 = time.perf_counter()
+    stats = solve_shifted(problem, SchemeConfig(dt=0.01)).stats
+    wall = time.perf_counter() - t0
+    assert 0.0 < stats["source_analytic_s"] < wall
+    free = dataclasses.replace(problem, measure=None)
+    assert solve_shifted(free, SchemeConfig(dt=0.01)).stats[
+        "source_analytic_s"] == 0.0
 
 
 def test_single_steps_match_march():
