@@ -25,8 +25,11 @@ grid.reach is sized automatically; every other key has a default.
 
 Missing or malformed keys, unknown keys and unknown sections raise
 ConfigError naming the dotted key path, as do a grid.half_width that is not
-positive and finite, a negative grid.reach and an unknown shift.strategy
-(also when rho = 0).
+positive and finite, a negative grid.reach, an unknown shift.strategy (also
+when rho = 0), a shift.rho that is negative or not finite, a jumps number
+outside its family's domain (NaN included), a negative or NaN
+assertions.oracle_rel_tol, and order bounds that are not finite or have
+order_lo > order_hi.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterDomainError
 from .measures import LevyMeasure, make_exponential_tail, make_kou, make_merton
 from .pricing import MarketSpec
 from .shift import (ShiftModel, strategy_linear, strategy_sin,
@@ -138,24 +141,35 @@ class _Section:
         return self._fetch(key, bool, default)
 
 
+# Each jump family's factory and the [jumps] keys of its arguments, in order.
+FAMILIES = {
+    "merton": (make_merton, ("intensity_per_year", "jump_mean", "jump_std")),
+    "kou": (make_kou, ("intensity_per_year", "p_up", "eta_up", "eta_down")),
+    "exponential_tail": (make_exponential_tail, ("c0", "alpha", "decay")),
+}
+# The [jumps] key of each factory argument whose name differs from it; a
+# factory's ParameterDomainError message starts with the argument's name.
+_JUMP_ARGS = {"intensity": "intensity_per_year", "eta_plus": "eta_up",
+              "eta_minus": "eta_down"}
+
+
 def _build_measure(sec: _Section):
     family = sec.text("family", "none").lower() if sec.present else "none"
     if family == "none":
         return "none", None, None
-    if family == "merton":
-        params = (sec.number("intensity_per_year"), sec.number("jump_mean"),
-                  sec.number("jump_std"))
-        return family, make_merton(*params), params
-    if family == "kou":
-        return family, make_kou(sec.number("intensity_per_year"),
-                                sec.number("p_up"), sec.number("eta_up"),
-                                sec.number("eta_down")), None
-    if family == "exponential_tail":
-        return family, make_exponential_tail(sec.number("c0"),
-                                             sec.number("alpha"),
-                                             sec.number("decay")), None
-    raise ConfigError(f"unknown jump family {family!r} in jumps.family",
-                      key="jumps.family")
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown jump family {family!r} in jumps.family",
+                          key="jumps.family")
+    factory, keys = FAMILIES[family]
+    params = tuple(sec.number(key) for key in keys)
+    try:
+        measure = factory(*params)
+    except ParameterDomainError as exc:
+        name = str(exc).split()[0]
+        key = _JUMP_ARGS.get(name, name)
+        raise ConfigError(str(exc), key=f"jumps.{key}" if key in keys
+                          else "jumps") from None
+    return family, measure, params if family == "merton" else None
 
 
 def _build_shift(sec: _Section):
@@ -166,6 +180,9 @@ def _build_shift(sec: _Section):
     if name not in STRATEGIES:
         raise ConfigError(f"unknown strategy {name!r} in shift.strategy",
                           key="shift.strategy")
+    if not 0.0 <= rho < math.inf:
+        raise ConfigError("shift.rho must be a nonnegative finite number",
+                          key="shift.rho")
     if rho == 0.0:
         return None
     amplitude = sec.number("amplitude", 0.3)
@@ -233,12 +250,23 @@ def load_config(path: str) -> RunConfig:
     )
 
     asrt = _Section(parser, "assertions")
+    oracle_rel_tol = asrt.number("oracle_rel_tol", 1e-3)
+    order_lo = asrt.number("order_lo", 1.5)
+    order_hi = asrt.number("order_hi", 2.8)
+    if not oracle_rel_tol >= 0.0:
+        raise ConfigError("assertions.oracle_rel_tol must be a nonnegative "
+                          "number", key="assertions.oracle_rel_tol")
+    for key, value in (("order_lo", order_lo), ("order_hi", order_hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"assertions.{key} must be a finite number",
+                              key=f"assertions.{key}")
+    if order_lo > order_hi:
+        raise ConfigError("assertions.order_lo exceeds assertions.order_hi",
+                          key="assertions.order_lo")
     return RunConfig(
         market=market, jump_family=family, measure=measure,
         merton_params=merton_params, shift=shift, half_width=half_width,
         n_core=n_core, reach=reach, scheme=scheme,
-        oracle_rel_tol=asrt.number("oracle_rel_tol", 1e-3),
-        order_lo=asrt.number("order_lo", 1.5),
-        order_hi=asrt.number("order_hi", 2.8),
+        oracle_rel_tol=oracle_rel_tol, order_lo=order_lo, order_hi=order_hi,
         digest=config_digest(raw_bytes),
     )

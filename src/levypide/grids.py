@@ -7,6 +7,7 @@ without wrap-around contaminating the core region.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -28,8 +29,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ParameterDomainError("dim must be 1 or 2")
-        if self.half_width <= 0:
-            raise ParameterDomainError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise ParameterDomainError("half_width must be positive and finite")
         if self.n_core < 8 or self.n_core % 2:
             raise ParameterDomainError("n_core must be an even integer >= 8")
         if self.pad < 0:
@@ -122,13 +123,16 @@ def make_grid(half_width: float, n_core: int, reach: float = 0.0,
 
     Pad cells are sized to ceil(reach / dx) plus a stencil margin, then grown
     symmetrically to the smallest even 5-smooth (FFT-friendly) padded length.
+    The reach must be nonnegative and finite.
     """
-    dx = 2.0 * half_width / n_core
-    pad = int(np.ceil(max(reach, 0.0) / dx)) + _STENCIL_MARGIN
+    if not 0.0 <= reach < math.inf:
+        raise ParameterDomainError("reach must be nonnegative and finite")
+    core = Grid(dim=dim, half_width=half_width, n_core=n_core)
+    pad = int(np.ceil(reach / core.dx)) + _STENCIL_MARGIN
     # n_core is even, so an even length splits into two equal pads
     n_tot = 2 * next_fast_len((n_core + 2 * pad) // 2, real=True)
     pad += (n_tot - (n_core + 2 * pad)) // 2
-    return Grid(dim=dim, half_width=half_width, n_core=n_core, pad=pad)
+    return replace(core, pad=pad)
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,15 @@ class ShapeParams:
     mu: float
 
     def __post_init__(self):
-        if not self.c0 > 0:
-            raise ParameterDomainError("c0 must be positive")
-        if self.mu < 0:
-            raise ParameterDomainError("mu must be nonnegative")
-        if self.mu == 0 and self.d <= 0:
-            raise ParameterDomainError("d must be positive when mu == 0")
+        if not 0 < self.c0 < math.inf:
+            raise ParameterDomainError("c0 must be positive and finite")
+        if not math.isfinite(self.alpha):
+            raise ParameterDomainError("alpha must be finite")
+        if not 0 <= self.mu < math.inf:
+            raise ParameterDomainError("mu must be nonnegative and finite")
+        if not math.isfinite(self.d) or (self.mu == 0 and not self.d > 0):
+            raise ParameterDomainError(
+                "d must be finite, and positive when mu == 0")
 
     def envelope(self, r: float) -> float:
         """Envelope value at radius r > 0, in scalar float arithmetic: the
@@ -165,14 +168,15 @@ def make_merton(intensity: float, jump_mean, jump_std: float, dim: int = 1) -> L
     c0 = intensity * (2 pi s^2)^(-dim/2) * exp(|m|^2 / (2 s^2)), alpha = 0,
     d = 0, mu = 1/(4 s^2).
     """
-    if intensity <= 0:
-        raise ParameterDomainError("intensity must be positive")
-    if jump_std <= 0:
-        raise ParameterDomainError("jump_std must be positive")
-    s2 = jump_std * jump_std
+    if not 0 < intensity < math.inf:
+        raise ParameterDomainError("intensity must be positive and finite")
     m = np.atleast_1d(np.asarray(jump_mean, dtype=float))
-    if m.size != dim:
-        raise ParameterDomainError(f"jump_mean must have {dim} component(s)")
+    if m.size != dim or not np.all(np.isfinite(m)):
+        raise ParameterDomainError(
+            f"jump_mean must have {dim} finite component(s)")
+    if not 0 < jump_std < math.inf:
+        raise ParameterDomainError("jump_std must be positive and finite")
+    s2 = jump_std * jump_std
     norm = intensity * (2.0 * np.pi * s2) ** (-dim / 2.0)
     shape = ShapeParams(
         c0=norm * math.exp(float(m @ m) / (2.0 * s2)),
@@ -189,8 +193,8 @@ def make_merton(intensity: float, jump_mean, jump_std: float, dim: int = 1) -> L
 
 def make_exponential_tail(c0: float, alpha: float, decay: float, dim: int = 1) -> LevyMeasure:
     """Power-singular family with exponential taper: c0 |z|^(-alpha) e^(-decay |z|)."""
-    if decay <= 0:
-        raise ParameterDomainError("decay must be positive")
+    if not 0 < decay < math.inf:
+        raise ParameterDomainError("decay must be positive and finite")
     shape = ShapeParams(c0=c0, alpha=alpha, d=decay, mu=0.0)
     if dim == 1:
         density = lambda z: c0 * np.abs(z) ** (-alpha) * np.exp(-decay * np.abs(z))
@@ -208,14 +212,15 @@ def make_kou(intensity: float, p_up: float, eta_plus: float, eta_minus: float) -
 
     eta_plus > 1 is required so that e^z jumps have finite expectation.
     """
-    if intensity <= 0:
-        raise ParameterDomainError("intensity must be positive")
+    if not 0 < intensity < math.inf:
+        raise ParameterDomainError("intensity must be positive and finite")
     if not 0.0 <= p_up <= 1.0:
         raise ParameterDomainError("p_up must lie in [0, 1]")
-    if eta_plus <= 1.0:
-        raise ParameterDomainError("eta_plus must exceed 1 for finite e^z moments")
-    if eta_minus <= 0.0:
-        raise ParameterDomainError("eta_minus must be positive")
+    if not 1.0 < eta_plus < math.inf:
+        raise ParameterDomainError(
+            "eta_plus must be finite and exceed 1 for finite e^z moments")
+    if not 0.0 < eta_minus < math.inf:
+        raise ParameterDomainError("eta_minus must be positive and finite")
     c0 = intensity * max(p_up * eta_plus, (1.0 - p_up) * eta_minus)
     shape = ShapeParams(c0=c0, alpha=0.0, d=min(eta_plus, eta_minus), mu=0.0)
 

@@ -149,8 +149,8 @@ class ShiftModel:
     rho: float
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ParameterDomainError("rho must be nonnegative")
+        if not 0 <= self.rho < math.inf:
+            raise ParameterDomainError("rho must be nonnegative and finite")
 
 
 def resolve_xi_first_order(model: ShiftModel, tau: float, x, z):

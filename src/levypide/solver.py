@@ -55,12 +55,10 @@ counts, the anchor, both gaps, the share of pairs summed and the seconds
 spent on analytic levels are reported in SolveResult.stats.
 
 A cross-checked solve then marches the other scheme on the same operator
-plan and time levels.  Its source takes the window decision and reads back
-every analytic level the first solve kept, so it evaluates only what that
-solve never reached: mild_etd2's last stage at the horizon, which is
-propagated under the identity shift and one analytic level with feedback.
-The replay makes the same switch decisions, so the other scheme's field is
-bit for bit its own solve's.
+plan, time levels and source.  The source keeps its analytic levels by tau
+and its decisions, so the second march evaluates only what the first never
+reached (mild_etd2's last stage at the horizon) and its field is bit for bit
+that of the other scheme's own solve.
 """
 from __future__ import annotations
 
@@ -391,34 +389,21 @@ def _source_stats() -> dict:
             "source_window_gap": None, "source_pair_fraction": None}
 
 
-@dataclass(eq=False)
-class _SourceMemo:
-    """What one solve's analytic source decided and computed, for the
-    cross-check's solve of the same problem on the same plan to reuse: the
-    live-window decision (None until the first analytic level checks it)
-    and, when levels is a dict, every analytic value by tau."""
-
-    window: bool | None = None
-    levels: dict | None = None
-
-
 def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
-                        stats: dict, memo: _SourceMemo | None = None
-                        ) -> Callable[[float], np.ndarray]:
-    """source(tau): the compensated operator on the closed form, on the grid.
+                        keep_levels: bool = False
+                        ) -> Callable[[float, dict], np.ndarray]:
+    """source(tau, stats): the compensated operator on the closed form, on
+    the grid; its counts and seconds go into the caller's stats.
 
     Analytic while the kernel is narrower than SOURCE_SWITCH_CELLS cells,
     summed on the closed form's live window once the first level has checked
     it, then propagated spectrally from a verified anchor (identity shift
-    only); see the module docstring.  The marchers call it in nondecreasing
+    only); see the module docstring.  Each march calls it in nondecreasing
     tau (mild_etd2 twice in a row at the next level's tau, hence the kept
-    latest value); a tau at or before the anchor is evaluated analytically.
-    An analytic value memo.levels already holds is read back, not
-    evaluated; memo.window carries the window decision (a fresh memo by
-    default).  Counts and the seconds spent evaluating go into stats.
+    latest value); a tau at or before the anchor is analytic.  keep_levels
+    keeps each analytic value by tau to read back, so a second march from
+    tau = 0 (the cross-check's) adds only levels the first never reached.
     """
-    if memo is None:
-        memo = _SourceMemo()
     g = problem.grid
     # call and put share the source: the compensated operator kills the
     # affine gap between the two closed forms, and the put profile keeps
@@ -429,23 +414,26 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     tr = Transforms(g)
     L_bs = (-0.5 * problem.sigma ** 2 * tr.k2
             + tr.ik[0] * (problem.rate - 0.5 * problem.sigma ** 2))
+    window = None  # live-window decision, taken at the first analytic level
+    levels = {} if keep_levels else None
     anchor = None  # (tau_s, rfft of the analytic source at tau_s)
     verified = False
     pairs_per_level = g.n_total * plan.wh.size
     latest = (None, None)  # (tau, source(tau)) of the latest call
 
-    def analytic(tau: float) -> np.ndarray:
-        if memo.levels is not None and tau in memo.levels:
-            return memo.levels[tau]
+    def analytic(tau: float, stats: dict) -> np.ndarray:
+        nonlocal window
+        if levels is not None and tau in levels:
+            return levels[tau]
         t0 = perf_counter()
         fn, dfn = (lambda p: bs.u(tau, p)), (lambda p: bs.du_dx(tau, p))
-        live = bs.live_interval(tau) if memo.window else None
+        live = bs.live_interval(tau) if window else None
         h = apply_f_tilde_fn(plan, fn, dfn, tau, live)
-        if memo.window is None:
+        if window is None:
             h_win = apply_f_tilde_fn(plan, fn, dfn, tau, bs.live_interval(tau))
             gap = float(np.max(np.abs(h_win - h))) \
                 / max(float(np.max(np.abs(h))), 1e-300)
-            memo.window = gap <= SOURCE_SWITCH_TOL
+            window = gap <= SOURCE_SWITCH_TOL
             stats["source_window_gap"] = gap
         if not np.all(np.isfinite(h)):
             raise SingularityError(
@@ -454,25 +442,25 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         stats["source_analytic"] += 1
         stats["source_pair_fraction"] = plan.stats["source_pairs"] / (
             pairs_per_level * stats["source_analytic"])
-        if memo.levels is not None:
-            memo.levels[tau] = h
+        if levels is not None:
+            levels[tau] = h
         stats["source_analytic_s"] += perf_counter() - t0
         return h
 
-    def evaluate(tau: float) -> np.ndarray:
+    def evaluate(tau: float, stats: dict) -> np.ndarray:
         nonlocal anchor, verified
         if not propagate or \
                 problem.sigma * math.sqrt(tau) < SOURCE_SWITCH_CELLS * g.dx:
-            return analytic(tau)
+            return analytic(tau, stats)
         if anchor is None or tau <= anchor[0]:
-            h = analytic(tau)
+            h = analytic(tau, stats)
             if anchor is None:
                 anchor = (tau, tr.fwd(h))
             return h
         tau_s, h_hat = anchor
         h_prop = tr.inv(np.exp((tau - tau_s) * L_bs) * h_hat)
         if not verified:
-            h = analytic(tau)
+            h = analytic(tau, stats)
             gap = float(np.max(np.abs(h_prop - h))) \
                 / max(float(np.max(np.abs(h))), 1e-300)
             if gap > SOURCE_SWITCH_TOL:
@@ -485,20 +473,21 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         stats["source_propagated"] += 1
         return h_prop
 
-    def source(tau: float) -> np.ndarray:
+    def source(tau: float, stats: dict) -> np.ndarray:
         nonlocal latest
         if latest[0] != tau:
-            latest = (tau, evaluate(tau))
+            latest = (tau, evaluate(tau, stats))
         return latest[1]
 
     return source
 
 
-def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
-                 plan: OperatorPlan | None, memo: _SourceMemo | None = None):
+def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig,
+                 source: Callable | None, plan: OperatorPlan | None):
     """Assemble (L_hat, implicit, N_fn, needs_grad, stats) for one solve on
     the problem's plan, after the stability check (_check_stability).  A
-    shifted solve's source shares memo (see _compensated_source).
+    shifted solve passes its compensated source (see _compensated_source),
+    which records its work in this solve's stats.
 
     With constant diffusion the implicit part is the Fourier multiplier
     L_hat: diffusion plus, in pricing form, the constant part of the drift
@@ -549,10 +538,6 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
     stats = {"operator": operator, "explicit_evaluations": 0,
              **_source_stats(),
              "stability_margin": _check_stability(problem, scheme, plan)}
-    source = None
-    if shifted and plan is not None:
-        source = _compensated_source(problem, plan, stats, memo)
-
     coords = g.axis() if g.dim == 1 else g.meshes()
     fft_fast = plan is not None and plan.uses_fft
     quadrature = plan is not None and not fft_fast
@@ -581,7 +566,7 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig, shifted: bool,
             out += problem.nonlinearity(tau, coords, v,
                                         grads[0] if g.dim == 1 else grads)
         if source is not None:
-            out += source(tau)
+            out += source(tau, stats)
         return out
 
     return L_hat, implicit, N_fn, needs_grad, stats
@@ -621,22 +606,21 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
 
 def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
          taus: np.ndarray, shifted: bool, store_stride: int,
-         plan: OperatorPlan | None, memo: _SourceMemo | None = None
+         plan: OperatorPlan | None, source: Callable | None = None
          ) -> SolveResult:
     """One full solve on the plan: march, checkpoints, reassembly and
     cross-check.
 
-    In shifted mode v0 and the marched state are the difference U, and the
-    closed form is added back at the horizon.  The cross-check marches the
-    other scheme on the same plan and taus; its source reads back every
-    analytic level this solve kept in memo, so it evaluates only the levels
-    this solve never reached (mild_etd2's last stage at the horizon).
+    In shifted mode v0 and the marched state are the difference U, forced
+    by the compensated source (built here unless passed in; none without a
+    plan), and the closed form is added back at the horizon.  The
+    cross-check marches the other scheme on the same plan, taus and source.
     """
     g = problem.grid
-    if scheme.cross_check:
-        memo = _SourceMemo(levels={})
+    if shifted and plan is not None and source is None:
+        source = _compensated_source(problem, plan, scheme.cross_check)
     L_hat, implicit, N_fn, needs_grad, stats = _prepare_rhs(
-        problem, scheme, shifted, plan, memo)
+        problem, scheme, source, plan)
     norm = FractionalNorm(g, scheme.monitor_gamma)
     T = float(taus[-1])
     marks = [T * (j + 1) / scheme.checkpoint_count
@@ -661,7 +645,7 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
     if scheme.cross_check:
         other = "mild_etd2" if scheme.scheme == "imex_bdf2" else "imex_bdf2"
         alt = _run(problem, _replace_scheme(scheme, other), v0, taus, shifted,
-                   0, plan, memo)
+                   0, plan, source)
         gap = stats["cross_check_gap"] = _rel_l2(v_T, alt.field.values)
         if gap > scheme.cross_check_tol:
             raise ToleranceNotMetError(
@@ -721,7 +705,7 @@ def _step(problem: CauchyProblem, scheme: SchemeConfig, state: GridField,
           history: tuple | None = None) -> GridField:
     plan = problem._step_plan
     L_hat, implicit, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
-                                                        False, plan)
+                                                        None, plan)
     taus = np.array([state.time_tag, state.time_tag + scheme.dt])
     v, _ = _march(problem.grid, L_hat, implicit, N_fn, state.values, taus,
                   scheme, needs_grad, history=history)
@@ -796,7 +780,7 @@ def duhamel_gap(problem: CauchyProblem, scheme: SchemeConfig,
     if problem.diffusion_mode == "feedback":
         raise UnsupportedConfigurationError(
             "the Duhamel identity needs constant diffusion")
-    L_hat, _, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, False,
+    L_hat, _, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, None,
                                                  _problem_plan(problem))
     tr = Transforms(problem.grid)
     times = [t for t, _ in result.trajectory]

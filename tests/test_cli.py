@@ -149,24 +149,53 @@ def test_spot_outside_the_core_window_exits_2(tmp_path, capsys, monkeypatch):
     assert solves == []
 
 
-@pytest.mark.parametrize("demo,old,new", [
+MERTON_JUMPS = "family = merton\nintensity_per_year = 0.5\njump_mean = -0.1\n" \
+    "jump_std = 0.2"
+TAIL_JUMPS = "family = exponential_tail\nc0 = 1.0\nalpha = 0.5\ndecay = 3.0"
+# (demo, old, new, the key the ConfigError names or None); the ids keep the
+# demo-old-new form
+NON_FINITE = [
     # a NaN tolerance passes every cross-check: gap > nan is False
-    ("kou_put.cfg", "cross_check_tol = 1e-3", "cross_check_tol = nan"),
-    ("kou_put.cfg", "cross_check_tol = 1e-3", "cross_check_tol = -1e-3"),
-    ("kou_put.cfg", "dt = 0.01", "dt = nan"),
-    ("kou_put.cfg", "dt = 0.01", "dt = inf"),
-    ("kou_put.cfg", "maturity_years = 0.5", "maturity_years = nan"),
-    ("kou_put.cfg", "maturity_years = 0.5", "maturity_years = inf"),
-    ("kou_put.cfg", "half_width = 6.0", "half_width = nan"),
-    ("kou_put.cfg", "half_width = 6.0", "half_width = inf"),
-    ("merton_call.cfg", "volatility = 0.2", "volatility = nan"),
-    ("merton_call.cfg", "volatility = 0.2", "volatility = inf"),
-    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = nan"),
-    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = inf"),
-])
+    ("kou_put.cfg", "cross_check_tol = 1e-3", "cross_check_tol = nan", None),
+    ("kou_put.cfg", "cross_check_tol = 1e-3", "cross_check_tol = -1e-3", None),
+    ("kou_put.cfg", "dt = 0.01", "dt = nan", None),
+    ("kou_put.cfg", "dt = 0.01", "dt = inf", None),
+    ("kou_put.cfg", "maturity_years = 0.5", "maturity_years = nan", None),
+    ("kou_put.cfg", "maturity_years = 0.5", "maturity_years = inf", None),
+    ("kou_put.cfg", "half_width = 6.0", "half_width = nan", None),
+    ("kou_put.cfg", "half_width = 6.0", "half_width = inf", None),
+    ("merton_call.cfg", "volatility = 0.2", "volatility = nan", None),
+    ("merton_call.cfg", "volatility = 0.2", "volatility = inf", None),
+    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = nan", None),
+    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = inf", None),
+    # NaN passes a `<=` check, so each jump number is tested with `not >`
+    ("kou_put.cfg", "intensity_per_year = 0.4", "intensity_per_year = nan",
+     "jumps.intensity_per_year"),
+    ("kou_put.cfg", "p_up = 0.6", "p_up = nan", "jumps.p_up"),
+    ("kou_put.cfg", "eta_up = 8.0", "eta_up = nan", "jumps.eta_up"),
+    ("kou_put.cfg", "eta_down = 4.0", "eta_down = nan", "jumps.eta_down"),
+    ("kou_put.cfg", "eta_down = 4.0", "eta_down = inf", "jumps.eta_down"),
+    ("merton_call.cfg", "intensity_per_year = 0.5", "intensity_per_year = nan",
+     "jumps.intensity_per_year"),
+    ("merton_call.cfg", "jump_mean = -0.1", "jump_mean = nan",
+     "jumps.jump_mean"),
+    ("merton_call.cfg", "jump_std = 0.2", "jump_std = nan", "jumps.jump_std"),
+    ("merton_call.cfg", MERTON_JUMPS, TAIL_JUMPS.replace("c0 = 1.0", "c0 = nan"),
+     "jumps.c0"),
+    ("merton_call.cfg", MERTON_JUMPS,
+     TAIL_JUMPS.replace("alpha = 0.5", "alpha = nan"), "jumps.alpha"),
+    ("merton_call.cfg", MERTON_JUMPS,
+     TAIL_JUMPS.replace("decay = 3.0", "decay = nan"), "jumps.decay"),
+    ("impact_call.cfg", "rho = 0.05", "rho = nan", "shift.rho"),
+    ("impact_call.cfg", "rho = 0.05", "rho = inf", "shift.rho"),
+]
+
+
+@pytest.mark.parametrize("demo,old,new,key", NON_FINITE,
+                         ids=[f"{d}-{o}-{n}" for d, o, n, _ in NON_FINITE])
 def test_non_finite_numbers_exit_2_before_any_solve(tmp_path, capsys,
                                                     monkeypatch, demo, old,
-                                                    new):
+                                                    new, key):
     solves = []
     real = cli.solve_shifted
     monkeypatch.setattr(cli, "solve_shifted",
@@ -175,13 +204,43 @@ def test_non_finite_numbers_exit_2_before_any_solve(tmp_path, capsys,
     assert old in text
     path = _write(tmp_path, text.replace(old, new).replace(
         "n_core = 1024", "n_core = 128"))
-    with pytest.raises(LevyPideError):
+    with pytest.raises(LevyPideError) as err:
         load_config(path)
+    if key is not None:
+        assert isinstance(err.value, ConfigError) and err.value.key == key
     assert main(["--config", path, "--out", str(tmp_path / "out"),
                  "price"]) == 2
-    assert "config error" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert "config error" in stderr and (key is None or key in stderr)
     assert solves == []
     assert not (tmp_path / "out" / "price.csv").exists()
+
+
+@pytest.mark.parametrize("value,key,command", [
+    # each of these used to march every level and then report a failed
+    # numeric check (exit 1) for what is a configuration error
+    ("oracle_rel_tol = nan", "assertions.oracle_rel_tol", ["price"]),
+    ("oracle_rel_tol = -1", "assertions.oracle_rel_tol", ["price"]),
+    ("order_lo = nan", "assertions.order_lo", ["convergence-study"]),
+    ("order_hi = inf", "assertions.order_hi", ["convergence-study"]),
+    ("order_lo = 3.0\norder_hi = 2.0", "assertions.order_lo",
+     ["convergence-study"]),
+])
+def test_assertions_that_cannot_be_met_exit_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, value, key, command):
+    solves = []
+    real = cli.solve_shifted
+    monkeypatch.setattr(cli, "solve_shifted",
+                        lambda *a: solves.append(a) or real(*a))
+    text = (ROOT / "demos" / "configs" / "merton_call.cfg").read_text()
+    path = _write(tmp_path, f"{text}\n[assertions]\n{value}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.key == key
+    assert main(["--config", path, "--out", str(tmp_path / "out"),
+                 *command]) == 2
+    assert key in capsys.readouterr().err
+    assert solves == []
 
 
 def test_odd_n_core_is_a_named_config_error(tmp_path):

@@ -63,6 +63,30 @@ def test_kou_requires_eta_plus_above_one():
         make_kou(1.0, 0.5, 0.9, 3.0)
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: make_merton(NAN, -0.1, 0.2), "intensity"),
+    (lambda: make_merton(0.5, NAN, 0.2), "jump_mean"),
+    (lambda: make_merton(0.5, -0.1, NAN), "jump_std"),
+    (lambda: make_kou(NAN, 0.6, 8.0, 4.0), "intensity"),
+    (lambda: make_kou(0.4, NAN, 8.0, 4.0), "p_up"),
+    (lambda: make_kou(0.4, 0.6, NAN, 4.0), "eta_plus"),
+    (lambda: make_kou(0.4, 0.6, 8.0, NAN), "eta_minus"),
+    (lambda: make_kou(0.4, 0.6, 8.0, math.inf), "eta_minus"),
+    (lambda: make_exponential_tail(NAN, 0.5, 3.0), "c0"),
+    (lambda: make_exponential_tail(1.0, NAN, 3.0), "alpha"),
+    (lambda: make_exponential_tail(1.0, 0.5, NAN), "decay"),
+    (lambda: ShapeParams(1.0, 0.0, 0.0, NAN), "mu"),
+    (lambda: ShapeParams(1.0, 0.0, NAN, 1.0), "d"),
+])
+def test_nan_jump_parameters_are_domain_errors_naming_them(build, name):
+    # NaN passes a `<=` check; every factory check is written as `not ...`
+    with pytest.raises(ParameterDomainError, match=f"^{name} must"):
+        build()
+
+
 def test_exponential_tail_activity_flags():
     finite = make_exponential_tail(1.0, 0.5, 2.0)
     assert finite.finite_activity

@@ -1,0 +1,110 @@
+"""Property tests: put-call parity on the grid, no-arbitrage bounds on the
+reported price, and the residual of the resolved shift balance.
+
+The examples come from the deterministic profile in conftest.py.  Solves run
+on an n_core 128 grid at dt = 0.05, so each example stays cheap.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from levypide.grids import make_grid
+from levypide.measures import make_exponential_tail, make_kou, make_merton
+from levypide.pricing import (MarketSpec, estimate_reach, report_price,
+                              transform_to_pide)
+from levypide.shift import (ShiftModel, resolve_xi, strategy_sin,
+                            strategy_tanh_ramp)
+from levypide.solver import SchemeConfig, solve_shifted
+
+MERTON = make_merton(0.5, -0.1, 0.2)
+# (measure, shift): both FFT families, the alpha = 0.5 tail on the band and
+# an impacted Merton solve
+CASES = {
+    "merton": (MERTON, None),
+    "kou": (make_kou(0.4, 0.6, 8.0, 4.0), None),
+    "exptail_alpha_0.5": (make_exponential_tail(1.0, 0.5, 3.0), None),
+    "tanh_ramp_rho_0.05": (MERTON, ShiftModel(strategy_tanh_ramp(0.3), 0.05)),
+}
+HALF_WIDTH = 6.0
+SCHEME = SchemeConfig(dt=0.05)
+
+rates = st.floats(-0.02, 0.08)
+vols = st.floats(0.1, 0.5)
+maturities = st.floats(0.1, 2.0)
+
+
+def _field(case, market):
+    """The solve's terminal field on the core, and the core's x."""
+    measure, shift = CASES[case]
+    g = make_grid(HALF_WIDTH, 128,
+                  reach=estimate_reach(measure, shift, HALF_WIDTH))
+    res = solve_shifted(transform_to_pide(market, g, measure, shift), SCHEME)
+    core = slice(g.pad, g.pad + g.n_core)
+    return res, g.axis()[core], res.field.values[core]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=3)
+@given(strike=st.floats(50.0, 150.0), rate=rates, vol=vols,
+       maturity=maturities)
+def test_put_call_parity_holds_on_the_grid(case, strike, rate, vol,
+                                           maturity):
+    # call and put march the same U on the same source, so their fields
+    # differ by the closed forms' gap K (e^(x + rT) - 1) alone, up to the
+    # rounding of values of size K e^(x + rT); measured at most 2.7e-16
+    # times K (1 + e^(x + rT)) over the four cases
+    fields = {}
+    for kind in ("call", "put"):
+        market = MarketSpec(strike, strike, maturity, rate, vol, kind)
+        _, x, fields[kind] = _field(case, market)
+    growth = np.exp(x + rate * maturity)
+    gap = np.abs(fields["call"] - fields["put"] - strike * (growth - 1.0))
+    assert np.all(gap <= 1e-13 * strike * (1.0 + growth))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=8)
+@given(kind=st.sampled_from(["call", "put"]), rate=rates,
+       vol=vols, maturity=maturities,
+       moneyness=st.lists(st.floats(0.2, 5.0), min_size=1, max_size=5))
+def test_reported_price_lies_within_the_no_arbitrage_bounds(
+        case, kind, rate, vol, maturity, moneyness):
+    # the slack 1e-5 max(S, K) covers the n_core 128 discretization: the
+    # worst measured gap was 2.3e-6 max(S, K) (an impacted out-of-the-money
+    # call below 0), and deep in-the-money calls sit 1.8e-6 S under
+    # S - K e^(-rT) from the cubic interpolation of e^x
+    strike = 100.0
+    res, _, _ = _field(case, MarketSpec(strike, strike, maturity, rate, vol,
+                                        kind))
+    discounted = strike * math.exp(-rate * maturity)
+    for m in moneyness:
+        spot = strike * m
+        price = report_price(MarketSpec(spot, strike, maturity, rate, vol,
+                                        kind), res)
+        if kind == "call":
+            lo, hi = max(spot - discounted, 0.0), spot
+        else:
+            lo, hi = max(discounted - spot, 0.0), discounted
+        slack = 1e-5 * max(spot, strike)
+        assert lo - slack <= price <= hi + slack, (spot, price, lo, hi)
+
+
+@settings(max_examples=200)
+@given(strategy=st.sampled_from(["tanh_ramp", "sin"]),
+       amplitude=st.floats(-0.5, 0.5), rho=st.floats(0.0, 0.1),
+       tau=st.floats(0.0, 2.0), x=st.floats(-4.0, 4.0), z=st.floats(-2.0, 2.0))
+def test_resolved_shift_solves_the_balance(strategy, amplitude, rho, tau, x,
+                                           z):
+    # psi swings by at most 2 |amplitude| <= 1, so rho * swing <= 0.1 stays
+    # below e^z >= e^-2: the balance e^xi = e^z + rho (psi(x + xi) - psi(x))
+    # has a root.  In w = xi - z it reads expm1(w) = t, t = e^-z rho dpsi,
+    # and the resolver stops once |expm1(w) - t| / (1 + |t|) < 1e-12.
+    build = strategy_tanh_ramp if strategy == "tanh_ramp" else strategy_sin
+    model = ShiftModel(build(amplitude), rho)
+    xi = float(resolve_xi(model, tau, x, z))
+    psi = model.strategy.values
+    t = math.exp(-z) * rho * (float(psi(tau, x + xi)) - float(psi(tau, x)))
+    assert abs(math.expm1(xi - z) - t) / (1.0 + abs(t)) < 1e-12

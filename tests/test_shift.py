@@ -22,8 +22,9 @@ TANH = strategy_tanh_ramp(0.3, center=0.0, width=1.0)
 
 
 def test_model_validation():
-    with pytest.raises(ParameterDomainError):
-        ShiftModel(TANH, rho=-0.1)
+    for rho in (-0.1, math.nan, math.inf):
+        with pytest.raises(ParameterDomainError):
+            ShiftModel(TANH, rho=rho)
     with pytest.raises(ParameterDomainError):
         strategy_tanh_ramp(0.3, width=0.0)
 

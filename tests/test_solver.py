@@ -214,6 +214,18 @@ def test_cross_check_reuses_the_plan_and_the_analytic_source(demo, n_core):
     assert main.stats["source_analytic_s"] == main.stats["source_analytic"]
 
 
+@pytest.mark.parametrize("demo", ["kou_put.cfg", "impact_call.cfg"])
+def test_cross_check_marches_on_the_main_solves_source(monkeypatch, demo):
+    problem, scheme = _demo_problem(demo, 128)
+    built = []
+    real = solver._compensated_source
+    monkeypatch.setattr(solver, "_compensated_source",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
+    res = solve_shifted(problem, dataclasses.replace(scheme, cross_check=True))
+    assert res.stats["cross_check_gap"] is not None
+    assert len(built) == 1
+
+
 def test_source_time_is_part_of_the_solve():
     g = _merton_grid(256)
     problem = CauchyProblem(g, sigma=0.2, horizon=0.5, rate=0.03,
@@ -471,10 +483,10 @@ def test_propagated_source_matches_analytic(measure):
                             measure=measure, strike=100.0)
     plan = build_plan(g, measure)
     stats = solver._source_stats()
-    source = solver._compensated_source(problem, plan, stats)
+    source = solver._compensated_source(problem, plan)
     taus = build_time_mesh(1.0, 0.02, grade=True)
     for tau in taus:
-        source(float(tau))
+        source(float(tau), stats)
         if stats["source_switch_tau"] is not None:
             break
     assert stats["source_switch_gap"] <= solver.SOURCE_SWITCH_TOL
@@ -484,7 +496,7 @@ def test_propagated_source_matches_analytic(measure):
         assert tau > stats["source_switch_tau"]
         want = apply_f_tilde_fn(plan, lambda p: bs.u(tau, p),
                                 lambda p: bs.du_dx(tau, p), tau)
-        got = source(tau)
+        got = source(tau, stats)
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
     assert stats["source_propagated"] == done + 3
 
