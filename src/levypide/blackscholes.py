@@ -56,10 +56,12 @@ class BlackScholesClosedForm:
     option_type: str = "call"
 
     def __post_init__(self):
-        if self.strike <= 0:
-            raise ParameterDomainError("strike must be positive")
-        if self.sigma <= 0:
-            raise ParameterDomainError("sigma must be positive")
+        if not 0 < self.strike < math.inf:
+            raise ParameterDomainError("strike must be positive and finite")
+        if not math.isfinite(self.rate):
+            raise ParameterDomainError("rate must be finite")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterDomainError("sigma must be positive and finite")
         if self.option_type not in ("call", "put"):
             raise ParameterDomainError("option_type must be call or put")
 

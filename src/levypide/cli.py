@@ -120,13 +120,11 @@ def _grid_record(half_width: float, n_core: int, reach: float):
 
 
 def _problem_grid(cfg: RunConfig, n_core: int | None = None):
-    """The solve grid and its record: the configured reach, or the
-    auto-sized one when the config leaves it out.  A spot outside the core
-    window fails here, before anything is solved."""
+    """The solve grid, padded for the estimated reach, and its record.  A
+    spot outside the core window fails here, before anything is solved."""
     cfg.market.check_core_window(cfg.half_width)
-    reach = cfg.reach if cfg.reach is not None else \
-        estimate_reach(cfg.measure, cfg.shift, cfg.half_width)
-    return _grid_record(cfg.half_width, n_core or cfg.n_core, reach)
+    return _grid_record(cfg.half_width, n_core or cfg.n_core,
+                        estimate_reach(cfg.measure, cfg.shift, cfg.half_width))
 
 
 def _scheme_record(cfg: RunConfig) -> dict:

@@ -11,25 +11,31 @@ Sections and keys:
     [jumps]       family, intensity_per_year, jump_mean, jump_std, p_up,
                   eta_up, eta_down, c0, alpha, decay
     [shift]       rho, strategy, amplitude, center, width, frequency
-    [grid]        half_width, n_core, reach
+    [grid]        half_width, n_core
     [scheme]      scheme, dt, cross_check, cross_check_tol
     [assertions]  oracle_rel_tol, order_lo, order_hi
 
 [market] and its keys are required, option_type (call or put) aside.
-jumps.family is none (default), merton (intensity_per_year, jump_mean,
-jump_std), kou (intensity_per_year, p_up, eta_up, eta_down) or
-exponential_tail (c0, alpha, decay).  shift.rho = 0 (default) disables the
-shift; shift.strategy is zero, linear, sin or tanh_ramp (default), with
-amplitude plus center and width (tanh_ramp) or frequency (sin).  Absent,
-grid.reach is sized automatically; every other key has a default.
+jumps.family is none (default) or a FAMILIES entry: merton
+(intensity_per_year, jump_mean, jump_std), kou (intensity_per_year, p_up,
+eta_up, eta_down) or exponential_tail (c0, alpha, decay).  shift.strategy is
+a STRATEGIES entry: zero, linear (amplitude), sin (amplitude, frequency) or
+tanh_ramp (default; amplitude, center, width); shift.rho = 0 (default)
+disables the shift.  grid.half_width and grid.n_core set the core window and
+its cells; the padding around it is sized from the jumps and the shift.
+scheme.dt defaults to maturity_years / pricing.DEFAULT_STEPS; every other
+key has a default.
 
-Missing or malformed keys, unknown keys and unknown sections raise
-ConfigError naming the dotted key path, as do a grid.half_width that is not
-positive and finite, a negative grid.reach, an unknown shift.strategy (also
-when rho = 0), a shift.rho that is negative or not finite, a jumps number
-outside its family's domain (NaN included), a negative or NaN
-assertions.oracle_rel_tol, and order bounds that are not finite or have
-order_lo > order_hi.
+One rule checks the values: each section goes into the object that owns
+its domain ([market] MarketSpec, [jumps] the family factory and its
+tail-radius search, [shift] the strategy factory and ShiftModel, [grid] the
+core Grid, so n_core is even and at least 8, [scheme] SchemeConfig), whose
+ParameterDomainError becomes a ConfigError naming the key the builder read
+the value from, or the section alone for a derived value (an overflowing
+Merton c0 names [jumps]).  Missing or malformed keys and unknown keys,
+sections, families and strategies (also when rho = 0) name their dotted
+path.  [assertions] builds no object and is checked here: oracle_rel_tol
+>= 0, order_lo and order_hi finite, order_lo <= order_hi.
 """
 from __future__ import annotations
 
@@ -39,8 +45,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParameterDomainError
+from .grids import Grid
 from .measures import LevyMeasure, make_exponential_tail, make_kou, make_merton
-from .pricing import MarketSpec
+from .pricing import DEFAULT_STEPS, MarketSpec
 from .shift import (ShiftModel, strategy_linear, strategy_sin,
                     strategy_tanh_ramp, strategy_zero)
 from .solver import SchemeConfig
@@ -59,7 +66,6 @@ class RunConfig:
     shift: ShiftModel | None
     half_width: float
     n_core: int
-    reach: float | None
     scheme: SchemeConfig
     oracle_rel_tol: float
     order_lo: float
@@ -74,11 +80,10 @@ KEYS = {
     "jumps": ("family", "intensity_per_year", "jump_mean", "jump_std", "p_up",
               "eta_up", "eta_down", "c0", "alpha", "decay"),
     "shift": ("rho", "strategy", "amplitude", "center", "width", "frequency"),
-    "grid": ("half_width", "n_core", "reach"),
+    "grid": ("half_width", "n_core"),
     "scheme": ("scheme", "dt", "cross_check", "cross_check_tol"),
     "assertions": ("oracle_rel_tol", "order_lo", "order_hi"),
 }
-STRATEGIES = ("zero", "linear", "sin", "tanh_ramp")
 
 
 def config_digest(raw_bytes: bytes) -> str:
@@ -141,20 +146,42 @@ class _Section:
         return self._fetch(key, bool, default)
 
 
-# Each jump family's factory and the [jumps] keys of its arguments, in order.
+# Each jump family's and strategy's factory, with the keys of its arguments
+# in order (and, for a strategy, their defaults).
 FAMILIES = {
     "merton": (make_merton, ("intensity_per_year", "jump_mean", "jump_std")),
     "kou": (make_kou, ("intensity_per_year", "p_up", "eta_up", "eta_down")),
     "exponential_tail": (make_exponential_tail, ("c0", "alpha", "decay")),
 }
-# The [jumps] key of each factory argument whose name differs from it; a
-# factory's ParameterDomainError message starts with the argument's name.
-_JUMP_ARGS = {"intensity": "intensity_per_year", "eta_plus": "eta_up",
-              "eta_minus": "eta_down"}
+STRATEGIES = {
+    "zero": (strategy_zero, {}),
+    "linear": (strategy_linear, {"amplitude": 0.3}),
+    "sin": (strategy_sin, {"amplitude": 0.3, "frequency": 1.0}),
+    "tanh_ramp": (strategy_tanh_ramp,
+                  {"amplitude": 0.3, "center": 0.0, "width": 1.0}),
+}
+# The key of each builder argument whose name differs from it; a builder's
+# ParameterDomainError message starts with the argument's name.
+_ARG_KEYS = {"maturity": "maturity_years", "rate": "rate_per_year",
+             "intensity": "intensity_per_year", "eta_plus": "eta_up",
+             "eta_minus": "eta_down", "slope": "amplitude"}
+
+
+def _build(section: str, keys, build):
+    """build(), which reads the keys of the section into the object owning
+    their domain, with its ParameterDomainError as a ConfigError naming the
+    key the message starts with, or the section alone for any other."""
+    try:
+        return build()
+    except ParameterDomainError as exc:
+        name = str(exc).split()[0]
+        key = _ARG_KEYS.get(name, name)
+        raise ConfigError(str(exc), key=f"{section}.{key}" if key in keys
+                          else section) from None
 
 
 def _build_measure(sec: _Section):
-    family = sec.text("family", "none").lower() if sec.present else "none"
+    family = sec.text("family", "none").lower()
     if family == "none":
         return "none", None, None
     if family not in FAMILIES:
@@ -162,40 +189,23 @@ def _build_measure(sec: _Section):
                           key="jumps.family")
     factory, keys = FAMILIES[family]
     params = tuple(sec.number(key) for key in keys)
-    try:
-        measure = factory(*params)
-    except ParameterDomainError as exc:
-        name = str(exc).split()[0]
-        key = _JUMP_ARGS.get(name, name)
-        raise ConfigError(str(exc), key=f"jumps.{key}" if key in keys
-                          else "jumps") from None
+    measure = _build("jumps", keys, lambda: factory(*params))
+    # the tail-radius search is the envelope's last check, run before a grid
+    _build("jumps", (), lambda: measure.jump_radius)
     return family, measure, params if family == "merton" else None
 
 
 def _build_shift(sec: _Section):
-    if not sec.present:
-        return None
-    rho = sec.number("rho", 0.0)
     name = sec.text("strategy", "tanh_ramp").lower()
     if name not in STRATEGIES:
         raise ConfigError(f"unknown strategy {name!r} in shift.strategy",
                           key="shift.strategy")
-    if not 0.0 <= rho < math.inf:
-        raise ConfigError("shift.rho must be a nonnegative finite number",
-                          key="shift.rho")
-    if rho == 0.0:
-        return None
-    amplitude = sec.number("amplitude", 0.3)
-    if name == "zero":
-        strategy = strategy_zero()
-    elif name == "linear":
-        strategy = strategy_linear(amplitude)
-    elif name == "sin":
-        strategy = strategy_sin(amplitude, sec.number("frequency", 1.0))
-    else:
-        strategy = strategy_tanh_ramp(amplitude, sec.number("center", 0.0),
-                                      sec.number("width", 1.0))
-    return ShiftModel(strategy, rho=rho)
+    factory, defaults = STRATEGIES[name]
+    strategy = _build("shift", defaults, lambda: factory(
+        *(sec.number(key, default) for key, default in defaults.items())))
+    shift = _build("shift", ("rho",),
+                   lambda: ShiftModel(strategy, rho=sec.number("rho", 0.0)))
+    return shift if shift.rho > 0.0 else None
 
 
 def load_config(path: str) -> RunConfig:
@@ -212,47 +222,31 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config not parseable: {exc}", key=path) from None
     _check_keys(parser)
 
-    market_sec = _Section(parser, "market")
-    if not market_sec.present:
+    sec = _Section(parser, "market")
+    if not sec.present:
         raise ConfigError("missing section [market]", key="market")
-    market = MarketSpec(
-        S0=market_sec.number("spot"),
-        K=market_sec.number("strike"),
-        T=market_sec.number("maturity_years"),
-        r=market_sec.number("rate_per_year"),
-        sigma=market_sec.number("volatility"),
-        option_type=market_sec.text("option_type", "call"),
-    )
+    market = _build("market", KEYS["market"], lambda: MarketSpec(
+        *(sec.number(key) for key in KEYS["market"][:-1]),
+        sec.text("option_type", "call")))
 
     family, measure, merton_params = _build_measure(_Section(parser, "jumps"))
     shift = _build_shift(_Section(parser, "shift"))
 
-    grid_sec = _Section(parser, "grid")
-    half_width = grid_sec.number("half_width", 6.0)
-    n_core = grid_sec.integer("n_core", 1024)
-    reach = grid_sec.number("reach", None)
-    if not 0.0 < half_width < math.inf:
-        raise ConfigError("grid.half_width must be a positive finite number",
-                          key="grid.half_width")
-    if n_core < 16 or n_core % 2:
-        raise ConfigError("grid.n_core must be an even integer >= 16",
-                          key="grid.n_core")
-    if reach is not None and not reach >= 0.0:
-        raise ConfigError("grid.reach must be a nonnegative number",
-                          key="grid.reach")
+    sec = _Section(parser, "grid")
+    grid = _build("grid", KEYS["grid"], lambda: Grid(
+        1, sec.number("half_width", 6.0), sec.integer("n_core", 1024)))
 
-    scheme_sec = _Section(parser, "scheme")
-    scheme = SchemeConfig(
-        scheme=scheme_sec.text("scheme", "imex_bdf2"),
-        dt=scheme_sec.number("dt", market.T / 500.0),
-        cross_check=scheme_sec.flag("cross_check", False),
-        cross_check_tol=scheme_sec.number("cross_check_tol", 1e-3),
-    )
+    sec = _Section(parser, "scheme")
+    scheme = _build("scheme", KEYS["scheme"], lambda: SchemeConfig(
+        scheme=sec.text("scheme", "imex_bdf2"),
+        dt=sec.number("dt", market.T / DEFAULT_STEPS),
+        cross_check=sec.flag("cross_check", False),
+        cross_check_tol=sec.number("cross_check_tol", 1e-3)))
 
-    asrt = _Section(parser, "assertions")
-    oracle_rel_tol = asrt.number("oracle_rel_tol", 1e-3)
-    order_lo = asrt.number("order_lo", 1.5)
-    order_hi = asrt.number("order_hi", 2.8)
+    sec = _Section(parser, "assertions")
+    oracle_rel_tol = sec.number("oracle_rel_tol", 1e-3)
+    order_lo = sec.number("order_lo", 1.5)
+    order_hi = sec.number("order_hi", 2.8)
     if not oracle_rel_tol >= 0.0:
         raise ConfigError("assertions.oracle_rel_tol must be a nonnegative "
                           "number", key="assertions.oracle_rel_tol")
@@ -265,8 +259,6 @@ def load_config(path: str) -> RunConfig:
                           key="assertions.order_lo")
     return RunConfig(
         market=market, jump_family=family, measure=measure,
-        merton_params=merton_params, shift=shift, half_width=half_width,
-        n_core=n_core, reach=reach, scheme=scheme,
-        oracle_rel_tol=oracle_rel_tol, order_lo=order_lo, order_hi=order_hi,
-        digest=config_digest(raw_bytes),
-    )
+        merton_params=merton_params, shift=shift, half_width=grid.half_width,
+        n_core=grid.n_core, scheme=scheme, oracle_rel_tol=oracle_rel_tol,
+        order_lo=order_lo, order_hi=order_hi, digest=config_digest(raw_bytes))

@@ -115,8 +115,13 @@ class LevyMeasure:
 
     @cached_property
     def jump_radius(self) -> float:
-        """Envelope tail radius at JUMP_TAIL_TOL, searched once per measure."""
-        return self.shape.tail_radius(self.dim, JUMP_TAIL_TOL)
+        """Envelope tail radius at JUMP_TAIL_TOL, searched once per measure;
+        an envelope that overflows in the search is a domain error."""
+        try:
+            return self.shape.tail_radius(self.dim, JUMP_TAIL_TOL)
+        except OverflowError:
+            raise ParameterDomainError("envelope overflows in the tail-radius "
+                                       "search") from None
 
     @property
     def finite_activity(self) -> bool:
@@ -174,13 +179,17 @@ def make_merton(intensity: float, jump_mean, jump_std: float, dim: int = 1) -> L
     if m.size != dim or not np.all(np.isfinite(m)):
         raise ParameterDomainError(
             f"jump_mean must have {dim} finite component(s)")
-    if not 0 < jump_std < math.inf:
-        raise ParameterDomainError("jump_std must be positive and finite")
     s2 = jump_std * jump_std
+    if not (jump_std > 0 and 0 < s2 < math.inf):
+        raise ParameterDomainError(
+            "jump_std must be positive, with a finite nonzero square")
     norm = intensity * (2.0 * np.pi * s2) ** (-dim / 2.0)
-    shape = ShapeParams(
-        c0=norm * math.exp(float(m @ m) / (2.0 * s2)),
-        alpha=0.0, d=0.0, mu=1.0 / (4.0 * s2))
+    try:
+        c0 = norm * math.exp(float(m @ m) / (2.0 * s2))
+    except OverflowError:
+        raise ParameterDomainError("c0 overflows: jump_mean is too large "
+                                   "for jump_std") from None
+    shape = ShapeParams(c0=c0, alpha=0.0, d=0.0, mu=1.0 / (4.0 * s2))
     if dim == 1:
         m0 = float(m[0])
         density = lambda z: norm * np.exp(-((np.asarray(z) - m0) ** 2) / (2.0 * s2))
@@ -336,12 +345,11 @@ def exp_moment_cutoff(shape: ShapeParams) -> float:
     return c / (shape.d - 1.0)  # has_exp_moment guarantees d > 1 here
 
 
-def levy_exponent(measure: LevyMeasure, y, drift=0.0, diffusion=0.0,
+def levy_exponent(measure: LevyMeasure, y, drift=0.0,
                   tol: float = 1e-10) -> complex:
     """Characteristic exponent
 
-        phi(y) = i b.y + sum_ij a_ij y_i y_j
-                 + int (1 - e^(i y.z) + i y.z 1_{|z|<=1}) h(z) dz.
+        phi(y) = i b.y + int (1 - e^(i y.z) + i y.z 1_{|z|<=1}) h(z) dz.
 
     The jump integrand is O(|z|^2) at the origin, so any admissible measure
     with alpha < dim + 2 integrates; the split at |z| = 1 matches the
@@ -356,15 +364,6 @@ def levy_exponent(measure: LevyMeasure, y, drift=0.0, diffusion=0.0,
         b = np.full(2, float(b[0]))
     if b.size != n:
         raise ParameterDomainError(f"drift must have {n} component(s)")
-    a = np.atleast_2d(np.asarray(diffusion, dtype=float))
-    if a.shape == (1, 1) and n == 2:
-        a = float(a[0, 0]) * np.eye(2)
-    if a.shape != (n, n):
-        raise ParameterDomainError(f"diffusion must be a {n}x{n} matrix")
-    if np.min(np.linalg.eigvalsh(0.5 * (a + a.T))) < -1e-12:
-        raise ParameterDomainError("diffusion matrix must be positive semidefinite")
-
-    quad_form = float(y @ a @ y)
     lin = float(b @ y)
 
     if n == 1:
@@ -372,7 +371,7 @@ def levy_exponent(measure: LevyMeasure, y, drift=0.0, diffusion=0.0,
         re = quad_line(lambda z: (1.0 - np.cos(k * z)) * measure(z), tol)
         im = quad_line(lambda z: (k * z - np.sin(k * z)) * measure(z), tol,
                        outer=lambda z: -np.sin(k * z) * measure(z))
-        return complex(quad_form + re, lin + im)
+        return complex(re, lin + im)
 
     # 2-D: polar coordinates; angular average by periodic trapezoid of
     # weight(y.z) h(z) on the ring |z| = p.
@@ -391,4 +390,4 @@ def levy_exponent(measure: LevyMeasure, y, drift=0.0, diffusion=0.0,
           + adaptive_quad(lambda p: p * ring(p, re_w), 1.0, np.inf, tol))
     im = (quad_left_unit(lambda p: p * ring(p, lambda a: a - np.sin(a)), tol)
           + adaptive_quad(lambda p: p * ring(p, lambda a: -np.sin(a)), 1.0, np.inf, tol))
-    return complex(quad_form + re, lin + im)
+    return complex(re, lin + im)

@@ -34,6 +34,10 @@ __all__ = [
     "estimate_reach",
 ]
 
+# Steps of the default scheme over the maturity: dt = T / DEFAULT_STEPS, for
+# price_european without a scheme and for a config that sets no scheme.dt.
+DEFAULT_STEPS = 500
+
 
 @dataclass(frozen=True)
 class MarketSpec:
@@ -55,9 +59,10 @@ class MarketSpec:
             raise ParameterDomainError("maturity T must be positive and finite")
         if not math.isfinite(self.r):
             raise ParameterDomainError("rate r must be finite")
-        if not 0.0 < self.sigma < math.inf:
+        if not (self.sigma > 0.0 and 0.0 < self.sigma * self.sigma < math.inf):
             raise ParameterDomainError(
-                "volatility sigma must be positive and finite")
+                "volatility sigma must be positive, with a finite nonzero "
+                "square")
         if self.option_type not in ("call", "put"):
             raise ParameterDomainError("option_type must be call or put")
 
@@ -130,8 +135,9 @@ def merton_series_oracle(market: MarketSpec, merton, terms: int = 120) -> float:
     a tolerance error.
     """
     lam, m, s = (float(v) for v in merton)
-    if lam < 0 or s < 0:
-        raise ParameterDomainError("need intensity >= 0 and jump_std >= 0")
+    if not (0 <= lam < math.inf and 0 <= s < math.inf and math.isfinite(m)):
+        raise ParameterDomainError("intensity, jump_mean and jump_std must be "
+                                   "finite, intensity and jump_std >= 0")
     if terms < 30:
         raise ParameterDomainError("terms must be at least 30")
     gexp = m + 0.5 * s * s
@@ -200,6 +206,6 @@ def price_european(market: MarketSpec, measure: LevyMeasure | None = None,
     grid = make_grid(half_width, n_core, reach=reach)
     problem = transform_to_pide(market, grid, measure, shift)
     if scheme is None:
-        scheme = SchemeConfig(scheme="imex_bdf2", dt=market.T / 500.0)
+        scheme = SchemeConfig(scheme="imex_bdf2", dt=market.T / DEFAULT_STEPS)
     result = solve_shifted(problem, scheme)
     return PriceResult(report_price(market, result), result)

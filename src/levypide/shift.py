@@ -75,8 +75,10 @@ class TradingStrategy:
     def __post_init__(self):
         if not 0.0 < self.holder_exponent <= 1.0:
             raise ParameterDomainError("holder_exponent must lie in (0, 1]")
-        if self.holder_constant is not None and self.holder_constant < 0:
-            raise ParameterDomainError("holder_constant must be nonnegative")
+        if self.holder_constant is not None \
+                and not 0 <= self.holder_constant < math.inf:
+            raise ParameterDomainError(
+                "holder_constant must be nonnegative and finite")
 
     def values(self, tau: float, x) -> np.ndarray:
         """psi(tau, x) as a float array; a value that is not finite raises
@@ -95,12 +97,21 @@ def strategy_zero() -> TradingStrategy:
                            1.0, 0.0, time_dependent=False)
 
 
+def _check_finite(**numbers) -> None:
+    """Raise a ParameterDomainError naming the first number not finite."""
+    for name, value in numbers.items():
+        if not math.isfinite(value):
+            raise ParameterDomainError(f"{name} must be finite")
+
+
 def strategy_linear(slope: float) -> TradingStrategy:
+    _check_finite(slope=slope)
     return TradingStrategy(lambda tau, x: slope * np.asarray(x, dtype=float),
                            1.0, abs(slope), time_dependent=False)
 
 
 def strategy_sin(amplitude: float, frequency: float = 1.0) -> TradingStrategy:
+    _check_finite(amplitude=amplitude, frequency=frequency)
     return TradingStrategy(
         lambda tau, x: amplitude * np.sin(frequency * np.asarray(x, dtype=float)),
         1.0, abs(amplitude * frequency), time_dependent=False)
@@ -108,8 +119,9 @@ def strategy_sin(amplitude: float, frequency: float = 1.0) -> TradingStrategy:
 
 def strategy_tanh_ramp(amplitude: float, center: float = 0.0,
                        width: float = 1.0) -> TradingStrategy:
-    if width <= 0:
-        raise ParameterDomainError("width must be positive")
+    _check_finite(amplitude=amplitude, center=center)
+    if not 0 < width < math.inf:
+        raise ParameterDomainError("width must be positive and finite")
     return TradingStrategy(
         lambda tau, x: amplitude * np.tanh((np.asarray(x, dtype=float) - center) / width),
         1.0, abs(amplitude / width), time_dependent=False)

@@ -113,12 +113,12 @@ class CauchyProblem:
     diffusion_mode: str = "constant"
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ParameterDomainError("sigma must be positive")
-        if not self.horizon > 0:
-            raise ParameterDomainError("horizon must be positive")
-        if not self.strike > 0:
-            raise ParameterDomainError("strike must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterDomainError("sigma must be positive and finite")
+        if not 0 < self.horizon < math.inf:
+            raise ParameterDomainError("horizon must be positive and finite")
+        if not 0 < self.strike < math.inf:
+            raise ParameterDomainError("strike must be positive and finite")
         if not math.isfinite(self.rate):
             raise ParameterDomainError("rate must be finite")
         if self.option_type not in ("call", "put"):

@@ -8,7 +8,7 @@ from levypide.bessel import (BesselKernel, FractionalNorm, kernel_eval,
                              modulus_of_continuity_probe, q_estimate_probe,
                              synthetic_bounded_shift, synthetic_smooth_field,
                              xgamma_norm)
-from levypide.errors import ParameterDomainError
+from levypide.errors import ParameterDomainError, SingularityError
 from levypide.grids import make_grid
 
 
@@ -47,6 +47,25 @@ def test_eval_batch_matches_scalar_eval():
     batch = kern.eval_batch(radii)
     for r, b in zip(radii, batch):
         assert abs(b - kern.eval(np.array([r, 0.0]))) < 1e-12
+
+
+def test_kernel_at_the_origin_is_the_gamma_closed_form():
+    # for order > dim the kernel is finite at 0, where eval takes the closed
+    # form (4 pi)^(-dim/2) Gamma(order/2 - dim/2) / Gamma(order/2) instead of
+    # the quadrature; it is the limit of the quadrature values
+    assert abs(BesselKernel(2.0, 1).eval(0.0) - 0.5) < 1e-15
+    kern = BesselKernel(1.6, 1)
+    at0 = kern.eval(0.0)
+    want = math.gamma(0.3) / math.gamma(0.8) / (2.0 * math.sqrt(math.pi))
+    assert abs(at0 - want) < 1e-15
+    assert abs(kern.eval(1e-12) / at0 - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("order,dim", [(1.0, 1), (0.5, 1), (2.0, 2),
+                                       (1.2, 2)])
+def test_kernel_of_order_at_most_dim_diverges_at_the_origin(order, dim):
+    with pytest.raises(SingularityError, match="diverges at 0"):
+        BesselKernel(order, dim).eval(np.zeros(dim))
 
 
 def test_kernel_order_domain():

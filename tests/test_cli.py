@@ -14,7 +14,7 @@ from levypide.config import load_config
 from levypide.errors import ConfigError, LevyPideError
 from levypide.grids import make_grid
 from levypide.measures import ShapeParams
-from levypide.pricing import estimate_reach
+from levypide.pricing import bs_closed_form, estimate_reach
 
 MERTON_CFG = """\
 [market]
@@ -73,6 +73,16 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.cfg"))
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The arguments of each solve_shifted call the CLI makes."""
+    calls = []
+    real = cli.solve_shifted
+    monkeypatch.setattr(cli, "solve_shifted",
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 def _write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -111,10 +121,12 @@ def test_load_config_rejects_malformed_value(tmp_path):
     ("width = 1.0", "width = 1.0\nfp_tol = 1e-12", "shift.fp_tol"),
     ("dt = 0.04", "dt = 0.04\nstartup_grading = true", "scheme.startup_grading"),
     ("dt = 0.04", "dt = 0.04\nmonitor_gamma = 0.5", "scheme.monitor_gamma"),
-    # bad values the loader must not drop: a negative or NaN reach, and a
-    # strategy name that rho = 0 would otherwise never look at
+    # grid.reach is gone: the padding is always sized from the jumps and the
+    # shift, so any reach, usable or not, is an unknown key
     ("n_core = 512", "n_core = 512\nreach = -3.0", "grid.reach"),
     ("n_core = 512", "n_core = 512\nreach = nan", "grid.reach"),
+    ("n_core = 512", "n_core = 512\nreach = 3.0", "grid.reach"),
+    # a strategy name that rho = 0 would otherwise never look at
     ("rho = 0.05\nstrategy = tanh_ramp", "rho = 0.0\nstrategy = bogus",
      "shift.strategy"),
 ])
@@ -132,13 +144,9 @@ def test_unknown_keys_and_sections_exit_2_naming_them(tmp_path, capsys, old,
     assert key in capsys.readouterr().err
 
 
-def test_spot_outside_the_core_window_exits_2(tmp_path, capsys, monkeypatch):
+def test_spot_outside_the_core_window_exits_2(tmp_path, capsys, solves):
     # ln(100 / 0.1) = 6.91 lies past half_width = 6, where the price would
     # be read from the padding; the window is checked before any solve
-    solves = []
-    real = cli.solve_shifted
-    monkeypatch.setattr(cli, "solve_shifted",
-                        lambda *a: solves.append(a) or real(*a))
     path = _write(tmp_path, MERTON_CFG.replace("strike = 100.0",
                                                "strike = 0.1"))
     for command in (["price"], ["convergence-study", "--halvings", "2"]):
@@ -152,22 +160,43 @@ def test_spot_outside_the_core_window_exits_2(tmp_path, capsys, monkeypatch):
 MERTON_JUMPS = "family = merton\nintensity_per_year = 0.5\njump_mean = -0.1\n" \
     "jump_std = 0.2"
 TAIL_JUMPS = "family = exponential_tail\nc0 = 1.0\nalpha = 0.5\ndecay = 3.0"
-# (demo, old, new, the key the ConfigError names or None); the ids keep the
-# demo-old-new form
+# (demo, old, new, the key or section the ConfigError names); the ids keep
+# the demo-old-new form
 NON_FINITE = [
     # a NaN tolerance passes every cross-check: gap > nan is False
-    ("kou_put.cfg", "cross_check_tol = 1e-3", "cross_check_tol = nan", None),
-    ("kou_put.cfg", "cross_check_tol = 1e-3", "cross_check_tol = -1e-3", None),
-    ("kou_put.cfg", "dt = 0.01", "dt = nan", None),
-    ("kou_put.cfg", "dt = 0.01", "dt = inf", None),
-    ("kou_put.cfg", "maturity_years = 0.5", "maturity_years = nan", None),
-    ("kou_put.cfg", "maturity_years = 0.5", "maturity_years = inf", None),
-    ("kou_put.cfg", "half_width = 6.0", "half_width = nan", None),
-    ("kou_put.cfg", "half_width = 6.0", "half_width = inf", None),
-    ("merton_call.cfg", "volatility = 0.2", "volatility = nan", None),
-    ("merton_call.cfg", "volatility = 0.2", "volatility = inf", None),
-    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = nan", None),
-    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = inf", None),
+    ("kou_put.cfg", "cross_check_tol = 1e-3", "cross_check_tol = nan",
+     "scheme.cross_check_tol"),
+    ("kou_put.cfg", "cross_check_tol = 1e-3", "cross_check_tol = -1e-3",
+     "scheme.cross_check_tol"),
+    ("kou_put.cfg", "dt = 0.01", "dt = nan", "scheme.dt"),
+    ("kou_put.cfg", "dt = 0.01", "dt = inf", "scheme.dt"),
+    ("kou_put.cfg", "maturity_years = 0.5", "maturity_years = nan",
+     "market.maturity_years"),
+    ("kou_put.cfg", "maturity_years = 0.5", "maturity_years = inf",
+     "market.maturity_years"),
+    ("kou_put.cfg", "half_width = 6.0", "half_width = nan", "grid.half_width"),
+    ("kou_put.cfg", "half_width = 6.0", "half_width = inf", "grid.half_width"),
+    ("merton_call.cfg", "volatility = 0.2", "volatility = nan",
+     "market.volatility"),
+    ("merton_call.cfg", "volatility = 0.2", "volatility = inf",
+     "market.volatility"),
+    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = nan",
+     "market.rate_per_year"),
+    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = inf",
+     "market.rate_per_year"),
+    # finite but extreme: each used to end in a traceback (exit 1) once the
+    # arithmetic overflowed or underflowed, the last one after the grid and
+    # the plan were built.  A value the builder derives names the section:
+    # these two overflow the Merton envelope constant c0, which no key holds
+    ("merton_call.cfg", "jump_mean = -0.1", "jump_mean = 30.0", "jumps"),
+    ("merton_call.cfg", "intensity_per_year = 0.5",
+     "intensity_per_year = 1e308", "jumps"),
+    ("merton_call.cfg", "jump_std = 0.2", "jump_std = 1e-200",
+     "jumps.jump_std"),
+    ("merton_call.cfg", MERTON_JUMPS,
+     TAIL_JUMPS.replace("alpha = 0.5", "alpha = -1e300"), "jumps"),
+    ("merton_call.cfg", "volatility = 0.2", "volatility = 1e300",
+     "market.volatility"),
     # NaN passes a `<=` check, so each jump number is tested with `not >`
     ("kou_put.cfg", "intensity_per_year = 0.4", "intensity_per_year = nan",
      "jumps.intensity_per_year"),
@@ -193,27 +222,77 @@ NON_FINITE = [
 
 @pytest.mark.parametrize("demo,old,new,key", NON_FINITE,
                          ids=[f"{d}-{o}-{n}" for d, o, n, _ in NON_FINITE])
-def test_non_finite_numbers_exit_2_before_any_solve(tmp_path, capsys,
-                                                    monkeypatch, demo, old,
-                                                    new, key):
-    solves = []
-    real = cli.solve_shifted
-    monkeypatch.setattr(cli, "solve_shifted",
-                        lambda *a: solves.append(a) or real(*a))
+def test_non_finite_numbers_exit_2_before_any_solve(tmp_path, capsys, solves,
+                                                    demo, old, new, key):
     text = (ROOT / "demos" / "configs" / demo).read_text()
     assert old in text
     path = _write(tmp_path, text.replace(old, new).replace(
         "n_core = 1024", "n_core = 128"))
-    with pytest.raises(LevyPideError) as err:
+    with pytest.raises(ConfigError) as err:
         load_config(path)
-    if key is not None:
-        assert isinstance(err.value, ConfigError) and err.value.key == key
+    assert err.value.key == key
     assert main(["--config", path, "--out", str(tmp_path / "out"),
                  "price"]) == 2
     stderr = capsys.readouterr().err
-    assert "config error" in stderr and (key is None or key in stderr)
+    assert "config error" in stderr and f"[{key}]" in stderr
     assert solves == []
     assert not (tmp_path / "out" / "price.csv").exists()
+
+
+# (label, demo, edits to it, the numeric keys the demo then reads): together
+# every numeric key of each section, family and strategy
+NUMERIC_KEYS = [
+    ("merton", "merton_call.cfg", {},
+     ("market.spot", "market.strike", "market.maturity_years",
+      "market.rate_per_year", "market.volatility", "jumps.intensity_per_year",
+      "jumps.jump_mean", "jumps.jump_std", "grid.half_width", "grid.n_core",
+      "scheme.dt", "assertions.oracle_rel_tol", "assertions.order_lo",
+      "assertions.order_hi")),
+    ("kou", "kou_put.cfg", {},
+     ("jumps.intensity_per_year", "jumps.p_up", "jumps.eta_up",
+      "jumps.eta_down", "scheme.cross_check_tol")),
+    ("tail", "merton_call.cfg", {MERTON_JUMPS: TAIL_JUMPS},
+     ("jumps.c0", "jumps.alpha", "jumps.decay")),
+    ("tanh_ramp", "impact_call.cfg", {},
+     ("shift.rho", "shift.amplitude", "shift.center", "shift.width")),
+    ("sin", "impact_call.cfg", {"tanh_ramp": "sin"},
+     ("shift.amplitude", "shift.frequency")),
+    ("linear", "impact_call.cfg", {"tanh_ramp": "linear"},
+     ("shift.amplitude",)),
+]
+
+
+def _set_key(text, path, value):
+    """The config text with the dotted key set to value, added to its
+    section (or a new one) when the text leaves it out."""
+    section, key = path.split(".")
+    line = re.compile(rf"^{key} = .*$", re.M)
+    if line.search(text):
+        return line.sub(f"{key} = {value}", text)
+    if f"[{section}]" in text:
+        return text.replace(f"[{section}]", f"[{section}]\n{key} = {value}")
+    return f"{text}\n[{section}]\n{key} = {value}\n"
+
+
+@pytest.mark.parametrize("demo,edits,path,value", [
+    pytest.param(demo, edits, path, value, id=f"{label}-{path}={value}")
+    for label, demo, edits, paths in NUMERIC_KEYS for path in paths
+    for value in ("nan", "-inf", "fast")])
+def test_every_numeric_key_names_itself_when_bad(tmp_path, capsys, solves,
+                                                 demo, edits, path, value):
+    text = (ROOT / "demos" / "configs" / demo).read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path_cfg = _write(tmp_path, _set_key(text, path, value))
+    with pytest.raises(ConfigError) as err:
+        load_config(path_cfg)
+    assert err.value.key == path
+    out = tmp_path / "out"
+    assert main(["--config", path_cfg, "--out", str(out), "price"]) == 2
+    assert f"[{path}]" in capsys.readouterr().err
+    assert solves == []
+    assert not (out / "price.csv").exists()
 
 
 @pytest.mark.parametrize("value,key,command", [
@@ -227,11 +306,7 @@ def test_non_finite_numbers_exit_2_before_any_solve(tmp_path, capsys,
      ["convergence-study"]),
 ])
 def test_assertions_that_cannot_be_met_exit_2_before_any_solve(
-        tmp_path, capsys, monkeypatch, value, key, command):
-    solves = []
-    real = cli.solve_shifted
-    monkeypatch.setattr(cli, "solve_shifted",
-                        lambda *a: solves.append(a) or real(*a))
+        tmp_path, capsys, solves, value, key, command):
     text = (ROOT / "demos" / "configs" / "merton_call.cfg").read_text()
     path = _write(tmp_path, f"{text}\n[assertions]\n{value}\n")
     with pytest.raises(ConfigError) as err:
@@ -350,15 +425,27 @@ def test_price_command_writes_artifacts(tmp_path):
     assert "threads" not in manifest
 
 
+def test_price_without_jumps_checks_against_black_scholes(tmp_path):
+    # family = none has the Black-Scholes closed form as its oracle
+    cfg = _write(tmp_path, MERTON_CFG.replace(
+        "family = merton\nintensity_per_year = 0.5\njump_mean = -0.1\n"
+        "jump_std = 0.2", "family = none"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "price"]) == 0
+    _, _, rows = _read_rows(out / "price.csv")
+    assert float(rows[0][4]) == bs_closed_form(load_config(cfg).market)
+    assert float(rows[0][5]) < 1e-6
+    assert json.loads((out / "manifest.json").read_text())["stats"][
+        "operator"] is None
+
+
 def test_manifest_records_the_grid_and_source_window_that_ran(tmp_path):
     cfg = _write(tmp_path, MERTON_CFG)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "price"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    # the config leaves the reach out, so the solve sized it itself
-    loaded = load_config(cfg)
-    assert loaded.reach is None
-    reach = estimate_reach(loaded.measure, None, 6.0)
+    # the solve sized the reach itself
+    reach = estimate_reach(load_config(cfg).measure, None, 6.0)
     grid = make_grid(6.0, 512, reach=reach)
     assert manifest["grid"] == {"half_width": 6.0, "n_core": 512,
                                 "reach": reach, "pad": grid.pad,

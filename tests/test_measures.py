@@ -87,6 +87,20 @@ def test_nan_jump_parameters_are_domain_errors_naming_them(build, name):
         build()
 
 
+@pytest.mark.parametrize("build,message", [
+    # s^2 underflows to 0, and (2 pi s^2)^(-1/2) used to divide by it
+    (lambda: make_merton(0.5, -0.1, 1e-200), "^jump_std must"),
+    # e^(m^2 / (2 s^2)) in the envelope constant c0 used to overflow
+    (lambda: make_merton(0.5, 30.0, 0.2), "^c0 overflows"),
+    # r^(-alpha) used to overflow in the tail-radius search
+    (lambda: make_exponential_tail(1.0, -1e300, 3.0).jump_radius,
+     "^envelope overflows"),
+])
+def test_extreme_finite_jump_parameters_are_domain_errors(build, message):
+    with pytest.raises(ParameterDomainError, match=message):
+        build()
+
+
 def test_exponential_tail_activity_flags():
     finite = make_exponential_tail(1.0, 0.5, 2.0)
     assert finite.finite_activity
@@ -119,6 +133,33 @@ def test_admissibility_rejects_overtight_gaussian_rate():
     assert rep.worst_ratio > 1.0
 
 
+def test_admissibility_of_a_planar_density():
+    # the 2-D branch samples points, not a line: the built envelope of a
+    # planar Merton density holds, and a Gaussian rate claimed twice too
+    # tight fails at the sample farthest out
+    meas = make_merton(1.0, (0.1, -0.2), 0.5, dim=2)
+    ax = np.linspace(-4.0, 4.0, 41)
+    pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    assert check_admissibility(meas, pts).holds
+    tight = make_custom(meas.density, ShapeParams(
+        c0=meas.shape.c0, alpha=0.0, d=0.0, mu=2.0 * meas.shape.mu), dim=2)
+    rep = check_admissibility(tight, pts)
+    assert not rep.holds
+    assert np.hypot(*rep.worst_z) == pytest.approx(4.0 * math.sqrt(2.0))
+
+
+def test_admissibility_reports_a_negative_density():
+    # a density below 0 is no measure: the report fails at its most negative
+    # sample with a worst ratio of -inf, whatever the envelope says
+    base = make_merton(1.0, 0.0, 1.0)
+    signed = make_custom(lambda z: base.density(z) * np.sign(z - 0.5),
+                         base.shape)
+    rep = check_admissibility(signed, np.array([-1.0, 0.25, 1.0, 2.0]))
+    assert not rep.holds
+    assert rep.worst_ratio == -np.inf
+    assert rep.worst_z == (0.25,)
+
+
 def test_levy_exponent_merton_closed_form():
     # m=0 symmetric: truncated compensator integral vanishes and
     # phi(1) = lam (1 - E e^{iZ}) = 1 - e^{-1/2}
@@ -130,9 +171,9 @@ def test_levy_exponent_merton_closed_form():
 def test_levy_exponent_gaussian_part_is_additive():
     meas = make_merton(1.0, 0.0, 1.0)
     jump_only = levy_exponent(meas, 2.0)
-    full = levy_exponent(meas, 2.0, drift=0.3, diffusion=0.5)
-    # the drift/diffusion block adds i b y + a y^2 on top of the jump part
-    assert abs((full - jump_only) - (0.5 * 4.0 + 1j * 0.3 * 2.0)) < 1e-12
+    full = levy_exponent(meas, 2.0, drift=0.3)
+    # the drift adds i b y on top of the jump part
+    assert abs((full - jump_only) - 1j * 0.3 * 2.0) < 1e-12
 
 
 def test_moments_are_one_dimensional():

@@ -12,9 +12,9 @@ from levypide.measures import make_merton
 from levypide.pricing import (MarketSpec, bs_closed_form, estimate_reach,
                               merton_series_oracle, price_european,
                               report_price, transform_to_pide)
-from levypide.shift import (ShiftModel, TradingStrategy, strategy_sin,
-                            strategy_tanh_ramp)
-from levypide.solver import SchemeConfig, solve_shifted
+from levypide.shift import (ShiftModel, TradingStrategy, strategy_linear,
+                            strategy_sin, strategy_tanh_ramp)
+from levypide.solver import CauchyProblem, SchemeConfig, solve_shifted
 
 MKT = MarketSpec(100.0, 100.0, 1.0, 0.05, 0.2, "call")
 
@@ -53,6 +53,40 @@ def test_market_spec_validation():
                - math.log(1.1)) < 1e-15
 
 
+NAN, INF = math.nan, math.inf
+CORE = make_grid(2.0, 16)
+
+
+@pytest.mark.parametrize("build,name", [
+    # sigma = inf used to march to a BlowUpError
+    (lambda: CauchyProblem(CORE, sigma=INF, horizon=1.0), "sigma"),
+    (lambda: CauchyProblem(CORE, sigma=0.2, horizon=INF), "horizon"),
+    (lambda: CauchyProblem(CORE, sigma=0.2, horizon=1.0, strike=INF),
+     "strike"),
+    (lambda: BlackScholesClosedForm(NAN, 0.05, 0.2), "strike"),
+    (lambda: BlackScholesClosedForm(INF, 0.05, 0.2), "strike"),
+    (lambda: BlackScholesClosedForm(100.0, NAN, 0.2), "rate"),
+    (lambda: BlackScholesClosedForm(100.0, 0.05, NAN), "sigma"),
+    (lambda: BlackScholesClosedForm(100.0, 0.05, INF), "sigma"),
+    (lambda: TradingStrategy(lambda tau, x: x, 1.0, NAN), "holder_constant"),
+    (lambda: strategy_linear(NAN), "slope"),
+    (lambda: strategy_sin(INF), "amplitude"),
+    (lambda: strategy_sin(0.3, NAN), "frequency"),
+    (lambda: strategy_tanh_ramp(0.3, -INF), "center"),
+    # NaN passed the old `width <= 0`
+    (lambda: strategy_tanh_ramp(0.3, 0.0, NAN), "width"),
+    (lambda: strategy_tanh_ramp(0.3, 0.0, INF), "width"),
+    # a NaN parameter used to exhaust the series budget instead
+    (lambda: merton_series_oracle(MKT, (NAN, -0.1, 0.2)), "intensity"),
+    (lambda: merton_series_oracle(MKT, (0.5, NAN, 0.2)), "intensity"),
+    (lambda: merton_series_oracle(MKT, (0.5, -0.1, INF)), "intensity"),
+])
+def test_public_constructors_refuse_nan_and_inf(build, name):
+    # each check is written as `not 0 < x < inf` or isfinite, which NaN fails
+    with pytest.raises(ParameterDomainError, match=f"^{name}"):
+        build()
+
+
 def test_series_oracle_frozen_value():
     # jump-count expansion, checked independently against the solver during
     # development; frozen here
@@ -82,6 +116,18 @@ def test_transform_round_trip_prices_without_jumps():
     res = price_european(MKT, None, None, n_core=512,
                          scheme=SchemeConfig(dt=0.02))
     assert abs(res.price - bs_closed_form(MKT)) < 1e-12
+
+
+def test_price_european_without_a_scheme_marches_imex_bdf2_at_t_over_500():
+    # the README's one-call example passes no scheme: the default is the
+    # one a config without scheme.dt gets, imex_bdf2 at dt = T / 500
+    nu = make_merton(0.5, -0.1, 0.2)
+    market = MarketSpec(100.0, 100.0, 0.25, 0.05, 0.2, "call")
+    default = price_european(market, nu, n_core=128)
+    explicit = price_european(market, nu, n_core=128, scheme=SchemeConfig(
+        scheme="imex_bdf2", dt=0.25 / 500))
+    assert pricing.DEFAULT_STEPS == 500
+    assert default.price == explicit.price
 
 
 def test_priced_merton_matches_oracle():

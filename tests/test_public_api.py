@@ -18,7 +18,7 @@ from levypide.grids import Grid, GridField, make_grid
 from levypide.jump_operator import (OperatorPlan, _Band, apply_f_tilde_fn,
                                     build_plan, reference_symbol)
 from levypide.measures import (LevyMeasure, MeasureMoments, exp_moment_cutoff,
-                               make_custom)
+                               levy_exponent, make_custom)
 from levypide.pricing import (PriceResult, estimate_reach, price_european,
                               transform_to_pide)
 from levypide.quadrature import adaptive_quad, quad_left_unit, tanh_sinh_rule
@@ -81,6 +81,7 @@ def test_removed_functions_are_gone(module_name, name):
     (OperatorPlan, {"r_out"}),
     (SolveResult, {"cross_check_gap"}),
     (Grid, {"length"}),
+    (RunConfig, {"reach"}),
 ])
 def test_removed_fields_are_gone(owner, removed):
     assert not removed & {f.name for f in dataclasses.fields(owner)}
@@ -108,6 +109,7 @@ def test_removed_fields_are_gone(owner, removed):
     (reference_symbol, {"rel_tol"}),
     (synthetic_smooth_field, {"amplitude"}),
     (make_custom, {"radial_profile", "product_factors"}),
+    (levy_exponent, {"diffusion"}),
 ])
 def test_removed_parameters_are_gone(fn, removed):
     assert not removed & set(inspect.signature(fn).parameters)
