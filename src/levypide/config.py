@@ -32,10 +32,12 @@ tail-radius search, [shift] the strategy factory and ShiftModel, [grid] the
 core Grid, so n_core is even and at least 8, [scheme] SchemeConfig), whose
 ParameterDomainError becomes a ConfigError naming the key the builder read
 the value from, or the section alone for a derived value (an overflowing
-Merton c0 names [jumps]).  Missing or malformed keys and unknown keys,
-sections, families and strategies (also when rho = 0) name their dotted
-path.  [assertions] builds no object and is checked here: oracle_rel_tol
->= 0, order_lo and order_hi finite, order_lo <= order_hi.
+Merton c0 or e^z moment names [jumps]).  Values are read by configparser's
+getfloat, getint and getboolean (1/yes/true/on, 0/no/false/off).  Missing
+or malformed keys and unknown keys, sections, families and strategies (also
+when rho = 0) name their dotted path.  [assertions] builds no object and
+is checked here: oracle_rel_tol >= 0, order_lo and order_hi finite,
+order_lo <= order_hi.
 """
 from __future__ import annotations
 
@@ -105,45 +107,37 @@ _REQUIRED = object()
 
 
 class _Section:
-    """One INI section with typed, path-naming accessors; a key without a
-    default is required."""
+    """One INI section with typed, path-naming accessors (configparser's own
+    getters); a key without a default is required."""
 
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self.name = name
         self.present = parser.has_section(name)
         self._sec = parser[name] if self.present else {}
 
-    def _fetch(self, key: str, cast, default):
+    def _fetch(self, key: str, getter: str, default):
         path = f"{self.name}.{key}"
         if key not in self._sec:
             if default is not _REQUIRED:
                 return default
             raise ConfigError(f"missing key {path}", key=path)
-        raw = self._sec[key]
         try:
-            if cast is bool:
-                low = raw.strip().lower()
-                if low in ("true", "yes", "1", "on"):
-                    return True
-                if low in ("false", "no", "0", "off"):
-                    return False
-                raise ValueError(raw)
-            return cast(raw)
+            return getattr(self._sec, getter)(key)
         except ValueError:
-            raise ConfigError(
-                f"key {path} has malformed value {raw!r}", key=path) from None
+            raise ConfigError(f"key {path} has malformed value "
+                              f"{self._sec[key]!r}", key=path) from None
 
     def number(self, key, default=_REQUIRED):
-        return self._fetch(key, float, default)
+        return self._fetch(key, "getfloat", default)
 
     def integer(self, key, default=_REQUIRED):
-        return self._fetch(key, int, default)
+        return self._fetch(key, "getint", default)
 
     def text(self, key, default=_REQUIRED):
-        return self._fetch(key, str, default)
+        return self._fetch(key, "get", default)
 
     def flag(self, key, default=False):
-        return self._fetch(key, bool, default)
+        return self._fetch(key, "getboolean", default)
 
 
 # Each jump family's and strategy's factory, with the keys of its arguments

@@ -8,6 +8,7 @@ without wrap-around contaminating the core region.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -123,12 +124,18 @@ def make_grid(half_width: float, n_core: int, reach: float = 0.0,
 
     Pad cells are sized to ceil(reach / dx) plus a stencil margin, then grown
     symmetrically to the smallest even 5-smooth (FFT-friendly) padded length.
-    The reach must be nonnegative and finite.
+    The reach must be nonnegative and finite, and the padded length must fit
+    an array index (a C ssize_t).
     """
     if not 0.0 <= reach < math.inf:
         raise ParameterDomainError("reach must be nonnegative and finite")
     core = Grid(dim=dim, half_width=half_width, n_core=n_core)
-    pad = int(np.ceil(reach / core.dx)) + _STENCIL_MARGIN
+    cells = reach / core.dx
+    if not n_core + 2.0 * (cells + _STENCIL_MARGIN + 1.0) < sys.maxsize:
+        raise ParameterDomainError(
+            f"reach {reach:.6g} at half_width {half_width:.6g} needs more pad "
+            "cells than an array index can hold")
+    pad = math.ceil(cells) + _STENCIL_MARGIN
     # n_core is even, so an even length splits into two equal pads
     n_tot = 2 * next_fast_len((n_core + 2 * pad) // 2, real=True)
     pad += (n_tot - (n_core + 2 * pad)) // 2

@@ -51,8 +51,8 @@ from .errors import (OutOfDomainError, ParameterDomainError, PlanInvalidError,
 # this module's name, so the name must stay importable
 from .grids import (CUBIC_OFFSETS, Grid, GridField, Transforms,  # noqa: F401
                     cubic_interp_periodic, cubic_stencil, gradient)
-from .measures import JUMP_TAIL_TOL, AxisJumpPair, LevyMeasure, levy_exponent
-from .quadrature import adaptive_quad, gauss_legendre_panels
+from .measures import JUMP_TAIL_TOL, AxisJumpPair, LevyMeasure
+from .quadrature import adaptive_quad, gauss_legendre_panels, quad_line
 from .shift import ShiftModel, xi_on_grid
 
 __all__ = [
@@ -67,17 +67,16 @@ def reference_symbol(measure: LevyMeasure, k: float) -> complex:
     """Plane-wave multiplier of the operator, by adaptive quadrature.
 
     Independent of any plan: the integral of (e^{ikz} - 1 - ikz) h(z) dz over
-    the line, which is -levy_exponent(k) with the drift
-    m_out = integral of z h(z) over |z| > 1 moving the exponent's
-    compensator from |z| <= 1 to the whole line.  One-dimensional measures
-    only.
+    the line, taken as its real part (cos kz - 1) h and its imaginary part
+    (sin kz - kz) h, one quadrature.quad_line each.  One-dimensional
+    measures only.
     """
     if measure.dim != 1:
         raise ParameterDomainError("reference symbol is one-dimensional")
     h = measure.density
-    m_out = (adaptive_quad(lambda z: z * float(h(z)), 1.0, np.inf)
-             - adaptive_quad(lambda z: z * float(h(-z)), 1.0, np.inf))
-    return -levy_exponent(measure, k, drift=m_out, tol=1e-10)
+    re = quad_line(lambda z: (np.cos(k * z) - 1.0) * h(z))
+    im = quad_line(lambda z: (np.sin(k * z) - k * z) * h(z))
+    return complex(re, im)
 
 
 def small_jump_compensation(measure, eps_in: float) -> float:

@@ -171,7 +171,8 @@ def make_merton(intensity: float, jump_mean, jump_std: float, dim: int = 1) -> L
 
     The envelope uses |z - m|^2 >= |z|^2 / 2 - |m|^2, giving
     c0 = intensity * (2 pi s^2)^(-dim/2) * exp(|m|^2 / (2 s^2)), alpha = 0,
-    d = 0, mu = 1/(4 s^2).
+    d = 0, mu = 1/(4 s^2).  A law whose c0 or e^z moment e^(m + s^2/2)
+    overflows is a domain error.
     """
     if not 0 < intensity < math.inf:
         raise ParameterDomainError("intensity must be positive and finite")
@@ -189,6 +190,11 @@ def make_merton(intensity: float, jump_mean, jump_std: float, dim: int = 1) -> L
     except OverflowError:
         raise ParameterDomainError("c0 overflows: jump_mean is too large "
                                    "for jump_std") from None
+    try:
+        math.exp(float(np.max(m)) + 0.5 * s2)
+    except OverflowError:
+        raise ParameterDomainError("e^z moment exp(jump_mean + jump_std^2/2) "
+                                   "overflows") from None
     shape = ShapeParams(c0=c0, alpha=0.0, d=0.0, mu=1.0 / (4.0 * s2))
     if dim == 1:
         m0 = float(m[0])
@@ -345,33 +351,26 @@ def exp_moment_cutoff(shape: ShapeParams) -> float:
     return c / (shape.d - 1.0)  # has_exp_moment guarantees d > 1 here
 
 
-def levy_exponent(measure: LevyMeasure, y, drift=0.0,
-                  tol: float = 1e-10) -> complex:
-    """Characteristic exponent
+def levy_exponent(measure: LevyMeasure, y, tol: float = 1e-10) -> complex:
+    """Characteristic exponent of the jump part,
 
-        phi(y) = i b.y + int (1 - e^(i y.z) + i y.z 1_{|z|<=1}) h(z) dz.
+        phi(y) = int (1 - e^(i y.z) + i y.z 1_{|z|<=1}) h(z) dz.
 
-    The jump integrand is O(|z|^2) at the origin, so any admissible measure
-    with alpha < dim + 2 integrates; the split at |z| = 1 matches the
+    The integrand is O(|z|^2) at the origin, so any admissible measure with
+    alpha < dim + 2 integrates; the split at |z| = 1 matches the
     compensator's indicator.
     """
     n = measure.dim
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size != n:
         raise ParameterDomainError(f"y must have {n} component(s)")
-    b = np.atleast_1d(np.asarray(drift, dtype=float))
-    if b.size == 1 and n == 2:
-        b = np.full(2, float(b[0]))
-    if b.size != n:
-        raise ParameterDomainError(f"drift must have {n} component(s)")
-    lin = float(b @ y)
 
     if n == 1:
         k = float(y[0])
         re = quad_line(lambda z: (1.0 - np.cos(k * z)) * measure(z), tol)
         im = quad_line(lambda z: (k * z - np.sin(k * z)) * measure(z), tol,
                        outer=lambda z: -np.sin(k * z) * measure(z))
-        return complex(re, lin + im)
+        return complex(re, im)
 
     # 2-D: polar coordinates; angular average by periodic trapezoid of
     # weight(y.z) h(z) on the ring |z| = p.
@@ -390,4 +389,4 @@ def levy_exponent(measure: LevyMeasure, y, drift=0.0,
           + adaptive_quad(lambda p: p * ring(p, re_w), 1.0, np.inf, tol))
     im = (quad_left_unit(lambda p: p * ring(p, lambda a: a - np.sin(a)), tol)
           + adaptive_quad(lambda p: p * ring(p, lambda a: -np.sin(a)), 1.0, np.inf, tol))
-    return complex(re, lin + im)
+    return complex(re, im)

@@ -141,7 +141,11 @@ def merton_series_oracle(market: MarketSpec, merton, terms: int = 120) -> float:
     if terms < 30:
         raise ParameterDomainError("terms must be at least 30")
     gexp = m + 0.5 * s * s
-    kappa = math.expm1(gexp)
+    try:
+        kappa = math.expm1(gexp)
+    except OverflowError:
+        raise ParameterDomainError(
+            "e^(jump_mean + jump_std^2/2) overflows") from None
     lam_star = lam * (1.0 + kappa)
     T = market.T
     if lam_star * T == 0.0:

@@ -144,6 +144,45 @@ def test_unknown_keys_and_sections_exit_2_naming_them(tmp_path, capsys, old,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value,want", [("off", False), ("yes", True)])
+def test_cross_check_reads_configparsers_boolean_words(tmp_path, value, want):
+    path = _write(tmp_path, MERTON_CFG + f"cross_check = {value}\n")
+    assert load_config(path).scheme.cross_check is want
+
+
+@pytest.mark.parametrize("text,key", [
+    (MERTON_CFG.replace("dt = 0.04", "dt = 0.04\ncross_check = maybe"),
+     "scheme.cross_check"),
+    (MERTON_CFG.replace("family = merton", "family = levy"), "jumps.family"),
+    ("[jumps]" + MERTON_CFG.split("[jumps]")[1], "market"),
+], ids=["not_a_boolean", "unknown_family", "no_market_section"])
+def test_bad_words_and_a_missing_market_exit_2_naming_them(tmp_path, capsys,
+                                                           text, key):
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.key == key
+    assert main(["--config", path, "--out", str(tmp_path / "out"),
+                 "price"]) == 2
+    assert f"[{key}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    MERTON_CFG.replace("dt = 0.04", "dt = 0.04\nfast"),
+    MERTON_CFG.replace("dt = 0.04", "dt = 0.04\ndt = 0.02"),
+    MERTON_CFG + "\n[grid]\nn_core = 256\n",
+    MERTON_CFG.split("\n", 1)[1],
+], ids=["line_without_equals", "duplicate_key", "duplicate_section",
+        "no_section_header"])
+def test_unparseable_config_exits_2(tmp_path, capsys, text):
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match="config not parseable"):
+        load_config(path)
+    assert main(["--config", path, "--out", str(tmp_path / "out"),
+                 "price"]) == 2
+    assert "config not parseable" in capsys.readouterr().err
+
+
 def test_spot_outside_the_core_window_exits_2(tmp_path, capsys, solves):
     # ln(100 / 0.1) = 6.91 lies past half_width = 6, where the price would
     # be read from the padding; the window is checked before any solve
@@ -197,6 +236,9 @@ NON_FINITE = [
      TAIL_JUMPS.replace("alpha = 0.5", "alpha = -1e300"), "jumps"),
     ("merton_call.cfg", "volatility = 0.2", "volatility = 1e300",
      "market.volatility"),
+    # e^(m + s^2/2) overflows: the Merton series oracle used to raise an
+    # OverflowError after the whole solve
+    ("merton_call.cfg", "jump_std = 0.2", "jump_std = 1e150", "jumps"),
     # NaN passes a `<=` check, so each jump number is tested with `not >`
     ("kou_put.cfg", "intensity_per_year = 0.4", "intensity_per_year = nan",
      "jumps.intensity_per_year"),
@@ -237,6 +279,22 @@ def test_non_finite_numbers_exit_2_before_any_solve(tmp_path, capsys, solves,
     assert "config error" in stderr and f"[{key}]" in stderr
     assert solves == []
     assert not (tmp_path / "out" / "price.csv").exists()
+
+
+def test_a_pad_too_long_for_an_array_index_exits_2_before_any_solve(
+        tmp_path, capsys, solves):
+    # half_width = 1e-300 loads, but the pad for the Merton reach would need
+    # about 1e301 cells; make_grid used to end in an OverflowError (exit 1)
+    text = (ROOT / "demos" / "configs" / "merton_call.cfg").read_text()
+    path = _write(tmp_path, text.replace("half_width = 6.0",
+                                         "half_width = 1e-300").replace(
+        "n_core = 1024", "n_core = 64"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "price"]) == 2
+    err = capsys.readouterr().err
+    assert "ParameterDomainError" in err and "half_width 1e-300" in err
+    assert solves == []
+    assert not (out / "price.csv").exists()
 
 
 # (label, demo, edits to it, the numeric keys the demo then reads): together
@@ -502,6 +560,8 @@ def test_diagnose_bessel(tmp_path):
     assert {"mass", "closed_form_order2", "closed_form_order1",
             "modulus_spread"} <= checks
     assert all(r[-1] == "true" for r in rows)
+    # the log-radius rule leaves at most 1.5e-13 of each kernel's unit mass
+    assert all(abs(float(r[3]) - 1.0) < 1e-12 for r in rows if r[0] == "mass")
 
 
 def test_diagnose_operator(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from levypide import grids
 from levypide.errors import ParameterDomainError
 from levypide.grids import Grid, make_grid
 from levypide.pricing import MarketSpec, price_european
@@ -45,3 +46,14 @@ def test_nan_infinite_or_negative_sizes_are_domain_errors(build):
     # int(ceil(nan)) would end in a bare ValueError instead
     with pytest.raises(ParameterDomainError):
         build()
+
+
+def test_a_pad_too_long_for_an_array_index_is_a_domain_error(monkeypatch):
+    # reach / dx = 1.6e301 cells; next_fast_len used to end in a bare
+    # OverflowError.  The check runs before it and before any allocation.
+    # Only this extreme is run: a half-width such as 1e-6 is accepted and
+    # pads to gigabytes.
+    monkeypatch.setattr(grids, "next_fast_len", None)
+    with pytest.raises(ParameterDomainError,
+                       match="reach 2.5 at half_width 1e-300"):
+        make_grid(1e-300, 64, reach=2.5)

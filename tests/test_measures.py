@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from levypide import measures
 from levypide.errors import ParameterDomainError
-from levypide.measures import (ShapeParams, check_admissibility, levy_exponent,
-                               levy_pair, make_custom, make_exponential_tail,
-                               make_kou, make_merton, moments)
+from levypide.measures import (ShapeParams, check_admissibility,
+                               compensated_exp_term, levy_exponent, levy_pair,
+                               make_custom, make_exponential_tail, make_kou,
+                               make_merton, moments)
 
 
 def test_merton_total_mass_is_intensity():
@@ -43,6 +45,32 @@ def test_kou_compensator_is_finite_when_the_cutoff_passes_exp_overflow():
     mom = moments(make_kou(1.0, 0.4, 3.0, 2.0))
     want = 0.4 * 3.0 / 2.0 + 0.6 * 2.0 / 3.0 - 1.0 - (0.4 / 3.0 - 0.6 / 2.0)
     assert abs(mom.compensated_exp_moment - want) < 1e-10
+
+
+def test_a_measure_without_an_e_z_moment_skips_its_quadrature(monkeypatch):
+    # pins the shape-decided divergence: decay 0.8 < 1 and no Gaussian taper,
+    # so int e^z h diverges; the moment is inf and no integrand is evaluated
+    meas = make_exponential_tail(1.0, 0.5, 0.8)
+    assert not meas.has_exp_moment
+    calls = []
+    monkeypatch.setattr(measures, "compensated_exp_term",
+                        lambda *a: calls.append(a))
+    mom = moments(meas)
+    assert mom.compensated_exp_moment == np.inf and calls == []
+    # the total mass c0 * 2 Gamma(1 - alpha) d^(alpha - 1) is still finite
+    want = 2.0 * math.gamma(0.5) * 0.8 ** -0.5
+    assert abs(mom.total_mass / want - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("z", [700.5, 720.0, 760.0])
+def test_compensated_exp_term_past_exp_overflow(z):
+    # pins the branch above z = 700: e^z alone overflows at 709.8, but
+    # e^z h stays finite as exp(z + log h)
+    hz = 1e-300
+    got = compensated_exp_term(z, hz)
+    assert got == math.exp(z + math.log(hz)) - (1.0 + z) * hz
+    assert math.isfinite(got)
+    assert abs(got / math.exp(z - 300.0 * math.log(10.0)) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
@@ -92,6 +120,10 @@ def test_nan_jump_parameters_are_domain_errors_naming_them(build, name):
     (lambda: make_merton(0.5, -0.1, 1e-200), "^jump_std must"),
     # e^(m^2 / (2 s^2)) in the envelope constant c0 used to overflow
     (lambda: make_merton(0.5, 30.0, 0.2), "^c0 overflows"),
+    # e^(m + s^2/2), the e^z moment the Merton series oracle compounds,
+    # used to overflow only in the oracle, after the whole solve
+    (lambda: make_merton(0.5, -0.1, 1e150), "^e\\^z moment .* overflows"),
+    (lambda: make_merton(0.5, 710.0, 30.0), "^e\\^z moment .* overflows"),
     # r^(-alpha) used to overflow in the tail-radius search
     (lambda: make_exponential_tail(1.0, -1e300, 3.0).jump_radius,
      "^envelope overflows"),
@@ -166,14 +198,6 @@ def test_levy_exponent_merton_closed_form():
     got = levy_exponent(make_merton(1.0, 0.0, 1.0), 1.0)
     assert abs(got.real - (1.0 - math.exp(-0.5))) < 1e-9
     assert abs(got.imag) < 1e-9
-
-
-def test_levy_exponent_gaussian_part_is_additive():
-    meas = make_merton(1.0, 0.0, 1.0)
-    jump_only = levy_exponent(meas, 2.0)
-    full = levy_exponent(meas, 2.0, drift=0.3)
-    # the drift adds i b y on top of the jump part
-    assert abs((full - jump_only) - 1j * 0.3 * 2.0) < 1e-12
 
 
 def test_moments_are_one_dimensional():

@@ -111,6 +111,13 @@ def test_series_oracle_budget_and_validation():
         merton_series_oracle(MKT, (0.5, 0.1, 0.3), terms=10)
 
 
+def test_series_oracle_refuses_an_overflowing_jump_moment():
+    # e^(m + s^2/2) - 1 overflows for jump_std = 1e150; the oracle used to
+    # end in an OverflowError from math.expm1
+    with pytest.raises(ParameterDomainError, match="overflows"):
+        merton_series_oracle(MKT, (0.5, -0.1, 1e150))
+
+
 def test_transform_round_trip_prices_without_jumps():
     # the full pipeline on a jump-free market reproduces the closed form
     res = price_european(MKT, None, None, n_core=512,

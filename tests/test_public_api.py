@@ -109,7 +109,7 @@ def test_removed_fields_are_gone(owner, removed):
     (reference_symbol, {"rel_tol"}),
     (synthetic_smooth_field, {"amplitude"}),
     (make_custom, {"radial_profile", "product_factors"}),
-    (levy_exponent, {"diffusion"}),
+    (levy_exponent, {"diffusion", "drift"}),
 ])
 def test_removed_parameters_are_gone(fn, removed):
     assert not removed & set(inspect.signature(fn).parameters)

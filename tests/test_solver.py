@@ -48,6 +48,15 @@ def test_heat_semigroup_spreads_gaussian_variance():
     assert out.time_tag == 0.5
 
 
+def test_heat_semigroup_at_a_zero_step_returns_its_input():
+    # pins the dt == 0 shortcut (the same object, no transform) and the
+    # refusal of a negative step
+    u = _gaussian(make_grid(4.0, 64))
+    assert heat_semigroup(u, 0.4, 0.0) is u
+    with pytest.raises(ParameterDomainError, match="dt must be nonnegative"):
+        heat_semigroup(u, 0.4, -0.1)
+
+
 def test_build_time_mesh_uniform_and_graded():
     taus = build_time_mesh(1.0, 0.03)
     assert taus[0] == 0.0 and taus[-1] == 1.0
@@ -91,6 +100,38 @@ def test_pad_short_of_the_resolved_shifts_fails_before_marching(monkeypatch):
     monkeypatch.setattr(solver, "_march", no_march)
     with pytest.raises(OutOfDomainError, match="resolved shift reach"):
         solve_shifted(problem, SchemeConfig(dt=0.02))
+
+
+def test_direct_solves_need_an_initial_field_on_their_grid():
+    # pins solve_direct's two input guards: no initial field at all, and an
+    # initial field sampled on a different grid
+    g = make_grid(4.0, 64)
+    scheme = SchemeConfig(dt=0.1)
+    with pytest.raises(ParameterDomainError, match="need an initial field"):
+        solve_direct(CauchyProblem(g, sigma=0.2, horizon=0.5), scheme)
+    elsewhere = _gaussian(make_grid(4.0, 128))
+    with pytest.raises(ParameterDomainError, match="different grid"):
+        solve_direct(CauchyProblem(g, sigma=0.2, horizon=0.5,
+                                   initial=elsewhere), scheme)
+
+
+def test_shifted_solves_refuse_a_nonlinearity():
+    # pins solve_shifted's guard: its source and compensator assume the
+    # built-in pricing drift, which a nonlinearity would replace
+    problem = CauchyProblem(make_grid(4.0, 64), sigma=0.2, horizon=0.5,
+                            nonlinearity=lambda tau, x, u, du: -u)
+    with pytest.raises(UnsupportedConfigurationError,
+                       match="built-in pricing drift"):
+        solve_shifted(problem, SchemeConfig(dt=0.1))
+
+
+def test_feedback_diffusion_is_one_dimensional():
+    # pins CauchyProblem's guard: the feedback coefficient uses d psi / dx
+    g = make_grid(4.0, 64, dim=2)
+    with pytest.raises(UnsupportedConfigurationError, match="1-D only"):
+        CauchyProblem(g, sigma=0.2, horizon=0.5,
+                      shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.05),
+                      diffusion_mode="feedback")
 
 
 def test_measure_free_shifted_solve_is_exactly_zero():
