@@ -40,7 +40,7 @@ class OutOfDomainError(LevyPideError, ValueError):
 
 
 class PlanInvalidError(LevyPideError, ValueError):
-    """The requested operator plan combines incompatible options."""
+    """A field is applied to an operator plan built on another grid."""
 
 
 class UnsupportedConfigurationError(LevyPideError, ValueError):

@@ -8,7 +8,6 @@ without wrap-around contaminating the core region.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -34,6 +33,10 @@ class Grid:
             raise ParameterDomainError("half_width must be positive and finite")
         if self.n_core < 8 or self.n_core % 2:
             raise ParameterDomainError("n_core must be an even integer >= 8")
+        if not self.dx > 0.0:
+            raise ParameterDomainError(
+                f"half_width {self.half_width:.6g} at n_core {self.n_core} "
+                "gives a cell width of 0")
         if self.pad < 0:
             raise ParameterDomainError("pad must be nonnegative")
 
@@ -116,6 +119,8 @@ class Transforms:
 
 # Pad cells added beyond ceil(reach / dx): room for the cubic stencil.
 _STENCIL_MARGIN = 4
+# At most 2**24 points (n_total ** dim) in a padded grid: 134 MB per array.
+_GRID_POINTS_LOG2 = 24
 
 
 def make_grid(half_width: float, n_core: int, reach: float = 0.0,
@@ -124,17 +129,21 @@ def make_grid(half_width: float, n_core: int, reach: float = 0.0,
 
     Pad cells are sized to ceil(reach / dx) plus a stencil margin, then grown
     symmetrically to the smallest even 5-smooth (FFT-friendly) padded length.
-    The reach must be nonnegative and finite, and the padded length must fit
-    an array index (a C ssize_t).
+    The reach must be nonnegative and finite, and the grid may hold at most
+    2**24 points.
     """
     if not 0.0 <= reach < math.inf:
         raise ParameterDomainError("reach must be nonnegative and finite")
     core = Grid(dim=dim, half_width=half_width, n_core=n_core)
     cells = reach / core.dx
-    if not n_core + 2.0 * (cells + _STENCIL_MARGIN + 1.0) < sys.maxsize:
+    # the per-axis cap is a power of two, so the 5-smooth rounding below
+    # cannot take a length within it past it
+    axis_cap = 2 ** (_GRID_POINTS_LOG2 // dim)
+    if cells > (axis_cap - n_core) / 2 - _STENCIL_MARGIN:
         raise ParameterDomainError(
-            f"reach {reach:.6g} at half_width {half_width:.6g} needs more pad "
-            "cells than an array index can hold")
+            f"reach {reach:.6g} at half_width {half_width:.6g} pads n_core "
+            f"{n_core} past {axis_cap} points per axis, more than "
+            f"2**{_GRID_POINTS_LOG2} grid points")
     pad = math.ceil(cells) + _STENCIL_MARGIN
     # n_core is even, so an even length splits into two equal pads
     n_tot = 2 * next_fast_len((n_core + 2 * pad) // 2, real=True)

@@ -276,6 +276,9 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
         if alpha > 0:
             raise UnsupportedConfigurationError(
                 "two-dimensional plans require a density bounded at the origin")
+        if force_quadrature:
+            raise UnsupportedConfigurationError(
+                "two-dimensional plans have no quadrature path")
     if alpha >= grid.dim + 2:
         raise ParameterDomainError(
             "envelope exponent implies a divergent second jump moment")
@@ -418,10 +421,6 @@ def apply_f(plan: OperatorPlan, u: GridField, grad_u=None,
         for mean, du in zip(plan.mean_jump, grads):
             out = out - mean * du
         return u.with_values(out)
-    if plan.dim != 1:
-        raise UnsupportedConfigurationError(
-            "two-dimensional quadrature path is not available; "
-            "use an identity-shift plan")
     b = _band(plan, tau)
     return u.with_values(b.apply(u.values) - b.xi_mean * grads[0])
 
@@ -560,8 +559,9 @@ def f_bound_probe(plan: OperatorPlan, fields: Sequence[GridField],
 def plan_symbol_table(plan: OperatorPlan, wavenumbers: Sequence[float]):
     """Rows (k, plan symbol, reference symbol, relative gap) for diagnostics.
 
-    The plan symbol is evaluated from the quadrature nodes, matching what the
-    operator actually applies; the reference comes from adaptive quadrature.
+    The plan symbol is evaluated from the quadrature nodes: what a band plan
+    applies; an FFT plan applies the lattice symbol, which the operator
+    diagnostics' apply gap checks.  The reference is adaptive quadrature.
     """
     if plan.dim != 1:
         raise UnsupportedConfigurationError("symbol table is 1-D only")

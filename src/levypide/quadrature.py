@@ -1,4 +1,4 @@
-"""Quadrature helpers: adaptive Gauss-Kronrod wrappers and tanh-sinh panels.
+"""Quadrature helpers: adaptive Gauss-Kronrod wrappers and Gauss-Legendre panels.
 
 The adaptive pieces delegate to scipy's QUADPACK with explicit tolerance
 accounting; integrands with an algebraic singularity at the origin are
@@ -51,33 +51,6 @@ def quad_line(f, rel_tol: float = 1e-10, outer=None,
             + quad_left_unit(lambda z: f(-z), rel_tol)
             + adaptive_quad(g, 1.0, end, rel_tol)
             + adaptive_quad(lambda z: g(-z), 1.0, np.inf, rel_tol))
-
-
-def tanh_sinh_rule(n: int = 120):
-    """Nodes/weights of the tanh-sinh rule on (-1, 1), on t in [-3.2, 3.2].
-
-    Double-exponential clustering at the endpoints integrates endpoint
-    algebraic singularities to near machine accuracy.
-    """
-    t = np.linspace(-3.2, 3.2, 2 * n + 1)
-    dt = t[1] - t[0]
-    st = np.sinh(t) * (np.pi / 2)
-    x = np.tanh(st)
-    w = dt * (np.pi / 2) * np.cosh(t) / np.cosh(st) ** 2
-    keep = 1.0 - np.abs(x) > 1e-17
-    return x[keep], w[keep]
-
-
-def panel_quad(vec_f, a: float, b: float, n: int = 120) -> float:
-    """Tanh-sinh panel integral of a vectorized integrand on [a, b]."""
-    x, w = tanh_sinh_rule(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.sum(w * vec_f(mid + half * x)))
-
-
-def panels_quad(vec_f, edges, n: int = 120) -> float:
-    """Sum of tanh-sinh panels over consecutive edge pairs."""
-    return sum(panel_quad(vec_f, a, b, n) for a, b in zip(edges[:-1], edges[1:]))
 
 
 def gauss_legendre_panels(edges: np.ndarray, nodes_per_panel: int = 16):

@@ -239,6 +239,10 @@ NON_FINITE = [
     # e^(m + s^2/2) overflows: the Merton series oracle used to raise an
     # OverflowError after the whole solve
     ("merton_call.cfg", "jump_std = 0.2", "jump_std = 1e150", "jumps"),
+    # the cell width 2 * half_width / n_core underflows to 0: the solve used
+    # to end in a ZeroDivisionError
+    ("kou_put.cfg", "half_width = 6.0", "half_width = 5e-324",
+     "grid.half_width"),
     # NaN passes a `<=` check, so each jump number is tested with `not >`
     ("kou_put.cfg", "intensity_per_year = 0.4", "intensity_per_year = nan",
      "jumps.intensity_per_year"),
@@ -284,15 +288,19 @@ def test_non_finite_numbers_exit_2_before_any_solve(tmp_path, capsys, solves,
 def test_a_pad_too_long_for_an_array_index_exits_2_before_any_solve(
         tmp_path, capsys, solves):
     # half_width = 1e-300 loads, but the pad for the Merton reach would need
-    # about 1e301 cells; make_grid used to end in an OverflowError (exit 1)
+    # about 1e301 cells; make_grid used to end in an OverflowError (exit 1).
+    # At 1e-6 it would be 157,286,400 points, which used to be built.
     text = (ROOT / "demos" / "configs" / "merton_call.cfg").read_text()
-    path = _write(tmp_path, text.replace("half_width = 6.0",
-                                         "half_width = 1e-300").replace(
-        "n_core = 1024", "n_core = 64"))
-    out = tmp_path / "out"
-    assert main(["--config", path, "--out", str(out), "price"]) == 2
-    err = capsys.readouterr().err
-    assert "ParameterDomainError" in err and "half_width 1e-300" in err
+    for half_width in ("1e-300", "1e-6"):
+        path = _write(tmp_path, text.replace(
+            "half_width = 6.0", f"half_width = {half_width}").replace(
+            "n_core = 1024", "n_core = 64"))
+        out = tmp_path / "out"
+        assert main(["--config", path, "--out", str(out), "price"]) == 2
+        err = capsys.readouterr().err
+        assert "ParameterDomainError" in err
+        assert "more than 2**24 grid points" in err
+        assert f"half_width {float(half_width):.6g}" in err
     assert solves == []
     assert not (out / "price.csv").exists()
 

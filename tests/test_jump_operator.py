@@ -8,7 +8,7 @@ from levypide import jump_operator
 from levypide.bessel import synthetic_smooth_field
 from levypide.blackscholes import BlackScholesClosedForm
 from levypide.errors import (OutOfDomainError, ParameterDomainError,
-                             UnsupportedConfigurationError)
+                             PlanInvalidError, UnsupportedConfigurationError)
 from levypide.grids import (Grid, GridField, cubic_interp_periodic, gradient,
                             make_grid)
 from levypide.jump_operator import (apply_f, apply_f_tilde, apply_f_tilde_fn,
@@ -185,6 +185,15 @@ def test_build_plan_validations():
                    shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.1))
     with pytest.raises(ParameterDomainError):
         build_plan(g2, MERTON)  # measure dim 1 on a dim-2 grid
+    with pytest.raises(UnsupportedConfigurationError, match="no quadrature"):
+        build_plan(g2, levy_pair(MERTON, MERTON), force_quadrature=True)
+
+
+def test_apply_f_refuses_a_field_of_another_grid():
+    plan = build_plan(_grid_for(MERTON), MERTON)
+    other = _grid_for(MERTON, n=256)
+    with pytest.raises(PlanInvalidError, match="does not match"):
+        apply_f(plan, synthetic_smooth_field(other, 1))
 
 
 def test_two_dim_plan_on_x_only_field_matches_one_dim():

@@ -82,6 +82,14 @@ def test_problem_validation():
         CauchyProblem(g, sigma=0.2, horizon=1.0, diffusion_mode="feedback")
     with pytest.raises(ParameterDomainError):
         SchemeConfig(scheme="crank_nicolson")
+    with pytest.raises(ParameterDomainError, match="rate must be finite"):
+        CauchyProblem(g, sigma=0.2, horizon=1.0, rate=math.nan)
+    with pytest.raises(ParameterDomainError, match="option_type"):
+        CauchyProblem(g, sigma=0.2, horizon=1.0, option_type="straddle")
+    with pytest.raises(ParameterDomainError, match="diffusion_mode"):
+        CauchyProblem(g, sigma=0.2, horizon=1.0, diffusion_mode="local")
+    with pytest.raises(ParameterDomainError, match="checkpoint_count"):
+        SchemeConfig(checkpoint_count=0)
 
 
 def test_pad_short_of_the_resolved_shifts_fails_before_marching(monkeypatch):
@@ -122,6 +130,12 @@ def test_shifted_solves_refuse_a_nonlinearity():
                             nonlinearity=lambda tau, x, u, du: -u)
     with pytest.raises(UnsupportedConfigurationError,
                        match="built-in pricing drift"):
+        solve_shifted(problem, SchemeConfig(dt=0.1))
+
+
+def test_shifted_solves_are_one_dimensional():
+    problem = CauchyProblem(make_grid(4.0, 64, dim=2), sigma=0.2, horizon=0.5)
+    with pytest.raises(UnsupportedConfigurationError, match="1-D only"):
         solve_shifted(problem, SchemeConfig(dt=0.1))
 
 
@@ -469,6 +483,14 @@ def _feedback_problem(n_core=128, horizon=0.1):
                          measure=MERTON,
                          shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.05),
                          initial=payoff, diffusion_mode="feedback")
+
+
+def test_feedback_step_past_the_advection_bound_is_refused():
+    # the whole feedback drift is explicit: dx / (|r| + sigma^2 / 2) is
+    # 0.0078 / 0.06125 = 0.128 at n_core 1024, below the step of 0.2
+    problem = _feedback_problem(n_core=1024, horizon=1.0)
+    with pytest.raises(StabilityError, match="explicit advection bound"):
+        solve_direct(problem, SchemeConfig(dt=0.2))
 
 
 def test_feedback_checkpoints_and_unsupported_combinations():
