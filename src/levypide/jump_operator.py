@@ -172,9 +172,9 @@ class _Band:
 
 
 def _new_stats() -> dict:
-    return {"operator_build_s": 0.0, "shift_resolve_s": 0.0,
-            "shift_fp_iterations": 0, "shift_fallback_points": 0,
-            "source_pairs": 0}
+    return {"plan_build_s": 0.0, "operator_build_s": 0.0,
+            "shift_resolve_s": 0.0, "shift_fp_iterations": 0,
+            "shift_fallback_points": 0, "source_pairs": 0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,12 +189,14 @@ class OperatorPlan:
     is the diffusion coefficient of the folded inner jumps, 0.0 unless the
     plan has an inner cutoff (1-D infinite activity).
 
-    stats counts the work done on the plan: the perf_counter seconds spent
-    building quadrature bands (operator_build_s) and, within them, resolving
-    shifts (shift_resolve_s), the shift resolver's fixed-point
-    entry-iterates (shift_fp_iterations) and the points it handed to its
-    bracketed root solve (shift_fallback_points), and the (node, point)
-    pairs apply_f_tilde_fn evaluated (source_pairs).
+    stats counts the work done on the plan: the perf_counter seconds of
+    build_plan itself (plan_build_s: radius search, nodes, lattice symbol
+    and small-jump correction), those spent building quadrature bands
+    (operator_build_s) and, within them, resolving shifts
+    (shift_resolve_s), the shift resolver's fixed-point entry-iterates
+    (shift_fp_iterations) and the points it handed to its bracketed root
+    solve (shift_fallback_points), and the (node, point) pairs
+    apply_f_tilde_fn evaluated (source_pairs).
     """
 
     grid: Grid
@@ -260,6 +262,7 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
     when the band is built, which the solvers' stability check does before
     marching.
     """
+    t0 = perf_counter()
     if shift is not None and shift.rho == 0.0:
         shift = None
 
@@ -316,10 +319,12 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
     if shift is None and alpha == 0.0 and not force_quadrature:
         symbol_conv, mass, mean, delta0 = _lattice_symbol(grid, measure, r_out)
 
-    return OperatorPlan(
+    plan = OperatorPlan(
         grid=grid, measure=measure, shift=shift, z_nodes=z_nodes,
         wh=wh, mass=mass, mean_jump=mean, delta0=delta0,
         sigma2_correction=sigma2_corr, symbol_conv=symbol_conv)
+    plan.stats["plan_build_s"] = perf_counter() - t0
+    return plan
 
 
 def _check_field(plan: OperatorPlan, u: GridField) -> None:

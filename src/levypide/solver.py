@@ -30,7 +30,7 @@ reused by its later ones.
 In shifted mode U starts at zero and is forced by the source h(tau), the
 compensated operator acting on the closed form; the early-time steepness of
 that source is met with a quadratically graded startup mesh.  The source is
-built in two phases:
+built in two phases, the second of which depends on the shift:
 
 * analytic phase — while sigma sqrt(tau) < SOURCE_SWITCH_CELLS * dx the
   operator is applied to the closed form at shifted arguments (no
@@ -42,23 +42,35 @@ built in two phases:
   translation-invariant and commutes with the Black-Scholes generator L_BS,
   so h(tau) = exp((tau - tau_s) L_BS) h(tau_s) exactly.  The first analytic
   level past the threshold becomes the anchor tau_s, and later levels are
-  one spectral multiply of its transform.
+  one spectral multiply of its transform;
+* interpolated phase — a static feedback shift (rho > 0, a strategy that
+  ignores tau) is not translation-invariant, but its source is smooth in
+  log tau once the kernel is wide.  At the first level tau_a past the
+  threshold the source is evaluated analytically at the N + 1
+  Chebyshev-Lobatto nodes in log tau on [tau_a, T] (end nodes exactly tau_a
+  and T), N = 4 ceil(2 ln(T / tau_a)), and later levels are read from the
+  barycentric interpolant.  It is built only when N + 1 is below the number
+  of mesh levels past tau_a, so a short mesh stays analytic.
 
-The switch is verified: the first propagated level is also evaluated
-analytically, and a max-norm relative gap above SOURCE_SWITCH_TOL keeps the
-analytic value and moves the anchor to that level, to be verified again at
-the next one.  Feedback shifts (rho > 0) and any tau at or before the anchor
-stay analytic.  The window is verified too: the first analytic level sums
-every pair and the window, keeps the full sum, and a gap above
-SOURCE_SWITCH_TOL leaves the window off for the rest of the solve.  The
-counts, the anchor, both gaps, the share of pairs summed and the seconds
-spent on analytic levels are reported in SolveResult.stats.
+Both fast phases are verified.  The first propagated level is also
+evaluated analytically, and a max-norm relative gap above SOURCE_SWITCH_TOL
+keeps the analytic value and moves the anchor to that level, to be verified
+again at the next one.  The first interpolated level that is not a node is
+checked the same way, and a gap above SOURCE_SWITCH_TOL keeps that analytic
+value and every later level analytic.  Time-dependent strategies and any
+tau at or before the anchor or tau_a stay analytic.  The window is verified
+too: the first analytic level sums every pair and the window, keeps the
+full sum, and a gap above SOURCE_SWITCH_TOL leaves the window off for the
+rest of the solve.  The counts, the anchor, the node count, the gaps, the
+share of pairs summed and the seconds spent on analytic levels (nodes
+included) are reported in SolveResult.stats.
 
 A cross-checked solve then marches the other scheme on the same operator
 plan, time levels and source.  The source keeps its analytic levels by tau
 and its decisions, so the second march evaluates only what the first never
-reached (mild_etd2's last stage at the horizon) and its field is bit for bit
-that of the other scheme's own solve.
+reached (mild_etd2's last stage at the horizon, unless it is an
+interpolation node) and its field is bit for bit that of the other scheme's
+own solve.
 """
 from __future__ import annotations
 
@@ -170,9 +182,9 @@ class SchemeConfig:
 # cells wide (sigma sqrt(tau) >= SOURCE_SWITCH_CELLS * dx); earlier, the
 # smoothed kink is too sharp for the grid to carry it.
 SOURCE_SWITCH_CELLS = 2.0
-# Largest max-norm relative gap accepted between the propagated and the
-# analytic source at the switch, and between the live-window and the full
-# analytic source at the first level.
+# Largest max-norm relative gap accepted between the propagated or the
+# interpolated and the analytic source at its check, and between the
+# live-window and the full analytic source at the first level.
 SOURCE_SWITCH_TOL = 1e-10
 
 
@@ -182,17 +194,20 @@ class SolveResult:
 
     stats records what the solve did: the jump operator path (operator:
     "fft", "band" or None without a measure); the plan's counters
-    operator_build_s, shift_resolve_s, shift_fp_iterations,
+    plan_build_s, operator_build_s, shift_resolve_s, shift_fp_iterations,
     shift_fallback_points and source_pairs (see OperatorPlan; 0 without a
     measure); the stability_margin dt / bound of the explicit-part check;
     the calls of N (explicit_evaluations); and the source work:
-    source_analytic and source_propagated evaluations, source_analytic_s
-    (perf_counter seconds of the analytic ones, window check included; 0.0
-    without a source), source_reanchors (failed switch verifications), the
-    verified anchor source_switch_tau and its source_switch_gap (both None
-    when the source never switched), the live-window check's
-    source_window_gap and the source_pair_fraction, source_pairs over
-    nodes x n_total x source_analytic (both None without a source); and
+    source_analytic, source_propagated and source_interpolated evaluations,
+    source_analytic_s (perf_counter seconds of the analytic ones, window
+    check and interpolation nodes included; 0.0 without a source),
+    source_reanchors (failed switch verifications), the verified anchor
+    source_switch_tau and its source_switch_gap (both None when the source
+    never switched), the interpolant's node count source_interp_nodes N and
+    its checked source_interp_gap (both None when no interpolant was built;
+    a gap above SOURCE_SWITCH_TOL means it was rejected), the live-window
+    check's source_window_gap and the source_pair_fraction, source_pairs
+    over nodes x n_total x source_analytic (both None without a source); and
     the relative L2 gap to the other scheme's solve, cross_check_gap (None
     when no cross-check ran).  That solve's own work stays out of the
     record.
@@ -384,25 +399,36 @@ def _problem_plan(problem: CauchyProblem) -> OperatorPlan | None:
 
 def _source_stats() -> dict:
     return {"source_analytic": 0, "source_analytic_s": 0.0,
-            "source_propagated": 0, "source_reanchors": 0,
+            "source_propagated": 0, "source_interpolated": 0,
+            "source_reanchors": 0,
             "source_switch_tau": None, "source_switch_gap": None,
+            "source_interp_nodes": None, "source_interp_gap": None,
             "source_window_gap": None, "source_pair_fraction": None}
 
 
+def _interp_node_count(tau_a: float, horizon: float) -> int:
+    """N of the log-tau Chebyshev interpolant of the source on
+    [tau_a, horizon]: four per half unit of ln(horizon / tau_a)."""
+    return 4 * math.ceil(2.0 * math.log(horizon / tau_a))
+
+
 def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
-                        keep_levels: bool = False
+                        taus: np.ndarray, keep_levels: bool = False
                         ) -> Callable[[float, dict], np.ndarray]:
     """source(tau, stats): the compensated operator on the closed form, on
     the grid; its counts and seconds go into the caller's stats.
 
     Analytic while the kernel is narrower than SOURCE_SWITCH_CELLS cells,
     summed on the closed form's live window once the first level has checked
-    it, then propagated spectrally from a verified anchor (identity shift
-    only); see the module docstring.  Each march calls it in nondecreasing
-    tau (mild_etd2 twice in a row at the next level's tau, hence the kept
-    latest value); a tau at or before the anchor is analytic.  keep_levels
-    keeps each analytic value by tau to read back, so a second march from
-    tau = 0 (the cross-check's) adds only levels the first never reached.
+    it, then propagated spectrally from a verified anchor (identity shift)
+    or read from a verified Chebyshev interpolant in log tau (static
+    feedback shift); see the module docstring.  taus, the solve's time
+    levels, place the interpolant's nodes and decide whether it pays.  Each
+    march calls it in nondecreasing tau (mild_etd2 twice in a row at the
+    next level's tau, hence the kept latest value); a tau at or before the
+    anchor or tau_a is analytic.  keep_levels keeps each analytic value by
+    tau to read back, so a second march from tau = 0 (the cross-check's)
+    adds only levels the first never reached.
     """
     g = problem.grid
     # call and put share the source: the compensated operator kills the
@@ -411,13 +437,17 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
                                 "put")
     propagate = plan.shift is None
+    interpolate = not propagate and not plan.shift.strategy.time_dependent
     tr = Transforms(g)
     L_bs = (-0.5 * problem.sigma ** 2 * tr.k2
             + tr.ik[0] * (problem.rate - 0.5 * problem.sigma ** 2))
     window = None  # live-window decision, taken at the first analytic level
     levels = {} if keep_levels else None
     anchor = None  # (tau_s, rfft of the analytic source at tau_s)
-    verified = False
+    # (tau_a, log-tau nodes, barycentric weights, node values) of the
+    # interpolant; False when the source stays analytic past tau_a
+    cheb = None
+    verified = False  # the anchor or the interpolant passed its check
     pairs_per_level = g.n_total * plan.wh.size
     latest = (None, None)  # (tau, source(tau)) of the latest call
 
@@ -431,8 +461,7 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         h = apply_f_tilde_fn(plan, fn, dfn, tau, live)
         if window is None:
             h_win = apply_f_tilde_fn(plan, fn, dfn, tau, bs.live_interval(tau))
-            gap = float(np.max(np.abs(h_win - h))) \
-                / max(float(np.max(np.abs(h))), 1e-300)
+            gap = _rel_max(h_win, h)
             window = gap <= SOURCE_SWITCH_TOL
             stats["source_window_gap"] = gap
         if not np.all(np.isfinite(h)):
@@ -447,11 +476,50 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         stats["source_analytic_s"] += perf_counter() - t0
         return h
 
+    def interpolated(tau: float, stats: dict) -> np.ndarray:
+        nonlocal cheb, verified
+        if cheb is None:  # tau is tau_a
+            later = taus[taus > tau]
+            n = _interp_node_count(tau, later[-1]) if later.size else 0
+            if n + 1 >= later.size:
+                cheb = False
+                return analytic(tau, stats)
+            t = np.exp(np.log(tau) + np.log(later[-1] / tau)
+                       * 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n)))
+            t[0], t[-1] = tau, later[-1]
+            w = (-1.0) ** np.arange(n + 1)
+            w[[0, -1]] *= 0.5
+            values = np.array([analytic(float(tj), stats) for tj in t])
+            cheb = (tau, np.log(t), w, values)
+            stats["source_interp_nodes"] = n
+            return values[0]
+        if cheb is False or tau <= cheb[0]:
+            return analytic(tau, stats)
+        _, s_nodes, w, values = cheb
+        d = math.log(tau) - s_nodes
+        hit = np.flatnonzero(d == 0.0)
+        if hit.size:
+            h_int = values[hit[0]]
+        else:
+            c = w / d
+            h_int = (c / np.sum(c)) @ values
+            if not verified:
+                h = analytic(tau, stats)
+                gap = stats["source_interp_gap"] = _rel_max(h_int, h)
+                if gap > SOURCE_SWITCH_TOL:
+                    cheb = False
+                    return h
+                verified = True
+        stats["source_interpolated"] += 1
+        return h_int
+
     def evaluate(tau: float, stats: dict) -> np.ndarray:
         nonlocal anchor, verified
-        if not propagate or \
+        if not (propagate or interpolate) or \
                 problem.sigma * math.sqrt(tau) < SOURCE_SWITCH_CELLS * g.dx:
             return analytic(tau, stats)
+        if interpolate:
+            return interpolated(tau, stats)
         if anchor is None or tau <= anchor[0]:
             h = analytic(tau, stats)
             if anchor is None:
@@ -461,8 +529,7 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         h_prop = tr.inv(np.exp((tau - tau_s) * L_bs) * h_hat)
         if not verified:
             h = analytic(tau, stats)
-            gap = float(np.max(np.abs(h_prop - h))) \
-                / max(float(np.max(np.abs(h))), 1e-300)
+            gap = _rel_max(h_prop, h)
             if gap > SOURCE_SWITCH_TOL:
                 anchor = (tau, tr.fwd(h))
                 stats["source_reanchors"] += 1
@@ -618,7 +685,7 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
     """
     g = problem.grid
     if shifted and plan is not None and source is None:
-        source = _compensated_source(problem, plan, scheme.cross_check)
+        source = _compensated_source(problem, plan, taus, scheme.cross_check)
     L_hat, implicit, N_fn, needs_grad, stats = _prepare_rhs(
         problem, scheme, source, plan)
     norm = FractionalNorm(g, scheme.monitor_gamma)
@@ -694,6 +761,12 @@ def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig) -> SolveResult:
 
 def _replace_scheme(scheme: SchemeConfig, name: str) -> SchemeConfig:
     return replace(scheme, scheme=name, cross_check=False)
+
+
+def _rel_max(approx: np.ndarray, exact: np.ndarray) -> float:
+    """Max-norm gap of approx to exact, relative to exact's max norm."""
+    return float(np.max(np.abs(approx - exact))) \
+        / max(float(np.max(np.abs(exact))), 1e-300)
 
 
 def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:

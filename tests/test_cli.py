@@ -544,6 +544,22 @@ def test_price_with_shift_runs(tmp_path):
     assert stats["operator_build_s"] > 0.0
     assert 0.0 < stats["shift_resolve_s"] <= stats["operator_build_s"]
     assert stats["shift_fp_iterations"] > 0
+    # at dt 0.04 the interpolant's nodes would outnumber the levels it saves
+    assert stats["source_interpolated"] == 0
+    assert stats["source_interp_nodes"] is None
+    assert stats["source_interp_gap"] is None
+
+
+def test_impact_call_manifest_records_the_interpolated_source(tmp_path):
+    cfg = str(ROOT / "demos" / "configs" / "impact_call.cfg")
+    assert main(["--config", cfg, "--out", str(tmp_path), "price"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    stats = manifest["stats"]
+    assert stats["source_interp_nodes"] > 0
+    assert stats["source_interp_gap"] <= 1e-10
+    assert stats["source_interpolated"] > 0
+    assert stats["source_propagated"] == 0
+    assert 0.0 < stats["plan_build_s"] < manifest["wall_clock_s"]
 
 
 def test_price_counts_shift_fallback_points(tmp_path):

@@ -18,8 +18,10 @@ from levypide.grids import Grid, GridField, make_grid
 from levypide.jump_operator import apply_f_tilde_fn, build_plan
 from levypide.measures import (levy_pair, make_exponential_tail, make_kou,
                                make_merton)
-from levypide.pricing import estimate_reach, transform_to_pide
-from levypide.shift import ShiftModel, strategy_tanh_ramp
+from levypide.pricing import (MarketSpec, estimate_reach, price_european,
+                              transform_to_pide)
+from levypide.shift import (ShiftModel, strategy_linear, strategy_sin,
+                            strategy_tanh_ramp)
 from levypide.solver import (CauchyProblem, SchemeConfig, build_time_mesh,
                              duhamel_gap, heat_semigroup,
                              singular_source_decay_probe, solve_direct,
@@ -249,15 +251,15 @@ def test_cross_check_reuses_the_plan_and_the_analytic_source(demo, n_core):
     alt, main = checked["runs"]
     assert main is checked["result"]
     # the other scheme runs on the main solve's plan (and band) and reads
-    # back its analytic source levels; only mild_etd2's last stage at the
-    # horizon is new, and with the identity shift that one is propagated
+    # back its analytic source levels; mild_etd2's last stage at the
+    # horizon is propagated with the identity shift and, with the static
+    # feedback shift, an interpolation node the main solve evaluated
     assert checked["plans"] == plain["plans"] == 1
     assert checked["bands"] == plain["bands"]
     done = len(plain["source_taus"])
     assert checked["source_taus"][:done] == plain["source_taus"]
-    horizon = [float(main.taus[-1])] if problem.shift is not None else []
-    assert checked["source_taus"][done:] == horizon
-    assert alt.stats["source_analytic"] == len(horizon)
+    assert checked["source_taus"][done:] == []
+    assert alt.stats["source_analytic"] == 0
     # and gives the bits of the other scheme's own solve
     assert np.array_equal(alt.field.values, alone["result"].field.values)
     assert np.array_equal(main.field.values, plain["result"].field.values)
@@ -292,6 +294,21 @@ def test_source_time_is_part_of_the_solve():
     free = dataclasses.replace(problem, measure=None)
     assert solve_shifted(free, SchemeConfig(dt=0.01)).stats[
         "source_analytic_s"] == 0.0
+
+
+@pytest.mark.parametrize("shift", [
+    None, ShiftModel(strategy_tanh_ramp(0.3), rho=0.05),
+], ids=["merton", "impacted"])
+def test_plan_build_time_is_part_of_the_solve(shift):
+    market = MarketSpec(100.0, 100.0, 0.5, 0.03, 0.2, "call")
+    t0 = time.perf_counter()
+    res = price_european(market, MERTON, shift, n_core=128,
+                         scheme=SchemeConfig(dt=0.05))
+    wall = time.perf_counter() - t0
+    assert 0.0 < res.result.stats["plan_build_s"] < wall
+    free = price_european(market, None, n_core=128,
+                          scheme=SchemeConfig(dt=0.05))
+    assert free.result.stats["plan_build_s"] == 0.0
 
 
 def test_single_steps_match_march():
@@ -546,8 +563,8 @@ def test_propagated_source_matches_analytic(measure):
                             measure=measure, strike=100.0)
     plan = build_plan(g, measure)
     stats = solver._source_stats()
-    source = solver._compensated_source(problem, plan)
     taus = build_time_mesh(1.0, 0.02, grade=True)
+    source = solver._compensated_source(problem, plan, taus)
     for tau in taus:
         source(float(tau), stats)
         if stats["source_switch_tau"] is not None:
@@ -600,6 +617,91 @@ def test_impacted_solve_keeps_the_source_analytic():
     assert res.stats["source_analytic"] == res.taus.size - 1
     assert res.stats["source_switch_tau"] is None
     assert res.stats["shift_fp_iterations"] > 0
+
+
+@pytest.mark.parametrize("sigma", [0.15, 0.3])
+@pytest.mark.parametrize("strategy", [
+    strategy_tanh_ramp(0.3), strategy_sin(0.3), strategy_linear(0.1),
+], ids=["tanh_ramp", "sin", "linear"])
+def test_interpolated_source_matches_analytic_at_every_level(strategy, sigma):
+    # the impacted benchmark rows' size: n_core 512, dt 0.02, T = 1
+    shift = ShiftModel(strategy, rho=0.04)
+    g = make_grid(6.0, 512, reach=estimate_reach(MERTON, shift, 6.0))
+    problem = CauchyProblem(g, sigma=sigma, horizon=1.0, rate=0.05,
+                            measure=MERTON, shift=shift, strike=100.0)
+    plan = build_plan(g, MERTON, shift)
+    taus = build_time_mesh(1.0, 0.02, grade=True)
+    stats = solver._source_stats()
+    source = solver._compensated_source(problem, plan, taus)
+    bs = BlackScholesClosedForm(100.0, 0.05, sigma, "put")
+    past = []
+    for tau in map(float, taus):
+        got = source(tau, stats)
+        if stats["source_interp_nodes"] is None:
+            continue
+        if not past:  # tau_a itself is the first node
+            tau_a, n = tau, stats["source_interp_nodes"]
+        want = apply_f_tilde_fn(plan, lambda p: bs.u(tau, p),
+                                lambda p: bs.du_dx(tau, p), tau)
+        past.append(solver._rel_max(got, want))
+    assert sigma * math.sqrt(tau_a) >= solver.SOURCE_SWITCH_CELLS * g.dx
+    assert n == solver._interp_node_count(tau_a, 1.0)
+    # the interpolant serves every level past tau_a, the checked level and
+    # the horizon (a node) included
+    assert n + 1 < len(past) - 1 == stats["source_interpolated"]
+    assert max(past) <= 1e-10
+    assert stats["source_interp_gap"] <= solver.SOURCE_SWITCH_TOL
+    # the levels before tau_a, the n + 1 nodes and the check are analytic
+    assert stats["source_analytic"] == (taus.size - len(past)) + (n + 1) + 1
+
+
+def test_failed_interpolation_check_keeps_the_source_analytic(monkeypatch):
+    problem, scheme = _demo_problem("impact_call.cfg", 256)
+    monkeypatch.setattr(solver, "_interp_node_count", lambda *a: 10 ** 9)
+    disabled = solve_shifted(problem, scheme)
+    assert disabled.stats["source_interp_nodes"] is None
+    assert disabled.stats["source_interp_gap"] is None
+    assert disabled.stats["source_interpolated"] == 0
+    assert disabled.stats["source_analytic"] == disabled.taus.size - 1
+    # four intervals cannot carry the source to 1e-10: the check fails, and
+    # the failed level and every later one are the analytic values
+    monkeypatch.setattr(solver, "_interp_node_count", lambda *a: 4)
+    failed = solve_shifted(problem, scheme)
+    assert failed.stats["source_interp_nodes"] == 4
+    assert failed.stats["source_interp_gap"] > 1e-10
+    assert failed.stats["source_interpolated"] == 0
+    # the nodes past tau_a are the only extra analytic evaluations
+    assert failed.stats["source_analytic"] \
+        == disabled.stats["source_analytic"] + 4
+    assert np.array_equal(failed.field.values, disabled.field.values)
+
+
+@pytest.mark.parametrize("scheme_name,cross_check", [("mild_etd2", False),
+                                                      ("imex_bdf2", True)])
+def test_interpolated_source_in_other_schemes_and_the_cross_check(
+        monkeypatch, scheme_name, cross_check):
+    problem, scheme = _demo_problem("impact_call.cfg", 512)
+    scheme = dataclasses.replace(scheme, scheme=scheme_name,
+                                 cross_check=cross_check)
+    fast = solve_shifted(problem, scheme)
+    assert fast.stats["source_interpolated"] > 0
+    assert fast.stats["source_interp_gap"] <= solver.SOURCE_SWITCH_TOL
+    if cross_check:
+        # mild_etd2 reads the main solve's interpolant: its field has the
+        # bits of its own solve
+        other = solve_shifted(problem, dataclasses.replace(
+            scheme, scheme="mild_etd2", cross_check=False))
+        gap = fast.stats["cross_check_gap"]
+        assert gap == solver._rel_l2(fast.field.values, other.field.values)
+        assert gap <= scheme.cross_check_tol
+    monkeypatch.setattr(solver, "_interp_node_count", lambda *a: 10 ** 9)
+    exact = solve_shifted(problem, scheme)
+    assert exact.stats["source_interpolated"] == 0
+    i0 = int(np.argmin(np.abs(problem.grid.axis())))
+    price, want = fast.field.values[i0], exact.field.values[i0]
+    assert abs(price / want - 1.0) <= 1e-12
+    if cross_check:
+        assert gap == pytest.approx(exact.stats["cross_check_gap"], rel=1e-6)
 
 
 def test_shift_resolve_time_is_part_of_the_band_build():
