@@ -26,7 +26,7 @@ from .grids import Grid, GridField, Transforms, field_interp, gradient
 from .quadrature import adaptive_quad, quad_left_unit
 
 __all__ = [
-    "BesselKernel", "kernel_eval", "FractionalNorm", "xgamma_norm",
+    "BesselKernel", "kernel_eval", "FractionalNorm",
     "modulus_of_continuity_probe", "q_estimate_probe", "ProbeReport",
     "synthetic_smooth_field", "synthetic_bounded_shift",
 ]
@@ -112,10 +112,6 @@ class FractionalNorm:
         v = u.values if isinstance(u, GridField) else np.asarray(u, dtype=float)
         w = self._tr.apply(self.multiplier, v)
         return float(np.sqrt(np.sum(w * w) * self.grid.dx ** self.grid.dim))
-
-
-def xgamma_norm(u: GridField, gamma: float) -> float:
-    return FractionalNorm(u.grid, gamma)(u)
 
 
 @dataclass(frozen=True)
@@ -204,8 +200,8 @@ def q_estimate_probe(u: GridField, xi_1: np.ndarray, xi_2: np.ndarray,
     if gap == 0.0:
         return 0.0
     size = float(np.max(np.abs(xi_1)) + np.max(np.abs(xi_2)))
-    den = gap ** (2.0 * gamma - 1.0) * size * xgamma_norm(
-        u.with_values(du), gamma - 0.5)
+    den = gap ** (2.0 * gamma - 1.0) * size * FractionalNorm(
+        g, gamma - 0.5)(du)
     return num / den
 
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .bessel import BesselKernel, kernel_eval, modulus_of_continuity_probe
-from .blackscholes import BlackScholesClosedForm
 from .config import RunConfig, load_config
 from .errors import LevyPideError
 from .grids import make_grid
@@ -42,7 +41,7 @@ from .pricing import (bs_closed_form, estimate_reach, merton_series_oracle,
                       report_price, transform_to_pide)
 from .shift import (count_xi_roots, growth_bound_probe,
                     resolve_xi_first_order, xi_on_grid)
-from .solver import SchemeConfig, singular_source_decay_probe, solve_shifted
+from .solver import singular_source_decay_probe, solve_shifted
 
 _SCHEMA = "levypide-csv-1"
 
@@ -233,18 +232,17 @@ def _cmd_convergence_study(cfg: RunConfig, outdir: Path, halvings: int):
     least = 2 if math.isfinite(oracle) else 3
     if halvings < least:
         raise LevyPideError(f"convergence-study needs --halvings >= {least}")
+    # every level's grid first, so a refused one fails before any solve
+    ladder = [_problem_grid(cfg, cfg.n_core * 2 ** i) for i in range(halvings)]
+    grids = [record for _, record in ladder]
     prices = []
     levels = []
-    grids = []
-    for i in range(halvings):
-        n = cfg.n_core * 2 ** i
+    for i, (grid, _) in enumerate(ladder):
         dt = cfg.scheme.dt / 2 ** i
-        grid, record = _problem_grid(cfg, n)
-        grids.append(record)
         problem = transform_to_pide(cfg.market, grid, cfg.measure, cfg.shift)
         res = solve_shifted(problem, replace(cfg.scheme, dt=dt))
         prices.append(report_price(cfg.market, res))
-        levels.append((i, n, dt, grid.dx))
+        levels.append((i, grid.n_core, dt, grid.dx))
     if math.isfinite(oracle):
         errors = [abs(p / oracle - 1.0) for p in prices]
     else:

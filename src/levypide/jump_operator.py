@@ -56,10 +56,9 @@ from .quadrature import adaptive_quad, gauss_legendre_panels, quad_line
 from .shift import ShiftModel, xi_on_grid
 
 __all__ = [
-    "OperatorPlan", "build_plan", "apply_f", "apply_f_tilde",
-    "apply_f_tilde_fn", "delta_on_plan_nodes", "reference_symbol",
-    "small_jump_compensation", "f_bound_probe", "FBoundReport",
-    "plan_symbol_table",
+    "OperatorPlan", "build_plan", "apply_f", "apply_f_tilde_fn",
+    "delta_on_plan_nodes", "reference_symbol", "small_jump_compensation",
+    "f_bound_probe", "FBoundReport", "plan_symbol_table",
 ]
 
 
@@ -428,20 +427,6 @@ def apply_f(plan: OperatorPlan, u: GridField, grad_u=None,
         return u.with_values(out)
     b = _band(plan, tau)
     return u.with_values(b.apply(u.values) - b.xi_mean * grads[0])
-
-
-def apply_f_tilde(plan: OperatorPlan, u: GridField, grad_u=None,
-                  tau: float | None = None) -> GridField:
-    """Compensated operator: integral of [u(x+xi) - u(x) - (e^xi - 1) grad u].
-
-    Evaluated as f(u) - delta * grad(u), with delta from delta_on_plan_nodes
-    on the same plan (under the identity shift on the fast path, the lattice
-    moment).  One-dimensional only, as delta_on_plan_nodes is.
-    """
-    tau = u.time_tag if tau is None else tau
-    grads = gradient(u) if grad_u is None else grad_u
-    f = apply_f(plan, u, grads, tau)
-    return f.with_values(f.values - delta_on_plan_nodes(plan, tau) * grads[0])
 
 
 def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],

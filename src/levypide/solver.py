@@ -23,10 +23,6 @@ The implicit solve comes in two forms:
   the coefficient frozen at the start of each step, and the whole drift goes
   explicit.  It runs with imex_bdf2 in direct mode only.
 
-step_imex and step_mild are single _march steps; the previous level seeds a
-BDF2 continuation, and the operator plan built by a problem's first step is
-reused by its later ones.
-
 In shifted mode U starts at zero and is forced by the source h(tau), the
 compensated operator acting on the closed form; the early-time steepness of
 that source is met with a quadratically graded startup mesh.  The source is
@@ -48,9 +44,9 @@ built in two phases, the second of which depends on the shift:
   log tau once the kernel is wide.  At the first level tau_a past the
   threshold the source is evaluated analytically at the N + 1
   Chebyshev-Lobatto nodes in log tau on [tau_a, T] (end nodes exactly tau_a
-  and T), N = 4 ceil(2 ln(T / tau_a)), and later levels are read from the
-  barycentric interpolant.  It is built only when N + 1 is below the number
-  of mesh levels past tau_a, so a short mesh stays analytic.
+  and T), N = max(8, 4 ceil(2 ln(T / tau_a))), and later levels are read
+  from the barycentric interpolant.  It is built only when N + 1 is below
+  the number of mesh levels past tau_a, so a short mesh stays analytic.
 
 Both fast phases are verified.  The first propagated level is also
 evaluated analytically, and a max-norm relative gap above SOURCE_SWITCH_TOL
@@ -76,7 +72,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from time import perf_counter
 from typing import Callable
 
@@ -95,8 +90,7 @@ from .shift import ShiftModel
 
 __all__ = [
     "CauchyProblem", "SchemeConfig", "SolveResult", "DecayReport",
-    "heat_semigroup", "build_time_mesh", "step_imex", "step_mild",
-    "solve_direct", "solve_shifted",
+    "heat_semigroup", "build_time_mesh", "solve_direct", "solve_shifted",
     "singular_source_decay_probe", "duhamel_gap",
 ]
 
@@ -147,13 +141,6 @@ class CauchyProblem:
     @property
     def dim(self) -> int:
         return self.grid.dim
-
-    @cached_property
-    def _step_plan(self) -> OperatorPlan | None:
-        """The operator plan of single steps, built by the first one and
-        reused by the next ones.  Solves build their own plan and drop it
-        with their result."""
-        return _problem_plan(self)
 
 
 @dataclass(frozen=True)
@@ -283,15 +270,13 @@ def _phis(z: np.ndarray):
 
 def _march(grid: Grid, L_hat: np.ndarray | None, implicit, N_fn,
            v0: np.ndarray, taus: np.ndarray, scheme: SchemeConfig,
-           needs_grad: bool, on_level=None, store_stride: int = 0,
-           history: tuple | None = None):
+           needs_grad: bool, on_level=None, store_stride: int = 0):
     """Advance v0 across taus; returns (terminal values, stored trajectory).
 
     N_fn(tau, values, grads_or_None) is the full explicit right side.
     implicit(tau, a0, dt, rhs_hat) returns the spectrum u_hat solving
     (a0 - dt L) u = rhs; mild_etd2 exponentiates the multiplier L_hat
-    instead.  history = (tau_prev, v_prev) seeds a BDF2 continuation in place
-    of the Euler startup step.
+    instead.
     """
     tr = Transforms(grid)
 
@@ -303,11 +288,6 @@ def _march(grid: Grid, L_hat: np.ndarray | None, implicit, N_fn,
     stored = [(float(taus[0]), v.copy())] if store_stride else []
     mild = scheme.scheme == "mild_etd2"
     u_hat_prev = n_prev = dt_prev = None
-    if history is not None:
-        tau_prev, v_prev = history
-        u_hat_prev = tr.fwd(v_prev)
-        n_prev = explicit(tau_prev, u_hat_prev, v_prev)
-        dt_prev = float(taus[0]) - tau_prev
     cached_dt = None
     E = P1 = P2 = None
     for i in range(taus.size - 1):
@@ -408,8 +388,9 @@ def _source_stats() -> dict:
 
 def _interp_node_count(tau_a: float, horizon: float) -> int:
     """N of the log-tau Chebyshev interpolant of the source on
-    [tau_a, horizon]: four per half unit of ln(horizon / tau_a)."""
-    return 4 * math.ceil(2.0 * math.log(horizon / tau_a))
+    [tau_a, horizon]: four per half unit of ln(horizon / tau_a), and at
+    least 8, below which the interpolant misses SOURCE_SWITCH_TOL."""
+    return max(8, 4 * math.ceil(2.0 * math.log(horizon / tau_a)))
 
 
 def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
@@ -711,8 +692,8 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
     stats["cross_check_gap"] = None
     if scheme.cross_check:
         other = "mild_etd2" if scheme.scheme == "imex_bdf2" else "imex_bdf2"
-        alt = _run(problem, _replace_scheme(scheme, other), v0, taus, shifted,
-                   0, plan, source)
+        alt = _run(problem, replace(scheme, scheme=other, cross_check=False),
+                   v0, taus, shifted, 0, plan, source)
         gap = stats["cross_check_gap"] = _rel_l2(v_T, alt.field.values)
         if gap > scheme.cross_check_tol:
             raise ToleranceNotMetError(
@@ -759,10 +740,6 @@ def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig) -> SolveResult:
                 shifted=True, store_stride=0, plan=_problem_plan(problem))
 
 
-def _replace_scheme(scheme: SchemeConfig, name: str) -> SchemeConfig:
-    return replace(scheme, scheme=name, cross_check=False)
-
-
 def _rel_max(approx: np.ndarray, exact: np.ndarray) -> float:
     """Max-norm gap of approx to exact, relative to exact's max norm."""
     return float(np.max(np.abs(approx - exact))) \
@@ -772,31 +749,6 @@ def _rel_max(approx: np.ndarray, exact: np.ndarray) -> float:
 def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     den = float(np.linalg.norm(a))
     return float(np.linalg.norm(a - b)) / (den if den > 0 else 1.0)
-
-
-def _step(problem: CauchyProblem, scheme: SchemeConfig, state: GridField,
-          history: tuple | None = None) -> GridField:
-    plan = problem._step_plan
-    L_hat, implicit, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme,
-                                                        None, plan)
-    taus = np.array([state.time_tag, state.time_tag + scheme.dt])
-    v, _ = _march(problem.grid, L_hat, implicit, N_fn, state.values, taus,
-                  scheme, needs_grad, history=history)
-    return state.with_values(v, state.time_tag + scheme.dt)
-
-
-def step_imex(problem: CauchyProblem, scheme: SchemeConfig, state: GridField,
-              history: GridField | None = None) -> GridField:
-    """One IMEX step from state.time_tag; supply the previous level to take a
-    BDF2 step instead of the Euler startup step."""
-    prev = None if history is None else (history.time_tag, history.values)
-    return _step(problem, _replace_scheme(scheme, "imex_bdf2"), state, prev)
-
-
-def step_mild(problem: CauchyProblem, scheme: SchemeConfig,
-              state: GridField) -> GridField:
-    """One exponential-integrator step from state.time_tag."""
-    return _step(problem, _replace_scheme(scheme, "mild_etd2"), state)
 
 
 @dataclass(frozen=True)

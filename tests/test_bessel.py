@@ -8,7 +8,7 @@ from scipy.special import k0
 from levypide.bessel import (BesselKernel, FractionalNorm, _l1_shift_difference,
                              kernel_eval, modulus_of_continuity_probe,
                              q_estimate_probe, synthetic_bounded_shift,
-                             synthetic_smooth_field, xgamma_norm)
+                             synthetic_smooth_field)
 from levypide.errors import ParameterDomainError, SingularityError
 from levypide.grids import make_grid
 
@@ -177,10 +177,10 @@ def test_fractional_norm_plane_wave_scaling():
     assert abs(n_zero - fld.l2()) < 1e-12
 
 
-def test_xgamma_norm_monotone_in_gamma():
+def test_fractional_norm_monotone_in_gamma():
     g = make_grid(4.0, 256)
     fld = synthetic_smooth_field(g, 3)
-    norms = [xgamma_norm(fld, gm) for gm in (-0.5, 0.0, 0.5, 1.0)]
+    norms = [FractionalNorm(g, gm)(fld) for gm in (-0.5, 0.0, 0.5, 1.0)]
     assert all(a < b for a, b in zip(norms, norms[1:]))
 
 

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -645,6 +646,21 @@ def test_convergence_study_without_oracle_needs_three_levels(tmp_path, capsys):
                  "--halvings", "3"]) == 0
     _, _, rows = _read_rows(out / "convergence.csv")
     assert np.isfinite(float(rows[1][5]))
+
+
+def test_convergence_study_refuses_a_too_fine_ladder_before_any_solve(
+        tmp_path, capsys, solves):
+    # level 14 of merton_call.cfg pads past the 2**24-point cap; the levels
+    # below it (13 alone is 11.9M points at dt 2.4e-6) are never solved
+    cfg = str(ROOT / "demos" / "configs" / "merton_call.cfg")
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert main(["--config", cfg, "--out", str(out), "convergence-study",
+                 "--halvings", "15"]) == 2
+    assert time.perf_counter() - t0 < 10.0
+    assert "ParameterDomainError" in capsys.readouterr().err
+    assert solves == []
+    assert not (out / "convergence.csv").exists()
 
 
 def test_xi_probe(tmp_path):

@@ -11,7 +11,7 @@ from levypide.errors import (OutOfDomainError, ParameterDomainError,
                              PlanInvalidError, UnsupportedConfigurationError)
 from levypide.grids import (Grid, GridField, cubic_interp_periodic, gradient,
                             make_grid)
-from levypide.jump_operator import (apply_f, apply_f_tilde, apply_f_tilde_fn,
+from levypide.jump_operator import (apply_f, apply_f_tilde_fn,
                                     build_plan, delta_on_plan_nodes,
                                     f_bound_probe, plan_symbol_table,
                                     reference_symbol, small_jump_compensation)
@@ -126,16 +126,6 @@ def test_translation_equivariance_on_the_lattice():
     a = apply_f(plan, rolled).values
     b = np.roll(apply_f(plan, u).values, shift_cells)
     assert np.max(np.abs(a - b)) < 1e-11 * max(np.max(np.abs(b)), 1.0)
-
-
-def test_compensated_equals_plain_minus_drift_term():
-    g = _grid_for(MERTON)
-    plan = build_plan(g, MERTON, force_quadrature=True)
-    u = synthetic_smooth_field(g, 7)
-    du = gradient(u)[0]
-    lhs = apply_f_tilde(plan, u).values
-    rhs = apply_f(plan, u).values - plan.delta0 * du
-    assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1.0)
 
 
 def test_delta_on_plan_nodes_identity_shift():
@@ -297,8 +287,9 @@ def _check_band_matches_per_node_sum(plan, tau):
     u = synthetic_smooth_field(plan.grid, 3)
     du = gradient(u)[0]
     shifts = _node_shifts(plan, tau)
-    for apply, compensator in ((apply_f, "xi"), (apply_f_tilde, "exp")):
-        got = apply(plan, u, tau=tau).values
+    plain = apply_f(plan, u, tau=tau).values
+    compensated = plain - delta_on_plan_nodes(plan, tau) * du
+    for got, compensator in ((plain, "xi"), (compensated, "exp")):
         want = _per_node_sum(plan, u.values, du, shifts, compensator)
         assert _rel_gap(got, want) <= 1e-13, compensator
 

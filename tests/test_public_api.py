@@ -11,6 +11,7 @@ import pkgutil
 import pytest
 
 import levypide
+from levypide import solver
 from levypide.bessel import (_l1_shift_difference, modulus_of_continuity_probe,
                              synthetic_smooth_field)
 from levypide.config import RunConfig
@@ -52,6 +53,12 @@ def test_every_exported_name_resolves(module_name):
     ("levypide.quadrature", "tanh_sinh_rule"),
     ("levypide.quadrature", "panel_quad"),
     ("levypide.quadrature", "panels_quad"),
+    ("levypide.solver", "step_imex"),
+    ("levypide.solver", "step_mild"),
+    ("levypide.solver", "_step"),
+    ("levypide.solver", "_replace_scheme"),
+    ("levypide.jump_operator", "apply_f_tilde"),
+    ("levypide.bessel", "xgamma_norm"),
 ])
 def test_removed_functions_are_gone(module_name, name):
     module = importlib.import_module(module_name)
@@ -85,6 +92,7 @@ def test_removed_functions_are_gone(module_name, name):
     (SolveResult, {"cross_check_gap"}),
     (Grid, {"length"}),
     (RunConfig, {"reach"}),
+    (CauchyProblem, {"_step_plan"}),
 ])
 def test_removed_fields_are_gone(owner, removed):
     assert not removed & {f.name for f in dataclasses.fields(owner)}
@@ -112,6 +120,7 @@ def test_removed_fields_are_gone(owner, removed):
     (synthetic_smooth_field, {"amplitude"}),
     (make_custom, {"radial_profile", "product_factors"}),
     (levy_exponent, {"diffusion", "drift"}),
+    (solver._march, {"history"}),
 ])
 def test_removed_parameters_are_gone(fn, removed):
     assert not removed & set(inspect.signature(fn).parameters)

@@ -25,7 +25,7 @@ from levypide.shift import (ShiftModel, strategy_linear, strategy_sin,
 from levypide.solver import (CauchyProblem, SchemeConfig, build_time_mesh,
                              duhamel_gap, heat_semigroup,
                              singular_source_decay_probe, solve_direct,
-                             solve_shifted, step_imex, step_mild)
+                             solve_shifted)
 
 MERTON = make_merton(0.5, -0.1, 0.2)
 
@@ -239,7 +239,7 @@ def _traced_solve(problem, scheme):
 
 
 @pytest.mark.parametrize("demo,n_core", [("kou_put.cfg", 256),
-                                         ("impact_call.cfg", 128)])
+                                         ("impact_call.cfg", 256)])
 def test_cross_check_reuses_the_plan_and_the_analytic_source(demo, n_core):
     problem, scheme = _demo_problem(demo, n_core)
     plain = _traced_solve(problem, dataclasses.replace(scheme,
@@ -309,58 +309,6 @@ def test_plan_build_time_is_part_of_the_solve(shift):
     free = price_european(market, None, n_core=128,
                           scheme=SchemeConfig(dt=0.05))
     assert free.result.stats["plan_build_s"] == 0.0
-
-
-def test_single_steps_match_march():
-    g = _merton_grid(256)
-    problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.03,
-                            measure=MERTON, initial=_gaussian(g))
-    sch = SchemeConfig(dt=0.02)
-    res = solve_direct(problem, sch, store_stride=1)
-    times = [t for t, _ in res.trajectory]
-    vals = [v for _, v in res.trajectory]
-    one = step_imex(problem, sch, GridField(g, vals[0], times[0]))
-    assert np.array_equal(one.values, vals[1])
-    # the BDF2 continuation re-transforms the stored real field, so exact
-    # bit equality is lost to one irfft/rfft round trip
-    two = step_imex(problem, sch, one,
-                    history=GridField(g, vals[0], times[0]))
-    assert np.max(np.abs(two.values - vals[2])) < 1e-13
-    mild = solve_direct(problem, SchemeConfig(scheme="mild_etd2", dt=0.02),
-                        store_stride=1)
-    mvals = [v for _, v in mild.trajectory]
-    mone = step_mild(problem, SchemeConfig(scheme="mild_etd2", dt=0.02),
-                     GridField(g, mvals[0], 0.0))
-    assert np.array_equal(mone.values, mvals[1])
-
-
-def test_single_steps_build_the_plan_once_per_problem(monkeypatch):
-    builds = []
-    real = solver.build_plan
-
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "build_plan", counting)
-    g = make_grid(4.0, 128, reach=3.2)
-
-    def problem():
-        return CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.03,
-                             measure=MERTON, initial=_gaussian(g),
-                             shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.04))
-
-    sch = SchemeConfig(dt=0.01)
-    shared = problem()
-    u0 = shared.initial
-    one = step_imex(shared, sch, u0)
-    two = step_imex(shared, sch, one, history=u0)
-    assert len(builds) == 1
-    fresh_one = step_imex(problem(), sch, u0)
-    fresh_two = step_imex(problem(), sch, fresh_one, history=u0)
-    assert len(builds) == 3
-    assert np.array_equal(one.values, fresh_one.values)
-    assert np.array_equal(two.values, fresh_two.values)
 
 
 def test_duhamel_identity_on_trajectory():
@@ -674,6 +622,17 @@ def test_failed_interpolation_check_keeps_the_source_analytic(monkeypatch):
     assert failed.stats["source_analytic"] \
         == disabled.stats["source_analytic"] + 4
     assert np.array_equal(failed.field.values, disabled.field.values)
+
+
+def test_a_short_span_past_tau_a_builds_no_interpolant():
+    # at n_core 128 tau_a is near the horizon, where four nodes per half
+    # unit of ln(T / tau_a) would give N = 4; the floor of 8 leaves too few
+    # levels past tau_a to build it, so no node is evaluated in vain
+    problem, scheme = _demo_problem("impact_call.cfg", 128)
+    res = solve_shifted(problem, scheme)
+    assert res.stats["source_interp_nodes"] is None
+    assert res.stats["source_interp_gap"] is None
+    assert res.stats["source_analytic"] == res.taus.size - 1
 
 
 @pytest.mark.parametrize("scheme_name,cross_check", [("mild_etd2", False),
