@@ -116,9 +116,25 @@ class LevyMeasure:
     @cached_property
     def jump_radius(self) -> float:
         """Envelope tail radius at JUMP_TAIL_TOL, searched once per measure;
-        an envelope that overflows in the search is a domain error."""
+        an envelope that overflows in the search is a domain error.
+
+        tail_radius measures the tail against the envelope's own mass beyond
+        1, which a law centred far from 0 inflates (a Merton c0 carries
+        e^(m^2 / 2 s^2)).  A 1-D finite-activity density whose mass is
+        smaller takes the tolerance against that mass instead: a trapezoid
+        estimate in log |z| decides, and quad_line gives the mass only when
+        the estimate falls below the envelope tail."""
         try:
-            return self.shape.tail_radius(self.dim, JUMP_TAIL_TOL)
+            rel_tol = JUMP_TAIL_TOL
+            if self.dim == 1 and self.finite_activity:
+                tail = self.shape.tail_mass(1.0, 1)
+                s = np.linspace(-30.0, 8.0, 2049)
+                z = np.exp(s)
+                mass = np.trapezoid((self(z) + self(-z)) * z, s)
+                if mass < tail:
+                    mass = quad_line(self.density)
+                rel_tol *= min(1.0, mass / tail)
+            return self.shape.tail_radius(self.dim, rel_tol)
         except OverflowError:
             raise ParameterDomainError("envelope overflows in the tail-radius "
                                        "search") from None

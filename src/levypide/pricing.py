@@ -16,6 +16,7 @@ build_plan reads as well.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ class MarketSpec:
             raise ParameterDomainError("maturity T must be positive and finite")
         if not math.isfinite(self.r):
             raise ParameterDomainError("rate r must be finite")
+        if not abs(self.r) * self.T <= math.log(sys.float_info.max):
+            raise ParameterDomainError(
+                f"the discount e^(-r T) overflows: |r| T = "
+                f"{abs(self.r) * self.T:.6g} exceeds ln(float max)")
         if not (self.sigma > 0.0 and 0.0 < self.sigma * self.sigma < math.inf):
             raise ParameterDomainError(
                 "volatility sigma must be positive, with a finite nonzero "
@@ -130,9 +135,12 @@ def merton_series_oracle(market: MarketSpec, merton, terms: int = 120) -> float:
     merton is (intensity, jump_mean, jump_std).  Each count k contributes a
     Poisson-weighted price with variance and rate adjusted by the realized
     jumps; the drift uses the compensator kappa = e^(m + s^2/2) - 1 matching
-    the solver's convention.  The series is summed until the remaining
-    Poisson tail is below 1e-12 relative; exhausting `terms` first raises
-    a tolerance error.
+    the solver's convention.  A term's weight times its discount
+    e^(-r_k T) is exactly the Poisson(lam T) weight times e^(-r T), so each
+    term is that product, taken in logs, times the transformed value u_k:
+    no factor overflows for a large jump mean.  The series is summed until
+    the remaining Poisson tail is below 1e-12 relative; exhausting `terms`
+    first raises a tolerance error.
     """
     lam, m, s = (float(v) for v in merton)
     if not (0 <= lam < math.inf and 0 <= s < math.inf and math.isfinite(m)):
@@ -152,15 +160,17 @@ def merton_series_oracle(market: MarketSpec, merton, terms: int = 120) -> float:
         return bs_closed_form(market)
     total = 0.0
     log_weight = -lam_star * T  # log of e^(-lam* T) (lam* T)^k / k!
+    log_term = -lam * T - market.r * T  # log of Poisson(lam T) e^(-r T)
     for k in range(terms):
         if k > 0:
             log_weight += math.log(lam_star * T) - math.log(k)
+            log_term += math.log(lam * T) - math.log(k)
         weight = math.exp(log_weight)
         sigma_k = math.sqrt(market.sigma ** 2 + k * s * s / T)
         r_k = market.r - lam * kappa + k * gexp / T
         bs_k = BlackScholesClosedForm(market.K, r_k, sigma_k,
                                       market.option_type)
-        total += weight * float(bs_k.price(market.S0, T))
+        total += math.exp(log_term) * float(bs_k.u(T, market.log_moneyness))
         if k >= 30:
             # Poisson tail beyond k is below (lam* T)^(k+1)/(k+1)! e^(...)
             tail = weight * lam_star * T / (k + 1.0)

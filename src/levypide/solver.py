@@ -25,41 +25,33 @@ The implicit solve comes in two forms:
 
 In shifted mode U starts at zero and is forced by the source h(tau), the
 compensated operator acting on the closed form; the early-time steepness of
-that source is met with a quadratically graded startup mesh.  The source is
-built in two phases, the second of which depends on the shift:
+that source is met with a quadratically graded startup mesh.  While
+sigma sqrt(tau) < SOURCE_SWITCH_CELLS * dx the source is analytic: the
+operator is applied to the closed form at shifted arguments (no
+interpolation of the kink), and only the (node, point) pairs with an end in
+the closed form's live interval are summed (outside it the put is
+c0 + c1 e^x or below ndtr(-9) K, which the compensated operator
+annihilates).  At the first level tau_a past that threshold a reader is
+built from analytic values:
 
-* analytic phase — while sigma sqrt(tau) < SOURCE_SWITCH_CELLS * dx the
-  operator is applied to the closed form at shifted arguments (no
-  interpolation of the kink).  Only the (node, point) pairs with an end in
-  the closed form's live interval are summed: outside it the put is
-  c0 + c1 e^x or below ndtr(-9) K, which the compensated operator
-  annihilates;
-* propagated phase — with the identity shift the operator is
-  translation-invariant and commutes with the Black-Scholes generator L_BS,
-  so h(tau) = exp((tau - tau_s) L_BS) h(tau_s) exactly.  The first analytic
-  level past the threshold becomes the anchor tau_s, and later levels are
-  one spectral multiply of its transform;
-* interpolated phase — a static feedback shift (rho > 0, a strategy that
-  ignores tau) is not translation-invariant, but its source is smooth in
-  log tau once the kernel is wide.  At the first level tau_a past the
-  threshold the source is evaluated analytically at the N + 1
-  Chebyshev-Lobatto nodes in log tau on [tau_a, T] (end nodes exactly tau_a
-  and T), N = max(8, 4 ceil(2 ln(T / tau_a))), and later levels are read
-  from the barycentric interpolant.  It is built only when N + 1 is below
-  the number of mesh levels past tau_a, so a short mesh stays analytic.
+* identity shift — the operator is translation-invariant and commutes with
+  the Black-Scholes generator L_BS, so h(tau) = exp((tau - tau_a) L_BS)
+  h(tau_a) exactly: one spectral multiply of its transform per level;
+* static feedback shift (rho > 0, a strategy that ignores tau) — the source
+  is smooth in log tau once the kernel is wide: the barycentric interpolant
+  on the N + 1 Chebyshev-Lobatto nodes in log tau on [tau_a, T] (end nodes
+  exactly tau_a and T), N = max(8, 4 ceil(2 ln(T / tau_a))), built only
+  when N + 1 is below the number of mesh levels past tau_a;
+* time-dependent strategy — no reader: the source stays analytic.
 
-Both fast phases are verified.  The first propagated level is also
-evaluated analytically, and a max-norm relative gap above SOURCE_SWITCH_TOL
-keeps the analytic value and moves the anchor to that level, to be verified
-again at the next one.  The first interpolated level that is not a node is
-checked the same way, and a gap above SOURCE_SWITCH_TOL keeps that analytic
-value and every later level analytic.  Time-dependent strategies and any
-tau at or before the anchor or tau_a stay analytic.  The window is verified
-too: the first analytic level sums every pair and the window, keeps the
-full sum, and a gap above SOURCE_SWITCH_TOL leaves the window off for the
-rest of the solve.  The counts, the anchor, the node count, the gaps, the
-share of pairs summed and the seconds spent on analytic levels (nodes
-included) are reported in SolveResult.stats.
+One rule checks both readers: the first level read that is not a node is
+also evaluated analytically, and a max-norm relative gap above
+SOURCE_SWITCH_TOL keeps that analytic value and every later level analytic.
+The window is checked too: the first analytic level sums every pair and
+the window, keeps the full sum, and a gap above SOURCE_SWITCH_TOL leaves
+the window off for the rest of the solve.  The counts, tau_a, the node
+count, the gaps, the share of pairs summed and the seconds spent on
+analytic levels (nodes included) are reported in SolveResult.stats.
 
 A cross-checked solve then marches the other scheme on the same operator
 plan, time levels and source.  The source keeps its analytic levels by tau
@@ -165,13 +157,13 @@ class SchemeConfig:
             raise ParameterDomainError("cross_check_tol must be nonnegative")
 
 
-# The source is propagated once the Black-Scholes kernel is this many grid
-# cells wide (sigma sqrt(tau) >= SOURCE_SWITCH_CELLS * dx); earlier, the
-# smoothed kink is too sharp for the grid to carry it.
+# The source is read from its reader once the Black-Scholes kernel is this
+# many grid cells wide (sigma sqrt(tau) >= SOURCE_SWITCH_CELLS * dx);
+# earlier, the smoothed kink is too sharp for the grid to carry it.
 SOURCE_SWITCH_CELLS = 2.0
-# Largest max-norm relative gap accepted between the propagated or the
-# interpolated and the analytic source at its check, and between the
-# live-window and the full analytic source at the first level.
+# Largest max-norm relative gap accepted between the reader's and the
+# analytic source at its check, and between the live-window and the full
+# analytic source at the first level.
 SOURCE_SWITCH_TOL = 1e-10
 
 
@@ -188,11 +180,11 @@ class SolveResult:
     source_analytic, source_propagated and source_interpolated evaluations,
     source_analytic_s (perf_counter seconds of the analytic ones, window
     check and interpolation nodes included; 0.0 without a source),
-    source_reanchors (failed switch verifications), the verified anchor
-    source_switch_tau and its source_switch_gap (both None when the source
-    never switched), the interpolant's node count source_interp_nodes N and
-    its checked source_interp_gap (both None when no interpolant was built;
-    a gap above SOURCE_SWITCH_TOL means it was rejected), the live-window
+    the propagator's check: source_switch_gap and, once it passed,
+    source_switch_tau = tau_a (both None without one); the interpolant's
+    node count source_interp_nodes N and its check's source_interp_gap
+    (both None when none was built); a check gap above SOURCE_SWITCH_TOL
+    means the source stayed analytic from there on; the live-window
     check's source_window_gap and the source_pair_fraction, source_pairs
     over nodes x n_total x source_analytic (both None without a source); and
     the relative L2 gap to the other scheme's solve, cross_check_gap (None
@@ -226,11 +218,16 @@ def build_time_mesh(horizon: float, dt: float, grade: bool = False,
     the first 5% of the span on quadratically growing steps tau_j ~ j (j+1),
     whose step ratios stay below the variable-step BDF2 stability threshold,
     then continue uniformly; the graded head gets 8 times the steps dt would
-    give it.
+    give it.  More than 2**24 levels is a domain error.
     """
     span = horizon - tau0
     if span <= 0 or dt <= 0:
         raise ParameterDomainError("need horizon > tau0 and dt > 0")
+    levels = span / dt * (1.0 + 7.0 * 0.05 if grade else 1.0)
+    if not levels <= 2 ** 24:
+        raise ParameterDomainError(
+            f"dt {dt:.6g} gives about {levels:.3g} time levels over a span "
+            f"of {span:.6g}, more than 2**24")
     if not grade:
         n = max(1, math.ceil(span / dt - 1e-12))
         return tau0 + span * np.arange(n + 1) / n
@@ -288,8 +285,7 @@ def _march(grid: Grid, L_hat: np.ndarray | None, implicit, N_fn,
     stored = [(float(taus[0]), v.copy())] if store_stride else []
     mild = scheme.scheme == "mild_etd2"
     u_hat_prev = n_prev = dt_prev = None
-    cached_dt = None
-    E = P1 = P2 = None
+    cached_dt = E = P1 = P2 = None
     for i in range(taus.size - 1):
         tau = float(taus[i])
         dt = float(taus[i + 1] - taus[i])
@@ -380,7 +376,6 @@ def _problem_plan(problem: CauchyProblem) -> OperatorPlan | None:
 def _source_stats() -> dict:
     return {"source_analytic": 0, "source_analytic_s": 0.0,
             "source_propagated": 0, "source_interpolated": 0,
-            "source_reanchors": 0,
             "source_switch_tau": None, "source_switch_gap": None,
             "source_interp_nodes": None, "source_interp_gap": None,
             "source_window_gap": None, "source_pair_fraction": None}
@@ -399,17 +394,13 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     """source(tau, stats): the compensated operator on the closed form, on
     the grid; its counts and seconds go into the caller's stats.
 
-    Analytic while the kernel is narrower than SOURCE_SWITCH_CELLS cells,
-    summed on the closed form's live window once the first level has checked
-    it, then propagated spectrally from a verified anchor (identity shift)
-    or read from a verified Chebyshev interpolant in log tau (static
-    feedback shift); see the module docstring.  taus, the solve's time
-    levels, place the interpolant's nodes and decide whether it pays.  Each
-    march calls it in nondecreasing tau (mild_etd2 twice in a row at the
-    next level's tau, hence the kept latest value); a tau at or before the
-    anchor or tau_a is analytic.  keep_levels keeps each analytic value by
-    tau to read back, so a second march from tau = 0 (the cross-check's)
-    adds only levels the first never reached.
+    Analytic (on the checked live window) up to tau_a, then read from the
+    checked reader built there; see the module docstring.  taus, the solve's
+    time levels, place the interpolant's nodes and decide whether it pays.
+    Each march calls it in nondecreasing tau (mild_etd2 twice in a row at
+    the next level's tau, hence the kept latest value).  keep_levels keeps
+    each analytic value by tau to read back, so a second march from tau = 0
+    (the cross-check's) adds only levels the first never reached.
     """
     g = problem.grid
     # call and put share the source: the compensated operator kills the
@@ -417,18 +408,16 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     # the evaluation free of exponential growth
     bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
                                 "put")
-    propagate = plan.shift is None
-    interpolate = not propagate and not plan.shift.strategy.time_dependent
-    tr = Transforms(g)
-    L_bs = (-0.5 * problem.sigma ** 2 * tr.k2
-            + tr.ik[0] * (problem.rate - 0.5 * problem.sigma ** 2))
+    identity = plan.shift is None
+    count_key = "source_propagated" if identity else "source_interpolated"
+    gap_key = "source_switch_gap" if identity else "source_interp_gap"
     window = None  # live-window decision, taken at the first analytic level
     levels = {} if keep_levels else None
-    anchor = None  # (tau_s, rfft of the analytic source at tau_s)
-    # (tau_a, log-tau nodes, barycentric weights, node values) of the
-    # interpolant; False when the source stays analytic past tau_a
-    cheb = None
-    verified = False  # the anchor or the interpolant passed its check
+    # read(tau) -> (value, is a node), built at tau_a; False once the source
+    # stays analytic (time-dependent strategy, no interpolant, failed check)
+    reader = False if not identity and plan.shift.strategy.time_dependent \
+        else None
+    tau_a, checked = 0.0, False
     pairs_per_level = g.n_total * plan.wh.size
     latest = (None, None)  # (tau, source(tau)) of the latest call
 
@@ -457,69 +446,61 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         stats["source_analytic_s"] += perf_counter() - t0
         return h
 
-    def interpolated(tau: float, stats: dict) -> np.ndarray:
-        nonlocal cheb, verified
-        if cheb is None:  # tau is tau_a
-            later = taus[taus > tau]
-            n = _interp_node_count(tau, later[-1]) if later.size else 0
-            if n + 1 >= later.size:
-                cheb = False
-                return analytic(tau, stats)
-            t = np.exp(np.log(tau) + np.log(later[-1] / tau)
-                       * 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n)))
-            t[0], t[-1] = tau, later[-1]
-            w = (-1.0) ** np.arange(n + 1)
-            w[[0, -1]] *= 0.5
-            values = np.array([analytic(float(tj), stats) for tj in t])
-            cheb = (tau, np.log(t), w, values)
-            stats["source_interp_nodes"] = n
-            return values[0]
-        if cheb is False or tau <= cheb[0]:
-            return analytic(tau, stats)
-        _, s_nodes, w, values = cheb
-        d = math.log(tau) - s_nodes
-        hit = np.flatnonzero(d == 0.0)
-        if hit.size:
-            h_int = values[hit[0]]
-        else:
+    def propagator(h: np.ndarray):
+        """h(tau) = exp((tau - tau_a) L_BS) h(tau_a)."""
+        tr = Transforms(g)
+        L_bs = (-0.5 * problem.sigma ** 2 * tr.k2
+                + tr.ik[0] * (problem.rate - 0.5 * problem.sigma ** 2))
+        h_hat = tr.fwd(h)
+        return lambda tau: (tr.inv(np.exp((tau - tau_a) * L_bs) * h_hat),
+                            False)
+
+    def interpolant(h: np.ndarray, stats: dict):
+        """Barycentric interpolant on N + 1 Chebyshev-Lobatto nodes in log tau
+        on [tau_a, T]; False unless more than N + 1 levels follow tau_a."""
+        later = taus[taus > tau_a]
+        n = _interp_node_count(tau_a, later[-1]) if later.size else 0
+        if n + 1 >= later.size:
+            return False
+        t = np.exp(np.log(tau_a) + np.log(later[-1] / tau_a)
+                   * 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n)))
+        t[0], t[-1] = tau_a, later[-1]
+        w = (-1.0) ** np.arange(n + 1)
+        w[[0, -1]] *= 0.5
+        values = np.array([h] + [analytic(float(tj), stats) for tj in t[1:]])
+        s_nodes = np.log(t)
+        stats["source_interp_nodes"] = n
+
+        def read(tau):
+            d = math.log(tau) - s_nodes
+            hit = np.flatnonzero(d == 0.0)
+            if hit.size:
+                return values[hit[0]], True
             c = w / d
-            h_int = (c / np.sum(c)) @ values
-            if not verified:
-                h = analytic(tau, stats)
-                gap = stats["source_interp_gap"] = _rel_max(h_int, h)
-                if gap > SOURCE_SWITCH_TOL:
-                    cheb = False
-                    return h
-                verified = True
-        stats["source_interpolated"] += 1
-        return h_int
+            return (c / np.sum(c)) @ values, False
+        return read
 
     def evaluate(tau: float, stats: dict) -> np.ndarray:
-        nonlocal anchor, verified
-        if not (propagate or interpolate) or \
+        nonlocal reader, tau_a, checked
+        if reader is False or tau <= tau_a or \
                 problem.sigma * math.sqrt(tau) < SOURCE_SWITCH_CELLS * g.dx:
             return analytic(tau, stats)
-        if interpolate:
-            return interpolated(tau, stats)
-        if anchor is None or tau <= anchor[0]:
-            h = analytic(tau, stats)
-            if anchor is None:
-                anchor = (tau, tr.fwd(h))
+        if reader is None:
+            tau_a, h = tau, analytic(tau, stats)
+            reader = propagator(h) if identity else interpolant(h, stats)
             return h
-        tau_s, h_hat = anchor
-        h_prop = tr.inv(np.exp((tau - tau_s) * L_bs) * h_hat)
-        if not verified:
+        h_read, node = reader(tau)
+        if not (node or checked):
             h = analytic(tau, stats)
-            gap = _rel_max(h_prop, h)
+            gap = stats[gap_key] = _rel_max(h_read, h)
             if gap > SOURCE_SWITCH_TOL:
-                anchor = (tau, tr.fwd(h))
-                stats["source_reanchors"] += 1
+                reader = False
                 return h
-            verified = True
-            stats["source_switch_tau"] = float(tau_s)
-            stats["source_switch_gap"] = gap
-        stats["source_propagated"] += 1
-        return h_prop
+            checked = True
+            if identity:
+                stats["source_switch_tau"] = tau_a
+        stats[count_key] += 1
+        return h_read
 
     def source(tau: float, stats: dict) -> np.ndarray:
         nonlocal latest
@@ -671,10 +652,9 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
         problem, scheme, source, plan)
     norm = FractionalNorm(g, scheme.monitor_gamma)
     T = float(taus[-1])
-    marks = [T * (j + 1) / scheme.checkpoint_count
-             for j in range(scheme.checkpoint_count)]
-    mark_idx = np.unique([int(np.argmin(np.abs(taus - m))) for m in marks])
-    mark_set = {int(i) for i in mark_idx if i > 0}
+    n_marks = scheme.checkpoint_count
+    mark_set = {int(np.argmin(np.abs(taus - T * (j + 1) / n_marks)))
+                for j in range(n_marks)} - {0}
     checkpoints = []
 
     def on_level(i, tau, v):

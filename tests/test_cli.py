@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levypide import cli, config
+from levypide import cli, config, solver
 from levypide.cli import _seedless_guard, main
 from levypide.config import load_config
 from levypide.errors import ConfigError, LevyPideError
@@ -237,6 +237,13 @@ NON_FINITE = [
      TAIL_JUMPS.replace("alpha = 0.5", "alpha = -1e300"), "jumps"),
     ("merton_call.cfg", "volatility = 0.2", "volatility = 1e300",
      "market.volatility"),
+    # |r| T past ln(float max): report_price's discount e^(-r T) used to
+    # raise an OverflowError after the whole solve, and a maturity of 1e300
+    # a ValueError from the time mesh's arange
+    ("merton_call.cfg", "rate_per_year = 0.05", "rate_per_year = -710",
+     "market"),
+    ("merton_call.cfg", "maturity_years = 1.0", "maturity_years = 1e300",
+     "market"),
     # e^(m + s^2/2) overflows: the Merton series oracle used to raise an
     # OverflowError after the whole solve
     ("merton_call.cfg", "jump_std = 0.2", "jump_std = 1e150", "jumps"),
@@ -284,6 +291,25 @@ def test_non_finite_numbers_exit_2_before_any_solve(tmp_path, capsys, solves,
     assert "config error" in stderr and f"[{key}]" in stderr
     assert solves == []
     assert not (tmp_path / "out" / "price.csv").exists()
+
+
+def test_a_step_giving_too_many_time_levels_exits_2_before_the_plan(
+        tmp_path, capsys, monkeypatch):
+    # dt = 1e-13 used to end in a 29.1 TiB allocation in build_time_mesh
+    plans = []
+    real = solver.build_plan
+    monkeypatch.setattr(solver, "build_plan",
+                        lambda *a: plans.append(a) or real(*a))
+    text = (ROOT / "demos" / "configs" / "merton_call.cfg").read_text()
+    path = _write(tmp_path, text.replace("dt = 0.02", "dt = 1e-13").replace(
+        "n_core = 1024", "n_core = 64"))
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "price"]) == 2
+    err = capsys.readouterr().err
+    assert "ParameterDomainError: dt 1e-13 gives about" in err
+    assert "more than 2**24" in err
+    assert plans == []
+    assert not (out / "price.csv").exists()
 
 
 def test_a_pad_too_long_for_an_array_index_exits_2_before_any_solve(

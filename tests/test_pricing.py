@@ -94,6 +94,16 @@ def test_series_oracle_frozen_value():
     assert abs(got - 12.164203195593313) < 1e-12
 
 
+def test_series_oracle_keeps_parity_under_a_far_jump_mean():
+    # at jump_mean = -30 a term's own discount e^(-r_k T) overflows from
+    # k = 24 on; the oracle used to raise an OverflowError there
+    put = MarketSpec(100.0, 100.0, 1.0, 0.05, 0.2, "put")
+    call = merton_series_oracle(MKT, (0.5, -30.0, 1.0))
+    diff = call - merton_series_oracle(put, (0.5, -30.0, 1.0))
+    assert abs(diff - (100.0 - 100.0 * math.exp(-0.05))) < 1e-12
+    assert call == pytest.approx(42.3186, abs=1e-4)
+
+
 def test_series_oracle_degenerates_to_black_scholes():
     assert merton_series_oracle(MKT, (0.0, 0.3, 0.4)) == bs_closed_form(MKT)
     # zero-size jumps at zero mean change nothing either
@@ -116,6 +126,19 @@ def test_series_oracle_refuses_an_overflowing_jump_moment():
     # end in an OverflowError from math.expm1
     with pytest.raises(ParameterDomainError, match="overflows"):
         merton_series_oracle(MKT, (0.5, -0.1, 1e150))
+
+
+@pytest.mark.parametrize("jump_mean,rel_tol", [(-2.0, 1e-3), (-1.0, 5e-6)])
+def test_a_far_jump_mean_keeps_its_jumps_in_the_radius(jump_mean, rel_tol):
+    # the Merton envelope is centred at 0 and inflated by e^(m^2 / 2 s^2);
+    # measured against its own tail the radius was 1.38 at m = -2, the plan
+    # nodes carried 1.5e-10 of the intensity and the price was the
+    # Black-Scholes one (10.4506 against 35.769)
+    nu = make_merton(0.5, jump_mean, 0.1)
+    assert nu.jump_radius > -jump_mean
+    got = price_european(MKT, nu, n_core=512).price
+    want = merton_series_oracle(MKT, (0.5, jump_mean, 0.1))
+    assert abs(got / want - 1.0) <= rel_tol
 
 
 def test_transform_round_trip_prices_without_jumps():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import time
 from pathlib import Path
 
@@ -196,6 +197,7 @@ def test_cross_check_attaches_gap():
 
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _demo_problem(name, n_core):
@@ -281,6 +283,22 @@ def test_cross_check_marches_on_the_main_solves_source(monkeypatch, demo):
     res = solve_shifted(problem, dataclasses.replace(scheme, cross_check=True))
     assert res.stats["cross_check_gap"] is not None
     assert len(built) == 1
+
+
+def test_readme_lists_exactly_the_recorded_stats():
+    # every snake_case name in backticks in the README's stats list is a
+    # key, apart from the schemes and the other names the entries cite
+    text = README.read_text()
+    start = text.index("\n- ", text.index("`result.result.stats` is a plain"))
+    listed = text[start:text.index("\n\n", start)]
+    cited = {"imex_bdf2", "mild_etd2", "cross_check_tol", "perf_counter",
+             "n_total"}
+    names = set(re.findall(r"`([a-z][a-z0-9_]*)`", listed)) - cited
+    problem = CauchyProblem(_merton_grid(128), sigma=0.2, horizon=0.5,
+                            rate=0.03, measure=MERTON)
+    stats = solve_shifted(problem, SchemeConfig(dt=0.05,
+                                                cross_check=True)).stats
+    assert names == set(stats)
 
 
 def test_source_time_is_part_of_the_solve():
@@ -529,30 +547,36 @@ def test_propagated_source_matches_analytic(measure):
     assert stats["source_propagated"] == done + 3
 
 
-def test_failed_switch_check_reanchors_and_keeps_the_price(monkeypatch):
-    g = make_grid(3.0, 256, reach=2.3)
-    problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.05,
-                            measure=MERTON, strike=100.0)
-    sch = SchemeConfig(dt=0.02)
-    i0 = int(np.argmin(np.abs(g.axis())))
-    monkeypatch.setattr(solver, "SOURCE_SWITCH_CELLS", math.inf)
-    exact = solve_shifted(problem, sch)
-    assert exact.stats["source_propagated"] == 0
-    assert exact.stats["source_switch_tau"] is None
-    # half a cell is too early: the first check fails and the anchor moves
-    monkeypatch.setattr(solver, "SOURCE_SWITCH_CELLS", 0.5)
-    res = solve_shifted(problem, sch)
-    st = res.stats
-    assert st["source_reanchors"] >= 1
-    first = min(t for t in res.taus if 0.2 * math.sqrt(t) >= 0.5 * g.dx)
-    assert st["source_switch_tau"] > first
-    assert st["source_switch_gap"] <= solver.SOURCE_SWITCH_TOL
-    assert st["source_propagated"] > 0
-    # one evaluation per level, plus the analytic check at the switch
-    assert st["source_analytic"] + st["source_propagated"] \
-        == exact.stats["source_analytic"] + 1
-    price, want = res.field.values[i0], exact.field.values[i0]
-    assert abs(price / want - 1.0) <= 1e-12
+@pytest.mark.parametrize("reader", ["propagator", "interpolant"])
+def test_a_failed_reader_check_keeps_the_source_analytic(monkeypatch, reader):
+    # propagation from half a cell, and an interpolant on four intervals,
+    # miss the check; the checked level and every later one keep their
+    # analytic values, so the field is that of the all-analytic solve
+    if reader == "propagator":
+        g = make_grid(3.0, 256, reach=2.3)
+        problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.05,
+                                measure=MERTON, strike=100.0)
+        scheme = SchemeConfig(dt=0.02)
+        count, gap, knob = "source_propagated", "source_switch_gap", \
+            "SOURCE_SWITCH_CELLS"
+        analytic, early = math.inf, 0.5
+    else:
+        problem, scheme = _demo_problem("impact_call.cfg", 256)
+        count, gap, knob = "source_interpolated", "source_interp_gap", \
+            "_interp_node_count"
+        analytic, early = (lambda *a: 10 ** 9), (lambda *a: 4)
+    monkeypatch.setattr(solver, knob, analytic)
+    exact = solve_shifted(problem, scheme)
+    monkeypatch.setattr(solver, knob, early)
+    failed = solve_shifted(problem, scheme)
+    st = failed.stats
+    assert st[count] == 0
+    assert st[gap] > 1e-10
+    assert st["source_switch_tau"] is None
+    # the interpolant's nodes past tau_a are the only extra evaluations
+    assert st["source_analytic"] == exact.stats["source_analytic"] \
+        + (st["source_interp_nodes"] or 0)
+    assert np.array_equal(failed.field.values, exact.field.values)
 
 
 def test_impacted_solve_keeps_the_source_analytic():
