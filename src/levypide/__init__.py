@@ -15,8 +15,8 @@ from .grids import Grid, GridField, gradient, make_grid
 from .jump_operator import (OperatorPlan, apply_f, apply_f_tilde_fn,
                             build_plan, f_bound_probe, reference_symbol)
 from .measures import (AxisJumpPair, LevyMeasure, ShapeParams,
-                       check_admissibility, levy_pair, make_custom,
-                       make_exponential_tail, make_kou, make_merton, moments)
+                       check_admissibility, levy_pair, make_exponential_tail,
+                       make_kou, make_merton, moments)
 from .pricing import (MarketSpec, PriceResult, bs_closed_form,
                       merton_series_oracle, price_european, report_price,
                       transform_to_pide)

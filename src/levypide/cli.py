@@ -5,8 +5,8 @@ Subcommands
 price               solve the configured problem, compare with the matching
                     closed-form oracle when one exists, write price.csv
 diagnose bessel     kernel mass / closed-form / modulus-of-continuity checks
-diagnose operator   quadrature symbol vs adaptive-quadrature reference, plus
-                    the exponential-annihilation check
+diagnose operator   node and applied symbols vs adaptive-quadrature
+                    reference, plus the exponential-annihilation check
 diagnose decay      early-time decay slope of the compensated source
 convergence-study   simultaneous (dt, h) halving ladder with observed orders
 xi-probe            shift resolver growth/expansion/root diagnostics
@@ -35,8 +35,9 @@ from . import __version__
 from .bessel import BesselKernel, kernel_eval, modulus_of_continuity_probe
 from .config import RunConfig, load_config
 from .errors import LevyPideError
-from .grids import make_grid
-from .jump_operator import apply_f_tilde_fn, build_plan, plan_symbol_table
+from .grids import GridField, make_grid
+from .jump_operator import (apply_f, apply_f_tilde_fn, build_plan,
+                            plan_symbol_table)
 from .pricing import (bs_closed_form, estimate_reach, merton_series_oracle,
                       report_price, transform_to_pide)
 from .shift import (count_xi_roots, growth_bound_probe,
@@ -186,18 +187,31 @@ def _cmd_diagnose_bessel(cfg: RunConfig, outdir: Path):
 def _cmd_diagnose_operator(cfg: RunConfig, outdir: Path):
     if cfg.measure is None:
         raise LevyPideError("diagnose operator needs a jump family in [jumps]")
-    # diagnostic-owned grid: half-width a multiple of pi so the probe
-    # wavenumbers k = 1, 2, 4 are exact lattice modes
+    # diagnostic-owned grid: dx = pi / 256 and a pad of whole 256-cell
+    # blocks make n_total a multiple of 512, so the box spans whole periods
+    # of the probe wavenumbers k = 1, 2, 4 and cos(kx) is a lattice mode
     grid, record = _grid_record(
         4.0 * math.pi, 2048, estimate_reach(cfg.measure, None, 4.0 * math.pi))
+    grid = replace(grid, pad=256 * math.ceil(grid.pad / 256))
+    record.update(pad=grid.pad, n_total=grid.n_total)
     plan = build_plan(grid, cfg.measure)
+    x = grid.axis()
     rows = []
     ok = True
     for k, sym, ref, gap in plan_symbol_table(plan, (1.0, 2.0, 4.0)):
-        good = gap < 1e-6
-        ok &= good
-        rows.append(("symbol", k, sym.real, sym.imag, ref.real, ref.imag,
-                     gap, good))
+        # the plan takes cos(kx) to Re S cos(kx) - Im S sin(kx) for the
+        # symbol S it applies, the lattice symbol on the FFT path
+        c, s = np.cos(k * x), np.sin(k * x)
+        got = apply_f(plan, GridField(grid, c)).values
+        applied = 2.0 * complex(np.mean(got * c), -np.mean(got * s))
+        apply_gap = float(np.max(np.abs(got - ref.real * c + ref.imag * s))
+                          ) / abs(ref)
+        for check, value, rel in (("symbol", sym, gap),
+                                  ("apply", applied, apply_gap)):
+            good = rel < 1e-6
+            ok &= good
+            rows.append((check, k, value.real, value.imag, ref.real,
+                         ref.imag, rel, good))
     K, r, tau = cfg.market.K, cfg.market.r, 0.5
     h = apply_f_tilde_fn(plan, lambda x: K * np.exp(x + r * tau),
                          lambda x: K * np.exp(x + r * tau), tau)

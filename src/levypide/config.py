@@ -10,7 +10,7 @@ Sections and keys:
                   option_type
     [jumps]       family, intensity_per_year, jump_mean, jump_std, p_up,
                   eta_up, eta_down, c0, alpha, decay
-    [shift]       rho, strategy, amplitude, center, width, frequency
+    [shift]       rho, strategy, amplitude, frequency, center, width
     [grid]        half_width, n_core
     [scheme]      scheme, dt, cross_check, cross_check_tol
     [assertions]  oracle_rel_tol, order_lo, order_hi
@@ -73,19 +73,6 @@ class RunConfig:
     order_lo: float
     order_hi: float
     digest: str
-
-
-# Every key each section may hold; see the module docstring.
-KEYS = {
-    "market": ("spot", "strike", "maturity_years", "rate_per_year",
-               "volatility", "option_type"),
-    "jumps": ("family", "intensity_per_year", "jump_mean", "jump_std", "p_up",
-              "eta_up", "eta_down", "c0", "alpha", "decay"),
-    "shift": ("rho", "strategy", "amplitude", "center", "width", "frequency"),
-    "grid": ("half_width", "n_core"),
-    "scheme": ("scheme", "dt", "cross_check", "cross_check_tol"),
-    "assertions": ("oracle_rel_tol", "order_lo", "order_hi"),
-}
 
 
 def config_digest(raw_bytes: bytes) -> str:
@@ -153,6 +140,18 @@ STRATEGIES = {
     "sin": (strategy_sin, {"amplitude": 0.3, "frequency": 1.0}),
     "tanh_ramp": (strategy_tanh_ramp,
                   {"amplitude": 0.3, "center": 0.0, "width": 1.0}),
+}
+# Every key each section may hold; see the module docstring.
+KEYS = {
+    "market": ("spot", "strike", "maturity_years", "rate_per_year",
+               "volatility", "option_type"),
+    "jumps": ("family", *dict.fromkeys(
+        key for _, keys in FAMILIES.values() for key in keys)),
+    "shift": ("rho", "strategy", *dict.fromkeys(
+        key for _, defaults in STRATEGIES.values() for key in defaults)),
+    "grid": ("half_width", "n_core"),
+    "scheme": ("scheme", "dt", "cross_check", "cross_check_tol"),
+    "assertions": ("oracle_rel_tol", "order_lo", "order_hi"),
 }
 # The key of each builder argument whose name differs from it; a builder's
 # ParameterDomainError message starts with the argument's name.

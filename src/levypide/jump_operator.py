@@ -144,15 +144,13 @@ class _Band:
     read with a stride of n entries, the (2 half + 1, n) transpose takes
     14.7 ms per apply against 1.05 ms at n = 3072, where the band is 20 MB.
 
-    xi holds the resolved shifts of the nodes with weight wh != 0 in node
-    blocks: block b is a (_NODE_BLOCK, n) array (the last may be shorter)
-    whose row k is node b _NODE_BLOCK + k across the grid, or a
-    (_NODE_BLOCK, 1) column under the identity shift.  xi_min and xi_max
-    are each node's extremes over the grid; xi_mean and exp_mean are
-    sum wh xi and sum wh (e^xi - 1) per point.
+    xi holds the resolved shifts of the plan's nodes in node blocks: block
+    b is a (_NODE_BLOCK, n) array (the last may be shorter) whose row k is
+    node b _NODE_BLOCK + k across the grid, or a (_NODE_BLOCK, 1) column
+    under the identity shift.  xi_min and xi_max are each node's extremes
+    over the grid; xi_mean and exp_mean are plan.wh @ xi and @ (e^xi - 1).
     """
 
-    wh: np.ndarray
     xi: Sequence[np.ndarray]
     xi_min: np.ndarray
     xi_max: np.ndarray
@@ -212,10 +210,6 @@ class OperatorPlan:
     stats: dict = field(default_factory=_new_stats, init=False, repr=False)
 
     @property
-    def dim(self) -> int:
-        return self.grid.dim
-
-    @property
     def uses_fft(self) -> bool:
         return self.symbol_conv is not None
 
@@ -245,7 +239,6 @@ def _lattice_symbol(grid: Grid, measure, r_out: float):
 
 
 def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
-               nodes_per_panel: int = 16,
                force_quadrature: bool = False) -> OperatorPlan:
     """Precompute weighted nodes, the symbol when available, and moments.
 
@@ -301,7 +294,7 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
     mean = np.zeros(grid.dim)
     if grid.dim == 1:
         edges = _panel_edges(eps_in, r_out, alpha)
-        pos_nodes, pos_w = gauss_legendre_panels(edges, nodes_per_panel)
+        pos_nodes, pos_w = gauss_legendre_panels(edges)
         z = np.concatenate([-pos_nodes[::-1], pos_nodes])
         wh = (np.concatenate([pos_w[::-1], pos_w])
               * np.asarray(measure.density(z), dtype=float))
@@ -331,13 +324,6 @@ def _check_field(plan: OperatorPlan, u: GridField) -> None:
         raise PlanInvalidError("field grid does not match the plan grid")
 
 
-def _identity_shifts(plan: OperatorPlan):
-    """(w h, xi) of the weighted nodes under the identity shift xi = z; xi
-    is a (nodes, 1) column that broadcasts against the grid axis, so
-    functions of xi cost one evaluation per node."""
-    return plan.wh, plan.z_nodes[:, None]
-
-
 def _build_band(plan: OperatorPlan, tau: float) -> _Band:
     """Resolve the weighted nodes' shifts at tau, one node block per
     resolver call, and sum their cubic interpolation weights into the band,
@@ -345,13 +331,13 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
     g = plan.grid
     x = g.axis()
     n = g.n_total
-    wh, z = _identity_shifts(plan)
+    wh, z = plan.wh, plan.z_nodes
     starts = range(0, wh.size, _NODE_BLOCK)
     if plan.shift is None:
-        xi = [z[j:j + _NODE_BLOCK] for j in starts]
+        xi = [z[j:j + _NODE_BLOCK, None] for j in starts]
     else:
         t0 = perf_counter()
-        xi = [xi_on_grid(plan.shift, tau, x, z[j:j + _NODE_BLOCK, 0],
+        xi = [xi_on_grid(plan.shift, tau, x, z[j:j + _NODE_BLOCK],
                          plan.stats) for j in starts]
         plan.stats["shift_resolve_s"] += perf_counter() - t0
     xi_min = np.concatenate([np.min(b, axis=1) for b in xi])
@@ -386,7 +372,7 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
         xi_mean += wh_block @ block
         exp_mean += wh_block @ np.expm1(block)
     band[:, half] -= np.sum(wh)
-    return _Band(wh, xi, xi_min, xi_max, band, xi_mean, exp_mean)
+    return _Band(xi, xi_min, xi_max, band, xi_mean, exp_mean)
 
 
 def _band(plan: OperatorPlan, tau: float) -> _Band:
@@ -455,21 +441,22 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
     every pair is summed.  The evaluated pairs are added to
     plan.stats["source_pairs"].
     """
-    if plan.dim != 1:
+    if plan.grid.dim != 1:
         raise UnsupportedConfigurationError("compensated operator is 1-D only")
     xv = plan.grid.axis()
     identity = plan.shift is None
     if identity:
-        wh, xi = _identity_shifts(plan)
-        xi_min = xi_max = xi[:, 0]
+        # a (nodes, 1) column: functions of xi cost one evaluation per node
+        xi = plan.z_nodes[:, None]
+        xi_min = xi_max = plan.z_nodes
     else:
         b = _band(plan, tau)
-        wh, xi_min, xi_max = b.wh, b.xi_min, b.xi_max
+        xi_min, xi_max = b.xi_min, b.xi_max
     base = np.asarray(fn(xv), dtype=float)
     slope = np.asarray(dfn(xv), dtype=float)
     out = np.zeros_like(base)
     block = _FN_BLOCK if live is None else _NODE_BLOCK
-    for j in range(0, len(wh), block):
+    for j in range(0, len(plan.wh), block):
         nodes = slice(j, j + block)
         cols = slice(0, xv.size)
         if live is not None:
@@ -486,7 +473,7 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
             xij = b.xi[j // _NODE_BLOCK][k:k + block, cols]
         terms = (np.asarray(fn(xv[cols] + xij), dtype=float) - base[cols]
                  - np.expm1(xij) * slope[cols])
-        out[cols] += wh[nodes] @ terms
+        out[cols] += plan.wh[nodes] @ terms
         plan.stats["source_pairs"] += terms.size
     return out
 
@@ -500,7 +487,7 @@ def delta_on_plan_nodes(plan: OperatorPlan, tau: float) -> np.ndarray:
     otherwise); with feedback the resolved xi replaces z pointwise, from the
     plan's band.
     """
-    if plan.dim != 1:
+    if plan.grid.dim != 1:
         raise UnsupportedConfigurationError("drift correction is 1-D only")
     if plan.shift is None:
         return np.full(plan.grid.n_total, plan.delta0)
@@ -526,9 +513,9 @@ def f_bound_probe(plan: OperatorPlan, fields: Sequence[GridField],
     if not 0.5 <= gamma < 1.0:
         raise ParameterDomainError("gamma must satisfy 1/2 <= gamma < 1")
     # 2-D plans need a density bounded at the origin
-    alpha = plan.measure.shape.alpha if plan.dim == 1 else 0.0
+    alpha = plan.measure.shape.alpha if plan.grid.dim == 1 else 0.0
     omega = plan.shift.strategy.holder_exponent if plan.shift is not None else 1.0
-    floor = (alpha - plan.dim) / (2.0 * omega)
+    floor = (alpha - plan.grid.dim) / (2.0 * omega)
     if gamma <= floor:
         raise ParameterDomainError(
             f"gamma = {gamma} must exceed (alpha - dim)/(2 omega) = {floor:.4f}")
@@ -547,13 +534,14 @@ def f_bound_probe(plan: OperatorPlan, fields: Sequence[GridField],
 
 
 def plan_symbol_table(plan: OperatorPlan, wavenumbers: Sequence[float]):
-    """Rows (k, plan symbol, reference symbol, relative gap) for diagnostics.
+    """Rows (k, node symbol, reference symbol, relative gap) for diagnostics.
 
-    The plan symbol is evaluated from the quadrature nodes: what a band plan
-    applies; an FFT plan applies the lattice symbol, which the operator
-    diagnostics' apply gap checks.  The reference is adaptive quadrature.
+    The node symbol is evaluated from the quadrature nodes: what a band plan
+    applies.  An FFT plan applies the lattice symbol instead, which
+    `levypide diagnose operator` checks in its apply rows by applying the
+    plan to cos(kx).  The reference is adaptive quadrature.
     """
-    if plan.dim != 1:
+    if plan.grid.dim != 1:
         raise UnsupportedConfigurationError("symbol table is 1-D only")
     rows = []
     for k in wavenumbers:

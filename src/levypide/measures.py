@@ -31,7 +31,7 @@ from .quadrature import adaptive_quad, quad_left_unit, quad_line
 __all__ = [
     "ShapeParams", "LevyMeasure", "AxisJumpPair", "MeasureMoments",
     "AdmissibilityReport", "make_merton", "make_exponential_tail", "make_kou",
-    "make_custom", "levy_pair", "check_admissibility", "moments",
+    "levy_pair", "check_admissibility", "moments",
     "levy_exponent",
 ]
 
@@ -99,7 +99,7 @@ class LevyMeasure:
 
     density is vectorized: one array argument for dim=1, two broadcastable
     coordinate arrays for dim=2.  A radial 2-D density reads its profile as
-    density(r, 0).
+    density(r, 0).  check_admissibility tests a user density's envelope.
     """
 
     density: Callable
@@ -110,27 +110,24 @@ class LevyMeasure:
         if self.dim not in (1, 2):
             raise ParameterDomainError("dim must be 1 or 2")
 
-    def __call__(self, *coords):
-        return self.density(*coords)
-
     @cached_property
     def jump_radius(self) -> float:
-        """Envelope tail radius at JUMP_TAIL_TOL, searched once per measure;
-        an envelope that overflows in the search is a domain error.
+        """tail_radius at JUMP_TAIL_TOL, searched once per measure."""
+        return self.tail_radius(JUMP_TAIL_TOL)
 
-        tail_radius measures the tail against the envelope's own mass beyond
+    def tail_radius(self, rel_tol: float) -> float:
+        """ShapeParams.tail_radius at rel_tol of the envelope's mass beyond
         1, which a law centred far from 0 inflates (a Merton c0 carries
-        e^(m^2 / 2 s^2)).  A 1-D finite-activity density whose mass is
-        smaller takes the tolerance against that mass instead: a trapezoid
-        estimate in log |z| decides, and quad_line gives the mass only when
-        the estimate falls below the envelope tail."""
+        e^(m^2 / 2 s^2)), or of the density's mass where that is smaller
+        (1-D finite activity: a trapezoid estimate in log |z| decides, and
+        quad_line gives the mass only when the estimate falls below the
+        envelope tail).  An envelope that overflows is a domain error."""
         try:
-            rel_tol = JUMP_TAIL_TOL
             if self.dim == 1 and self.finite_activity:
                 tail = self.shape.tail_mass(1.0, 1)
                 s = np.linspace(-30.0, 8.0, 2049)
                 z = np.exp(s)
-                mass = np.trapezoid((self(z) + self(-z)) * z, s)
+                mass = np.trapezoid((self.density(z) + self.density(-z)) * z, s)
                 if mass < tail:
                     mass = quad_line(self.density)
                 rel_tol *= min(1.0, mass / tail)
@@ -264,12 +261,6 @@ def make_kou(intensity: float, p_up: float, eta_plus: float, eta_minus: float) -
     return LevyMeasure(density, 1, shape)
 
 
-def make_custom(density: Callable, shape: ShapeParams,
-                dim: int = 1) -> LevyMeasure:
-    """Wrap a user density with a claimed envelope; check_admissibility tests it."""
-    return LevyMeasure(density, dim, shape)
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     holds: bool
@@ -287,11 +278,11 @@ def check_admissibility(measure: LevyMeasure, z_grid) -> AdmissibilityReport:
         z = np.asarray(z_grid, dtype=float).ravel()
         r = np.abs(z)
         pts = z[:, None]
-        h = measure(z)
+        h = measure.density(z)
     else:
         pts = np.asarray(z_grid, dtype=float).reshape(-1, 2)
         r = np.hypot(pts[:, 0], pts[:, 1])
-        h = measure(pts[:, 0], pts[:, 1])
+        h = measure.density(pts[:, 0], pts[:, 1])
     if sh.alpha > 0 and np.any(r == 0.0):
         raise ParameterDomainError("sample grid must exclude z = 0 when alpha > 0")
     h = np.asarray(h, dtype=float)
@@ -317,7 +308,7 @@ class MeasureMoments:
     mean_jump: np.ndarray
 
 
-def moments(measure: LevyMeasure, tol: float = 1e-10) -> MeasureMoments:
+def moments(measure: LevyMeasure) -> MeasureMoments:
     """Total mass, compensated e^z moment int (e^z - 1 - z) h(z) dz, and mean
     jump int z h(z) dz of a 1-D measure.
 
@@ -327,15 +318,16 @@ def moments(measure: LevyMeasure, tol: float = 1e-10) -> MeasureMoments:
     if measure.dim != 1:
         raise ParameterDomainError("moments are one-dimensional")
     sh = measure.shape
-    total = np.inf if sh.alpha >= 1 else quad_line(lambda z: measure(z), tol)
+    h = measure.density
+    total = np.inf if sh.alpha >= 1 else quad_line(h)
     if sh.alpha >= 2:
         mean = np.full(1, np.nan)
     else:
-        mean = np.array([quad_line(lambda z: z * measure(z), tol)])
+        mean = np.array([quad_line(lambda z: z * h(z))])
     if not measure.has_exp_moment:
         comp_exp = np.inf
     else:
-        comp_exp = quad_line(lambda z: compensated_exp_term(z, measure(z)), tol,
+        comp_exp = quad_line(lambda z: compensated_exp_term(z, h(z)),
                              end=exp_moment_cutoff(sh))
     return MeasureMoments(total, comp_exp, mean)
 
@@ -367,7 +359,7 @@ def exp_moment_cutoff(shape: ShapeParams) -> float:
     return c / (shape.d - 1.0)  # has_exp_moment guarantees d > 1 here
 
 
-def levy_exponent(measure: LevyMeasure, y, tol: float = 1e-10) -> complex:
+def levy_exponent(measure: LevyMeasure, y) -> complex:
     """Characteristic exponent of the jump part,
 
         phi(y) = int (1 - e^(i y.z) + i y.z 1_{|z|<=1}) h(z) dz.
@@ -377,15 +369,16 @@ def levy_exponent(measure: LevyMeasure, y, tol: float = 1e-10) -> complex:
     compensator's indicator.
     """
     n = measure.dim
+    h = measure.density
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size != n:
         raise ParameterDomainError(f"y must have {n} component(s)")
 
     if n == 1:
         k = float(y[0])
-        re = quad_line(lambda z: (1.0 - np.cos(k * z)) * measure(z), tol)
-        im = quad_line(lambda z: (k * z - np.sin(k * z)) * measure(z), tol,
-                       outer=lambda z: -np.sin(k * z) * measure(z))
+        re = quad_line(lambda z: (1.0 - np.cos(k * z)) * h(z))
+        im = quad_line(lambda z: (k * z - np.sin(k * z)) * h(z),
+                       outer=lambda z: -np.sin(k * z) * h(z))
         return complex(re, im)
 
     # 2-D: polar coordinates; angular average by periodic trapezoid of
@@ -397,12 +390,12 @@ def levy_exponent(measure: LevyMeasure, y, tol: float = 1e-10) -> complex:
     cos_rel = np.cos(theta - theta_y)
 
     def ring(p: float, weight) -> float:
-        hvals = np.asarray(measure(p * ct, p * st), dtype=float)
+        hvals = np.asarray(h(p * ct, p * st), dtype=float)
         return float(np.mean(weight(ky * p * cos_rel) * hvals)) * 2.0 * np.pi
 
     re_w = lambda a: 1.0 - np.cos(a)
-    re = (quad_left_unit(lambda p: p * ring(p, re_w), tol)
-          + adaptive_quad(lambda p: p * ring(p, re_w), 1.0, np.inf, tol))
-    im = (quad_left_unit(lambda p: p * ring(p, lambda a: a - np.sin(a)), tol)
-          + adaptive_quad(lambda p: p * ring(p, lambda a: -np.sin(a)), 1.0, np.inf, tol))
+    re = (quad_left_unit(lambda p: p * ring(p, re_w))
+          + adaptive_quad(lambda p: p * ring(p, re_w), 1.0, np.inf))
+    im = (quad_left_unit(lambda p: p * ring(p, lambda a: a - np.sin(a)))
+          + adaptive_quad(lambda p: p * ring(p, lambda a: -np.sin(a)), 1.0, np.inf))
     return complex(re, im)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .blackscholes import BlackScholesClosedForm
 from .errors import (NoSolutionError, OutOfDomainError,
-                     ParameterDomainError, ToleranceNotMetError)
+                     ParameterDomainError, ToleranceNotMetError,
+                     UnsupportedConfigurationError)
 from .grids import Grid, GridField, field_interp, make_grid
 from .measures import LevyMeasure
 from .shift import ShiftModel
@@ -98,20 +99,20 @@ class PriceResult:
 def transform_to_pide(market: MarketSpec, grid: Grid,
                       measure: LevyMeasure | None = None,
                       shift: ShiftModel | None = None) -> CauchyProblem:
-    """Market data to forward Cauchy problem on the supplied grid.
+    """Market data to forward Cauchy problem on the supplied 1-D grid.
 
     The initial field is the payoff in log-moneyness units (K(e^x - 1)^+ or
     K(1 - e^x)^+); shifted solves ignore it and regenerate the closed form
     internally, direct experiments can march it as-is.
     """
+    if grid.dim != 1:
+        raise UnsupportedConfigurationError("pricing problems are 1-D only")
     bs = BlackScholesClosedForm(market.K, market.r, market.sigma,
                                 market.option_type)
-    payoff = GridField(grid, bs.payoff(grid.axis()), 0.0) if grid.dim == 1 \
-        else None
     return CauchyProblem(grid=grid, sigma=market.sigma, horizon=market.T,
                          rate=market.r, measure=measure, shift=shift,
-                         initial=payoff, strike=market.K,
-                         option_type=market.option_type)
+                         initial=GridField(grid, bs.payoff(grid.axis()), 0.0),
+                         strike=market.K, option_type=market.option_type)
 
 
 def report_price(market: MarketSpec, result: SolveResult) -> float:
@@ -129,7 +130,7 @@ def bs_closed_form(market: MarketSpec) -> float:
     return float(bs.price(market.S0, market.T))
 
 
-def merton_series_oracle(market: MarketSpec, merton, terms: int = 120) -> float:
+def merton_series_oracle(market: MarketSpec, merton) -> float:
     """Closed-form price under lognormal jumps by conditioning on jump count.
 
     merton is (intensity, jump_mean, jump_std).  Each count k contributes a
@@ -138,16 +139,16 @@ def merton_series_oracle(market: MarketSpec, merton, terms: int = 120) -> float:
     the solver's convention.  A term's weight times its discount
     e^(-r_k T) is exactly the Poisson(lam T) weight times e^(-r T), so each
     term is that product, taken in logs, times the transformed value u_k:
-    no factor overflows for a large jump mean.  The series is summed until
-    the remaining Poisson tail is below 1e-12 relative; exhausting `terms`
-    first raises a tolerance error.
+    no factor overflows for a large jump mean.  From k = 30 on, once k is
+    past the mode (k + 2 > lam* T), the series stops when its Poisson(lam* T)
+    tail bound weight lam* T / (k + 1) is below 1e-12 relative.  A term that
+    is not finite, or no stop within lam* T + 12 sqrt(lam* T) + 60 terms,
+    raises a tolerance error; more than 2**17 terms is a domain error.
     """
     lam, m, s = (float(v) for v in merton)
     if not (0 <= lam < math.inf and 0 <= s < math.inf and math.isfinite(m)):
         raise ParameterDomainError("intensity, jump_mean and jump_std must be "
                                    "finite, intensity and jump_std >= 0")
-    if terms < 30:
-        raise ParameterDomainError("terms must be at least 30")
     gexp = m + 0.5 * s * s
     try:
         kappa = math.expm1(gexp)
@@ -156,24 +157,36 @@ def merton_series_oracle(market: MarketSpec, merton, terms: int = 120) -> float:
             "e^(jump_mean + jump_std^2/2) overflows") from None
     lam_star = lam * (1.0 + kappa)
     T = market.T
-    if lam_star * T == 0.0:
+    mean = lam_star * T
+    if mean == 0.0:
         return bs_closed_form(market)
+    terms = math.ceil(mean + 12.0 * math.sqrt(mean)) + 60
+    if terms > 2 ** 17:
+        raise ParameterDomainError(f"lam* T = {mean:.6g} needs {terms} "
+                                   "jump-count terms, more than 2**17")
     total = 0.0
-    log_weight = -lam_star * T  # log of e^(-lam* T) (lam* T)^k / k!
+    log_weight = -mean  # log of e^(-lam* T) (lam* T)^k / k!
     log_term = -lam * T - market.r * T  # log of Poisson(lam T) e^(-r T)
     for k in range(terms):
         if k > 0:
-            log_weight += math.log(lam_star * T) - math.log(k)
+            log_weight += math.log(mean) - math.log(k)
             log_term += math.log(lam * T) - math.log(k)
-        weight = math.exp(log_weight)
         sigma_k = math.sqrt(market.sigma ** 2 + k * s * s / T)
         r_k = market.r - lam * kappa + k * gexp / T
         bs_k = BlackScholesClosedForm(market.K, r_k, sigma_k,
                                       market.option_type)
-        total += math.exp(log_term) * float(bs_k.u(T, market.log_moneyness))
-        if k >= 30:
-            # Poisson tail beyond k is below (lam* T)^(k+1)/(k+1)! e^(...)
-            tail = weight * lam_star * T / (k + 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_k = float(bs_k.u(T, market.log_moneyness))
+        term = math.exp(log_term) * u_k
+        if not math.isfinite(term):
+            raise ToleranceNotMetError(
+                f"jump-count series term {k} is not finite",
+                estimate=total, error=float("nan"))
+        total += term
+        if k >= 30 and k + 2 > mean:
+            # past the mode the Poisson tail beyond k is bounded by
+            # (lam* T)^(k+1)/(k+1)! e^(-lam* T); before it that bound fails
+            tail = math.exp(log_weight) * lam_star * T / (k + 1.0)
             if tail * max(market.S0, market.K) < 1e-12 * max(total, 1e-300):
                 return total
     raise ToleranceNotMetError(

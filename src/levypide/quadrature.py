@@ -32,14 +32,13 @@ def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
     return val
 
 
-def quad_left_unit(f, rel_tol: float = 1e-10) -> float:
+def quad_left_unit(f) -> float:
     """Integrate f on (0, 1] via z = e^s; handles integrable power singularities."""
     g = lambda s: f(np.exp(s)) * np.exp(s)
-    return adaptive_quad(g, -60.0, 0.0, rel_tol)
+    return adaptive_quad(g, -60.0, 0.0)
 
 
-def quad_line(f, rel_tol: float = 1e-10, outer=None,
-              end: float = np.inf) -> float:
+def quad_line(f, outer=None, end: float = np.inf) -> float:
     """Integrate f over (-inf, end], split at 0 and +-1.
 
     (0, 1] and [-1, 0) go through quad_left_unit; [1, end] and (-inf, -1]
@@ -47,15 +46,14 @@ def quad_line(f, rel_tol: float = 1e-10, outer=None,
     pieces are summed in that order.
     """
     g = f if outer is None else outer
-    return (quad_left_unit(f, rel_tol)
-            + quad_left_unit(lambda z: f(-z), rel_tol)
-            + adaptive_quad(g, 1.0, end, rel_tol)
-            + adaptive_quad(lambda z: g(-z), 1.0, np.inf, rel_tol))
+    return (quad_left_unit(f) + quad_left_unit(lambda z: f(-z))
+            + adaptive_quad(g, 1.0, end)
+            + adaptive_quad(lambda z: g(-z), 1.0, np.inf))
 
 
-def gauss_legendre_panels(edges: np.ndarray, nodes_per_panel: int = 16):
-    """Composite Gauss-Legendre nodes/weights over the given panel edges."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
+def gauss_legendre_panels(edges: np.ndarray):
+    """Composite 16-node Gauss-Legendre nodes and weights on panel edges."""
+    xg, wg = np.polynomial.legendre.leggauss(16)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

@@ -391,7 +391,7 @@ def resolve_H(model: ShiftModel, tau: float, spot: float, z: float,
 
 
 def compute_delta(model: ShiftModel | None, measure: LevyMeasure, tau: float,
-                  x: float, tol: float = 1e-10) -> float:
+                  x: float) -> float:
     """Drift correction delta(tau, x) = int (e^xi - 1 - xi) h(z) dz.
 
     Requires a measure with finite e^z moments.  The resolved shift is cached
@@ -403,7 +403,7 @@ def compute_delta(model: ShiftModel | None, measure: LevyMeasure, tau: float,
     if measure.dim != 1:
         raise ParameterDomainError("delta is one-dimensional")
     if model is None or model.rho == 0.0:
-        return float(moments(measure, tol).compensated_exp_moment)
+        return float(moments(measure).compensated_exp_moment)
 
     cache: dict[float, float] = {}
 
@@ -415,17 +415,17 @@ def compute_delta(model: ShiftModel | None, measure: LevyMeasure, tau: float,
         return got
 
     def integrand(z: float) -> float:
-        hz = float(measure(z))
+        hz = float(measure.density(z))
         # no shift is resolved where h vanishes
         return 0.0 if hz == 0.0 else compensated_exp_term(xi_of(float(z)), hz)
 
-    # past the negligible negative tail the shift balance may have no root
+    # past the jump radius's rule at 1e-13 the shift balance may have no root
     zc_pos = exp_moment_cutoff(measure.shape)
-    zc_neg = max(measure.shape.tail_radius(1, rel_tol=1e-13), 1.0)
-    return (quad_left_unit(integrand, tol)
-            + quad_left_unit(lambda z: integrand(-z), tol)
-            + adaptive_quad(integrand, 1.0, zc_pos, tol)
-            + adaptive_quad(lambda z: integrand(-z), 1.0, zc_neg, tol))
+    zc_neg = max(measure.tail_radius(1e-13), 1.0)
+    return (quad_left_unit(integrand)
+            + quad_left_unit(lambda z: integrand(-z))
+            + adaptive_quad(integrand, 1.0, zc_pos)
+            + adaptive_quad(lambda z: integrand(-z), 1.0, zc_neg))
 
 
 def growth_bound_probe(model: ShiftModel, z_samples, x_samples) -> ProbeReport:

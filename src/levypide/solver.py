@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from time import perf_counter
 from typing import Callable
 
@@ -111,16 +112,9 @@ class CauchyProblem:
     diffusion_mode: str = "constant"
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ParameterDomainError("sigma must be positive and finite")
+        self.closed_form  # building it checks its four fields
         if not 0 < self.horizon < math.inf:
             raise ParameterDomainError("horizon must be positive and finite")
-        if not 0 < self.strike < math.inf:
-            raise ParameterDomainError("strike must be positive and finite")
-        if not math.isfinite(self.rate):
-            raise ParameterDomainError("rate must be finite")
-        if self.option_type not in ("call", "put"):
-            raise ParameterDomainError("option_type must be call or put")
         if self.diffusion_mode not in ("constant", "feedback"):
             raise ParameterDomainError("diffusion_mode must be constant or feedback")
         if self.diffusion_mode == "feedback":
@@ -130,9 +124,11 @@ class CauchyProblem:
                 raise ParameterDomainError(
                     "feedback diffusion needs a shift model with rho > 0")
 
-    @property
-    def dim(self) -> int:
-        return self.grid.dim
+    @cached_property
+    def closed_form(self) -> BlackScholesClosedForm:
+        """The problem's Black-Scholes closed form (read-only)."""
+        return BlackScholesClosedForm(self.strike, self.rate, self.sigma,
+                                      self.option_type)
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ SOURCE_SWITCH_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Terminal state plus checkpoint diagnostics of one solve.
+    """Terminal state, (tau, norm) checkpoints and time levels taus of a solve.
 
     stats records what the solve did: the jump operator path (operator:
     "fft", "band" or None without a measure); the plan's counters
@@ -195,7 +191,6 @@ class SolveResult:
     field: GridField
     checkpoints: tuple
     taus: np.ndarray
-    trajectory: tuple = ()
     stats: dict = field(default_factory=dict)
 
 
@@ -267,13 +262,13 @@ def _phis(z: np.ndarray):
 
 def _march(grid: Grid, L_hat: np.ndarray | None, implicit, N_fn,
            v0: np.ndarray, taus: np.ndarray, scheme: SchemeConfig,
-           needs_grad: bool, on_level=None, store_stride: int = 0):
-    """Advance v0 across taus; returns (terminal values, stored trajectory).
+           needs_grad: bool, on_level) -> np.ndarray:
+    """Advance v0 across taus; returns the terminal values.
 
     N_fn(tau, values, grads_or_None) is the full explicit right side.
     implicit(tau, a0, dt, rhs_hat) returns the spectrum u_hat solving
     (a0 - dt L) u = rhs; mild_etd2 exponentiates the multiplier L_hat
-    instead.
+    instead.  on_level(i, taus[i], values) sees every level i >= 1.
     """
     tr = Transforms(grid)
 
@@ -282,7 +277,6 @@ def _march(grid: Grid, L_hat: np.ndarray | None, implicit, N_fn,
 
     v = np.array(v0, dtype=float)
     u_hat = tr.fwd(v)
-    stored = [(float(taus[0]), v.copy())] if store_stride else []
     mild = scheme.scheme == "mild_etd2"
     u_hat_prev = n_prev = dt_prev = None
     cached_dt = E = P1 = P2 = None
@@ -315,11 +309,8 @@ def _march(grid: Grid, L_hat: np.ndarray | None, implicit, N_fn,
                               tau=float(taus[i + 1]))
         n_prev = n_cur
         dt_prev = dt
-        if on_level is not None:
-            on_level(i + 1, float(taus[i + 1]), v)
-        if store_stride and ((i + 1) % store_stride == 0 or i + 1 == taus.size - 1):
-            stored.append((float(taus[i + 1]), v.copy()))
-    return v, stored
+        on_level(i + 1, float(taus[i + 1]), v)
+    return v
 
 
 def _feedback_coefficient(problem: CauchyProblem, tau: float, x: np.ndarray,
@@ -406,8 +397,7 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     # call and put share the source: the compensated operator kills the
     # affine gap between the two closed forms, and the put profile keeps
     # the evaluation free of exponential growth
-    bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
-                                "put")
+    bs = replace(problem.closed_form, option_type="put")
     identity = plan.shift is None
     count_key = "source_propagated" if identity else "source_interpolated"
     gap_key = "source_switch_gap" if identity else "source_interp_gap"
@@ -618,7 +608,7 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
     if plan is None:
         return 0.0
     lip = 2.0 * plan.mass
-    if not plan.uses_fft and plan.dim == 1:
+    if not plan.uses_fft and plan.grid.dim == 1:
         k_max = math.pi / problem.grid.dx
         dvals = delta_on_plan_nodes(plan, 0.0)
         lip += k_max * (abs(float(plan.mean_jump[0]))
@@ -634,9 +624,8 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
 
 
 def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
-         taus: np.ndarray, shifted: bool, store_stride: int,
-         plan: OperatorPlan | None, source: Callable | None = None
-         ) -> SolveResult:
+         taus: np.ndarray, shifted: bool, plan: OperatorPlan | None,
+         source: Callable | None = None, on_level=None) -> SolveResult:
     """One full solve on the plan: march, checkpoints, reassembly and
     cross-check.
 
@@ -644,6 +633,7 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
     by the compensated source (built here unless passed in; none without a
     plan), and the closed form is added back at the horizon.  The
     cross-check marches the other scheme on the same plan, taus and source.
+    on_level(tau, values), when given, sees every level after taus[0].
     """
     g = problem.grid
     if shifted and plan is not None and source is None:
@@ -657,47 +647,51 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
                 for j in range(n_marks)} - {0}
     checkpoints = []
 
-    def on_level(i, tau, v):
+    def level(i, tau, v):
         if i in mark_set:
             checkpoints.append((tau, norm(GridField(g, v, tau))))
+        if on_level is not None:
+            on_level(tau, v)
 
-    v_T, stored = _march(g, L_hat, implicit, N_fn, v0, taus, scheme,
-                         needs_grad, on_level, store_stride)
+    v_T = _march(g, L_hat, implicit, N_fn, v0, taus, scheme, needs_grad,
+                 level)
     stats.update(plan.stats if plan is not None else _new_stats())
     if shifted:
         T = problem.horizon
-        bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
-                                    problem.option_type)
-        v_T = v_T + bs.u(T, g.axis())
+        v_T = v_T + problem.closed_form.u(T, g.axis())
     stats["cross_check_gap"] = None
     if scheme.cross_check:
         other = "mild_etd2" if scheme.scheme == "imex_bdf2" else "imex_bdf2"
         alt = _run(problem, replace(scheme, scheme=other, cross_check=False),
-                   v0, taus, shifted, 0, plan, source)
+                   v0, taus, shifted, plan, source)
         gap = stats["cross_check_gap"] = _rel_l2(v_T, alt.field.values)
         if gap > scheme.cross_check_tol:
             raise ToleranceNotMetError(
                 f"scheme cross-check gap {gap:.3e} exceeds "
                 f"{scheme.cross_check_tol:.3e}", error=gap)
     return SolveResult(GridField(g, v_T, T), tuple(checkpoints), taus,
-                       trajectory=tuple(stored), stats=stats)
+                       stats=stats)
 
 
-def solve_direct(problem: CauchyProblem, scheme: SchemeConfig,
-                 store_stride: int = 0) -> SolveResult:
+def _direct_taus(problem: CauchyProblem, scheme: SchemeConfig) -> np.ndarray:
+    """A direct solve's uniform time mesh, from its checked initial field."""
+    if problem.initial is None:
+        raise ParameterDomainError("direct solves need an initial field")
+    if problem.initial.grid != problem.grid:
+        raise ParameterDomainError("initial field lives on a different grid")
+    return build_time_mesh(problem.horizon, scheme.dt, grade=False,
+                           tau0=problem.initial.time_tag)
+
+
+def solve_direct(problem: CauchyProblem, scheme: SchemeConfig) -> SolveResult:
     """March the problem's initial field to the horizon.
 
     Smooth initial data; uniform time mesh.  Feedback diffusion runs here
     (imex_bdf2 only).  The kinked-payoff pricing path is solve_shifted.
     """
-    if problem.initial is None:
-        raise ParameterDomainError("direct solves need an initial field")
-    if problem.initial.grid != problem.grid:
-        raise ParameterDomainError("initial field lives on a different grid")
-    taus = build_time_mesh(problem.horizon, scheme.dt, grade=False,
-                           tau0=problem.initial.time_tag)
+    taus = _direct_taus(problem, scheme)
     return _run(problem, scheme, problem.initial.values, taus, shifted=False,
-                store_stride=store_stride, plan=_problem_plan(problem))
+                plan=_problem_plan(problem))
 
 
 def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig) -> SolveResult:
@@ -705,9 +699,9 @@ def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig) -> SolveResult:
 
     U starts identically zero; the payoff kink and the exponential growth
     both live in the closed form, which also supplies the analytic source.
-    Returns the reassembled u as `field`; no trajectory is stored.
+    Returns the reassembled u as `field`.
     """
-    if problem.dim != 1:
+    if problem.grid.dim != 1:
         raise UnsupportedConfigurationError("shifted solves are 1-D only")
     if problem.diffusion_mode == "feedback":
         raise UnsupportedConfigurationError(
@@ -717,7 +711,7 @@ def solve_shifted(problem: CauchyProblem, scheme: SchemeConfig) -> SolveResult:
             "shifted solves use the built-in pricing drift")
     taus = build_time_mesh(problem.horizon, scheme.dt, grade=True)
     return _run(problem, scheme, np.zeros(problem.grid.n_total), taus,
-                shifted=True, store_stride=0, plan=_problem_plan(problem))
+                shifted=True, plan=_problem_plan(problem))
 
 
 def _rel_max(approx: np.ndarray, exact: np.ndarray) -> float:
@@ -756,8 +750,7 @@ def singular_source_decay_probe(problem: CauchyProblem,
     if problem.measure is None:
         return DecayReport(0.0, bound, True, True, (), ())
     plan = _problem_plan(problem)
-    bs = BlackScholesClosedForm(problem.strike, problem.rate, problem.sigma,
-                                "put")
+    bs = replace(problem.closed_form, option_type="put")
     taus = np.geomspace(1e-4, 1e-1, 9)
     norms = []
     dx = problem.grid.dx
@@ -770,28 +763,29 @@ def singular_source_decay_probe(problem: CauchyProblem,
                        tuple(taus.tolist()), tuple(norms))
 
 
-def duhamel_gap(problem: CauchyProblem, scheme: SchemeConfig,
-                result: SolveResult) -> float:
-    """Residual of the variation-of-constants identity along the trajectory.
+def duhamel_gap(problem: CauchyProblem, scheme: SchemeConfig) -> float:
+    """Residual of the variation-of-constants identity along a direct solve.
 
-    Re-integrates the stored trajectory's explicit terms against the exact
-    semigroup by trapezoid and compares with the stored states; needs a
-    solve_direct run with store_stride.  Returns the worst relative L2 gap
-    over three target times.  Constant diffusion only: feedback diffusion
-    has no Fourier-diagonal semigroup.
+    Marches solve_direct's problem on its mesh, keeping every level through
+    _run's per-level hook, then re-integrates the levels' explicit terms
+    against the exact semigroup by trapezoid and compares with the marched
+    states.  Returns the worst relative L2 gap over three target times.
+    Constant diffusion only: feedback diffusion has no Fourier-diagonal
+    semigroup.
     """
-    if len(result.trajectory) < 3:
-        raise ParameterDomainError("run the solve with store_stride to use this")
     if problem.diffusion_mode == "feedback":
         raise UnsupportedConfigurationError(
             "the Duhamel identity needs constant diffusion")
-    L_hat, _, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, None,
-                                                 _problem_plan(problem))
+    taus = _direct_taus(problem, scheme)
+    plan = _problem_plan(problem)
+    vals = [problem.initial.values]
+    _run(problem, scheme, vals[0], taus, shifted=False, plan=plan,
+         on_level=lambda tau, v: vals.append(v))
+    L_hat, _, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, None, plan)
     tr = Transforms(problem.grid)
-    times = [t for t, _ in result.trajectory]
-    vals = [v for _, v in result.trajectory]
+    times = taus.tolist()
     n_hats = []
-    for t, v in result.trajectory:
+    for t, v in zip(times, vals):
         v_hat = tr.fwd(v)
         n_hats.append(tr.fwd(N_fn(t, v, tr.grad(v_hat) if needs_grad else None)))
     targets = np.linspace(len(times) // 3, len(times) - 1, 3).astype(int)

@@ -1,9 +1,13 @@
-"""Every module-level import in the package source is used.
+"""Every module-level import in the package source is used, and so is
+every module-level private name.
 
 No linter ships with the project, so this is its unused-import check.  A
 package `__init__.py` imports to re-export and is skipped; an import whose
 first line carries `# noqa: F401` is kept on purpose (a name other code
-rebinds by module) and is skipped too.
+rebinds by module) and is skipped too.  A private name (one leading
+underscore) defined at module level must be referenced somewhere in the
+package beyond its definition: tests do not count, so a helper orphaned by
+a deletion fails here.
 """
 import ast
 from pathlib import Path
@@ -52,3 +56,49 @@ def test_the_check_finds_an_unused_import():
               "__all__ = ['Callable']\n"
               "x = np.pi\n")
     assert _unused_imports(source) == ["math (line 2)"]
+
+
+def _unreferenced_private_names(sources: dict) -> list[str]:
+    """module.name for each module-level private name of the sources that
+    no source reads: as a name, an attribute or an imported name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return sorted(unread)
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_the_check_finds_an_orphaned_private_name():
+    sources = {
+        "a": ("_LIMIT = 3\n_unused = 4\n"
+              "def _helper(x):\n    return x + _LIMIT\n"
+              "def _orphan():\n    return 0\n"
+              "class _Box:\n    pass\n"),
+        "b": "from .a import _helper\nimport a\nVALUE = _helper(1) + a._Box\n",
+    }
+    assert _unreferenced_private_names(sources) == ["a._orphan", "a._unused"]

@@ -62,11 +62,12 @@ def test_operator_annihilates_compensated_exponential():
 def _per_node_f_tilde_fn(plan, fn, dfn, tau):
     """The node-by-node sum that apply_f_tilde_fn evaluates in blocks."""
     xv = plan.grid.axis()
+    wh = plan.wh
     if plan.shift is None:
-        wh, xi = jump_operator._identity_shifts(plan)
+        xi = plan.z_nodes[:, None]
     else:
-        band = jump_operator._band(plan, tau)
-        wh, xi = band.wh, [row for block in band.xi for row in block]
+        xi = [row for block in jump_operator._band(plan, tau).xi
+              for row in block]
     base, slope = fn(xv), dfn(xv)
     out = np.zeros_like(base)
     for whj, xij in zip(wh, xi):
@@ -74,14 +75,18 @@ def _per_node_f_tilde_fn(plan, fn, dfn, tau):
     return out
 
 
-@pytest.mark.parametrize("rho,nodes_per_panel", [(0.0, 7), (0.05, 16)])
-def test_block_f_tilde_fn_matches_per_node_sum(rho, nodes_per_panel):
-    # 7 nodes per panel leaves a last block shorter than the others
+@pytest.mark.parametrize("rho,measure", [
+    (0.0, make_merton(0.5, -2.0, 0.1)), (0.05, MERTON)],
+    ids=["0.0-far_merton", "0.05-merton"])
+def test_block_f_tilde_fn_matches_per_node_sum(rho, measure):
+    # the far Merton law's 309 nodes leave a last block shorter than the
+    # others (21 of 32, 5 of 8)
     shift = ShiftModel(strategy_tanh_ramp(0.3), rho=rho)
-    g = make_grid(4.0, 256, reach=estimate_reach(MERTON, shift, 4.0))
-    plan = build_plan(g, MERTON, shift, force_quadrature=True,
-                      nodes_per_panel=nodes_per_panel)
+    g = make_grid(4.0, 256, reach=estimate_reach(measure, shift, 4.0))
+    plan = build_plan(g, measure, shift, force_quadrature=True)
     assert (plan.shift is None) == (rho == 0.0)
+    if rho == 0.0:
+        assert plan.wh.size == 309
     bs = BlackScholesClosedForm(1.0, 0.03, 0.2, "put")
     for tau in (0.002, 0.5):
         got = apply_f_tilde_fn(plan, lambda p: bs.u(tau, p),
@@ -360,6 +365,24 @@ def test_delta_on_plan_nodes_matches_adaptive_compute_delta(amplitude):
     identity = build_plan(plan.grid, MERTON)
     want = compute_delta(None, MERTON, 0.0, 0.0)
     assert abs(identity.delta0 - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("jump_mean,tol", [(-2.0, 1e-3), (-1.0, 1e-8)])
+def test_compute_delta_covers_a_law_centred_far_below_zero(jump_mean, tol):
+    # compute_delta's negative cutoff is the jump radius's mass-scaled rule
+    # at 1e-13 (3.01 at m = -2).  At the envelope radius, 1.48, it missed
+    # the jumps at -2 and gave 3.0e-8 against the plan's 0.587.  Measured
+    # relative gaps: 9.6e-5 at m = -2, where the plan puts the narrow bump
+    # on one 16-node panel, and 5.6e-10 at m = -1.
+    nu = make_merton(0.5, jump_mean, 0.1)
+    shift = ShiftModel(strategy_tanh_ramp(0.3), rho=0.02)
+    plan = build_plan(make_grid(6.0, 128, reach=estimate_reach(nu, shift, 6.0)),
+                      nu, shift)
+    x = plan.grid.axis()
+    i = int(np.searchsorted(x, 0.0))
+    got = delta_on_plan_nodes(plan, 0.0)[i]
+    want = compute_delta(plan.shift, nu, 0.0, float(x[i]))
+    assert abs(got - want) <= tol * abs(want)
 
 
 def test_resolved_reach_beyond_the_padding_is_out_of_domain():

@@ -5,10 +5,10 @@ import pytest
 
 from levypide import measures
 from levypide.errors import ParameterDomainError
-from levypide.measures import (ShapeParams, check_admissibility,
+from levypide.measures import (LevyMeasure, ShapeParams, check_admissibility,
                                compensated_exp_term, levy_exponent, levy_pair,
-                               make_custom, make_exponential_tail, make_kou,
-                               make_merton, moments)
+                               make_exponential_tail, make_kou, make_merton,
+                               moments)
 
 
 def test_merton_total_mass_is_intensity():
@@ -156,7 +156,7 @@ def test_admissibility_rejects_overtight_gaussian_rate():
     # claiming quadratic decay rate mu=1 against a standard normal density
     # (true rate 1/2) must fail far out in the tail
     base = make_merton(1.0, 0.0, 1.0)
-    wrong = make_custom(base.density,
+    wrong = LevyMeasure(base.density, 1,
                         ShapeParams(c0=base.shape.c0, alpha=0.0, d=0.0, mu=1.0))
     z = np.linspace(-10.0, 10.0, 401)
     z = z[z != 0.0]
@@ -173,8 +173,8 @@ def test_admissibility_of_a_planar_density():
     ax = np.linspace(-4.0, 4.0, 41)
     pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
     assert check_admissibility(meas, pts).holds
-    tight = make_custom(meas.density, ShapeParams(
-        c0=meas.shape.c0, alpha=0.0, d=0.0, mu=2.0 * meas.shape.mu), dim=2)
+    tight = LevyMeasure(meas.density, 2, ShapeParams(
+        c0=meas.shape.c0, alpha=0.0, d=0.0, mu=2.0 * meas.shape.mu))
     rep = check_admissibility(tight, pts)
     assert not rep.holds
     assert np.hypot(*rep.worst_z) == pytest.approx(4.0 * math.sqrt(2.0))
@@ -184,7 +184,7 @@ def test_admissibility_reports_a_negative_density():
     # a density below 0 is no measure: the report fails at its most negative
     # sample with a worst ratio of -inf, whatever the envelope says
     base = make_merton(1.0, 0.0, 1.0)
-    signed = make_custom(lambda z: base.density(z) * np.sign(z - 0.5),
+    signed = LevyMeasure(lambda z: base.density(z) * np.sign(z - 0.5), 1,
                          base.shape)
     rep = check_admissibility(signed, np.array([-1.0, 0.25, 1.0, 2.0]))
     assert not rep.holds
@@ -217,7 +217,7 @@ def test_levy_pair_requires_one_dimensional_factors():
 def test_merton_density_peak_location():
     meas = make_merton(1.0, -0.1, 0.2)
     z = np.linspace(-0.5, 0.3, 1601)
-    vals = np.asarray(meas(z))
+    vals = np.asarray(meas.density(z))
     assert abs(z[int(np.argmax(vals))] + 0.1) < 1e-3
 
 

@@ -6,7 +6,8 @@ import pytest
 from levypide import pricing, shift
 from levypide.blackscholes import BlackScholesClosedForm
 from levypide.errors import (NoSolutionError, OutOfDomainError,
-                             ParameterDomainError, ToleranceNotMetError)
+                             ParameterDomainError, ToleranceNotMetError,
+                             UnsupportedConfigurationError)
 from levypide.grids import make_grid
 from levypide.measures import make_merton
 from levypide.pricing import (MarketSpec, bs_closed_form, estimate_reach,
@@ -104,6 +105,13 @@ def test_series_oracle_keeps_parity_under_a_far_jump_mean():
     assert call == pytest.approx(42.3186, abs=1e-4)
 
 
+def test_a_two_dimensional_pricing_problem_is_refused():
+    # no solver accepts a 2-D pricing form (it has no nonlinearity); it used
+    # to be built, with no initial field
+    with pytest.raises(UnsupportedConfigurationError, match="1-D"):
+        transform_to_pide(MKT, make_grid(5.0, 64, dim=2))
+
+
 def test_series_oracle_degenerates_to_black_scholes():
     assert merton_series_oracle(MKT, (0.0, 0.3, 0.4)) == bs_closed_form(MKT)
     # zero-size jumps at zero mean change nothing either
@@ -112,13 +120,26 @@ def test_series_oracle_degenerates_to_black_scholes():
 
 
 def test_series_oracle_budget_and_validation():
-    with pytest.raises(ToleranceNotMetError):
-        merton_series_oracle(MarketSpec(100.0, 100.0, 30.0, 0.05, 0.2, "call"),
-                             (5.0, 0.1, 0.3), terms=40)
     with pytest.raises(ParameterDomainError):
         merton_series_oracle(MKT, (-1.0, 0.1, 0.3))
-    with pytest.raises(ParameterDomainError):
-        merton_series_oracle(MKT, (0.5, 0.1, 0.3), terms=10)
+    # lam* T = 8.8e12 would need as many terms, each one 0.0 in floats
+    with pytest.raises(ParameterDomainError, match="jump-count terms"):
+        merton_series_oracle(MKT, (0.5, 30.0, 1.0))
+    # from k = 18 a term's transformed value e^(x + r_k T) N(d1) overflows
+    with pytest.raises(ToleranceNotMetError, match="term 18 is not finite"):
+        merton_series_oracle(MKT, (1e-17, 40.0, 0.1))
+
+
+@pytest.mark.parametrize("intensity", [60.0, 1000.0])
+def test_series_oracle_keeps_parity_when_lambda_t_is_large(intensity):
+    # the Poisson tail bound holds only past the mode; before it, once the
+    # weight underflowed, the oracle returned its partial sum (0.0 for
+    # lam = 1000) or ran out of its 120 terms (lam = 60)
+    put = MarketSpec(100.0, 100.0, 1.0, 0.05, 0.2, "put")
+    call = merton_series_oracle(MKT, (intensity, 0.1, 0.3))
+    diff = call - merton_series_oracle(put, (intensity, 0.1, 0.3))
+    assert abs(diff - (100.0 - 100.0 * math.exp(-0.05))) < 1e-8
+    assert 0.0 <= call <= 100.0 + 1e-8
 
 
 def test_series_oracle_refuses_an_overflowing_jump_moment():

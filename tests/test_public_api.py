@@ -19,13 +19,15 @@ from levypide.grids import Grid, GridField, make_grid
 from levypide.jump_operator import (OperatorPlan, _Band, apply_f_tilde_fn,
                                     build_plan, reference_symbol)
 from levypide.measures import (LevyMeasure, MeasureMoments, exp_moment_cutoff,
-                               levy_exponent, make_custom)
-from levypide.pricing import (PriceResult, estimate_reach, price_european,
-                              transform_to_pide)
-from levypide.quadrature import adaptive_quad, quad_left_unit
-from levypide.shift import ShiftModel, TradingStrategy
+                               levy_exponent, make_merton, moments)
+from levypide.pricing import (PriceResult, estimate_reach, merton_series_oracle,
+                              price_european, transform_to_pide)
+from levypide.quadrature import (adaptive_quad, gauss_legendre_panels,
+                                 quad_left_unit, quad_line)
+from levypide.shift import ShiftModel, TradingStrategy, compute_delta
 from levypide.solver import (CauchyProblem, SchemeConfig, SolveResult,
-                             build_time_mesh, duhamel_gap, solve_shifted)
+                             build_time_mesh, duhamel_gap, solve_direct,
+                             solve_shifted)
 
 MODULES = sorted(f"levypide.{m.name}"
                  for m in pkgutil.iter_modules(levypide.__path__))
@@ -59,6 +61,8 @@ def test_every_exported_name_resolves(module_name):
     ("levypide.solver", "_replace_scheme"),
     ("levypide.jump_operator", "apply_f_tilde"),
     ("levypide.bessel", "xgamma_norm"),
+    ("levypide.measures", "make_custom"),
+    ("levypide.jump_operator", "_identity_shifts"),
 ])
 def test_removed_functions_are_gone(module_name, name):
     module = importlib.import_module(module_name)
@@ -92,7 +96,10 @@ def test_removed_functions_are_gone(module_name, name):
     (SolveResult, {"cross_check_gap"}),
     (Grid, {"length"}),
     (RunConfig, {"reach"}),
-    (CauchyProblem, {"_step_plan"}),
+    (CauchyProblem, {"_step_plan", "dim"}),
+    (OperatorPlan, {"dim"}),
+    (SolveResult, {"trajectory"}),
+    (_Band, {"wh"}),
 ])
 def test_removed_fields_are_gone(owner, removed):
     assert not removed & {f.name for f in dataclasses.fields(owner)}
@@ -115,12 +122,26 @@ def test_removed_fields_are_gone(owner, removed):
     (build_time_mesh, {"fraction", "density"}),
     (exp_moment_cutoff, {"log_floor"}),
     (adaptive_quad, {"limit"}),
-    (quad_left_unit, {"abs_tol"}),
+    (quad_left_unit, {"abs_tol", "rel_tol"}),
+    (quad_line, {"rel_tol"}),
     (reference_symbol, {"rel_tol"}),
     (synthetic_smooth_field, {"amplitude"}),
-    (make_custom, {"radial_profile", "product_factors"}),
-    (levy_exponent, {"diffusion", "drift"}),
-    (solver._march, {"history"}),
+    (levy_exponent, {"diffusion", "drift", "tol"}),
+    (solver._march, {"history", "store_stride"}),
+    (solve_direct, {"store_stride"}),
+    (solver._run, {"store_stride"}),
+    (duhamel_gap, {"result"}),
+    (build_plan, {"nodes_per_panel"}),
+    (gauss_legendre_panels, {"nodes_per_panel"}),
+    (moments, {"tol"}),
+    (compute_delta, {"tol"}),
+    (merton_series_oracle, {"terms"}),
 ])
 def test_removed_parameters_are_gone(fn, removed):
     assert not removed & set(inspect.signature(fn).parameters)
+
+
+def test_a_measure_is_not_callable():
+    # the density is read as measure.density, its one way in
+    assert "__call__" not in vars(LevyMeasure)
+    assert not callable(make_merton(0.5, -0.1, 0.2))

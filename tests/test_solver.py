@@ -95,6 +95,20 @@ def test_problem_validation():
         SchemeConfig(checkpoint_count=0)
 
 
+def test_problem_closed_form_is_built_once_and_read_only():
+    g = _merton_grid(128)
+    with pytest.raises(ParameterDomainError,
+                       match="strike must be positive and finite"):
+        CauchyProblem(g, sigma=0.2, horizon=1.0, strike=math.inf)
+    problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.03,
+                            strike=95.0, option_type="put")
+    assert problem.closed_form == BlackScholesClosedForm(95.0, 0.03, 0.2,
+                                                         "put")
+    assert problem.closed_form is problem.closed_form
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.closed_form = BlackScholesClosedForm(1.0, 0.0, 0.2)
+
+
 def test_pad_short_of_the_resolved_shifts_fails_before_marching(monkeypatch):
     # the pad covers the jump radius, so the plan builds, but the increasing
     # ramp pushes the negative jumps past it; the stability check builds the
@@ -334,11 +348,8 @@ def test_duhamel_identity_on_trajectory():
     problem = CauchyProblem(g, sigma=0.2, horizon=0.5, rate=0.03,
                             measure=MERTON, initial=_gaussian(g))
     sch = SchemeConfig(dt=0.005)
-    res = solve_direct(problem, sch, store_stride=1)
-    gap = duhamel_gap(problem, sch, res)
+    gap = duhamel_gap(problem, sch)
     assert gap < 1e-4
-    with pytest.raises(ParameterDomainError):
-        duhamel_gap(problem, sch, solve_direct(problem, sch))
 
 
 def test_rho_zero_shift_is_bit_identical_to_no_shift():
@@ -478,8 +489,7 @@ def test_feedback_step_past_the_advection_bound_is_refused():
 
 def test_feedback_checkpoints_and_unsupported_combinations():
     problem = _feedback_problem()
-    res = solve_direct(problem, SchemeConfig(dt=0.01, checkpoint_count=5),
-                       store_stride=1)
+    res = solve_direct(problem, SchemeConfig(dt=0.01, checkpoint_count=5))
     taus = [t for t, _ in res.checkpoints]
     assert len(taus) == 5
     assert all(b > a for a, b in zip(taus, taus[1:]))
@@ -490,7 +500,7 @@ def test_feedback_checkpoints_and_unsupported_combinations():
     with pytest.raises(UnsupportedConfigurationError):
         solve_direct(problem, SchemeConfig(scheme="mild_etd2", dt=0.01))
     with pytest.raises(UnsupportedConfigurationError):
-        duhamel_gap(problem, SchemeConfig(dt=0.01), res)
+        duhamel_gap(problem, SchemeConfig(dt=0.01))
 
 
 def test_banded_cyclic_tridiagonal_solve_matches_dense():
@@ -744,15 +754,6 @@ def test_two_dimensional_plan_checks_the_padding_against_the_jump_radius():
                                                           np.exp(-x ** 2))))
     with pytest.raises(OutOfDomainError, match="padding"):
         solve_direct(problem, SchemeConfig(dt=0.01))
-
-
-def test_feedback_trajectory_stores_the_final_level():
-    problem = _feedback_problem()
-    res = solve_direct(problem, SchemeConfig(dt=0.01), store_stride=3)
-    assert (res.taus.size - 1) % 3 != 0
-    times = [t for t, _ in res.trajectory]
-    assert times == [float(t) for t in res.taus[::3]] + [float(res.taus[-1])]
-    assert np.array_equal(res.trajectory[-1][1], res.field.values)
 
 
 @pytest.mark.parametrize("scheme", ["imex_bdf2", "mild_etd2"])
