@@ -105,12 +105,12 @@ class FractionalNorm:
             raise ParameterDomainError("gamma must lie in [-1, 1]")
         self.grid = grid
         self.gamma = gamma
-        self._tr = Transforms(grid)
-        self.multiplier = (1.0 + self._tr.k2) ** gamma
+        self.transforms = Transforms(grid)
+        self.multiplier = (1.0 + self.transforms.k2) ** gamma
 
     def __call__(self, u: GridField | np.ndarray) -> float:
         v = u.values if isinstance(u, GridField) else np.asarray(u, dtype=float)
-        w = self._tr.apply(self.multiplier, v)
+        w = self.transforms.apply(self.multiplier, v)
         return float(np.sqrt(np.sum(w * w) * self.grid.dx ** self.grid.dim))
 
 

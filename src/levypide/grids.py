@@ -77,11 +77,13 @@ class Transforms:
     The 1-D/2-D dispatch lives here and nowhere else.  Spectra are in rfft
     storage: full modes along axis 0 and half modes along the last axis.
     numpy.fft is looked up on every call, so a rebinding of its entry points
-    (a profiler's, say) reaches every transform.
+    (a profiler's, say) reaches every transform.  count is the number of
+    forward and inverse transforms made through this instance.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        self.count = 0
 
     @cached_property
     def ik(self) -> tuple[np.ndarray, ...]:
@@ -100,9 +102,11 @@ class Transforms:
         return g.wavenumbers_full()[:, None] ** 2 + g.wavenumbers()[None, :] ** 2
 
     def fwd(self, values: np.ndarray) -> np.ndarray:
+        self.count += 1
         return np.fft.rfft(values) if self.grid.dim == 1 else np.fft.rfft2(values)
 
     def inv(self, spectrum: np.ndarray) -> np.ndarray:
+        self.count += 1
         n = self.grid.n_total
         if self.grid.dim == 1:
             return np.fft.irfft(spectrum, n=n)

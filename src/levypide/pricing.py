@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .blackscholes import BlackScholesClosedForm
 from .errors import (NoSolutionError, OutOfDomainError,
@@ -137,13 +138,17 @@ def merton_series_oracle(market: MarketSpec, merton) -> float:
     Poisson-weighted price with variance and rate adjusted by the realized
     jumps; the drift uses the compensator kappa = e^(m + s^2/2) - 1 matching
     the solver's convention.  A term's weight times its discount
-    e^(-r_k T) is exactly the Poisson(lam T) weight times e^(-r T), so each
-    term is that product, taken in logs, times the transformed value u_k:
-    no factor overflows for a large jump mean.  From k = 30 on, once k is
-    past the mode (k + 2 > lam* T), the series stops when its Poisson(lam* T)
-    tail bound weight lam* T / (k + 1) is below 1e-12 relative.  A term that
-    is not finite, or no stop within lam* T + 12 sqrt(lam* T) + 60 terms,
-    raises a tolerance error; more than 2**17 terms is a domain error.
+    e^(-r_k T) is exactly the Poisson(lam T) weight times e^(-r T), taken
+    in logs (through lgamma) as log_term.  Each term is then
+    e^(log_term + ln K + x + r_k T) N(d1) - e^(log_term) K N(d2) for a call
+    (K e^(log_term) N(-d2) - e^(log_term + ln K + x + r_k T) N(-d1) for a
+    put), so neither e^(r_k T) nor the Poisson factor forms alone: no factor
+    overflows for a large jump mean or a large lam T.  From k = 30 on, once
+    k is past the mode (k + 2 > lam* T), the series stops when its
+    Poisson(lam* T) tail bound weight lam* T / (k + 1) is below 1e-12
+    relative.  A term that is not finite, or no stop within
+    lam* T + 12 sqrt(lam* T) + 60 terms, raises a tolerance error; more
+    than 2**17 terms is a domain error.
     """
     lam, m, s = (float(v) for v in merton)
     if not (0 <= lam < math.inf and 0 <= s < math.inf and math.isfinite(m)):
@@ -164,20 +169,28 @@ def merton_series_oracle(market: MarketSpec, merton) -> float:
     if terms > 2 ** 17:
         raise ParameterDomainError(f"lam* T = {mean:.6g} needs {terms} "
                                    "jump-count terms, more than 2**17")
+    x = market.log_moneyness
+    log_fwd = math.log(market.K) + x
+    sign = 1.0 if market.option_type == "call" else -1.0
     total = 0.0
-    log_weight = -mean  # log of e^(-lam* T) (lam* T)^k / k!
-    log_term = -lam * T - market.r * T  # log of Poisson(lam T) e^(-r T)
     for k in range(terms):
-        if k > 0:
-            log_weight += math.log(mean) - math.log(k)
-            log_term += math.log(lam * T) - math.log(k)
+        # logs of e^(-lam* T) (lam* T)^k / k! and of Poisson(lam T) e^(-r T),
+        # each from lgamma: accumulated term by term, their rounding put the
+        # lam T = 1e5 call 3e-8 above its spot
+        log_k_factorial = math.lgamma(k + 1.0)
+        log_weight = k * math.log(mean) - mean - log_k_factorial
+        log_term = k * math.log(lam * T) - lam * T - market.r * T \
+            - log_k_factorial
         sigma_k = math.sqrt(market.sigma ** 2 + k * s * s / T)
         r_k = market.r - lam * kappa + k * gexp / T
-        bs_k = BlackScholesClosedForm(market.K, r_k, sigma_k,
-                                      market.option_type)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_k = float(bs_k.u(T, market.log_moneyness))
-        term = math.exp(log_term) * u_k
+        sq = sigma_k * math.sqrt(T)
+        d1 = (x + (r_k + 0.5 * sigma_k ** 2) * T) / sq
+        n1, n2 = float(ndtr(sign * d1)), float(ndtr(sign * (d1 - sq)))
+        try:
+            term = sign * (math.exp(log_term + log_fwd + r_k * T) * n1
+                           - math.exp(log_term) * market.K * n2)
+        except OverflowError:
+            term = math.inf
         if not math.isfinite(term):
             raise ToleranceNotMetError(
                 f"jump-count series term {k} is not finite",

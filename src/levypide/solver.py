@@ -5,7 +5,14 @@ part L taken implicitly and an explicit remainder N carrying the jump
 operator, the drift excess, the source and any user nonlinearity.  One
 marcher, _march, evolves either the solution itself (direct mode) or the
 difference U = u - u_closed_form (shifted mode, for kinked payoff data), with
-one of two schemes:
+one of two schemes.  It marches on the spectrum: the state and every explicit
+term are rfft spectra, and each level makes one inverse transform for the
+finiteness check, the checkpoints and the per-level hook.  On the FFT path
+the jump term (symbol - mass) and the propagated source are Fourier
+multipliers, so a pricing solve there makes no other transform per level;
+only the terms that need grid values (the band apply, the advection, a user
+nonlinearity, feedback diffusion) compute them, and their sum costs one
+forward transform.  The schemes:
 
 * imex_bdf2 — variable-step BDF2 with extrapolated explicit terms (Euler
   startup); each step hands (a0 - dt L) u = rhs to the implicit solve.
@@ -20,8 +27,9 @@ The implicit solve comes in two forms:
   part of the drift), so the solve is one divide of the spectrum;
 * feedback diffusion — the coefficient sigma^2 / (2 (1 - rho dpsi/dx)^2)
   varies in x, so the solve is a cyclic tridiagonal system in real space with
-  the coefficient frozen at the start of each step, and the whole drift goes
-  explicit.  It runs with imex_bdf2 in direct mode only.
+  the coefficient frozen at the start of each step (computed once per solve
+  for a strategy that ignores tau), and the whole drift goes explicit.  It
+  runs with imex_bdf2 in direct mode only.
 
 In shifted mode U starts at zero and is forced by the source h(tau), the
 compensated operator acting on the closed form; the early-time steepness of
@@ -36,7 +44,7 @@ built from analytic values:
 
 * identity shift — the operator is translation-invariant and commutes with
   the Black-Scholes generator L_BS, so h(tau) = exp((tau - tau_a) L_BS)
-  h(tau_a) exactly: one spectral multiply of its transform per level;
+  h(tau_a) exactly: one spectral multiply of its spectrum per level;
 * static feedback shift (rho > 0, a strategy that ignores tau) — the source
   is smooth in log tau once the kernel is wide: the barycentric interpolant
   on the N + 1 Chebyshev-Lobatto nodes in log tau on [tau_a, T] (end nodes
@@ -44,14 +52,18 @@ built from analytic values:
   when N + 1 is below the number of mesh levels past tau_a;
 * time-dependent strategy — no reader: the source stays analytic.
 
-One rule checks both readers: the first level read that is not a node is
-also evaluated analytically, and a max-norm relative gap above
-SOURCE_SWITCH_TOL keeps that analytic value and every later level analytic.
+The source hands the marcher spectra: an analytic level costs one forward
+transform, and the interpolant combines its nodes' spectra.  One rule checks
+both readers: the first level read that is not a node is also evaluated
+analytically, and a max-norm relative gap on the grid (the read level's
+inverse transform against the analytic values) above SOURCE_SWITCH_TOL keeps
+that analytic value and every later level analytic.
 The window is checked too: the first analytic level sums every pair and
 the window, keeps the full sum, and a gap above SOURCE_SWITCH_TOL leaves
 the window off for the rest of the solve.  The counts, tau_a, the node
-count, the gaps, the share of pairs summed and the seconds spent on
-analytic levels (nodes included) are reported in SolveResult.stats.
+count, the gaps, the share of pairs summed, the seconds spent on analytic
+levels (nodes included) and the solve's transforms are reported in
+SolveResult.stats.
 
 A cross-checked solve then marches the other scheme on the same operator
 plan, time levels and source.  The source keeps its analytic levels by tau
@@ -184,8 +196,10 @@ class SolveResult:
     check's source_window_gap and the source_pair_fraction, source_pairs
     over nodes x n_total x source_analytic (both None without a source); and
     the relative L2 gap to the other scheme's solve, cross_check_gap (None
-    when no cross-check ran).  That solve's own work stays out of the
-    record.
+    when no cross-check ran); and fft_transforms, the forward and inverse
+    transforms of the march, its source and its checkpoint norms (the
+    plan's build is not counted).  The cross-check solve's own work stays
+    out of the record.
     """
 
     field: GridField
@@ -249,32 +263,35 @@ def build_time_mesh(horizon: float, dt: float, grade: bool = False,
 
 
 def _phis(z: np.ndarray):
-    """exp, phi1, phi2 of a complex multiplier array, series-stable near 0."""
+    """exp, phi1, phi2 of a complex multiplier array, series-stable near 0
+    (the series is evaluated only on the entries with |z| < 1e-3)."""
     e = np.exp(z)
     small = np.abs(z) < 1e-3
     zs = np.where(small, 1.0, z)
-    p1 = np.where(small, 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0,
-                  (e - 1.0) / zs)
-    p2 = np.where(small, 0.5 + z / 6.0 + z * z / 24.0 + z ** 3 / 120.0,
-                  (e - 1.0 - z) / (zs * zs))
+    p1 = (e - 1.0) / zs
+    p2 = (e - 1.0 - z) / (zs * zs)
+    s = z[small]
+    p1[small] = 1.0 + s / 2.0 + s * s / 6.0 + s ** 3 / 24.0
+    p2[small] = 0.5 + s / 6.0 + s * s / 24.0 + s ** 3 / 120.0
     return e, p1, p2
 
 
-def _march(grid: Grid, L_hat: np.ndarray | None, implicit, N_fn,
+def _march(tr: Transforms, L_hat: np.ndarray | None, implicit, N_fn,
            v0: np.ndarray, taus: np.ndarray, scheme: SchemeConfig,
-           needs_grad: bool, on_level) -> np.ndarray:
-    """Advance v0 across taus; returns the terminal values.
+           on_level) -> np.ndarray:
+    """Advance v0 across taus on its spectrum; returns the terminal values.
 
-    N_fn(tau, values, grads_or_None) is the full explicit right side.
-    implicit(tau, a0, dt, rhs_hat) returns the spectrum u_hat solving
-    (a0 - dt L) u = rhs; mild_etd2 exponentiates the multiplier L_hat
-    instead.  on_level(i, taus[i], values) sees every level i >= 1.
+    The state and every explicit term live in Fourier space (tr's rfft
+    storage).  N_fn(tau, u_hat, v_or_None) returns the spectrum of the full
+    explicit right side at the state with spectrum u_hat; v is that state's
+    grid values where the marcher has them (at each level) and None at
+    mild_etd2's stage, where a term that needs grid values inverts u_hat
+    itself.  implicit(tau, a0, dt, rhs_hat) returns the spectrum u_hat
+    solving (a0 - dt L) u = rhs; mild_etd2 exponentiates the multiplier
+    L_hat instead.  Each level costs one inverse transform of the state:
+    its values are checked for finiteness and on_level(i, taus[i], values)
+    sees every level i >= 1.
     """
-    tr = Transforms(grid)
-
-    def explicit(tau, v_hat, v):
-        return N_fn(tau, v, tr.grad(v_hat) if needs_grad else None)
-
     v = np.array(v0, dtype=float)
     u_hat = tr.fwd(v)
     mild = scheme.scheme == "mild_etd2"
@@ -283,25 +300,22 @@ def _march(grid: Grid, L_hat: np.ndarray | None, implicit, N_fn,
     for i in range(taus.size - 1):
         tau = float(taus[i])
         dt = float(taus[i + 1] - taus[i])
-        n_cur = explicit(tau, u_hat, v)
+        n_cur = N_fn(tau, u_hat, v)
         if mild:
             if dt != cached_dt:
                 E, P1, P2 = _phis(dt * L_hat)
                 cached_dt = dt
-            n_cur_hat = tr.fwd(n_cur)
-            a_hat = E * u_hat + dt * P1 * n_cur_hat
-            n_stage = explicit(tau + dt, a_hat, tr.inv(a_hat))
-            u_hat = a_hat + dt * P2 * (tr.fwd(n_stage) - n_cur_hat)
+            a_hat = E * u_hat + dt * P1 * n_cur
+            u_hat = a_hat + dt * P2 * (N_fn(tau + dt, a_hat, None) - n_cur)
         else:
             if n_prev is None:
-                a0, rhs_hat = 1.0, u_hat + dt * tr.fwd(n_cur)
+                a0, rhs_hat = 1.0, u_hat + dt * n_cur
             else:
                 rho = dt / dt_prev
                 a0 = (1.0 + 2.0 * rho) / (1.0 + rho)
                 a2 = rho * rho / (1.0 + rho)
                 n_ext = (1.0 + rho) * n_cur - rho * n_prev
-                rhs_hat = ((1.0 + rho) * u_hat - a2 * u_hat_prev
-                           + dt * tr.fwd(n_ext))
+                rhs_hat = (1.0 + rho) * u_hat - a2 * u_hat_prev + dt * n_ext
             u_hat_prev, u_hat = u_hat, implicit(tau, a0, dt, rhs_hat)
         v = tr.inv(u_hat)
         if not np.all(np.isfinite(v)):
@@ -369,7 +383,8 @@ def _source_stats() -> dict:
             "source_propagated": 0, "source_interpolated": 0,
             "source_switch_tau": None, "source_switch_gap": None,
             "source_interp_nodes": None, "source_interp_gap": None,
-            "source_window_gap": None, "source_pair_fraction": None}
+            "source_window_gap": None, "source_pair_fraction": None,
+            "fft_transforms": 0}
 
 
 def _interp_node_count(tau_a: float, horizon: float) -> int:
@@ -382,18 +397,20 @@ def _interp_node_count(tau_a: float, horizon: float) -> int:
 def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
                         taus: np.ndarray, keep_levels: bool = False
                         ) -> Callable[[float, dict], np.ndarray]:
-    """source(tau, stats): the compensated operator on the closed form, on
-    the grid; its counts and seconds go into the caller's stats.
+    """source(tau, stats): the spectrum (rfft storage) of the compensated
+    operator on the closed form; its counts, seconds and transforms go into
+    the caller's stats.
 
     Analytic (on the checked live window) up to tau_a, then read from the
-    checked reader built there; see the module docstring.  taus, the solve's
-    time levels, place the interpolant's nodes and decide whether it pays.
-    Each march calls it in nondecreasing tau (mild_etd2 twice in a row at
-    the next level's tau, hence the kept latest value).  keep_levels keeps
-    each analytic value by tau to read back, so a second march from tau = 0
-    (the cross-check's) adds only levels the first never reached.
+    checked reader built there; see the module docstring.  taus, the
+    solve's time levels, place the interpolant's nodes and decide whether it
+    pays.  Each march calls it in nondecreasing tau (mild_etd2 twice in a
+    row at the next level's tau, hence the kept latest value).  keep_levels
+    keeps each analytic spectrum by tau to read back, so a second march from
+    tau = 0 (the cross-check's) adds only levels the first never reached.
     """
     g = problem.grid
+    tr = Transforms(g)
     # call and put share the source: the compensated operator kills the
     # affine gap between the two closed forms, and the put profile keeps
     # the evaluation free of exponential growth
@@ -403,18 +420,18 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     gap_key = "source_switch_gap" if identity else "source_interp_gap"
     window = None  # live-window decision, taken at the first analytic level
     levels = {} if keep_levels else None
-    # read(tau) -> (value, is a node), built at tau_a; False once the source
-    # stays analytic (time-dependent strategy, no interpolant, failed check)
+    # read(tau) -> (spectrum, is a node), built at tau_a; False once the
+    # source stays analytic (time-dependent strategy, no interpolant, failed
+    # check)
     reader = False if not identity and plan.shift.strategy.time_dependent \
         else None
     tau_a, checked = 0.0, False
     pairs_per_level = g.n_total * plan.wh.size
     latest = (None, None)  # (tau, source(tau)) of the latest call
 
-    def analytic(tau: float, stats: dict) -> np.ndarray:
+    def grid_values(tau: float, stats: dict) -> np.ndarray:
+        """The analytic level on the grid."""
         nonlocal window
-        if levels is not None and tau in levels:
-            return levels[tau]
         t0 = perf_counter()
         fn, dfn = (lambda p: bs.u(tau, p)), (lambda p: bs.du_dx(tau, p))
         live = bs.live_interval(tau) if window else None
@@ -431,21 +448,29 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         stats["source_analytic"] += 1
         stats["source_pair_fraction"] = plan.stats["source_pairs"] / (
             pairs_per_level * stats["source_analytic"])
-        if levels is not None:
-            levels[tau] = h
         stats["source_analytic_s"] += perf_counter() - t0
         return h
 
-    def propagator(h: np.ndarray):
+    def spectrum(tau: float, h: np.ndarray, stats: dict) -> np.ndarray:
+        """h's spectrum, kept by tau when levels are kept."""
+        stats["fft_transforms"] += 1
+        h_hat = tr.fwd(h)
+        if levels is not None:
+            levels[tau] = h_hat
+        return h_hat
+
+    def analytic(tau: float, stats: dict) -> np.ndarray:
+        if levels is not None and tau in levels:
+            return levels[tau]
+        return spectrum(tau, grid_values(tau, stats), stats)
+
+    def propagator(h_hat: np.ndarray):
         """h(tau) = exp((tau - tau_a) L_BS) h(tau_a)."""
-        tr = Transforms(g)
         L_bs = (-0.5 * problem.sigma ** 2 * tr.k2
                 + tr.ik[0] * (problem.rate - 0.5 * problem.sigma ** 2))
-        h_hat = tr.fwd(h)
-        return lambda tau: (tr.inv(np.exp((tau - tau_a) * L_bs) * h_hat),
-                            False)
+        return lambda tau: (np.exp((tau - tau_a) * L_bs) * h_hat, False)
 
-    def interpolant(h: np.ndarray, stats: dict):
+    def interpolant(h_hat: np.ndarray, stats: dict):
         """Barycentric interpolant on N + 1 Chebyshev-Lobatto nodes in log tau
         on [tau_a, T]; False unless more than N + 1 levels follow tau_a."""
         later = taus[taus > tau_a]
@@ -457,7 +482,8 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         t[0], t[-1] = tau_a, later[-1]
         w = (-1.0) ** np.arange(n + 1)
         w[[0, -1]] *= 0.5
-        values = np.array([h] + [analytic(float(tj), stats) for tj in t[1:]])
+        values = np.array([h_hat]
+                          + [analytic(float(tj), stats) for tj in t[1:]])
         s_nodes = np.log(t)
         stats["source_interp_nodes"] = n
 
@@ -467,7 +493,9 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
             if hit.size:
                 return values[hit[0]], True
             c = w / d
-            return (c / np.sum(c)) @ values, False
+            # real weights on the interleaved real and imaginary parts: a
+            # real vector times a complex matrix takes about 60 times longer
+            return ((c / np.sum(c)) @ values.view(float)).view(complex), False
         return read
 
     def evaluate(tau: float, stats: dict) -> np.ndarray:
@@ -476,16 +504,18 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
                 problem.sigma * math.sqrt(tau) < SOURCE_SWITCH_CELLS * g.dx:
             return analytic(tau, stats)
         if reader is None:
-            tau_a, h = tau, analytic(tau, stats)
-            reader = propagator(h) if identity else interpolant(h, stats)
-            return h
+            tau_a, h_hat = tau, analytic(tau, stats)
+            reader = propagator(h_hat) if identity \
+                else interpolant(h_hat, stats)
+            return h_hat
         h_read, node = reader(tau)
         if not (node or checked):
-            h = analytic(tau, stats)
-            gap = stats[gap_key] = _rel_max(h_read, h)
+            h = grid_values(tau, stats)
+            stats["fft_transforms"] += 1
+            gap = stats[gap_key] = _rel_max(tr.inv(h_read), h)
             if gap > SOURCE_SWITCH_TOL:
                 reader = False
-                return h
+                return spectrum(tau, h, stats)
             checked = True
             if identity:
                 stats["source_switch_tau"] = tau_a
@@ -503,18 +533,20 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
 
 def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig,
                  source: Callable | None, plan: OperatorPlan | None):
-    """Assemble (L_hat, implicit, N_fn, needs_grad, stats) for one solve on
-    the problem's plan, after the stability check (_check_stability).  A
+    """Assemble (tr, L_hat, implicit, N_fn, stats) for one solve on the
+    problem's plan, after the stability check (_check_stability).  A
     shifted solve passes its compensated source (see _compensated_source),
-    which records its work in this solve's stats.
+    which records its work in this solve's stats; tr is the Transforms the
+    march shares.
 
     With constant diffusion the implicit part is the Fourier multiplier
     L_hat: diffusion plus, in pricing form, the constant part of the drift
     (identity-shift drift correction folded in so the explicit remainder is
     bounded).  With feedback diffusion L_hat is None, the implicit solve is
     the cyclic tridiagonal one, and that constant drift joins N_fn.  N_fn
-    carries the jump operator's bounded part, the x-dependent drift excess,
-    the analytic source (shifted mode), and any user nonlinearity.
+    (see _march) carries the jump operator's bounded part, the x-dependent
+    drift excess, the analytic source (shifted mode), and any user
+    nonlinearity; only the terms that need grid values compute them.
     """
     g = problem.grid
     feedback = problem.diffusion_mode == "feedback"
@@ -541,9 +573,17 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig,
         L_hat = None
         x = g.axis()
         inv_dx2 = 1.0 / g.dx ** 2
+        # a static strategy's psi ignores tau: its coefficient is computed
+        # (and its margin checked) once, at the first level
+        frozen = []
 
         def implicit(tau, a0, dt, rhs_hat):
-            c = _feedback_coefficient(problem, tau, x, sigma2)
+            if frozen:
+                c = frozen[0]
+            else:
+                c = _feedback_coefficient(problem, tau, x, sigma2)
+                if not problem.shift.strategy.time_dependent:
+                    frozen.append(c)
             off = -dt * c * inv_dx2
             return tr.fwd(_solve_cyclic_tridiag(off, a0 + 2.0 * dt * c * inv_dx2,
                                                 off, tr.inv(rhs_hat)))
@@ -567,28 +607,33 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig,
     # with feedback diffusion
     advects = pricing and (quadrature or feedback)
     drift_out = drift if feedback else 0.0
-    needs_grad = quadrature or feedback or not pricing
+    # the terms that need grid values and gradients
+    on_grid = quadrature or feedback or not pricing
 
-    def N_fn(tau: float, v: np.ndarray, grads):
+    def N_fn(tau: float, u_hat: np.ndarray, v: np.ndarray | None):
         stats["explicit_evaluations"] += 1
-        out = np.zeros_like(v)
-        if fft_fast:
-            out += tr.apply(bounded, v)
-        elif plan is not None:
-            out += apply_f(plan, GridField(g, v, tau), grads, tau).values
-        if advects:
-            coef = drift_out + mean0
-            if plan is not None and plan.shift is not None:
-                coef = coef - (delta_on_plan_nodes(plan, tau) - delta00)
-            out += coef * grads[0]
-        if not pricing:
-            out += problem.nonlinearity(tau, coords, v,
-                                        grads[0] if g.dim == 1 else grads)
+        out = bounded * u_hat if fft_fast else np.zeros_like(u_hat)
+        if on_grid:
+            if v is None:
+                v = tr.inv(u_hat)
+            grads = tr.grad(u_hat)
+            real = np.zeros_like(v)
+            if quadrature:
+                real += apply_f(plan, GridField(g, v, tau), grads, tau).values
+            if advects:
+                coef = drift_out + mean0
+                if plan is not None and plan.shift is not None:
+                    coef = coef - (delta_on_plan_nodes(plan, tau) - delta00)
+                real += coef * grads[0]
+            if not pricing:
+                real += problem.nonlinearity(tau, coords, v,
+                                             grads[0] if g.dim == 1 else grads)
+            out += tr.fwd(real)
         if source is not None:
             out += source(tau, stats)
         return out
 
-    return L_hat, implicit, N_fn, needs_grad, stats
+    return tr, L_hat, implicit, N_fn, stats
 
 
 def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
@@ -638,8 +683,8 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
     g = problem.grid
     if shifted and plan is not None and source is None:
         source = _compensated_source(problem, plan, taus, scheme.cross_check)
-    L_hat, implicit, N_fn, needs_grad, stats = _prepare_rhs(
-        problem, scheme, source, plan)
+    tr, L_hat, implicit, N_fn, stats = _prepare_rhs(problem, scheme, source,
+                                                    plan)
     norm = FractionalNorm(g, scheme.monitor_gamma)
     T = float(taus[-1])
     n_marks = scheme.checkpoint_count
@@ -653,8 +698,8 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
         if on_level is not None:
             on_level(tau, v)
 
-    v_T = _march(g, L_hat, implicit, N_fn, v0, taus, scheme, needs_grad,
-                 level)
+    v_T = _march(tr, L_hat, implicit, N_fn, v0, taus, scheme, level)
+    stats["fft_transforms"] += tr.count + norm.transforms.count
     stats.update(plan.stats if plan is not None else _new_stats())
     if shifted:
         T = problem.horizon
@@ -781,13 +826,9 @@ def duhamel_gap(problem: CauchyProblem, scheme: SchemeConfig) -> float:
     vals = [problem.initial.values]
     _run(problem, scheme, vals[0], taus, shifted=False, plan=plan,
          on_level=lambda tau, v: vals.append(v))
-    L_hat, _, N_fn, needs_grad, _ = _prepare_rhs(problem, scheme, None, plan)
-    tr = Transforms(problem.grid)
+    tr, L_hat, _, N_fn, _ = _prepare_rhs(problem, scheme, None, plan)
     times = taus.tolist()
-    n_hats = []
-    for t, v in zip(times, vals):
-        v_hat = tr.fwd(v)
-        n_hats.append(tr.fwd(N_fn(t, v, tr.grad(v_hat) if needs_grad else None)))
+    n_hats = [N_fn(t, tr.fwd(v), v) for t, v in zip(times, vals)]
     targets = np.linspace(len(times) // 3, len(times) - 1, 3).astype(int)
     worst = 0.0
     u0_hat = tr.fwd(vals[0])

@@ -589,6 +589,65 @@ def test_impact_call_manifest_records_the_interpolated_source(tmp_path):
     assert 0.0 < stats["plan_build_s"] < manifest["wall_clock_s"]
 
 
+# The prices `levypide price` writes for the demo configs, as float.hex.
+DEMO_PRICES = {"merton_call": "0x1.853fd4c465e52p+3",
+               "kou_put": "0x1.389e0caf58b24p+2",
+               "impact_call": "0x1.86dfef6ec1ffep+3"}
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """The number of np.fft.rfft and irfft calls made so far; Transforms
+    looks both up on each call."""
+    calls = [0]
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    return calls
+
+
+@pytest.mark.parametrize("name,limit", [
+    ("merton_call", 110), ("kou_put", 210), ("jump_free", 90),
+    ("impact_call", 228)])
+def test_demo_prices_and_their_transform_counts(tmp_path, fft_calls, name,
+                                                limit):
+    # the march keeps its state and the explicit terms on the spectrum, so
+    # an FFT-path price costs about one inverse transform per time level
+    # (kou_put's cross-check marches twice), and the band path its one
+    # inverse, gradient and forward transform per level plus one forward
+    # transform per analytic source level
+    demo = "merton_call" if name == "jump_free" else name
+    text = (ROOT / "demos" / "configs" / f"{demo}.cfg").read_text()
+    if name == "jump_free":
+        text = text.replace("family = merton\nintensity_per_year = 0.5\n"
+                            "jump_mean = -0.1\njump_std = 0.2",
+                            "family = none")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "price"]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    _, _, rows = _read_rows(out / "price.csv")
+    if name in DEMO_PRICES:
+        pinned = float.fromhex(DEMO_PRICES[name])
+        assert abs(float(rows[0][3]) / pinned - 1.0) <= 1e-12
+    if name == "impact_call":
+        limit += stats["source_analytic"]
+    assert fft_calls[0] <= limit
+    # the record counts the solve's own transforms: all but the lattice
+    # symbol's one and those of the cross-check's solve
+    if name == "kou_put":
+        assert 0 < stats["fft_transforms"] < fft_calls[0]
+    else:
+        assert stats["fft_transforms"] \
+            == fft_calls[0] - (stats["operator"] == "fft")
+
+
 def test_price_counts_shift_fallback_points(tmp_path):
     # a steep strategy stalls the shift fixed point for the larger negative
     # jumps; the manifest counts the points the bracketed solve took over

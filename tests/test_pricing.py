@@ -6,7 +6,7 @@ import pytest
 from levypide import pricing, shift
 from levypide.blackscholes import BlackScholesClosedForm
 from levypide.errors import (NoSolutionError, OutOfDomainError,
-                             ParameterDomainError, ToleranceNotMetError,
+                             ParameterDomainError,
                              UnsupportedConfigurationError)
 from levypide.grids import make_grid
 from levypide.measures import make_merton
@@ -125,9 +125,18 @@ def test_series_oracle_budget_and_validation():
     # lam* T = 8.8e12 would need as many terms, each one 0.0 in floats
     with pytest.raises(ParameterDomainError, match="jump-count terms"):
         merton_series_oracle(MKT, (0.5, 30.0, 1.0))
-    # from k = 18 a term's transformed value e^(x + r_k T) N(d1) overflows
-    with pytest.raises(ToleranceNotMetError, match="term 18 is not finite"):
-        merton_series_oracle(MKT, (1e-17, 40.0, 0.1))
+
+
+@pytest.mark.parametrize("merton", [(1e-17, 40.0, 0.1), (1e5, 0.1, 0.3)])
+def test_series_oracle_prices_where_e_to_the_r_k_t_overflows(merton):
+    # e^(r_k T) alone passes the float range from k = 18 (jump mean 40) and
+    # from k = 112477 (lam T = 1e5); each term takes it inside one exponent
+    # with the Poisson factor's log, so the series keeps parity and bounds
+    put = MarketSpec(100.0, 100.0, 1.0, 0.05, 0.2, "put")
+    call = merton_series_oracle(MKT, merton)
+    diff = call - merton_series_oracle(put, merton)
+    assert abs(diff - (100.0 - 100.0 * math.exp(-0.05))) < 1e-8
+    assert 0.0 <= call <= 100.0
 
 
 @pytest.mark.parametrize("intensity", [60.0, 1000.0])

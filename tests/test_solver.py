@@ -15,7 +15,7 @@ from levypide.errors import (BlowUpError, OutOfDomainError,
                              ParameterDomainError, StabilityError,
                              ToleranceNotMetError,
                              UnsupportedConfigurationError)
-from levypide.grids import Grid, GridField, make_grid
+from levypide.grids import Grid, GridField, Transforms, make_grid
 from levypide.jump_operator import apply_f_tilde_fn, build_plan
 from levypide.measures import (levy_pair, make_exponential_tail, make_kou,
                                make_merton)
@@ -503,6 +503,31 @@ def test_feedback_checkpoints_and_unsupported_combinations():
         duhamel_gap(problem, SchemeConfig(dt=0.01))
 
 
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_feedback_coefficient_is_recomputed_only_for_a_time_dependent_strategy(
+        monkeypatch, time_dependent):
+    # a static strategy's coefficient (and its margin check) is computed at
+    # the first level only; flagged time-dependent, the same psi is
+    # evaluated again at every level, and both give the same bits
+    problem = _feedback_problem()
+    shift = problem.shift
+    flagged = dataclasses.replace(problem, shift=dataclasses.replace(
+        shift, strategy=dataclasses.replace(shift.strategy,
+                                            time_dependent=time_dependent)))
+    seen = []
+    real = solver._feedback_coefficient
+    monkeypatch.setattr(solver, "_feedback_coefficient",
+                        lambda p, tau, *a: seen.append(tau)
+                        or real(p, tau, *a))
+    scheme = SchemeConfig(dt=0.01)
+    res = solve_direct(flagged, scheme)
+    assert seen == (res.taus[:-1].tolist() if time_dependent
+                    else [res.taus[0]])
+    monkeypatch.setattr(solver, "_feedback_coefficient", real)
+    assert np.array_equal(res.field.values,
+                          solve_direct(problem, scheme).field.values)
+
+
 def test_banded_cyclic_tridiagonal_solve_matches_dense():
     n = 37
     x = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -552,7 +577,7 @@ def test_propagated_source_matches_analytic(measure):
         assert tau > stats["source_switch_tau"]
         want = apply_f_tilde_fn(plan, lambda p: bs.u(tau, p),
                                 lambda p: bs.du_dx(tau, p), tau)
-        got = source(tau, stats)
+        got = Transforms(g).inv(source(tau, stats))
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
     assert stats["source_propagated"] == done + 3
 
@@ -618,7 +643,7 @@ def test_interpolated_source_matches_analytic_at_every_level(strategy, sigma):
     bs = BlackScholesClosedForm(100.0, 0.05, sigma, "put")
     past = []
     for tau in map(float, taus):
-        got = source(tau, stats)
+        got = Transforms(g).inv(source(tau, stats))
         if stats["source_interp_nodes"] is None:
             continue
         if not past:  # tau_a itself is the first node
