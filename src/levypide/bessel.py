@@ -97,7 +97,9 @@ class FractionalNorm:
     """Discrete-Fourier realization of the smoothing norm of exponent gamma.
 
     ||u|| = L2 norm of the inverse transform of (1 + |xi|^2)^gamma * u_hat,
-    computed on the padded periodic box of the field's grid.
+    computed on the padded periodic box of the field's grid.  At gamma = 0
+    the multiplier is 1 and the norm is the plain L2 norm of the values,
+    taken without transforms.
     """
 
     def __init__(self, grid: Grid, gamma: float):
@@ -110,7 +112,7 @@ class FractionalNorm:
 
     def __call__(self, u: GridField | np.ndarray) -> float:
         v = u.values if isinstance(u, GridField) else np.asarray(u, dtype=float)
-        w = self.transforms.apply(self.multiplier, v)
+        w = v if self.gamma == 0.0 else self.transforms.apply(self.multiplier, v)
         return float(np.sqrt(np.sum(w * w) * self.grid.dx ** self.grid.dim))
 
 

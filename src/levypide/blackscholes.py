@@ -71,20 +71,29 @@ class BlackScholesClosedForm:
         d2 = d1 - sq
         return d1, d2
 
-    def live_interval(self, tau: float) -> tuple[float, float]:
-        """(lo, hi) outside which the kernel is saturated at tau.
+    def live_interval(self, tau: float):
+        """(lo, hi, below, above): the interval outside which the kernel is
+        saturated at tau, and the side profiles (c0, c1) with
+        u(tau, x) = c0 + c1 e^x below lo and above hi.
 
         Below lo both N(+-d) are exactly 0/1 (d1, d2 < -9, the _NDTR_ONE
-        cut), so u is bit for bit c0 + c1 e^x there: K - K e^{x + r tau} for
-        a put, within ndtr(-9) K of 0 for a call.  Above hi (d1, d2 > 9) the
-        roles swap.  The compensated jump operator annihilates c0 + c1 e^x,
-        so a pair (x, x + xi) with both ends on one saturated side adds 0 up
-        to rounding or ndtr(-9) ~ 1.1e-19 K.  tau = 0 gives (0, 0), the kink.
+        cut), so u is c0 + c1 e^x there up to the rounding of
+        e^{x + r tau} against e^{r tau} e^x: (K, -K e^{r tau}) for a put,
+        (0, 0) for a call, within ndtr(-9) K.  Above hi (d1, d2 > 9) the
+        roles swap: (0, 0) for a put, (-K, K e^{r tau}) for a call.  The
+        compensated jump operator annihilates c0 + c1 e^x, so a pair
+        (x, x + xi) with both ends on one saturated side adds 0 up to
+        rounding or ndtr(-9) ~ 1.1e-19 K.  tau = 0 gives (0, 0), the kink,
+        with the payoff's two sides.
         """
         sq = _NDTR_ONE * self.sigma * math.sqrt(tau)
         half_var = 0.5 * self.sigma ** 2 * tau
+        K, grown = self.strike, self.strike * math.exp(self.rate * tau)
+        zero = (0.0, 0.0)
+        below, above = ((K, -grown), zero) if self.option_type == "put" \
+            else (zero, (-K, grown))
         return (-sq - self.rate * tau - half_var,
-                sq - self.rate * tau + half_var)
+                sq - self.rate * tau + half_var, below, above)
 
     def payoff(self, x):
         x = np.asarray(x, dtype=float)

@@ -25,8 +25,13 @@ c0 + c1 e^x pair by pair — the cancellation is algebraic, not a quadrature
 limit.  A closed form that is such a profile outside a live interval (the
 Black-Scholes value outside the few kernel widths where N(d) is not
 saturated) therefore needs only the pairs (x, x + xi) with an end inside
-it, and apply_f_tilde_fn can sum each block of nodes over that window of
-grid columns alone.
+it.  Under the identity shift the nodes ascend, so each column's landings
+x + z_j split into a run below the interval, a live run and a run above
+it: the saturated runs are sums of c0 + c1 e^x terms, read from prefix and
+suffix sums of w h and w h e^z, and the closed form is evaluated on the
+live landings alone.  Under a feedback shift the landings need not be
+sorted by node, and apply_f_tilde_fn sums each block of nodes over the
+window of grid columns its shifts can reach.
 
 Singular densities (envelope exponent alpha > 0) are handled on quadrature
 nodes only.  With infinite activity the inner |z| < eps part is folded into
@@ -114,22 +119,29 @@ def _panel_edges(eps: float, outer: float, alpha: float) -> np.ndarray:
 # Node blocks.  A band holds its resolved shifts in blocks of _NODE_BLOCK
 # nodes, one resolver call each, and scatters each block into the band
 # _FN_BLOCK nodes at a time.  apply_f_tilde_fn sums the closed form over
-# blocks of _FN_BLOCK nodes without a live window and of _NODE_BLOCK nodes
-# with one, so each of its blocks is a slice of one stored block.  A block
-# of closed-form terms must stay in cache.  Best of five on a 2-core
+# blocks of _FN_BLOCK nodes without a live window and, under a feedback
+# shift, of _NODE_BLOCK nodes with one, so each of its blocks is a slice of
+# one stored block (the identity shift's live window needs no blocks).  A
+# block of closed-form terms must stay in cache.  Best of five on a 2-core
 # machine, ms per put source at 4, 8, 16, 32 and 64 nodes per block:
 #   full sum, Merton, 320 nodes x 1458 points:   10.3, 8.5, 14.7, 21.2, 19.1
-#   windowed, Merton, tau 1e-4..1e-2:              4.6, 2.5, 1.5, 1.0, 1.0
-#   windowed, Kou, 2400 points, same taus:         7.3, 4.8, 2.5, 1.4, 2.0
 #   windowed, tanh_ramp band, 768 points, 0..1:    6.4, 4.6, 3.6, 3.0, 3.1
 # Blocks also set the peak RSS: `levypide price` on the merton_call and
-# kou_put demo configs in one process peaks at 84.3 MB with 8/8 nodes
+# kou_put demo configs in one process peaked at 84.3 MB with 8/8 nodes
 # (full/windowed), 85.0 MB with 8/32, 86.8 MB with 8/64 and 87.2 MB with
-# 32/32, so the full sum keeps its small blocks.  So does the scatter: four
+# 32/32 when their windowed sums still ran in blocks, so the full sum keeps
+# its small blocks.  So does the scatter: four
 # rounds of the benchmark's impacted_book in one process peak at 91.1 MB
 # with 8-node scatters and 93.9 MB with 32-node ones.
 _FN_BLOCK = 8
 _NODE_BLOCK = 32
+# The identity shift's live landings are evaluated in runs of grid columns
+# of about _PAIR_BLOCK pairs.  Five price_european calls under the
+# alpha = 0.5 exponential tail (n_core 256, dt 0.04, 1,472 nodes) peak at
+# 91.5 MB in one process with every live pair of a level at once and at
+# 85.5 MB, as with the node-block windows, in runs of 8192; runs of 4096 to
+# 16384 price equally fast.
+_PAIR_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,8 +204,10 @@ class OperatorPlan:
     (operator_build_s) and, within them, resolving shifts
     (shift_resolve_s), the shift resolver's fixed-point entry-iterates
     (shift_fp_iterations) and the points it handed to its bracketed root
-    solve (shift_fallback_points), and the (node, point) pairs
-    apply_f_tilde_fn evaluated (source_pairs).
+    solve (shift_fallback_points), and the (node, point) pairs on which
+    apply_f_tilde_fn evaluated the closed form (source_pairs: every pair of
+    a full sum, the pairs of the column windows under a feedback shift and
+    the live landings alone under the identity shift).
     """
 
     grid: Grid
@@ -417,64 +431,115 @@ def apply_f(plan: OperatorPlan, u: GridField, grad_u=None,
 
 def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
                      dfn: Callable[[np.ndarray], np.ndarray],
-                     tau: float,
-                     live: tuple[float, float] | None = None) -> np.ndarray:
+                     tau: float, live: tuple | None = None) -> np.ndarray:
     """Compensated operator on a closed-form field, no interpolation.
 
     fn and dfn evaluate the field and its derivative at arbitrary points, so
     shifted arguments are exact; use this for analytic sources and for fields
     (such as exponentials) whose growth defeats grid interpolation.  Values
-    are on the grid axis.  The nodes are summed in blocks, _FN_BLOCK nodes
-    each without a live window and _NODE_BLOCK with one; under a feedback
-    shift a block's resolved shifts are a slice of one of the node blocks
-    the plan's band at tau keeps.  fn and dfn must act elementwise on
-    arrays of any shape: fn is called on the 1-D grid axis and on 2-D
-    (nodes, window) blocks of shifted points, and each block is summed with
-    one matrix-vector product.
+    are on the grid axis.  fn and dfn must act elementwise on arrays of any
+    shape: fn is called on the 1-D grid axis, on 2-D (nodes, columns)
+    blocks of shifted points and on 1-D vectors of shifted points.  The
+    evaluated (node, point) pairs are added to plan.stats["source_pairs"].
 
-    live = (lo, hi) declares fn to be c0 + c1 e^x below lo and above hi
-    (each side with its own c0, c1, up to a negligible remainder), as
-    BlackScholesClosedForm.live_interval does for the closed form.  Every
-    term annihilates such a profile, so a pair (x, x + xi) with both ends on
-    one side is skipped: a block of nodes with shifts in [a, b] is evaluated
-    only on the columns x in [lo - max(0, b), hi - min(0, a)].  Without it
-    every pair is summed.  The evaluated pairs are added to
-    plan.stats["source_pairs"].
+    live = (lo, hi, below, above) declares fn to be c0 + c1 e^x below lo
+    with (c0, c1) = below and above hi with (c0, c1) = above (up to a
+    negligible remainder), as BlackScholesClosedForm.live_interval does for
+    the closed form.  Every term annihilates such a profile, so a pair
+    (x, x + xi) with both ends on one side adds nothing and is skipped.
+
+    * Without live every pair is summed, _FN_BLOCK nodes per matrix-vector
+      product.
+    * Identity shift with live: z_nodes ascend, so the landings x + z_j of
+      column x split at jl = searchsorted(z, lo - x) and
+      jr = searchsorted(z, hi - x, "right").  A saturated landing's term is
+      (c0 - u + u') + (c1 e^x - u') e^{z_j}, so the nodes j < jl (for
+      x >= lo) and j >= jr (for x <= hi) add (c0 - u + u') W + (c1 e^x - u') E
+      with W and E the sums of wh and wh e^z over them: prefix sums from the
+      left end below, suffix sums from the right end above (a total minus a
+      prefix would cancel the heavy nodes next to z = 0 of a singular
+      density).  Only the live landings jl <= j < jr call fn, once per pair,
+      in runs of grid columns of about _PAIR_BLOCK pairs, accumulated by
+      column with np.bincount.
+    * Feedback shift with live: the landings x + xi_j(x) need not be sorted
+      by j, so each block of _NODE_BLOCK nodes, a slice of one of the node
+      blocks the plan's band at tau keeps, is summed over the columns
+      x in [lo - max(0, b), hi - min(0, a)], [a, b] its shifts' range.
     """
     if plan.grid.dim != 1:
         raise UnsupportedConfigurationError("compensated operator is 1-D only")
     xv = plan.grid.axis()
-    identity = plan.shift is None
-    if identity:
-        # a (nodes, 1) column: functions of xi cost one evaluation per node
-        xi = plan.z_nodes[:, None]
-        xi_min = xi_max = plan.z_nodes
-    else:
-        b = _band(plan, tau)
-        xi_min, xi_max = b.xi_min, b.xi_max
     base = np.asarray(fn(xv), dtype=float)
     slope = np.asarray(dfn(xv), dtype=float)
+    identity = plan.shift is None
+    if identity and live is not None:
+        return _split_landings(plan, fn, xv, base, slope, live)
+    if not identity:
+        b = _band(plan, tau)
     out = np.zeros_like(base)
     block = _FN_BLOCK if live is None else _NODE_BLOCK
     for j in range(0, len(plan.wh), block):
         nodes = slice(j, j + block)
         cols = slice(0, xv.size)
-        if live is not None:
-            cols = slice(
-                np.searchsorted(xv, live[0] - max(0.0, xi_max[nodes].max())),
-                np.searchsorted(xv, live[1] - min(0.0, xi_min[nodes].min()),
-                                side="right"))
-            if cols.start >= cols.stop:
-                continue
         if identity:
-            xij = xi[nodes]
+            # a (nodes, 1) column: functions of xi cost one evaluation per node
+            xij = plan.z_nodes[nodes, None]
         else:
+            if live is not None:
+                cols = slice(
+                    np.searchsorted(xv, live[0] - max(0.0, b.xi_max[nodes].max())),
+                    np.searchsorted(xv, live[1] - min(0.0, b.xi_min[nodes].min()),
+                                    side="right"))
+                if cols.start >= cols.stop:
+                    continue
             k = j % _NODE_BLOCK
             xij = b.xi[j // _NODE_BLOCK][k:k + block, cols]
         terms = (np.asarray(fn(xv[cols] + xij), dtype=float) - base[cols]
                  - np.expm1(xij) * slope[cols])
         out[cols] += plan.wh[nodes] @ terms
         plan.stats["source_pairs"] += terms.size
+    return out
+
+
+def _split_landings(plan: OperatorPlan, fn, xv: np.ndarray, base: np.ndarray,
+                    slope: np.ndarray, live: tuple) -> np.ndarray:
+    """apply_f_tilde_fn under the identity shift with a live window: the
+    saturated landings from node prefix and suffix sums, fn on the live
+    ones only."""
+    lo, hi, below, above = live
+    z, wh = plan.z_nodes, plan.wh
+    n = xv.size
+    jl = np.searchsorted(z, lo - xv)
+    jr = np.searchsorted(z, hi - xv, side="right")
+    # the sums of wh and wh e^z over the nodes j < k (left) and j >= k
+    # (right), each taken from its own end
+    sums = np.stack([wh, wh * np.exp(z)])
+    zero = np.zeros((2, 1))
+    left = np.hstack([zero, np.cumsum(sums, axis=1)])
+    right = np.hstack([np.cumsum(sums[:, ::-1], axis=1)[:, ::-1], zero])
+    ex = np.exp(xv)
+    out = np.zeros(n)
+    start = np.searchsorted(xv, lo)  # x >= lo from here on
+    stop = np.searchsorted(xv, hi, side="right")  # x <= hi before here
+    for (c0, c1), cols, (W, E) in (
+            (below, slice(start, n), left[:, jl[start:]]),
+            (above, slice(0, stop), right[:, jr[:stop]])):
+        u, du = base[cols], slope[cols]
+        out[cols] += (c0 - u + du) * W + (c1 * ex[cols] - du) * E
+    # the live landings, in runs of columns of about _PAIR_BLOCK pairs
+    counts = jr - jl
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK))
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        run = counts[a:b]
+        col = np.repeat(np.arange(a, b), run)
+        node = np.arange(col.size) + np.repeat(jl[a:b] - (np.cumsum(run) - run),
+                                               run)
+        zj = z[node]
+        terms = wh[node] * (np.asarray(fn(xv[col] + zj), dtype=float)
+                            - base[col] - np.expm1(zj) * slope[col])
+        out += np.bincount(col, terms, minlength=n)
+    plan.stats["source_pairs"] += int(ends[-1])
     return out
 
 

@@ -7,7 +7,8 @@ marcher, _march, evolves either the solution itself (direct mode) or the
 difference U = u - u_closed_form (shifted mode, for kinked payoff data), with
 one of two schemes.  It marches on the spectrum: the state and every explicit
 term are rfft spectra, and each level makes one inverse transform for the
-finiteness check, the checkpoints and the per-level hook.  On the FFT path
+finiteness check, the checkpoints and the per-level hook (none with feedback
+diffusion, whose real-space solve hands back its values).  On the FFT path
 the jump term (symbol - mass) and the propagated source are Fourier
 multipliers, so a pricing solve there makes no other transform per level;
 only the terms that need grid values (the band apply, the advection, a user
@@ -37,10 +38,14 @@ that source is met with a quadratically graded startup mesh.  While
 sigma sqrt(tau) < SOURCE_SWITCH_CELLS * dx the source is analytic: the
 operator is applied to the closed form at shifted arguments (no
 interpolation of the kink), and only the (node, point) pairs with an end in
-the closed form's live interval are summed (outside it the put is
-c0 + c1 e^x or below ndtr(-9) K, which the compensated operator
-annihilates).  At the first level tau_a past that threshold a reader is
-built from analytic values:
+the closed form's live interval count (outside it the put is c0 + c1 e^x
+or below ndtr(-9) K, which the compensated operator annihilates).  Under
+the identity shift the closed form is evaluated only where a jump lands in
+that interval, and the pairs from a live point to a saturated landing are
+summed in closed form from node prefix sums; under a feedback shift each
+node block is summed over the grid columns whose pairs can reach it (see
+jump_operator.apply_f_tilde_fn).  At the first level tau_a past that
+threshold a reader is built from analytic values:
 
 * identity shift — the operator is translation-invariant and commutes with
   the Black-Scholes generator L_BS, so h(tau) = exp((tau - tau_a) L_BS)
@@ -194,11 +199,12 @@ class SolveResult:
     (both None when none was built); a check gap above SOURCE_SWITCH_TOL
     means the source stayed analytic from there on; the live-window
     check's source_window_gap and the source_pair_fraction, source_pairs
-    over nodes x n_total x source_analytic (both None without a source); and
+    (the pairs on which the closed form was evaluated) over
+    nodes x n_total x source_analytic (both None without a source); and
     the relative L2 gap to the other scheme's solve, cross_check_gap (None
     when no cross-check ran); and fft_transforms, the forward and inverse
-    transforms of the march, its source and its checkpoint norms (the
-    plan's build is not counted).  The cross-check solve's own work stays
+    transforms of the march, its source and its checkpoint norms (none at
+    monitor_gamma 0; the plan's build is not counted).  The cross-check solve's own work stays
     out of the record.
     """
 
@@ -276,6 +282,11 @@ def _phis(z: np.ndarray):
     return e, p1, p2
 
 
+# mild_etd2 keeps the phi-functions of this many latest step sizes: the
+# uniform stretch's steps alternate between neighbouring floats
+_PHIS_KEPT = 4
+
+
 def _march(tr: Transforms, L_hat: np.ndarray | None, implicit, N_fn,
            v0: np.ndarray, taus: np.ndarray, scheme: SchemeConfig,
            on_level) -> np.ndarray:
@@ -286,25 +297,27 @@ def _march(tr: Transforms, L_hat: np.ndarray | None, implicit, N_fn,
     explicit right side at the state with spectrum u_hat; v is that state's
     grid values where the marcher has them (at each level) and None at
     mild_etd2's stage, where a term that needs grid values inverts u_hat
-    itself.  implicit(tau, a0, dt, rhs_hat) returns the spectrum u_hat
-    solving (a0 - dt L) u = rhs; mild_etd2 exponentiates the multiplier
-    L_hat instead.  Each level costs one inverse transform of the state:
-    its values are checked for finiteness and on_level(i, taus[i], values)
-    sees every level i >= 1.
+    itself.  implicit(tau, a0, dt, rhs_hat) returns (u_hat, values): the
+    spectrum solving (a0 - dt L) u = rhs and, when the solve made them on
+    the grid, its values (None otherwise); mild_etd2 exponentiates the
+    multiplier L_hat instead.  A level whose values the solve did not hand
+    back costs one inverse transform of the state.  The values are checked
+    for finiteness and on_level(i, taus[i], values) sees every level i >= 1.
     """
     v = np.array(v0, dtype=float)
     u_hat = tr.fwd(v)
     mild = scheme.scheme == "mild_etd2"
     u_hat_prev = n_prev = dt_prev = None
-    cached_dt = E = P1 = P2 = None
+    phis = {}  # dt -> _phis(dt L_hat), least recently used first
     for i in range(taus.size - 1):
         tau = float(taus[i])
         dt = float(taus[i + 1] - taus[i])
         n_cur = N_fn(tau, u_hat, v)
+        v = None
         if mild:
-            if dt != cached_dt:
-                E, P1, P2 = _phis(dt * L_hat)
-                cached_dt = dt
+            E, P1, P2 = phis[dt] = phis.pop(dt, None) or _phis(dt * L_hat)
+            if len(phis) > _PHIS_KEPT:
+                del phis[next(iter(phis))]
             a_hat = E * u_hat + dt * P1 * n_cur
             u_hat = a_hat + dt * P2 * (N_fn(tau + dt, a_hat, None) - n_cur)
         else:
@@ -316,8 +329,10 @@ def _march(tr: Transforms, L_hat: np.ndarray | None, implicit, N_fn,
                 a2 = rho * rho / (1.0 + rho)
                 n_ext = (1.0 + rho) * n_cur - rho * n_prev
                 rhs_hat = (1.0 + rho) * u_hat - a2 * u_hat_prev + dt * n_ext
-            u_hat_prev, u_hat = u_hat, implicit(tau, a0, dt, rhs_hat)
-        v = tr.inv(u_hat)
+            u_hat_prev = u_hat
+            u_hat, v = implicit(tau, a0, dt, rhs_hat)
+        if v is None:
+            v = tr.inv(u_hat)
         if not np.all(np.isfinite(v)):
             raise BlowUpError("state became non-finite", step=i + 1,
                               tau=float(taus[i + 1]))
@@ -585,13 +600,14 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig,
                 if not problem.shift.strategy.time_dependent:
                     frozen.append(c)
             off = -dt * c * inv_dx2
-            return tr.fwd(_solve_cyclic_tridiag(off, a0 + 2.0 * dt * c * inv_dx2,
-                                                off, tr.inv(rhs_hat)))
+            v = _solve_cyclic_tridiag(off, a0 + 2.0 * dt * c * inv_dx2, off,
+                                      tr.inv(rhs_hat))
+            return tr.fwd(v), v
     else:
         L_hat = -0.5 * sigma2 * tr.k2 + (tr.ik[0] * drift if g.dim == 1 else 0j)
 
         def implicit(tau, a0, dt, rhs_hat):
-            return rhs_hat / (a0 - dt * L_hat)
+            return rhs_hat / (a0 - dt * L_hat), None
 
     operator = None if plan is None else "fft" if plan.uses_fft else "band"
     stats = {"operator": operator, "explicit_evaluations": 0,

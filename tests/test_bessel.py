@@ -170,11 +170,13 @@ def test_fractional_norm_plane_wave_scaling():
     k0_mode = 3.0  # exact lattice mode for the pi-multiple pad-free box
     fld = GridField(g, np.cos(k0_mode * g.axis()))
     n_half = FractionalNorm(g, 0.5)(fld)
-    n_zero = FractionalNorm(g, 0.0)(fld)
+    zero = FractionalNorm(g, 0.0)
+    n_zero = zero(fld)
     want = (1.0 + k0_mode ** 2) ** 0.5
     assert abs(n_half / n_zero - want) < 1e-10
-    # gamma = 0 is the plain L2 norm
-    assert abs(n_zero - fld.l2()) < 1e-12
+    # gamma = 0 is the plain L2 norm, taken without transforms
+    assert n_zero == fld.l2()
+    assert zero.transforms.count == 0
 
 
 def test_fractional_norm_monotone_in_gamma():

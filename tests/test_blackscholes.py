@@ -49,7 +49,7 @@ def test_closed_form_is_saturated_outside_the_live_interval(option_type):
     x = np.linspace(-12.0, 12.0, 24001)
     tiny = ndtr(-9.0) * K
     for tau in (1e-4, 0.002, 0.05, 0.5, 1.0, 5.0):
-        lo, hi = bs.live_interval(tau)
+        lo, hi, below, above = bs.live_interval(tau)
         assert lo < 0.0 < hi
         fwd = K * np.exp(x + r * tau)
         u, du = bs.u(tau, x), bs.du_dx(tau, x)
@@ -63,4 +63,27 @@ def test_closed_form_is_saturated_outside_the_live_interval(option_type):
         assert np.all(np.abs(u[small]) <= tiny)
         assert np.all(np.abs(du[small]) <= tiny)
         assert affine.any() and small.any()
-    assert bs.live_interval(0.0) == (0.0, 0.0)
+    assert bs.live_interval(0.0)[:2] == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("option_type", ["call", "put"])
+def test_side_profiles_reproduce_the_closed_form_on_their_sides(option_type):
+    x = np.linspace(-12.0, 12.0, 24001)
+    for K in (1.0, 37.3, 100.0):
+        bs = BlackScholesClosedForm(K, 0.05, 0.2, option_type)
+        for tau in (0.0, 1e-4, 0.002, 0.05, 0.5, 1.0, 5.0):
+            lo, hi, below, above = bs.live_interval(tau)
+            u = bs.u(tau, x)
+            for side, (c0, c1) in ((x < lo, below), (x > hi, above)):
+                grown = np.abs(c1) * np.exp(x[side])
+                gap = np.abs(c0 + c1 * np.exp(x[side]) - u[side])
+                # the put's sides are bounded by K; the call's growing side
+                # rounds e^{x + r tau} against e^{r tau} e^x, a few ulps of
+                # its own size
+                assert np.all(gap <= 4e-16 * K + 1e-15 * grown), (K, tau)
+                if option_type == "put":
+                    assert np.all(gap <= 4e-16 * K), (K, tau)
+    put = BlackScholesClosedForm(2.0, 0.05, 0.2, "put")
+    call = BlackScholesClosedForm(2.0, 0.05, 0.2, "call")
+    assert put.live_interval(0.0)[2:] == ((2.0, -2.0), (0.0, 0.0))
+    assert call.live_interval(0.0)[2:] == ((0.0, 0.0), (-2.0, 2.0))

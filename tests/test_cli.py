@@ -612,16 +612,19 @@ def fft_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name,limit", [
-    ("merton_call", 110), ("kou_put", 210), ("jump_free", 90),
-    ("impact_call", 228)])
+@pytest.mark.parametrize("name,limit,pairs", [
+    ("merton_call", 90, 600_000), ("kou_put", 170, 900_000),
+    ("jump_free", 70, 0), ("impact_call", 208, None)],
+    ids=["merton_call", "kou_put", "jump_free", "impact_call"])
 def test_demo_prices_and_their_transform_counts(tmp_path, fft_calls, name,
-                                                limit):
+                                                limit, pairs):
     # the march keeps its state and the explicit terms on the spectrum, so
     # an FFT-path price costs about one inverse transform per time level
     # (kou_put's cross-check marches twice), and the band path its one
     # inverse, gradient and forward transform per level plus one forward
-    # transform per analytic source level
+    # transform per analytic source level; the gamma = 0 checkpoint norms
+    # take none.  An identity-shift source calls the closed form only where
+    # a jump lands in its live interval, besides the first level's full sum
     demo = "merton_call" if name == "jump_free" else name
     text = (ROOT / "demos" / "configs" / f"{demo}.cfg").read_text()
     if name == "jump_free":
@@ -639,6 +642,8 @@ def test_demo_prices_and_their_transform_counts(tmp_path, fft_calls, name,
     if name == "impact_call":
         limit += stats["source_analytic"]
     assert fft_calls[0] <= limit
+    if pairs is not None:
+        assert stats["source_pairs"] <= pairs
     # the record counts the solve's own transforms: all but the lattice
     # symbol's one and those of the cross-check's solve
     if name == "kou_put":

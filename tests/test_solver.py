@@ -494,6 +494,10 @@ def test_feedback_checkpoints_and_unsupported_combinations():
     assert len(taus) == 5
     assert all(b > a for a, b in zip(taus, taus[1:]))
     assert abs(taus[-1] - 0.1) < 1e-12
+    # per level the gradient, the forward transform of the grid terms and
+    # the implicit solve's pair; the solve hands back its grid values, and
+    # the gamma = 0 checkpoint norms take no transform
+    assert res.stats["fft_transforms"] == 4 * (res.taus.size - 1) + 1
     # ETD2 has no feedback variant, so neither has the scheme cross-check
     with pytest.raises(UnsupportedConfigurationError):
         solve_direct(problem, SchemeConfig(dt=0.01, cross_check=True))
@@ -755,6 +759,35 @@ def test_solve_counts_explicit_evaluations(scheme, per_level):
     assert res.stats["shift_fallback_points"] == 0
 
 
+def test_mild_etd2_keeps_the_phi_functions_of_recent_step_sizes(monkeypatch):
+    # kou_put's mesh (T = 0.5, dt = 0.01): 69 steps of 28 distinct sizes,
+    # the uniform stretch's alternating between neighbouring floats
+    g = make_grid(6.0, 256, reach=estimate_reach(make_kou(0.4, 0.6, 8.0, 4.0),
+                                                 None, 6.0))
+    problem = CauchyProblem(g, sigma=0.25, horizon=0.5, rate=0.03,
+                            measure=make_kou(0.4, 0.6, 8.0, 4.0), strike=95.0,
+                            option_type="put")
+    scheme = SchemeConfig(scheme="mild_etd2", dt=0.01)
+    taus = build_time_mesh(0.5, 0.01, grade=True)
+    assert taus.size == 70 and np.unique(np.diff(taus)).size == 28
+    calls = [0]
+    phis = solver._phis
+
+    def counted(z):
+        calls[0] += 1
+        return phis(z)
+
+    monkeypatch.setattr(solver, "_phis", counted)
+    kept = solve_shifted(problem, scheme)
+    assert calls[0] == 28
+    # keeping the latest step size alone recomputes at 58 steps
+    monkeypatch.setattr(solver, "_PHIS_KEPT", 1)
+    calls[0] = 0
+    latest = solve_shifted(problem, scheme)
+    assert calls[0] == 58
+    assert np.array_equal(kept.field.values, latest.field.values)
+
+
 def test_two_dimensional_pricing_form_is_unsupported():
     # the pricing drift r - sigma^2/2 - mean is one-dimensional: a 2-D
     # problem without a nonlinearity marched diffusion alone and returned
@@ -827,8 +860,10 @@ def test_failed_window_check_falls_back_to_the_full_sum(monkeypatch, rho):
     disabled = solve_shifted(problem, scheme)
     assert np.array_equal(failed.field.values, disabled.field.values)
     assert failed.stats["source_window_gap"] >= 0.0
-    # every level evaluated the full sum, the check level the window too
-    assert 1.0 < failed.stats["source_pair_fraction"] < 1.5
+    # every level evaluated the full sum, the check level the window too;
+    # at tau = 0, the kink, the identity window lands no pair live
+    fraction = failed.stats["source_pair_fraction"]
+    assert fraction == 1.0 if rho == 0.0 else 1.0 < fraction < 1.5
     assert not np.array_equal(failed.field.values, windowed.field.values)
 
 
@@ -840,9 +875,11 @@ def test_window_check_catches_a_wrong_live_interval(monkeypatch):
     monkeypatch.setattr(solver, "apply_f_tilde_fn", _full_sum_only)
     disabled = solve_shifted(problem, scheme)
     monkeypatch.undo()
-    # an interval that skips the pairs around the kink
+    # an interval that skips the pairs around the kink, with the true side
+    # profiles
+    live = BlackScholesClosedForm.live_interval
     monkeypatch.setattr(BlackScholesClosedForm, "live_interval",
-                        lambda self, tau: (1.0, 1.0))
+                        lambda self, tau: (1.0, 1.0, *live(self, tau)[2:]))
     broken = solve_shifted(problem, scheme)
     assert broken.stats["source_window_gap"] > 1e-3
     assert np.array_equal(broken.field.values, disabled.field.values)
