@@ -200,7 +200,7 @@ def _cmd_diagnose_operator(cfg: RunConfig, outdir: Path):
     ok = True
     for k, sym, ref, gap in plan_symbol_table(plan, (1.0, 2.0, 4.0)):
         # the plan takes cos(kx) to Re S cos(kx) - Im S sin(kx) for the
-        # symbol S it applies, the lattice symbol on the FFT path
+        # symbol S it applies, its symbol_conv
         c, s = np.cos(k * x), np.sin(k * x)
         got = apply_f(plan, GridField(grid, c)).values
         applied = 2.0 * complex(np.mean(got * c), -np.mean(got * s))
@@ -215,7 +215,8 @@ def _cmd_diagnose_operator(cfg: RunConfig, outdir: Path):
     K, r, tau = cfg.market.K, cfg.market.r, 0.5
     h = apply_f_tilde_fn(plan, lambda x: K * np.exp(x + r * tau),
                          lambda x: K * np.exp(x + r * tau), tau)
-    ann = float(np.max(np.abs(h))) / (K * math.exp(r * tau))
+    # pointwise: each h(x) rounds with the size of the field at x
+    ann = float(np.max(np.abs(h) / (K * np.exp(x + r * tau))))
     good = ann < 1e-6
     ok &= good
     rows.append(("annihilation", 0.0, ann, 0.0, 0.0, 0.0, ann, good))

@@ -1,23 +1,23 @@
 """Discrete non-local jump operator on padded periodic grids.
 
-Two evaluation paths share one immutable plan.  With the identity shift and a
-density finite at the origin the jump convolution becomes a frequency-domain
-product with a symbol sampled on the grid lattice, and the plan subtracts
-mass * u and mean * grad(u) afterwards.  Otherwise (a feedback shift, a
-singular density, or on request) a Gauss-Legendre quadrature in the raw jump
-size z sums cubic interpolants of u at x + xi(tau, x, z).  The plan's one
-moment set is that of the path that runs: lattice sums or node sums.
+Two evaluation paths share one immutable plan, and the shift picks one.
+Under the identity shift the operator commutes with lattice translations,
+so it is a Fourier multiplier, applied with the mass * u and mean * grad(u)
+subtractions: the symbol of the density sampled on the lattice (alpha = 0,
+with lattice moments), or for a singular density the stencil symbol of the
+Gauss-Legendre node sum in the jump size z with u cubic-interpolated at
+x + z_j (node moments).  Under a feedback shift the nodes land at
+x + xi(tau, x, z) instead, and no multiplier represents the sum.
 
-That quadrature sum is one linear map, precomputed as a band: entry (i, o)
+That feedback sum is one linear map, precomputed as a band: entry (i, o)
 holds the weight output point i puts on point (i + o - half) mod n, filled
 from each node's resolved shift with the cubic Lagrange weights of
 grids.cubic_stencil, with the node mass taken off the centre offset.
-Applying it is one product with a sliding window of the wrapped values.  The build resolves and keeps
-the shifts in blocks of nodes, and the two vectors sum w h xi and
-sum w h (e^xi - 1), which give the subtracted drift terms and
-delta(tau, x).  The band is cached on the plan for the identity shift and
-for strategies that ignore tau; a time-dependent strategy has it rebuilt
-at each new tau.
+Applying it is one product with a sliding window of the wrapped values.
+The build resolves and keeps the shifts in blocks of nodes, and the two
+vectors sum w h xi and sum w h (e^xi - 1), which give the subtracted drift
+terms and delta(tau, x).  The band is cached on the plan for strategies
+that ignore tau; a time-dependent strategy has it rebuilt at each new tau.
 
 The compensated variant replaces the subtracted xi * grad(u) by
 (e^xi - 1) * grad(u); on closed-form fields (apply_f_tilde_fn) it kills
@@ -33,11 +33,9 @@ live landings alone.  Under a feedback shift the landings need not be
 sorted by node, and apply_f_tilde_fn sums each block of nodes over the
 window of grid columns its shifts can reach.
 
-Singular densities (envelope exponent alpha > 0) are handled on quadrature
-nodes only.  With infinite activity the inner |z| < eps part is folded into
-a diffusion correction; the compensated node sums converge because the
-integrand scales like z^2 near the origin even when the density does not
-integrate.
+With infinite activity the inner |z| < eps part is folded into a diffusion
+correction; the compensated node sums converge because the integrand
+scales like z^2 near the origin even when the density does not integrate.
 """
 from __future__ import annotations
 
@@ -158,9 +156,9 @@ class _Band:
 
     xi holds the resolved shifts of the plan's nodes in node blocks: block
     b is a (_NODE_BLOCK, n) array (the last may be shorter) whose row k is
-    node b _NODE_BLOCK + k across the grid, or a (_NODE_BLOCK, 1) column
-    under the identity shift.  xi_min and xi_max are each node's extremes
-    over the grid; xi_mean and exp_mean are plan.wh @ xi and @ (e^xi - 1).
+    node b _NODE_BLOCK + k across the grid.  xi_min and xi_max are each
+    node's extremes over the grid; xi_mean and exp_mean are plan.wh @ xi
+    and @ (e^xi - 1).
     """
 
     xi: Sequence[np.ndarray]
@@ -191,16 +189,16 @@ class OperatorPlan:
     """Immutable precomputation for evaluating the jump operator on one grid.
 
     z_nodes and wh = w h hold the 1-D quadrature nodes of nonzero weight
-    (None in 2-D).  symbol_conv is the lattice symbol when the fast path
-    runs, else None.  mass, mean_jump and delta0, the moments of h, z h and
-    (e^z - 1 - z) h (delta0 is 0.0 in 2-D), belong to the path that runs:
-    lattice sums beside the symbol, node sums otherwise.  sigma2_correction
-    is the diffusion coefficient of the folded inner jumps, 0.0 unless the
-    plan has an inner cutoff (1-D infinite activity).
+    (None in 2-D).  symbol_conv is the identity shift's symbol (see
+    build_plan), else None.  mass, mean_jump and delta0, the moments of h,
+    z h and (e^z - 1 - z) h (delta0 is 0.0 in 2-D), are lattice sums beside
+    the lattice symbol and node sums otherwise.  sigma2_correction is the
+    diffusion coefficient of the folded inner jumps, 0.0 unless the plan
+    has an inner cutoff (1-D infinite activity).
 
     stats counts the work done on the plan: the perf_counter seconds of
-    build_plan itself (plan_build_s: radius search, nodes, lattice symbol
-    and small-jump correction), those spent building quadrature bands
+    build_plan itself (plan_build_s: radius search, nodes, symbol and
+    small-jump correction), those spent building quadrature bands
     (operator_build_s) and, within them, resolving shifts
     (shift_resolve_s), the shift resolver's fixed-point entry-iterates
     (shift_fp_iterations) and the points it handed to its bracketed root
@@ -222,10 +220,6 @@ class OperatorPlan:
     symbol_conv: np.ndarray | None
     _bands: dict = field(default_factory=dict, init=False, repr=False)
     stats: dict = field(default_factory=_new_stats, init=False, repr=False)
-
-    @property
-    def uses_fft(self) -> bool:
-        return self.symbol_conv is not None
 
 
 def _lattice_symbol(grid: Grid, measure, r_out: float):
@@ -252,20 +246,32 @@ def _lattice_symbol(grid: Grid, measure, r_out: float):
             mean, delta0)
 
 
-def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
-               force_quadrature: bool = False) -> OperatorPlan:
-    """Precompute weighted nodes, the symbol when available, and moments.
+def _stencil_symbol(grid: Grid, z: np.ndarray, wh: np.ndarray) -> np.ndarray:
+    """The identity shift's node sum as a multiplier: every point applies
+    one row, wh_j times node j's cubic weights at offset z_j, summed onto
+    the lattice offsets mod n (FFT storage order); conj(rfft(row))."""
+    n = grid.n_total
+    base, weights = cubic_stencil(0.0, grid.dx, z)
+    row = np.bincount(
+        np.concatenate([(base + off) % n for off in CUBIC_OFFSETS]),
+        np.concatenate([wh * w for w in weights]), minlength=n)
+    return np.conj(Transforms(grid).fwd(row))
+
+
+def build_plan(grid: Grid, measure,
+               shift: ShiftModel | None = None) -> OperatorPlan:
+    """Precompute weighted nodes, the identity shift's symbol, and moments.
 
     The outer cutoff r_out is the measure's jump_radius; the inner cutoff
     eps_in is 0 for finite-activity measures and otherwise the radius whose
     z^2-weighted inner mass is below JUMP_TAIL_TOL, with the inner jumps
     folded into sigma2_correction (0.0 in 2-D, where alpha = 0).  A shift
-    model with rho = 0 is normalized
-    away so the identity path is taken verbatim.  The symbol is built for
-    the identity shift with alpha = 0 unless force_quadrature is set, and
-    its lattice moments then replace the node moments.  The padding must
-    cover r_out, in 2-D too; resolved shifts reaching further are rejected
-    when the band is built, which the solvers' stability check does before
+    model with rho = 0 is normalized away so the identity path is taken
+    verbatim.  Every identity plan gets a symbol: for alpha = 0 the lattice
+    symbol, whose lattice moments replace the node moments, and for
+    alpha > 0 the stencil symbol (_stencil_symbol).  The padding must cover
+    r_out, in 2-D too; resolved shifts reaching further are rejected when
+    the band is built, which the solvers' stability check does before
     marching.
     """
     t0 = perf_counter()
@@ -285,9 +291,6 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
         if alpha > 0:
             raise UnsupportedConfigurationError(
                 "two-dimensional plans require a density bounded at the origin")
-        if force_quadrature:
-            raise UnsupportedConfigurationError(
-                "two-dimensional plans have no quadrature path")
     if alpha >= grid.dim + 2:
         raise ParameterDomainError(
             "envelope exponent implies a divergent second jump moment")
@@ -320,10 +323,12 @@ def build_plan(grid: Grid, measure, shift: ShiftModel | None = None, *,
 
     sigma2_corr = small_jump_compensation(measure, eps_in) if eps_in > 0 else 0.0
 
-    # fast path: identity shift and a density finite at the origin
+    # the identity shift's operator is a Fourier multiplier
     symbol_conv = None
-    if shift is None and alpha == 0.0 and not force_quadrature:
+    if shift is None and alpha == 0.0:
         symbol_conv, mass, mean, delta0 = _lattice_symbol(grid, measure, r_out)
+    elif shift is None:
+        symbol_conv = _stencil_symbol(grid, z_nodes, wh)
 
     plan = OperatorPlan(
         grid=grid, measure=measure, shift=shift, z_nodes=z_nodes,
@@ -339,21 +344,18 @@ def _check_field(plan: OperatorPlan, u: GridField) -> None:
 
 
 def _build_band(plan: OperatorPlan, tau: float) -> _Band:
-    """Resolve the weighted nodes' shifts at tau, one node block per
-    resolver call, and sum their cubic interpolation weights into the band,
-    _FN_BLOCK nodes per scatter."""
+    """Resolve the weighted nodes' feedback shifts at tau, one node block
+    per resolver call, and sum their cubic interpolation weights into the
+    band, _FN_BLOCK nodes per scatter."""
     g = plan.grid
     x = g.axis()
     n = g.n_total
     wh, z = plan.wh, plan.z_nodes
     starts = range(0, wh.size, _NODE_BLOCK)
-    if plan.shift is None:
-        xi = [z[j:j + _NODE_BLOCK, None] for j in starts]
-    else:
-        t0 = perf_counter()
-        xi = [xi_on_grid(plan.shift, tau, x, z[j:j + _NODE_BLOCK],
-                         plan.stats) for j in starts]
-        plan.stats["shift_resolve_s"] += perf_counter() - t0
+    t0 = perf_counter()
+    xi = [xi_on_grid(plan.shift, tau, x, z[j:j + _NODE_BLOCK], plan.stats)
+          for j in starts]
+    plan.stats["shift_resolve_s"] += perf_counter() - t0
     xi_min = np.concatenate([np.min(b, axis=1) for b in xi])
     xi_max = np.concatenate([np.max(b, axis=1) for b in xi])
     max_xi = float(np.max(np.abs([xi_min, xi_max]), initial=0.0))
@@ -390,11 +392,10 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
 
 
 def _band(plan: OperatorPlan, tau: float) -> _Band:
-    """The plan's quadrature band at tau, built on first use.  A
-    time-dependent strategy's plan keeps the latest tau's band only: the
-    marchers never ask for an earlier tau again."""
-    static = plan.shift is None or not plan.shift.strategy.time_dependent
-    key = None if static else float(tau)
+    """The feedback-shift plan's quadrature band at tau, built on first
+    use.  A time-dependent strategy's plan keeps the latest tau's band only:
+    the marchers never ask for an earlier tau again."""
+    key = float(tau) if plan.shift.strategy.time_dependent else None
     bands = plan._bands
     got = bands.get(key)
     if got is None:
@@ -410,16 +411,15 @@ def apply_f(plan: OperatorPlan, u: GridField, grad_u=None,
             tau: float | None = None) -> GridField:
     """Jump operator f(u) = integral of [u(x+xi) - u(x) - xi . grad u] dnu.
 
-    Identity-shift plans with a symbol take the fast path: frequency-domain
-    product with the lattice symbol, then the plan's mass and mean
-    subtractions using grad_u, the tuple of per-axis gradient arrays
-    (computed spectrally when not supplied).  Other plans apply the
-    precomputed quadrature band.
+    Identity-shift plans take a frequency-domain product with their symbol,
+    then the plan's mass and mean subtractions using grad_u, the tuple of
+    per-axis gradient arrays (computed spectrally when not supplied).
+    Feedback-shift plans apply the precomputed quadrature band.
     """
     _check_field(plan, u)
     tau = u.time_tag if tau is None else tau
     grads = gradient(u) if grad_u is None else grad_u
-    if plan.uses_fft:
+    if plan.shift is None:
         out = (Transforms(plan.grid).apply(plan.symbol_conv, u.values)
                - plan.mass * u.values)
         for mean, du in zip(plan.mean_jump, grads):
@@ -548,9 +548,9 @@ def delta_on_plan_nodes(plan: OperatorPlan, tau: float) -> np.ndarray:
     axis.
 
     Identity shift gives the plan's constant moment delta0 of
-    (e^z - 1 - z) dnu (the lattice moment on the fast path, the node sum
-    otherwise); with feedback the resolved xi replaces z pointwise, from the
-    plan's band.
+    (e^z - 1 - z) dnu (the lattice moment beside the lattice symbol, the
+    node sum otherwise); with feedback the resolved xi replaces z
+    pointwise, from the plan's band.
     """
     if plan.grid.dim != 1:
         raise UnsupportedConfigurationError("drift correction is 1-D only")
@@ -601,10 +601,10 @@ def f_bound_probe(plan: OperatorPlan, fields: Sequence[GridField],
 def plan_symbol_table(plan: OperatorPlan, wavenumbers: Sequence[float]):
     """Rows (k, node symbol, reference symbol, relative gap) for diagnostics.
 
-    The node symbol is evaluated from the quadrature nodes: what a band plan
-    applies.  An FFT plan applies the lattice symbol instead, which
-    `levypide diagnose operator` checks in its apply rows by applying the
-    plan to cos(kx).  The reference is adaptive quadrature.
+    The node symbol is evaluated exactly in z on the quadrature nodes.  An
+    identity plan applies its symbol_conv instead, which `levypide diagnose
+    operator` checks in its apply rows by applying the plan to cos(kx).
+    The reference is adaptive quadrature.
     """
     if plan.grid.dim != 1:
         raise UnsupportedConfigurationError("symbol table is 1-D only")

@@ -8,12 +8,12 @@ difference U = u - u_closed_form (shifted mode, for kinked payoff data), with
 one of two schemes.  It marches on the spectrum: the state and every explicit
 term are rfft spectra, and each level makes one inverse transform for the
 finiteness check, the checkpoints and the per-level hook (none with feedback
-diffusion, whose real-space solve hands back its values).  On the FFT path
-the jump term (symbol - mass) and the propagated source are Fourier
-multipliers, so a pricing solve there makes no other transform per level;
-only the terms that need grid values (the band apply, the advection, a user
-nonlinearity, feedback diffusion) compute them, and their sum costs one
-forward transform.  The schemes:
+diffusion, whose real-space solve hands back its values).  Under the
+identity shift the jump term (symbol - mass) and the propagated source are
+Fourier multipliers, so a pricing solve there makes no other transform per
+level; only the terms that need grid values (a feedback shift's band apply
+and advection, a user nonlinearity, feedback diffusion) compute them, and
+their sum costs one forward transform.  The schemes:
 
 * imex_bdf2 — variable-step BDF2 with extrapolated explicit terms (Euler
   startup); each step hands (a0 - dt L) u = rhs to the implicit solve.
@@ -609,13 +609,12 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig,
         def implicit(tau, a0, dt, rhs_hat):
             return rhs_hat / (a0 - dt * L_hat), None
 
-    operator = None if plan is None else "fft" if plan.uses_fft else "band"
-    stats = {"operator": operator, "explicit_evaluations": 0,
-             **_source_stats(),
+    fft_fast = plan is not None and plan.shift is None
+    quadrature = plan is not None and not fft_fast
+    stats = {"operator": "fft" if fft_fast else "band" if quadrature else None,
+             "explicit_evaluations": 0, **_source_stats(),
              "stability_margin": _check_stability(problem, scheme, plan)}
     coords = g.axis() if g.dim == 1 else g.meshes()
-    fft_fast = plan is not None and plan.uses_fft
-    quadrature = plan is not None and not fft_fast
     # symbol - mass: the advection-free part, spectral radius <= 2 mass
     bounded = plan.symbol_conv - plan.mass if fft_fast else None
     # explicit first-order term of the pricing drift: the x-dependent excess
@@ -638,7 +637,7 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig,
                 real += apply_f(plan, GridField(g, v, tau), grads, tau).values
             if advects:
                 coef = drift_out + mean0
-                if plan is not None and plan.shift is not None:
+                if quadrature:
                     coef = coef - (delta_on_plan_nodes(plan, tau) - delta00)
                 real += coef * grads[0]
             if not pricing:
@@ -669,7 +668,7 @@ def _check_stability(problem: CauchyProblem, scheme: SchemeConfig,
     if plan is None:
         return 0.0
     lip = 2.0 * plan.mass
-    if not plan.uses_fft and plan.grid.dim == 1:
+    if plan.shift is not None:
         k_max = math.pi / problem.grid.dx
         dvals = delta_on_plan_nodes(plan, 0.0)
         lip += k_max * (abs(float(plan.mean_jump[0]))

@@ -614,7 +614,7 @@ def fft_calls(monkeypatch):
 
 @pytest.mark.parametrize("name,limit,pairs", [
     ("merton_call", 90, 600_000), ("kou_put", 170, 900_000),
-    ("jump_free", 70, 0), ("impact_call", 208, None)],
+    ("jump_free", 70, 0), ("impact_call", 208, 1_500_000)],
     ids=["merton_call", "kou_put", "jump_free", "impact_call"])
 def test_demo_prices_and_their_transform_counts(tmp_path, fft_calls, name,
                                                 limit, pairs):
@@ -696,13 +696,21 @@ def test_diagnose_operator(tmp_path):
     assert manifest["scheme"] is None and manifest["stats"] is None
 
 
-@pytest.mark.parametrize("name", ["merton_call", "kou_put"])
+@pytest.mark.parametrize("name", ["merton_call", "kou_put",
+                                  "exponential_tail"])
 def test_diagnose_operator_checks_the_applied_symbol(tmp_path, name):
-    # an FFT plan applies the lattice symbol, not the node symbol; the apply
-    # rows read it off cos(kx) on a box of whole periods (n_total a multiple
-    # of 512).  Measured gaps: 1.3e-12 (Merton), 1.9e-7 (Kou).
+    # an identity plan applies its symbol_conv, not the node symbol: the
+    # lattice symbol, or the stencil symbol for the singular tail (alpha =
+    # 0.5); the apply rows read it off cos(kx) on a box of whole periods
+    # (n_total a multiple of 512).  Measured gaps: 1.3e-12 (Merton), 1.9e-7
+    # (Kou), 8.2e-9, 3.7e-8 and 2.0e-7 (tail, k = 1, 2, 4).  The tail's
+    # annihilation row is taken pointwise against K e^(x + r tau).
     out = tmp_path / "out"
     cfg = str(ROOT / "demos" / "configs" / f"{name}.cfg")
+    if name == "exponential_tail":
+        text = (ROOT / "demos" / "configs" / "merton_call.cfg").read_text()
+        assert MERTON_JUMPS in text
+        cfg = _write(tmp_path, text.replace(MERTON_JUMPS, TAIL_JUMPS))
     assert main(["--config", cfg, "--out", str(out), "diagnose",
                  "operator"]) == 0
     _, _, rows = _read_rows(out / "operator.csv")

@@ -25,6 +25,7 @@ from levypide.shift import (ShiftModel, TradingStrategy, compute_delta,
 
 MERTON = make_merton(0.5, -0.1, 0.2)
 KOU = make_kou(0.4, 0.6, 8.0, 4.0)
+TAIL = make_exponential_tail(1.0, 0.5, 3.0)
 
 
 def _grid_for(measure, half_width=4.0, n=512):
@@ -51,7 +52,7 @@ def test_operator_annihilates_compensated_exponential():
     # the compensated operator applied to c e^x vanishes node-by-node
     for nu in (MERTON, KOU):
         g = _grid_for(nu)
-        plan = build_plan(g, nu, force_quadrature=True)
+        plan = build_plan(g, nu)
         c = 37.5
         vals = apply_f_tilde_fn(plan, lambda x: c * np.exp(x),
                                 lambda x: c * np.exp(x), 0.0)
@@ -83,7 +84,7 @@ def test_block_f_tilde_fn_matches_per_node_sum(rho, measure):
     # others (21 of 32, 5 of 8)
     shift = ShiftModel(strategy_tanh_ramp(0.3), rho=rho)
     g = make_grid(4.0, 256, reach=estimate_reach(measure, shift, 4.0))
-    plan = build_plan(g, measure, shift, force_quadrature=True)
+    plan = build_plan(g, measure, shift)
     assert (plan.shift is None) == (rho == 0.0)
     if rho == 0.0:
         assert plan.wh.size == 309
@@ -96,15 +97,16 @@ def test_block_f_tilde_fn_matches_per_node_sum(rho, measure):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_fft_and_quadrature_paths_agree():
+def test_lattice_symbol_matches_per_node_sum():
+    # the lattice symbol samples the density where the plan's own nodes
+    # integrate it, each node reading u by cubic interpolation
     g = _grid_for(MERTON)
-    fast = build_plan(g, MERTON)
-    slow = build_plan(g, MERTON, force_quadrature=True)
-    assert fast.uses_fft and not slow.uses_fft
+    plan = build_plan(g, MERTON)
+    shifts = list(zip(plan.wh, plan.z_nodes))
     for idx in range(10):
         u = synthetic_smooth_field(g, idx)
-        a = apply_f(fast, u).values
-        b = apply_f(slow, u).values
+        a = apply_f(plan, u).values
+        b = _per_node_sum(plan, u.values, gradient(u)[0], shifts, "xi")
         scale = max(np.max(np.abs(a)), 1e-30)
         assert np.max(np.abs(a - b)) < 1e-5 * scale, idx
 
@@ -123,8 +125,8 @@ def test_operator_is_linear_and_kills_constants():
 
 
 def test_translation_equivariance_on_the_lattice():
-    g = _grid_for(MERTON)
-    plan = build_plan(g, MERTON, force_quadrature=True)
+    g = make_grid(4.0, 256, reach=estimate_reach(TAIL, None, 4.0))
+    plan = build_plan(g, TAIL)
     u = synthetic_smooth_field(g, 4)
     shift_cells = 17
     rolled = GridField(g, np.roll(u.values, shift_cells))
@@ -180,8 +182,6 @@ def test_build_plan_validations():
                    shift=ShiftModel(strategy_tanh_ramp(0.3), rho=0.1))
     with pytest.raises(ParameterDomainError):
         build_plan(g2, MERTON)  # measure dim 1 on a dim-2 grid
-    with pytest.raises(UnsupportedConfigurationError, match="no quadrature"):
-        build_plan(g2, levy_pair(MERTON, MERTON), force_quadrature=True)
 
 
 def test_apply_f_refuses_a_field_of_another_grid():
@@ -224,7 +224,6 @@ def test_joint_two_dim_plan_on_plane_waves(k):
     m2 = make_merton(0.5, (0.0, 0.0), 0.2, dim=2)
     g = Grid(dim=2, half_width=2.0 * math.pi, n_core=128, pad=32)
     plan = build_plan(g, m2)
-    assert plan.uses_fft
     psi = -levy_exponent(m2, k)
     x1, x2 = g.meshes()
     for wave in (np.cos, np.sin):
@@ -281,11 +280,11 @@ def _rel_gap(a, b):
 
 def _shifted_plan(strategy):
     """Merton plan with the strategy at rho = 0.05; None gives the identity
-    shift on the quadrature path."""
+    shift's stencil symbol, on the alpha = 0.5 exponential tail."""
     shift = ShiftModel(strategy, rho=0.05) if strategy is not None else None
-    g = make_grid(4.0, 256, reach=estimate_reach(MERTON, shift, 4.0))
-    return build_plan(g, MERTON, shift=shift,
-                      force_quadrature=strategy is None)
+    measure = MERTON if strategy is not None else TAIL
+    g = make_grid(4.0, 256, reach=estimate_reach(measure, shift, 4.0))
+    return build_plan(g, measure, shift=shift)
 
 
 def _check_band_matches_per_node_sum(plan, tau):
@@ -302,11 +301,41 @@ def _check_band_matches_per_node_sum(plan, tau):
 @pytest.mark.parametrize("strategy", [
     strategy_tanh_ramp(0.3), strategy_sin(0.2, 1.5), strategy_linear(0.1),
     strategy_from_table([-2.0, 0.0, 2.0], [0.0, 0.2, 0.1]), None,
-], ids=["tanh_ramp", "sin", "linear", "table", "identity_quadrature"])
+], ids=["tanh_ramp", "sin", "linear", "table", "identity_alpha_0.5"])
 def test_band_matches_per_node_sum(strategy):
-    plan = _shifted_plan(strategy)
-    assert not plan.uses_fft
-    _check_band_matches_per_node_sum(plan, 0.3)
+    # under the identity shift the per-node sum checks the stencil symbol
+    _check_band_matches_per_node_sum(_shifted_plan(strategy), 0.3)
+
+
+@pytest.mark.parametrize("measure,shift", [
+    (MERTON, None), (TAIL, None), (make_exponential_tail(1.0, 1.5, 3.0), None),
+    (levy_pair(MERTON, KOU), None),
+    (MERTON, ShiftModel(strategy_tanh_ramp(0.3), rho=0.05)),
+    (TAIL, ShiftModel(strategy_sin(0.2, 1.5), rho=1e-4)),
+], ids=["merton", "exptail_alpha_0.5", "exptail_alpha_1.5", "axis_pair_2d",
+        "merton_rho_0.05", "exptail_rho_1e-4"])
+def test_only_a_feedback_shift_builds_a_band(monkeypatch, measure, shift):
+    # the shift alone picks the route: every identity plan applies its
+    # symbol, and only a rho > 0 plan reaches the quadrature band
+    builds = []
+    real = jump_operator._build_band
+    monkeypatch.setattr(jump_operator, "_build_band",
+                        lambda plan, tau: builds.append(tau) or real(plan, tau))
+    g = make_grid(4.0, 128, reach=estimate_reach(measure, shift, 4.0),
+                  dim=measure.dim)
+    plan = build_plan(g, measure, shift)
+    assert (plan.symbol_conv is None) == (shift is not None)
+    bump = np.exp(-g.axis() ** 2)
+    apply_f(plan, GridField(g, bump if g.dim == 1 else np.outer(bump, bump)),
+            tau=0.3)
+    if g.dim == 1:
+        bs = BlackScholesClosedForm(100.0, 0.05, 0.2, "put")
+        fn, dfn = (lambda p: bs.u(0.3, p)), (lambda p: bs.du_dx(0.3, p))
+        delta_on_plan_nodes(plan, 0.3)
+        apply_f_tilde_fn(plan, fn, dfn, 0.3)
+        apply_f_tilde_fn(plan, fn, dfn, 0.3, bs.live_interval(0.3))
+    assert len(builds) == (shift is not None)
+    assert (plan.stats["operator_build_s"] > 0.0) == (shift is not None)
 
 
 def test_static_band_is_built_once_per_plan(monkeypatch):
@@ -446,6 +475,4 @@ def test_live_window_matches_full_f_tilde_fn(measure, strategy, tol):
 def test_plan_nodes_strictly_increase(measure):
     # the identity live window splits each column's landings by searchsorted
     g = make_grid(4.0, 256, reach=estimate_reach(measure, None, 4.0))
-    for plan in (build_plan(g, measure), build_plan(g, measure,
-                                                    force_quadrature=True)):
-        assert np.all(np.diff(plan.z_nodes) > 0.0)
+    assert np.all(np.diff(build_plan(g, measure).z_nodes) > 0.0)

@@ -100,6 +100,7 @@ def test_removed_functions_are_gone(module_name, name):
     (OperatorPlan, {"dim"}),
     (SolveResult, {"trajectory"}),
     (_Band, {"wh"}),
+    (OperatorPlan, {"uses_fft"}),
 ])
 def test_removed_fields_are_gone(owner, removed):
     assert not removed & {f.name for f in dataclasses.fields(owner)}
@@ -136,6 +137,7 @@ def test_removed_fields_are_gone(owner, removed):
     (moments, {"tol"}),
     (compute_delta, {"tol"}),
     (merton_series_oracle, {"terms"}),
+    (build_plan, {"force_quadrature"}),
 ])
 def test_removed_parameters_are_gone(fn, removed):
     assert not removed & set(inspect.signature(fn).parameters)

@@ -19,8 +19,8 @@ from levypide.grids import Grid, GridField, Transforms, make_grid
 from levypide.jump_operator import apply_f_tilde_fn, build_plan
 from levypide.measures import (levy_pair, make_exponential_tail, make_kou,
                                make_merton)
-from levypide.pricing import (MarketSpec, estimate_reach, price_european,
-                              transform_to_pide)
+from levypide.pricing import (DEFAULT_STEPS, MarketSpec, estimate_reach,
+                              price_european, transform_to_pide)
 from levypide.shift import (ShiftModel, strategy_linear, strategy_sin,
                             strategy_tanh_ramp)
 from levypide.solver import (CauchyProblem, SchemeConfig, build_time_mesh,
@@ -734,15 +734,15 @@ def test_shift_resolve_time_is_part_of_the_band_build():
     stats = solve_shifted(shifted, SchemeConfig(dt=0.05)).stats
     assert stats["operator"] == "band"
     assert 0.0 < stats["shift_resolve_s"] <= stats["operator_build_s"]
-    # a singular density takes the band under the identity shift, which
-    # resolves nothing
+    # a singular density under the identity shift applies its stencil
+    # symbol: no band is built and no shift resolved
     tail = make_exponential_tail(1.0, 0.5, 3.0)
     g = make_grid(4.0, 128, reach=estimate_reach(tail, None, 4.0))
     identity = CauchyProblem(g, sigma=0.2, horizon=0.5, rate=0.03,
                              measure=tail)
     stats = solve_shifted(identity, SchemeConfig(dt=0.05)).stats
-    assert stats["operator"] == "band"
-    assert stats["operator_build_s"] > 0.0
+    assert stats["operator"] == "fft"
+    assert stats["operator_build_s"] == 0.0
     assert stats["shift_resolve_s"] == 0.0
 
 
@@ -835,6 +835,20 @@ def test_stability_margin_is_dt_over_the_checked_bound(scheme):
     long = dataclasses.replace(problem, horizon=5.0)
     with pytest.raises(StabilityError):
         solve_direct(long, SchemeConfig(scheme=scheme, dt=1.1 * 0.05 / margin))
+    # a singular density's stencil symbol is bounded the same way
+    tail = make_exponential_tail(1.0, 0.5, 3.0)
+    gt = make_grid(4.0, 256, reach=estimate_reach(tail, None, 4.0))
+    res = solve_direct(CauchyProblem(gt, sigma=0.2, horizon=0.2, rate=0.03,
+                                     measure=tail, initial=_gaussian(gt)),
+                       SchemeConfig(scheme=scheme, dt=0.05))
+    assert res.stats["stability_margin"] == pytest.approx(
+        0.05 * 2.0 * build_plan(gt, tail).mass, rel=1e-14)
+    # the alpha = 1.5 tail at the price_european step is refused, not marched
+    market = MarketSpec(100.0, 100.0, 1.0, 0.05, 0.2)
+    with pytest.raises(StabilityError, match="bound 5.278e-05"):
+        price_european(market, make_exponential_tail(1.0, 1.5, 3.0),
+                       scheme=SchemeConfig(scheme=scheme,
+                                           dt=market.T / DEFAULT_STEPS))
 
 
 def _full_sum_only(plan, fn, dfn, tau, live=None):
