@@ -14,10 +14,11 @@ holds the weight output point i puts on point (i + o - half) mod n, filled
 from each node's resolved shift with the cubic Lagrange weights of
 grids.cubic_stencil, with the node mass taken off the centre offset.
 Applying it is one product with a sliding window of the wrapped values.
-The build resolves and keeps the shifts in blocks of nodes, and the two
-vectors sum w h xi and sum w h (e^xi - 1), which give the subtracted drift
-terms and delta(tau, x).  The band is cached on the plan for strategies
-that ignore tau; a time-dependent strategy has it rebuilt at each new tau.
+The build keeps the shifts as one (nodes, n) array, resolved a block of
+nodes per call, and the two vectors sum w h xi and sum w h (e^xi - 1),
+which give the subtracted drift terms and delta(tau, x).  The band is
+cached on the plan for strategies that ignore tau; a time-dependent
+strategy has it rebuilt at each new tau.
 
 The compensated variant replaces the subtracted xi * grad(u) by
 (e^xi - 1) * grad(u); on closed-form fields (apply_f_tilde_fn) it kills
@@ -114,14 +115,14 @@ def _panel_edges(eps: float, outer: float, alpha: float) -> np.ndarray:
     return np.array(edges[::-1])
 
 
-# Node blocks.  A band holds its resolved shifts in blocks of _NODE_BLOCK
-# nodes, one resolver call each, and scatters each block into the band
-# _FN_BLOCK nodes at a time.  apply_f_tilde_fn sums the closed form over
-# blocks of _FN_BLOCK nodes without a live window and, under a feedback
-# shift, of _NODE_BLOCK nodes with one, so each of its blocks is a slice of
-# one stored block (the identity shift's live window needs no blocks).  A
-# block of closed-form terms must stay in cache.  Best of five on a 2-core
-# machine, ms per put source at 4, 8, 16, 32 and 64 nodes per block:
+# Node blocks.  A band resolves its shifts _NODE_BLOCK nodes per resolver
+# call into one (nodes, n) array and scatters it into the band _FN_BLOCK
+# nodes at a time.  apply_f_tilde_fn sums the closed form over blocks of
+# _FN_BLOCK nodes without a live window and, under a feedback shift, of
+# _NODE_BLOCK nodes with one (the identity shift's live window needs no
+# blocks).  A block of closed-form terms must stay in cache.  Best of five
+# on a 2-core machine, ms per put source at 4, 8, 16, 32 and 64 nodes per
+# block:
 #   full sum, Merton, 320 nodes x 1458 points:   10.3, 8.5, 14.7, 21.2, 19.1
 #   windowed, tanh_ramp band, 768 points, 0..1:    6.4, 4.6, 3.6, 3.0, 3.1
 # Blocks also set the peak RSS: `levypide price` on the merton_call and
@@ -154,14 +155,13 @@ class _Band:
     read with a stride of n entries, the (2 half + 1, n) transpose takes
     14.7 ms per apply against 1.05 ms at n = 3072, where the band is 20 MB.
 
-    xi holds the resolved shifts of the plan's nodes in node blocks: block
-    b is a (_NODE_BLOCK, n) array (the last may be shorter) whose row k is
-    node b _NODE_BLOCK + k across the grid.  xi_min and xi_max are each
-    node's extremes over the grid; xi_mean and exp_mean are plan.wh @ xi
-    and @ (e^xi - 1).
+    xi is the (nodes, n) array of the plan's resolved shifts, row j node j
+    across the grid, resolved _NODE_BLOCK nodes per resolver call.  xi_min
+    and xi_max are each node's extremes over the grid; xi_mean and exp_mean
+    are plan.wh @ xi and @ (e^xi - 1), summed one resolver block at a time.
     """
 
-    xi: Sequence[np.ndarray]
+    xi: np.ndarray
     xi_min: np.ndarray
     xi_max: np.ndarray
     band: np.ndarray
@@ -344,20 +344,25 @@ def _check_field(plan: OperatorPlan, u: GridField) -> None:
 
 
 def _build_band(plan: OperatorPlan, tau: float) -> _Band:
-    """Resolve the weighted nodes' feedback shifts at tau, one node block
-    per resolver call, and sum their cubic interpolation weights into the
-    band, _FN_BLOCK nodes per scatter."""
+    """Resolve the weighted nodes' feedback shifts at tau, _NODE_BLOCK
+    nodes per resolver call, and sum their cubic interpolation weights into
+    the band, _FN_BLOCK nodes per scatter."""
     g = plan.grid
     x = g.axis()
     n = g.n_total
     wh, z = plan.wh, plan.z_nodes
-    starts = range(0, wh.size, _NODE_BLOCK)
-    t0 = perf_counter()
-    xi = [xi_on_grid(plan.shift, tau, x, z[j:j + _NODE_BLOCK], plan.stats)
-          for j in starts]
-    plan.stats["shift_resolve_s"] += perf_counter() - t0
-    xi_min = np.concatenate([np.min(b, axis=1) for b in xi])
-    xi_max = np.concatenate([np.max(b, axis=1) for b in xi])
+    xi = np.empty((wh.size, n))
+    xi_mean = np.zeros(n)
+    exp_mean = np.zeros(n)
+    for j in range(0, wh.size, _NODE_BLOCK):
+        nodes = slice(j, j + _NODE_BLOCK)
+        t0 = perf_counter()
+        xi[nodes] = xi_on_grid(plan.shift, tau, x, z[nodes], plan.stats)
+        plan.stats["shift_resolve_s"] += perf_counter() - t0
+        xi_mean += wh[nodes] @ xi[nodes]
+        exp_mean += wh[nodes] @ np.expm1(xi[nodes])
+    xi_min = np.min(xi, axis=1)
+    xi_max = np.max(xi, axis=1)
     max_xi = float(np.max(np.abs([xi_min, xi_max]), initial=0.0))
     if max_xi > g.pad * g.dx:
         raise OutOfDomainError(
@@ -367,26 +372,20 @@ def _build_band(plan: OperatorPlan, tau: float) -> _Band:
     # cells of its output point; one more cell absorbs rounding in floor()
     half = math.ceil(max_xi / g.dx) + 3
     band = np.zeros((n, 2 * half + 1))
-    xi_mean = np.zeros(n)
-    exp_mean = np.zeros(n)
     cols = np.arange(n)
-    for j, block in zip(starts, xi):
-        wh_block = wh[j:j + _NODE_BLOCK]
-        for k in range(0, wh_block.size, _FN_BLOCK):
-            base, weights = cubic_stencil(g.x_lo, g.dx,
-                                          x + block[k:k + _FN_BLOCK])
-            offsets = base - cols + half
-            # one bincount onto the band columns this sub-block reaches
-            lo = int(np.min(offsets)) + CUBIC_OFFSETS[0]
-            hi = int(np.max(offsets)) + CUBIC_OFFSETS[-1] + 1
-            flat = cols * (hi - lo) + offsets - lo
-            whk = wh_block[k:k + _FN_BLOCK, None]
-            band[:, lo:hi] += np.bincount(
-                np.concatenate([(flat + off).ravel() for off in CUBIC_OFFSETS]),
-                np.concatenate([(whk * wk).ravel() for wk in weights]),
-                minlength=n * (hi - lo)).reshape(n, hi - lo)
-        xi_mean += wh_block @ block
-        exp_mean += wh_block @ np.expm1(block)
+    for j in range(0, wh.size, _FN_BLOCK):
+        nodes = slice(j, j + _FN_BLOCK)
+        base, weights = cubic_stencil(g.x_lo, g.dx, x + xi[nodes])
+        offsets = base - cols + half
+        # one bincount onto the band columns this slice reaches
+        lo = int(np.min(offsets)) + CUBIC_OFFSETS[0]
+        hi = int(np.max(offsets)) + CUBIC_OFFSETS[-1] + 1
+        flat = cols * (hi - lo) + offsets - lo
+        whk = wh[nodes, None]
+        band[:, lo:hi] += np.bincount(
+            np.concatenate([(flat + off).ravel() for off in CUBIC_OFFSETS]),
+            np.concatenate([(whk * wk).ravel() for wk in weights]),
+            minlength=n * (hi - lo)).reshape(n, hi - lo)
     band[:, half] -= np.sum(wh)
     return _Band(xi, xi_min, xi_max, band, xi_mean, exp_mean)
 
@@ -462,8 +461,8 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
       in runs of grid columns of about _PAIR_BLOCK pairs, accumulated by
       column with np.bincount.
     * Feedback shift with live: the landings x + xi_j(x) need not be sorted
-      by j, so each block of _NODE_BLOCK nodes, a slice of one of the node
-      blocks the plan's band at tau keeps, is summed over the columns
+      by j, so each block of _NODE_BLOCK rows of the shift array of the
+      plan's band at tau is summed over the columns
       x in [lo - max(0, b), hi - min(0, a)], [a, b] its shifts' range.
     """
     if plan.grid.dim != 1:
@@ -471,29 +470,25 @@ def apply_f_tilde_fn(plan: OperatorPlan, fn: Callable[[np.ndarray], np.ndarray],
     xv = plan.grid.axis()
     base = np.asarray(fn(xv), dtype=float)
     slope = np.asarray(dfn(xv), dtype=float)
-    identity = plan.shift is None
-    if identity and live is not None:
-        return _split_landings(plan, fn, xv, base, slope, live)
-    if not identity:
+    if plan.shift is None:
+        if live is not None:
+            return _split_landings(plan, fn, xv, base, slope, live)
+        # a (nodes, 1) column: functions of xi cost one evaluation per node
+        xi = plan.z_nodes[:, None]
+    else:
         b = _band(plan, tau)
+        xi = b.xi
     out = np.zeros_like(base)
     block = _FN_BLOCK if live is None else _NODE_BLOCK
     for j in range(0, len(plan.wh), block):
         nodes = slice(j, j + block)
         cols = slice(0, xv.size)
-        if identity:
-            # a (nodes, 1) column: functions of xi cost one evaluation per node
-            xij = plan.z_nodes[nodes, None]
-        else:
-            if live is not None:
-                cols = slice(
-                    np.searchsorted(xv, live[0] - max(0.0, b.xi_max[nodes].max())),
-                    np.searchsorted(xv, live[1] - min(0.0, b.xi_min[nodes].min()),
-                                    side="right"))
-                if cols.start >= cols.stop:
-                    continue
-            k = j % _NODE_BLOCK
-            xij = b.xi[j // _NODE_BLOCK][k:k + block, cols]
+        if live is not None:
+            cols = slice(
+                np.searchsorted(xv, live[0] - max(0.0, b.xi_max[nodes].max())),
+                np.searchsorted(xv, live[1] - min(0.0, b.xi_min[nodes].min()),
+                                side="right"))
+        xij = xi[nodes, cols]
         terms = (np.asarray(fn(xv[cols] + xij), dtype=float) - base[cols]
                  - np.expm1(xij) * slope[cols])
         out[cols] += plan.wh[nodes] @ terms

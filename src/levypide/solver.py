@@ -646,6 +646,10 @@ def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig,
             out += tr.fwd(real)
         if source is not None:
             out += source(tau, stats)
+        if g.dim == 1:
+            # the spectrum of a real field has a real Nyquist coefficient;
+            # ik drift in L_hat makes the state's complex
+            out[-1] = out[-1].real
         return out
 
     return tr, L_hat, implicit, N_fn, stats

@@ -67,8 +67,7 @@ def _per_node_f_tilde_fn(plan, fn, dfn, tau):
     if plan.shift is None:
         xi = plan.z_nodes[:, None]
     else:
-        xi = [row for block in jump_operator._band(plan, tau).xi
-              for row in block]
+        xi = jump_operator._band(plan, tau).xi
     base, slope = fn(xv), dfn(xv)
     out = np.zeros_like(base)
     for whj, xij in zip(wh, xi):
@@ -412,6 +411,24 @@ def test_compute_delta_covers_a_law_centred_far_below_zero(jump_mean, tol):
     got = delta_on_plan_nodes(plan, 0.0)[i]
     want = compute_delta(plan.shift, nu, 0.0, float(x[i]))
     assert abs(got - want) <= tol * abs(want)
+
+
+def test_band_keeps_its_shifts_as_one_array():
+    # the far Merton law's 309 nodes leave a last resolver block of 21; every
+    # row is the node's own resolved shift, whatever block it was resolved in
+    nu = make_merton(0.5, -2.0, 0.1)
+    shift = ShiftModel(strategy_tanh_ramp(0.3), rho=0.02)
+    g = make_grid(4.0, 128, reach=estimate_reach(nu, shift, 4.0))
+    plan = build_plan(g, nu, shift)
+    band = jump_operator._band(plan, 0.3)
+    assert isinstance(band.xi, np.ndarray)
+    assert band.xi.shape == (309, g.n_total)
+    x = g.axis()
+    for j in range(plan.wh.size):
+        want = xi_on_grid(plan.shift, 0.3, x, plan.z_nodes[j:j + 1])[0]
+        assert np.array_equal(band.xi[j], want), j
+    assert np.array_equal(band.xi_min, np.min(band.xi, axis=1))
+    assert np.array_equal(band.xi_max, np.max(band.xi, axis=1))
 
 
 def test_resolved_reach_beyond_the_padding_is_out_of_domain():

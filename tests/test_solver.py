@@ -897,3 +897,35 @@ def test_window_check_catches_a_wrong_live_interval(monkeypatch):
     broken = solve_shifted(problem, scheme)
     assert broken.stats["source_window_gap"] > 1e-3
     assert np.array_equal(broken.field.values, disabled.field.values)
+
+
+# --- the Nyquist coefficient of the explicit term ---------------------------
+
+NYQUIST_MARKET = MarketSpec(100.0, 107.4926, 1.0, 0.0254, 0.1551, "put")
+
+
+def test_tiny_tail_price_keeps_a_real_nyquist_coefficient():
+    # ik drift in the implicit multiplier makes the state's Nyquist
+    # coefficient complex; kept in the explicit term, it moved this price to
+    # 19.27569086133484, 6.0e-7 off the real-space route's value
+    res = price_european(NYQUIST_MARKET, make_exponential_tail(1.0, 0.5, 3.0),
+                         n_core=64,
+                         scheme=SchemeConfig(scheme="imex_bdf2", dt=0.1))
+    assert res.price == pytest.approx(19.275679302813806, rel=1e-13, abs=0.0)
+
+
+def test_explicit_term_has_a_real_nyquist_coefficient():
+    tail = make_exponential_tail(1.0, 0.5, 3.0)
+    g = make_grid(6.0, 64, reach=estimate_reach(tail, None, 6.0))
+    problem = transform_to_pide(NYQUIST_MARKET, g, tail, None)
+    plan = build_plan(g, tail)
+    _, _, _, N_fn, _ = solver._prepare_rhs(
+        problem, SchemeConfig(scheme="imex_bdf2", dt=0.1), None, plan)
+    u_hat = np.fft.rfft(np.exp(-g.axis() ** 2))
+    u_hat[-1] += 0.5j
+    out = N_fn(0.5, u_hat, None)
+    assert out[-1].imag == 0.0
+    # the bounded jump term, its Nyquist coefficient's real part kept
+    want = (plan.symbol_conv - plan.mass) * u_hat
+    want[-1] = want[-1].real
+    assert np.array_equal(out, want)
