@@ -4,9 +4,7 @@ Values are expressed in the transformed frame (time-to-maturity tau,
 x = ln(S/K)) where the undiscounted value solves a constant-coefficient
 parabolic equation; the original price is e^{-r tau} times the transformed
 value.  The normal CDF comes from scipy.special.ndtr (erfc-based, accurate to
-machine precision, far inside the 1e-12 requirement), called only where its
-value is not exactly saturated (see _ndtr); most points of a padded grid
-sit far in either tail.
+machine precision, far inside the 1e-12 requirement).
 """
 from __future__ import annotations
 
@@ -20,24 +18,14 @@ from .errors import ParameterDomainError
 
 __all__ = ["BlackScholesClosedForm"]
 
-# ndtr rounds to exactly 1.0 from a = 8.3 and to exactly 0.0 from a = -38
-# (scipy 1.17.1); the cut-offs keep a margin on both sides.
-_NDTR_ONE = 9.0
-_NDTR_ZERO = -39.0
+# Half-width of the live interval in units of sigma sqrt(tau): ndtr rounds
+# to exactly 1.0 from a = 8.3 (scipy 1.17.1), so 9 keeps a margin.
+_SATURATED = 9.0
 
 
-def _ndtr(a):
-    """scipy.special.ndtr(a), bit for bit, with the saturated tails filled
-    in directly: 1.0 for a >= 9, 0.0 for a <= -39.  0-d input and NaN go to
-    ndtr itself."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        return ndtr(a)
-    one = a >= _NDTR_ONE
-    live = ~(one | (a <= _NDTR_ZERO))
-    out = one.astype(float)
-    out[live] = ndtr(a[live])
-    return out
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau < math.inf:
+        raise ParameterDomainError("tau must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -76,17 +64,18 @@ class BlackScholesClosedForm:
         saturated at tau, and the side profiles (c0, c1) with
         u(tau, x) = c0 + c1 e^x below lo and above hi.
 
-        Below lo both N(+-d) are exactly 0/1 (d1, d2 < -9, the _NDTR_ONE
-        cut), so u is c0 + c1 e^x there up to the rounding of
-        e^{x + r tau} against e^{r tau} e^x: (K, -K e^{r tau}) for a put,
-        (0, 0) for a call, within ndtr(-9) K.  Above hi (d1, d2 > 9) the
-        roles swap: (0, 0) for a put, (-K, K e^{r tau}) for a call.  The
-        compensated jump operator annihilates c0 + c1 e^x, so a pair
-        (x, x + xi) with both ends on one saturated side adds 0 up to
-        rounding or ndtr(-9) ~ 1.1e-19 K.  tau = 0 gives (0, 0), the kink,
-        with the payoff's two sides.
+        Below lo, d1, d2 < -9: ndtr(-d) has rounded to exactly 1 (it does
+        from 8.3) and ndtr(d) <= ndtr(-9), so u is c0 + c1 e^x there up to
+        the rounding of e^{x + r tau} against e^{r tau} e^x:
+        (K, -K e^{r tau}) for a put, (0, 0) for a call, within ndtr(-9) K.
+        Above hi (d1, d2 > 9) the roles swap: (0, 0) for a put,
+        (-K, K e^{r tau}) for a call.  The compensated jump operator
+        annihilates c0 + c1 e^x, so a pair (x, x + xi) with both ends on one
+        saturated side adds 0 up to rounding or ndtr(-9) ~ 1.1e-19 K.
+        tau = 0 gives (0, 0), the kink, with the payoff's two sides.
         """
-        sq = _NDTR_ONE * self.sigma * math.sqrt(tau)
+        _check_tau(tau)
+        sq = _SATURATED * self.sigma * math.sqrt(tau)
         half_var = 0.5 * self.sigma ** 2 * tau
         K, grown = self.strike, self.strike * math.exp(self.rate * tau)
         zero = (0.0, 0.0)
@@ -104,8 +93,7 @@ class BlackScholesClosedForm:
 
     def u(self, tau: float, x):
         """Transformed (undiscounted) value at log-moneyness x."""
-        if tau < 0:
-            raise ParameterDomainError("tau must be nonnegative")
+        _check_tau(tau)
         x = np.asarray(x, dtype=float)
         if tau == 0.0:
             return self.payoff(x)
@@ -113,11 +101,12 @@ class BlackScholesClosedForm:
         d1, d2 = self._d12(tau, x)
         fwd = K * np.exp(x + self.rate * tau)
         if self.option_type == "call":
-            return fwd * _ndtr(d1) - K * _ndtr(d2)
-        return K * _ndtr(-d2) - fwd * _ndtr(-d1)
+            return fwd * ndtr(d1) - K * ndtr(d2)
+        return K * ndtr(-d2) - fwd * ndtr(-d1)
 
     def du_dx(self, tau: float, x):
         """x-derivative of the transformed value (jumps at x=0 when tau=0)."""
+        _check_tau(tau)
         x = np.asarray(x, dtype=float)
         if tau == 0.0:
             ex = self.strike * np.exp(x)
@@ -127,8 +116,8 @@ class BlackScholesClosedForm:
         d1, _ = self._d12(tau, x)
         fwd = self.strike * np.exp(x + self.rate * tau)
         if self.option_type == "call":
-            return fwd * _ndtr(d1)
-        return -fwd * _ndtr(-d1)
+            return fwd * ndtr(d1)
+        return -fwd * ndtr(-d1)
 
     def price(self, spot, tau: float):
         """Option price at spot price(s) and time-to-maturity tau."""

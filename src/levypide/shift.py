@@ -381,12 +381,11 @@ def resolve_H(model: ShiftModel, tau: float, spot: float, z: float,
 
     where phi(t, S) = psi(tau, log(S / strike)).  This is the shift balance
     at x = log(S / strike) with S + H = S e^xi, so H = S (e^xi - 1) from
-    resolve_xi; rho = 0 returns the impact-free S (e^z - 1) exactly.
+    resolve_xi; rho = 0 gives the impact-free S (e^z - 1), since resolve_xi
+    returns z exactly there.
     """
     if spot <= 0 or strike <= 0:
         raise ParameterDomainError("spot and strike must be positive")
-    if model.rho == 0.0:
-        return spot * (math.exp(z) - 1.0)
     return spot * math.expm1(resolve_xi(model, tau, math.log(spot / strike), z))
 
 

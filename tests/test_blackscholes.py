@@ -4,23 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from levypide.blackscholes import BlackScholesClosedForm, _ndtr
-
-
-def test_saturation_aware_ndtr_is_bit_identical():
-    a = np.linspace(-60.0, 60.0, 1_200_001)
-    assert np.array_equal(_ndtr(a), ndtr(a))
-    # the cut-offs, their neighbours and the points where ndtr saturates
-    edges = np.array([-39.0, np.nextafter(-39.0, 0.0), -38.0, -37.0, 8.3,
-                      np.nextafter(9.0, 0.0), 9.0, 0.0, -0.0])
-    assert np.array_equal(_ndtr(edges), ndtr(edges))
-    block = a[:-1].reshape(1200, 1000)
-    assert np.array_equal(_ndtr(block), ndtr(block))
-    special = np.array([np.nan, np.inf, -np.inf, 1.0])
-    assert np.array_equal(_ndtr(special), ndtr(special), equal_nan=True)
-    for s in (-40.0, -39.0, -1.5, 0.0, 8.5, 9.0, 12.0, math.inf, -math.inf):
-        assert _ndtr(s) == ndtr(s)
-    assert math.isnan(_ndtr(math.nan))
+from levypide.blackscholes import BlackScholesClosedForm
+from levypide.errors import ParameterDomainError
 
 
 @pytest.mark.parametrize("option_type", ["call", "put"])
@@ -87,3 +72,16 @@ def test_side_profiles_reproduce_the_closed_form_on_their_sides(option_type):
     call = BlackScholesClosedForm(2.0, 0.05, 0.2, "call")
     assert put.live_interval(0.0)[2:] == ((2.0, -2.0), (0.0, 0.0))
     assert call.live_interval(0.0)[2:] == ((0.0, 0.0), (-2.0, 2.0))
+
+
+@pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+def test_closed_form_refuses_a_negative_or_non_finite_tau(tau):
+    # one named error from every entry that takes tau, never a NaN or a
+    # bare math domain error
+    bs = BlackScholesClosedForm(100.0, 0.05, 0.2, "put")
+    x = np.linspace(-1.0, 1.0, 5)
+    for method in (bs.u, bs.du_dx):
+        with pytest.raises(ParameterDomainError, match="tau"):
+            method(tau, x)
+    with pytest.raises(ParameterDomainError, match="tau"):
+        bs.live_interval(tau)

@@ -105,6 +105,9 @@ def test_count_xi_roots_unique_for_weak_impact():
 def test_resolve_H_identity_and_rho_zero():
     model0 = ShiftModel(TANH, rho=0.0)
     assert resolve_H(model0, 0.0, 100.0, 0.2, strike=95.0) == 100.0 * (math.exp(0.2) - 1.0)
+    # small jumps keep their digits: e^z - 1 loses them to cancellation
+    for z in (1e-3, 1e-10):
+        assert resolve_H(model0, 0.0, 100.0, z, strike=95.0) == 100.0 * math.expm1(z)
     model = ShiftModel(TANH, rho=0.04)
     S, K, z = 100.0, 95.0, -0.3
     H = resolve_H(model, 0.0, S, z, strike=K)

@@ -449,6 +449,32 @@ def test_decay_probe_skips_without_measure_and_passes_with():
         singular_source_decay_probe(problem, 0.3)
 
 
+@pytest.mark.parametrize("measure, shift", [
+    (MERTON, None),
+    (make_kou(0.4, 0.6, 8.0, 4.0), None),
+    (make_exponential_tail(1.0, 0.5, 3.0), None),
+    (MERTON, ShiftModel(strategy_tanh_ramp(0.3), rho=0.05)),
+], ids=["merton", "kou", "tail_alpha_0.5", "tanh_ramp_rho_0.05"])
+def test_decay_probe_sums_on_the_live_window(monkeypatch, measure, shift):
+    g = make_grid(3.0, 256, reach=estimate_reach(measure, shift, 3.0))
+    problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.05,
+                            measure=measure, shift=shift, strike=100.0)
+    seen = []
+
+    def windowed_and_full(plan, fn, dfn, tau, live=None):
+        h = apply_f_tilde_fn(plan, fn, dfn, tau, live)
+        seen.append((live, h, apply_f_tilde_fn(plan, fn, dfn, tau)))
+        return h
+
+    monkeypatch.setattr(solver, "apply_f_tilde_fn", windowed_and_full)
+    singular_source_decay_probe(problem, 0.75)
+    assert len(seen) == 9
+    for live, h, full in seen:
+        assert live is not None
+        gap = float(np.max(np.abs(h - full))) / float(np.max(np.abs(full)))
+        assert gap <= 1e-12
+
+
 def test_feedback_diffusion_runs_and_guards_margin():
     g = make_grid(4.0, 512, reach=3.2)
     payoff = GridField(g, np.maximum(np.exp(g.axis()) - 1.0, 0.0))
