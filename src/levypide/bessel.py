@@ -129,7 +129,10 @@ class ProbeReport:
     @classmethod
     def from_ratios(cls, samples: np.ndarray, ratios: np.ndarray) -> ProbeReport:
         """Passes when the max ratio is within 10 times the median; with a
-        zero median the spread is infinite unless every ratio is 0."""
+        zero median the spread is infinite unless every ratio is 0.  No
+        samples is a domain error."""
+        if not ratios.size:
+            raise ParameterDomainError("a probe needs at least one sample")
         med = float(np.median(ratios))
         mx = float(np.max(ratios))
         spread = mx / med if med > 0 else (np.inf if mx > 0 else 1.0)

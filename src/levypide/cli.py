@@ -14,8 +14,8 @@ xi-probe            shift resolver growth/expansion/root diagnostics
 Every run writes CSV artifacts (floats at 17 significant digits, header
 comment carrying the config digest) plus manifest.json, and exits 0 exactly
 when all enabled assertions pass.  Outputs are deterministic: identical
-config bytes give identical CSV bytes; --seedless additionally trips any
-accidental RNG draw.
+config bytes give identical CSV bytes, and no subcommand draws random
+numbers.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +44,9 @@ from .shift import (count_xi_roots, growth_bound_probe,
 from .solver import singular_source_decay_probe, solve_shifted
 
 _SCHEMA = "levypide-csv-1"
+# Accepted observed order of the convergence study's last level: the ladder
+# halves dt and h together, and both schemes are second order in time.
+ORDER_BAND = (1.5, 2.8)
 
 
 def _fmt(v) -> str:
@@ -88,28 +90,6 @@ def _write_manifest(outdir: Path, cfg: RunConfig, outputs, t0: float,
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-@contextmanager
-def _seedless_guard(enabled: bool):
-    """Trip on any RNG draw for the duration of a run."""
-    if not enabled:
-        yield
-        return
-    names = ("random", "rand", "randn", "normal", "uniform", "randint",
-             "choice", "standard_normal", "default_rng", "seed")
-    saved = {n: getattr(np.random, n) for n in names}
-
-    def _trip(*_a, **_k):
-        raise LevyPideError("--seedless run attempted to draw random numbers")
-
-    try:
-        for n in names:
-            setattr(np.random, n, _trip)
-        yield
-    finally:
-        for n, fn in saved.items():
-            setattr(np.random, n, fn)
 
 
 def _grid_record(half_width: float, n_core: int, reach: float):
@@ -276,7 +256,7 @@ def _cmd_convergence_study(cfg: RunConfig, outdir: Path, halvings: int):
     _write_csv(outdir / "convergence.csv", cfg.digest,
                ("level", "n_core", "dt", "h", "rel_err", "observed_order"),
                rows)
-    passed = bool(orders) and cfg.order_lo <= orders[-1] <= cfg.order_hi
+    passed = bool(orders) and ORDER_BAND[0] <= orders[-1] <= ORDER_BAND[1]
     return passed, [outdir / "convergence.csv"], {
         "grid": grids, "scheme": _scheme_record(cfg)}
 
@@ -318,8 +298,6 @@ def main(argv=None) -> int:
         description="Jump-diffusion option pricing and operator diagnostics")
     parser.add_argument("--config", required=True, help="INI config path")
     parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--seedless", action="store_true",
-                        help="fail the run if any RNG draw happens")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("price")
     diag = sub.add_parser("diagnose")
@@ -340,19 +318,18 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     try:
-        with _seedless_guard(args.seedless):
-            if args.command == "price":
-                passed, outputs, record = _cmd_price(cfg, outdir)
-            elif args.command == "diagnose":
-                fn = {"bessel": _cmd_diagnose_bessel,
-                      "operator": _cmd_diagnose_operator,
-                      "decay": _cmd_diagnose_decay}[args.what]
-                passed, outputs, record = fn(cfg, outdir)
-            elif args.command == "convergence-study":
-                passed, outputs, record = _cmd_convergence_study(
-                    cfg, outdir, args.halvings)
-            else:
-                passed, outputs, record = _cmd_xi_probe(cfg, outdir)
+        if args.command == "price":
+            passed, outputs, record = _cmd_price(cfg, outdir)
+        elif args.command == "diagnose":
+            fn = {"bessel": _cmd_diagnose_bessel,
+                  "operator": _cmd_diagnose_operator,
+                  "decay": _cmd_diagnose_decay}[args.what]
+            passed, outputs, record = fn(cfg, outdir)
+        elif args.command == "convergence-study":
+            passed, outputs, record = _cmd_convergence_study(
+                cfg, outdir, args.halvings)
+        else:
+            passed, outputs, record = _cmd_xi_probe(cfg, outdir)
     except LevyPideError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ Sections and keys:
     [shift]       rho, strategy, amplitude, frequency, center, width
     [grid]        half_width, n_core
     [scheme]      scheme, dt, cross_check, cross_check_tol
-    [assertions]  oracle_rel_tol, order_lo, order_hi
+    [assertions]  oracle_rel_tol
 
 [market] and its keys are required, option_type (call or put) aside.
 jumps.family is none (default) or a FAMILIES entry: merton
@@ -36,14 +36,12 @@ Merton c0 or e^z moment names [jumps]).  Values are read by configparser's
 getfloat, getint and getboolean (1/yes/true/on, 0/no/false/off).  Missing
 or malformed keys and unknown keys, sections, families and strategies (also
 when rho = 0) name their dotted path.  [assertions] builds no object and
-is checked here: oracle_rel_tol >= 0, order_lo and order_hi finite,
-order_lo <= order_hi.
+is checked here: oracle_rel_tol >= 0.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
-import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParameterDomainError
@@ -70,8 +68,6 @@ class RunConfig:
     n_core: int
     scheme: SchemeConfig
     oracle_rel_tol: float
-    order_lo: float
-    order_hi: float
     digest: str
 
 
@@ -151,7 +147,7 @@ KEYS = {
         key for _, defaults in STRATEGIES.values() for key in defaults)),
     "grid": ("half_width", "n_core"),
     "scheme": ("scheme", "dt", "cross_check", "cross_check_tol"),
-    "assertions": ("oracle_rel_tol", "order_lo", "order_hi"),
+    "assertions": ("oracle_rel_tol",),
 }
 # The key of each builder argument whose name differs from it; a builder's
 # ParameterDomainError message starts with the argument's name.
@@ -238,20 +234,11 @@ def load_config(path: str) -> RunConfig:
 
     sec = _Section(parser, "assertions")
     oracle_rel_tol = sec.number("oracle_rel_tol", 1e-3)
-    order_lo = sec.number("order_lo", 1.5)
-    order_hi = sec.number("order_hi", 2.8)
     if not oracle_rel_tol >= 0.0:
         raise ConfigError("assertions.oracle_rel_tol must be a nonnegative "
                           "number", key="assertions.oracle_rel_tol")
-    for key, value in (("order_lo", order_lo), ("order_hi", order_hi)):
-        if not math.isfinite(value):
-            raise ConfigError(f"assertions.{key} must be a finite number",
-                              key=f"assertions.{key}")
-    if order_lo > order_hi:
-        raise ConfigError("assertions.order_lo exceeds assertions.order_hi",
-                          key="assertions.order_lo")
     return RunConfig(
         market=market, jump_family=family, measure=measure,
         merton_params=merton_params, shift=shift, half_width=grid.half_width,
         n_core=grid.n_core, scheme=scheme, oracle_rel_tol=oracle_rel_tol,
-        order_lo=order_lo, order_hi=order_hi, digest=config_digest(raw_bytes))
+        digest=config_digest(raw_bytes))

@@ -55,7 +55,8 @@ from .errors import (OutOfDomainError, ParameterDomainError, PlanInvalidError,
 # this module's name, so the name must stay importable
 from .grids import (CUBIC_OFFSETS, Grid, GridField, Transforms,  # noqa: F401
                     cubic_interp_periodic, cubic_stencil, gradient)
-from .measures import JUMP_TAIL_TOL, AxisJumpPair, LevyMeasure
+from .measures import (JUMP_TAIL_TOL, AxisJumpPair, LevyMeasure,
+                       check_density_sample)
 from .quadrature import adaptive_quad, gauss_legendre_panels, quad_line
 from .shift import ShiftModel, xi_on_grid
 
@@ -238,6 +239,7 @@ def _lattice_symbol(grid: Grid, measure, r_out: float):
     else:
         h = np.asarray(measure.density(*coords), dtype=float)
     h[np.sqrt(sum(za ** 2 for za in coords)) > r_out] = 0.0
+    check_density_sample(h, *coords)
     cell = dx ** grid.dim
     mean = np.array([float(np.sum(za * h)) for za in coords]) * cell
     delta0 = float(np.sum(np.expm1(z) * h) * dx - mean[0]) \
@@ -313,8 +315,9 @@ def build_plan(grid: Grid, measure,
         edges = _panel_edges(eps_in, r_out, alpha)
         pos_nodes, pos_w = gauss_legendre_panels(edges)
         z = np.concatenate([-pos_nodes[::-1], pos_nodes])
-        wh = (np.concatenate([pos_w[::-1], pos_w])
-              * np.asarray(measure.density(z), dtype=float))
+        h = np.asarray(measure.density(z), dtype=float)
+        check_density_sample(h, z)
+        wh = np.concatenate([pos_w[::-1], pos_w]) * h
         mass = float(np.sum(wh))
         mean = np.array([float(np.sum(wh * z))])
         delta0 = float(np.sum(wh * (np.expm1(z) - z)))
@@ -568,7 +571,8 @@ def f_bound_probe(plan: OperatorPlan, fields: Sequence[GridField],
     """Ratios of ||f(u)||_L2 to the fractional norm of the gradient.
 
     Refuses regularity parameters outside [1/2, 1) or at or below
-    (alpha - dim) / (2 omega); zero fields are skipped.
+    (alpha - dim) / (2 omega); zero fields are skipped, and at least one
+    field must be nonzero.
     """
     if not 0.5 <= gamma < 1.0:
         raise ParameterDomainError("gamma must satisfy 1/2 <= gamma < 1")
@@ -588,7 +592,9 @@ def f_bound_probe(plan: OperatorPlan, fields: Sequence[GridField],
         grads = gradient(u)
         den = math.sqrt(sum(norm(u.with_values(g)) ** 2 for g in grads))
         ratios.append(fu.l2() / den)
-    mx = max(ratios) if ratios else 0.0
+    if not ratios:
+        raise ParameterDomainError("f_bound_probe needs a nonzero field")
+    mx = max(ratios)
     finite = all(math.isfinite(r) for r in ratios)
     return FBoundReport(finite, gamma, mx, tuple(ratios))
 

@@ -127,7 +127,11 @@ class LevyMeasure:
                 tail = self.shape.tail_mass(1.0, 1)
                 s = np.linspace(-30.0, 8.0, 2049)
                 z = np.exp(s)
-                mass = np.trapezoid((self.density(z) + self.density(-z)) * z, s)
+                up, down = self.density(z), self.density(-z)
+                # refuse only < 0: a NaN far past jump_radius meets no node
+                check_density_sample(np.nan_to_num(np.concatenate([up, down])),
+                                     np.concatenate([z, -z]))
+                mass = np.trapezoid((up + down) * z, s)
                 if mass < tail:
                     mass = quad_line(self.density)
                 rel_tol *= min(1.0, mass / tail)
@@ -151,6 +155,20 @@ class LevyMeasure:
         return self.shape.mu > 0 or self.shape.d > 1
 
 
+def check_density_sample(h, *coords) -> None:
+    """Refuse a density sampled at the points coords (one array per axis,
+    broadcasting to h's shape) that is NaN or negative there, naming the
+    first such z: the solve would fail later for another stated reason."""
+    h = np.asarray(h, dtype=float)
+    bad = ~(h >= 0.0)
+    if np.any(bad):
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        z = [float(np.broadcast_to(c, bad.shape)[i]) for c in coords]
+        what = "NaN" if np.isnan(h[i]) else "negative"
+        raise ParameterDomainError(
+            f"density is {what} at z = {z[0] if len(z) == 1 else tuple(z)}")
+
+
 @dataclass(frozen=True)
 class AxisJumpPair:
     """Two independent 1-D jump measures acting along the coordinate axes.
@@ -163,11 +181,14 @@ class AxisJumpPair:
 
     axis_x: LevyMeasure
     axis_y: LevyMeasure
-    dim: int = 2
 
     def __post_init__(self):
         if self.axis_x.dim != 1 or self.axis_y.dim != 1:
             raise ParameterDomainError("axis measures must be one-dimensional")
+
+    @property
+    def dim(self) -> int:
+        return 2
 
     @cached_property
     def jump_radius(self) -> float:
@@ -271,7 +292,7 @@ class AdmissibilityReport:
 def check_admissibility(measure: LevyMeasure, z_grid) -> AdmissibilityReport:
     """Test h(z) |z|^alpha e^(d|z| + mu|z|^2) <= c0 pointwise on a sample grid.
 
-    The grid must exclude z = 0 whenever alpha > 0.
+    The grid must be nonempty and exclude z = 0 whenever alpha > 0.
     """
     sh = measure.shape
     if measure.dim == 1:
@@ -283,6 +304,8 @@ def check_admissibility(measure: LevyMeasure, z_grid) -> AdmissibilityReport:
         pts = np.asarray(z_grid, dtype=float).reshape(-1, 2)
         r = np.hypot(pts[:, 0], pts[:, 1])
         h = measure.density(pts[:, 0], pts[:, 1])
+    if not r.size:
+        raise ParameterDomainError("sample grid must not be empty")
     if sh.alpha > 0 and np.any(r == 0.0):
         raise ParameterDomainError("sample grid must exclude z = 0 when alpha > 0")
     h = np.asarray(h, dtype=float)

@@ -144,12 +144,15 @@ def strategy_from_table(x_table, psi_table) -> TradingStrategy:
 
 def estimate_holder_constant(strategy: TradingStrategy, x_cloud) -> float:
     """Empirical Holder constant max |dpsi| / |dx|^omega over cloud pairs at
-    tau = 0."""
+    tau = 0; the cloud needs two points more than 1e-12 apart."""
     x = np.asarray(x_cloud, dtype=float)
     p = strategy.values(0.0, x)
     dx = np.abs(x[:, None] - x[None, :])
     dp = np.abs(p[:, None] - p[None, :])
     mask = dx > 1e-12
+    if not mask.any():
+        raise ParameterDomainError(
+            "x_cloud needs two points more than 1e-12 apart")
     return float(np.max(dp[mask] / dx[mask] ** strategy.holder_exponent))
 
 

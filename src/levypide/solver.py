@@ -154,7 +154,6 @@ class SchemeConfig:
 
     scheme: str = "imex_bdf2"
     dt: float = 1e-3
-    checkpoint_count: int = 10
     monitor_gamma: float = 0.0
     cross_check: bool = False
     cross_check_tol: float = 1e-3
@@ -164,12 +163,13 @@ class SchemeConfig:
             raise ParameterDomainError("scheme must be imex_bdf2 or mild_etd2")
         if not 0.0 < self.dt < math.inf:
             raise ParameterDomainError("dt must be positive and finite")
-        if self.checkpoint_count < 1:
-            raise ParameterDomainError("checkpoint_count must be >= 1")
         if not self.cross_check_tol >= 0:
             raise ParameterDomainError("cross_check_tol must be nonnegative")
 
 
+# A solve records the fractional norm at the levels nearest to these many
+# equal fractions of its horizon.
+CHECKPOINTS = 10
 # The source is read from its reader once the Black-Scholes kernel is this
 # many grid cells wide (sigma sqrt(tau) >= SOURCE_SWITCH_CELLS * dx);
 # earlier, the smoothed kink is too sharp for the grid to carry it.
@@ -182,7 +182,8 @@ SOURCE_SWITCH_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Terminal state, (tau, norm) checkpoints and time levels taus of a solve.
+    """Terminal state, (tau, norm) checkpoints (see CHECKPOINTS) and time
+    levels taus of a solve.
 
     stats records what the solve did: the jump operator path (operator:
     "fft", "band" or None without a measure); the plan's counters
@@ -193,11 +194,12 @@ class SolveResult:
     source_analytic, source_propagated and source_interpolated evaluations,
     source_analytic_s (perf_counter seconds of the analytic ones, window
     check and interpolation nodes included; 0.0 without a source),
-    the propagator's check: source_switch_gap and, once it passed,
-    source_switch_tau = tau_a (both None without one); the interpolant's
-    node count source_interp_nodes N and its check's source_interp_gap
-    (both None when none was built); a check gap above SOURCE_SWITCH_TOL
-    means the source stayed analytic from there on; the live-window
+    source_switch_tau = tau_a, the level either reader starts from, once
+    its check passed (None otherwise); the propagator's check gap
+    source_switch_gap (None without one); the interpolant's node count
+    source_interp_nodes N and its check's source_interp_gap (both None
+    when none was built); a check gap above SOURCE_SWITCH_TOL means the
+    source stayed analytic from there on; the live-window
     check's source_window_gap and the source_pair_fraction, source_pairs
     (the pairs on which the closed form was evaluated) over
     nodes x n_total x source_analytic (both None without a source); and
@@ -532,8 +534,7 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
                 reader = False
                 return spectrum(tau, h, stats)
             checked = True
-            if identity:
-                stats["source_switch_tau"] = tau_a
+            stats["source_switch_tau"] = tau_a
         stats[count_key] += 1
         return h_read
 
@@ -706,9 +707,8 @@ def _run(problem: CauchyProblem, scheme: SchemeConfig, v0: np.ndarray,
                                                     plan)
     norm = FractionalNorm(g, scheme.monitor_gamma)
     T = float(taus[-1])
-    n_marks = scheme.checkpoint_count
-    mark_set = {int(np.argmin(np.abs(taus - T * (j + 1) / n_marks)))
-                for j in range(n_marks)} - {0}
+    mark_set = {int(np.argmin(np.abs(taus - T * (j + 1) / CHECKPOINTS)))
+                for j in range(CHECKPOINTS)} - {0}
     checkpoints = []
 
     def level(i, tau, v):

@@ -266,8 +266,7 @@ def test_criterion_12_fractional_norm_monitor_bounded():
     g = make_grid(6.0, 1024, reach=2.6)
     problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.05,
                             measure=MERTON, strike=100.0)
-    res = solve_shifted(problem, SchemeConfig(dt=0.01, checkpoint_count=10,
-                                              monitor_gamma=0.6))
+    res = solve_shifted(problem, SchemeConfig(dt=0.01, monitor_gamma=0.6))
     norms = [v for _, v in res.checkpoints]
     assert len(norms) == 10
     assert all(math.isfinite(v) and v > 0 for v in norms)

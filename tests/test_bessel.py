@@ -106,6 +106,11 @@ def test_modulus_of_continuity_spreads():
         assert rep.spread < 10.0
 
 
+def test_modulus_of_continuity_needs_a_shift():
+    with pytest.raises(ParameterDomainError, match="at least one sample"):
+        modulus_of_continuity_probe(0.5, 1, [])
+
+
 def _brute_l1_shift(order, h):
     """||G(. + h) - G||_L1 on the line straight from its definition: the
     integrand |G(x + h) - G(x)| in six pieces.  Next to the singular points

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from levypide import cli, config, solver
-from levypide.cli import _seedless_guard, main
+from levypide.cli import main
 from levypide.config import load_config
-from levypide.errors import ConfigError, LevyPideError
+from levypide.errors import ConfigError
 from levypide.grids import make_grid
 from levypide.measures import ShapeParams
 from levypide.pricing import bs_closed_form, estimate_reach
@@ -72,6 +72,31 @@ dt = 0.04
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.cfg"))
+
+
+# numpy's random draw functions, which no subcommand may call
+RNG_NAMES = ("random", "rand", "randn", "normal", "uniform", "randint",
+             "choice", "standard_normal", "default_rng", "seed")
+
+
+class RandomDraw(AssertionError):
+    pass
+
+
+@pytest.fixture
+def no_rng(monkeypatch):
+    """Make every random draw raise RandomDraw for the test's duration."""
+    def trip(*_a, **_k):
+        raise RandomDraw("a run drew random numbers")
+
+    for name in RNG_NAMES:
+        monkeypatch.setattr(np.random, name, trip)
+
+
+def test_the_rng_tripwire_trips(no_rng):
+    for name in RNG_NAMES:
+        with pytest.raises(RandomDraw):
+            getattr(np.random, name)(3)
 
 
 @pytest.fixture
@@ -339,8 +364,7 @@ NUMERIC_KEYS = [
      ("market.spot", "market.strike", "market.maturity_years",
       "market.rate_per_year", "market.volatility", "jumps.intensity_per_year",
       "jumps.jump_mean", "jumps.jump_std", "grid.half_width", "grid.n_core",
-      "scheme.dt", "assertions.oracle_rel_tol", "assertions.order_lo",
-      "assertions.order_hi")),
+      "scheme.dt", "assertions.oracle_rel_tol")),
     ("kou", "kou_put.cfg", {},
      ("jumps.intensity_per_year", "jumps.p_up", "jumps.eta_up",
       "jumps.eta_down", "scheme.cross_check_tol")),
@@ -393,10 +417,6 @@ def test_every_numeric_key_names_itself_when_bad(tmp_path, capsys, solves,
     # numeric check (exit 1) for what is a configuration error
     ("oracle_rel_tol = nan", "assertions.oracle_rel_tol", ["price"]),
     ("oracle_rel_tol = -1", "assertions.oracle_rel_tol", ["price"]),
-    ("order_lo = nan", "assertions.order_lo", ["convergence-study"]),
-    ("order_hi = inf", "assertions.order_hi", ["convergence-study"]),
-    ("order_lo = 3.0\norder_hi = 2.0", "assertions.order_lo",
-     ["convergence-study"]),
 ])
 def test_assertions_that_cannot_be_met_exit_2_before_any_solve(
         tmp_path, capsys, solves, value, key, command):
@@ -549,13 +569,11 @@ def test_manifest_records_the_grid_and_source_window_that_ran(tmp_path):
     assert 0.0 < stats["stability_margin"] < 1.0
 
 
-def test_price_runs_are_byte_deterministic(tmp_path):
+def test_price_runs_are_byte_deterministic(tmp_path, no_rng):
     cfg = _write(tmp_path, MERTON_CFG)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["--config", cfg, "--out", str(out1), "--seedless",
-                 "price"]) == 0
-    assert main(["--config", cfg, "--out", str(out2), "--seedless",
-                 "price"]) == 0
+    assert main(["--config", cfg, "--out", str(out1), "price"]) == 0
+    assert main(["--config", cfg, "--out", str(out2), "price"]) == 0
     assert (out1 / "price.csv").read_bytes() == (out2 / "price.csv").read_bytes()
 
 
@@ -586,6 +604,8 @@ def test_impact_call_manifest_records_the_interpolated_source(tmp_path):
     assert stats["source_interp_gap"] <= 1e-10
     assert stats["source_interpolated"] > 0
     assert stats["source_propagated"] == 0
+    # the interpolant's first node, where its reader starts
+    assert 0.0 < stats["source_switch_tau"] < 1.0
     assert 0.0 < stats["plan_build_s"] < manifest["wall_clock_s"]
 
 
@@ -665,7 +685,7 @@ def test_price_counts_shift_fallback_points(tmp_path):
     assert stats["shift_fallback_points"] > 0
 
 
-def test_diagnose_bessel(tmp_path):
+def test_diagnose_bessel(tmp_path, no_rng):
     cfg = _write(tmp_path, MERTON_CFG)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "diagnose",
@@ -679,7 +699,7 @@ def test_diagnose_bessel(tmp_path):
     assert all(abs(float(r[3]) - 1.0) < 1e-12 for r in rows if r[0] == "mass")
 
 
-def test_diagnose_operator(tmp_path):
+def test_diagnose_operator(tmp_path, no_rng):
     cfg = _write(tmp_path, MERTON_CFG)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "diagnose",
@@ -721,7 +741,7 @@ def test_diagnose_operator_checks_the_applied_symbol(tmp_path, name):
     assert manifest["grid"]["n_total"] % 512 == 0
 
 
-def test_diagnose_decay(tmp_path):
+def test_diagnose_decay(tmp_path, no_rng):
     cfg = _write(tmp_path, MERTON_CFG)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "diagnose", "decay"]) == 0
@@ -732,7 +752,7 @@ def test_diagnose_decay(tmp_path):
         assert float(r[1]) >= float(r[2])
 
 
-def test_convergence_study(tmp_path):
+def test_convergence_study(tmp_path, no_rng):
     cfg = _write(tmp_path, MERTON_CFG)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "convergence-study",
@@ -778,7 +798,7 @@ def test_convergence_study_refuses_a_too_fine_ladder_before_any_solve(
     assert not (out / "convergence.csv").exists()
 
 
-def test_xi_probe(tmp_path):
+def test_xi_probe(tmp_path, no_rng):
     cfg = _write(tmp_path, SHIFT_CFG)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "xi-probe"]) == 0
@@ -799,9 +819,17 @@ def test_missing_config_is_a_clean_error(tmp_path):
                  str(tmp_path / "out"), "price"]) == 2
 
 
-def test_seedless_guard_trips_on_rng():
-    with pytest.raises(LevyPideError):
-        with _seedless_guard(True):
-            np.random.rand(3)
-    # and restores the originals afterwards
-    assert np.random.rand(2).shape == (2,)
+def test_the_removed_run_settings_exit_2(tmp_path, capsys):
+    # --seedless is gone (no subcommand draws random numbers; see no_rng),
+    # and so are the [assertions] order band keys
+    cfg = _write(tmp_path, MERTON_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg, "--out", str(tmp_path / "out"), "--seedless",
+              "price"])
+    assert exc.value.code == 2
+    assert "--seedless" in capsys.readouterr().err
+    for key in ("order_lo", "order_hi"):
+        path = _write(tmp_path, f"{MERTON_CFG}\n[assertions]\n{key} = 2.0\n")
+        assert main(["--config", path, "--out", str(tmp_path / "out"),
+                     "convergence-study"]) == 2
+        assert f"assertions.{key}" in capsys.readouterr().err

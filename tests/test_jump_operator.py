@@ -15,7 +15,7 @@ from levypide.jump_operator import (apply_f, apply_f_tilde_fn,
                                     build_plan, delta_on_plan_nodes,
                                     f_bound_probe, plan_symbol_table,
                                     reference_symbol, small_jump_compensation)
-from levypide.measures import (levy_exponent, levy_pair,
+from levypide.measures import (LevyMeasure, levy_exponent, levy_pair,
                                make_exponential_tail, make_kou, make_merton,
                                moments)
 from levypide.pricing import estimate_reach
@@ -246,6 +246,32 @@ def test_f_bound_probe_ratios_and_domain():
     rough_plan = build_plan(gr, rough)
     with pytest.raises(ParameterDomainError):
         f_bound_probe(rough_plan, fields, 0.6)
+
+
+def test_plans_refuse_a_bad_density_sample():
+    # the tail-radius search samples no density of these two, so the
+    # plan's node sample (1-D, infinite activity) and lattice sample (2-D)
+    # are the first to see it
+    tail = make_exponential_tail(1.0, 1.2, 3.0)
+    nan_far = LevyMeasure(lambda z: np.where(z > 0.5, np.nan, tail.density(z)),
+                          1, tail.shape)
+    with pytest.raises(ParameterDomainError, match="density is NaN at z = 0.5"):
+        build_plan(make_grid(3.0, 128, reach=tail.jump_radius), nan_far)
+    m2 = make_merton(0.5, (0.0, 0.0), 0.2, dim=2)
+    dip = LevyMeasure(lambda a, b: np.where(np.hypot(a, b) < 0.3, -1.0,
+                                            m2.density(a, b)), 2, m2.shape)
+    with pytest.raises(ParameterDomainError,
+                       match=r"density is negative at z = \(0.0, 0.0\)"):
+        build_plan(make_grid(3.0, 64, reach=m2.jump_radius, dim=2), dip)
+
+
+@pytest.mark.parametrize("n_zero", [0, 1], ids=["no_field", "zero_field"])
+def test_f_bound_probe_refuses_to_pass_on_nothing(n_zero):
+    # zero fields are skipped, so without a nonzero one nothing is checked
+    g = _grid_for(MERTON)
+    zero = GridField(g, np.zeros(g.n_total))
+    with pytest.raises(ParameterDomainError, match="nonzero field"):
+        f_bound_probe(build_plan(g, MERTON), [zero] * n_zero, 0.75)
 
 
 # --- the precomputed quadrature band against the node-by-node sum ----------

@@ -5,6 +5,8 @@ import pytest
 
 from levypide import measures
 from levypide.errors import ParameterDomainError
+from levypide.grids import make_grid
+from levypide.jump_operator import build_plan
 from levypide.measures import (LevyMeasure, ShapeParams, check_admissibility,
                                compensated_exp_term, levy_exponent, levy_pair,
                                make_exponential_tail, make_kou, make_merton,
@@ -212,6 +214,14 @@ def test_levy_pair_requires_one_dimensional_factors():
     assert pair.axis_x is nux and pair.axis_y is nuy
     with pytest.raises(ParameterDomainError):
         levy_pair(make_merton(0.3, (0.0, 0.0), 0.2, dim=2), nuy)
+    # a pair is a 2-D measure: a 1-D plan refuses it by name
+    with pytest.raises(ParameterDomainError, match="measure dim 2"):
+        build_plan(make_grid(3.0, 64, reach=pair.jump_radius), pair)
+
+
+def test_admissibility_needs_a_sample():
+    with pytest.raises(ParameterDomainError, match="must not be empty"):
+        check_admissibility(make_merton(1.0, 0.0, 1.0), [])
 
 
 def test_merton_density_peak_location():

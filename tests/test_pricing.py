@@ -9,7 +9,7 @@ from levypide.errors import (NoSolutionError, OutOfDomainError,
                              ParameterDomainError,
                              UnsupportedConfigurationError)
 from levypide.grids import make_grid
-from levypide.measures import make_merton
+from levypide.measures import LevyMeasure, make_kou, make_merton
 from levypide.pricing import (MarketSpec, bs_closed_form, estimate_reach,
                               merton_series_oracle, price_european,
                               report_price, transform_to_pide)
@@ -110,6 +110,40 @@ def test_a_two_dimensional_pricing_problem_is_refused():
     # to be built, with no initial field
     with pytest.raises(UnsupportedConfigurationError, match="1-D"):
         transform_to_pide(MKT, make_grid(5.0, 64, dim=2))
+
+
+@pytest.mark.parametrize("edit,what", [
+    (lambda z, h: np.where(z > 1.5, np.nan, h), "NaN"),
+    (lambda z, h: np.where(np.abs(z) < 0.3, -1.0, h), "negative"),
+], ids=["nan_beyond_1.5", "negative_below_0.3"])
+def test_a_bad_user_density_is_named_where_it_is_sampled(edit, what):
+    # these used to fail as a non-finite source at tau = 0 and as an
+    # envelope tail that does not decay
+    base = make_merton(0.5, -0.1, 0.2)
+    bad = LevyMeasure(lambda z: edit(np.asarray(z), base.density(z)), 1,
+                      base.shape)
+    with pytest.raises(ParameterDomainError, match=f"density is {what} at z"):
+        price_european(MKT, bad, n_core=128, scheme=SchemeConfig(dt=0.05))
+
+
+def test_a_density_nan_only_far_past_the_jump_radius_prices():
+    # a Kou density written as up * (z > 0) + down * (z < 0) is inf * 0 =
+    # NaN for z < -709 / 25; the tail-radius search samples out to
+    # |z| = e^8, but no plan node or lattice point lands there
+    kou = make_kou(0.4, 0.6, 25.0, 4.0)
+
+    def naive(z):
+        z = np.asarray(z, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 0.4 * (0.6 * 25.0 * np.exp(-25.0 * z) * (z > 0)
+                          + 0.4 * 4.0 * np.exp(4.0 * z) * (z < 0))
+
+    assert np.isnan(naive(-100.0))
+    scheme = SchemeConfig(dt=0.05)
+    got = price_european(MKT, LevyMeasure(naive, 1, kou.shape), n_core=128,
+                         scheme=scheme)
+    assert got.price == price_european(MKT, kou, n_core=128,
+                                       scheme=scheme).price
 
 
 def test_series_oracle_degenerates_to_black_scholes():

@@ -18,8 +18,9 @@ from levypide.config import RunConfig
 from levypide.grids import Grid, GridField, make_grid
 from levypide.jump_operator import (OperatorPlan, _Band, apply_f_tilde_fn,
                                     build_plan, reference_symbol)
-from levypide.measures import (LevyMeasure, MeasureMoments, exp_moment_cutoff,
-                               levy_exponent, make_merton, moments)
+from levypide.measures import (AxisJumpPair, LevyMeasure, MeasureMoments,
+                               exp_moment_cutoff, levy_exponent, make_merton,
+                               moments)
 from levypide.pricing import (PriceResult, estimate_reach, merton_series_oracle,
                               price_european, transform_to_pide)
 from levypide.quadrature import (adaptive_quad, gauss_legendre_panels,
@@ -63,6 +64,7 @@ def test_every_exported_name_resolves(module_name):
     ("levypide.bessel", "xgamma_norm"),
     ("levypide.measures", "make_custom"),
     ("levypide.jump_operator", "_identity_shifts"),
+    ("levypide.cli", "_seedless_guard"),
 ])
 def test_removed_functions_are_gone(module_name, name):
     module = importlib.import_module(module_name)
@@ -101,6 +103,8 @@ def test_removed_functions_are_gone(module_name, name):
     (SolveResult, {"trajectory"}),
     (_Band, {"wh"}),
     (OperatorPlan, {"uses_fft"}),
+    (SchemeConfig, {"checkpoint_count"}),
+    (RunConfig, {"order_lo", "order_hi"}),
 ])
 def test_removed_fields_are_gone(owner, removed):
     assert not removed & {f.name for f in dataclasses.fields(owner)}
@@ -141,6 +145,15 @@ def test_removed_fields_are_gone(owner, removed):
 ])
 def test_removed_parameters_are_gone(fn, removed):
     assert not removed & set(inspect.signature(fn).parameters)
+
+
+def test_an_axis_pair_is_two_dimensional():
+    # dim is a read-only property, not an init field
+    nu = make_merton(0.5, -0.1, 0.2)
+    assert "dim" not in {f.name for f in dataclasses.fields(AxisJumpPair)}
+    assert AxisJumpPair(nu, nu).dim == 2
+    with pytest.raises(TypeError):
+        AxisJumpPair(nu, nu, dim=1)
 
 
 def test_a_measure_is_not_callable():

@@ -203,6 +203,12 @@ def test_holder_constant_estimates():
     assert got > 0.9 * TANH.holder_constant
 
 
+@pytest.mark.parametrize("cloud", [[0.0], [0.5, 0.5]], ids=["one", "repeated"])
+def test_holder_constant_needs_two_distinct_points(cloud):
+    with pytest.raises(ParameterDomainError, match="two points"):
+        estimate_holder_constant(TANH, cloud)
+
+
 def test_strategy_builders_shapes():
     x = np.linspace(-2, 2, 7)
     assert np.array_equal(strategy_zero().psi(0.0, x), np.zeros(7))
@@ -223,6 +229,8 @@ def test_growth_bound_probe_passes_for_holder_strategy():
     assert np.isfinite(rep.max_ratio)
     with pytest.raises(ParameterDomainError):
         growth_bound_probe(model, np.array([0.0, 1.0]), np.array([0.0]))
+    with pytest.raises(ParameterDomainError, match="at least one sample"):
+        growth_bound_probe(model, [], np.linspace(-2.0, 2.0, 21))
 
 
 def _reference_root_w(model, tau, x, z):

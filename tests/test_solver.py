@@ -91,8 +91,6 @@ def test_problem_validation():
         CauchyProblem(g, sigma=0.2, horizon=1.0, option_type="straddle")
     with pytest.raises(ParameterDomainError, match="diffusion_mode"):
         CauchyProblem(g, sigma=0.2, horizon=1.0, diffusion_mode="local")
-    with pytest.raises(ParameterDomainError, match="checkpoint_count"):
-        SchemeConfig(checkpoint_count=0)
 
 
 def test_problem_closed_form_is_built_once_and_read_only():
@@ -424,9 +422,8 @@ def test_checkpoints_are_recorded():
     g = _merton_grid(256)
     problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.03,
                             measure=MERTON)
-    res = solve_shifted(problem, SchemeConfig(dt=0.01, checkpoint_count=5,
-                                              monitor_gamma=0.5))
-    assert len(res.checkpoints) == 5
+    res = solve_shifted(problem, SchemeConfig(dt=0.01, monitor_gamma=0.5))
+    assert len(res.checkpoints) == solver.CHECKPOINTS == 10
     taus = [t for t, _ in res.checkpoints]
     assert abs(taus[-1] - 1.0) < 1e-12
     assert all(b > a for a, b in zip(taus, taus[1:]))
@@ -515,9 +512,9 @@ def test_feedback_step_past_the_advection_bound_is_refused():
 
 def test_feedback_checkpoints_and_unsupported_combinations():
     problem = _feedback_problem()
-    res = solve_direct(problem, SchemeConfig(dt=0.01, checkpoint_count=5))
+    res = solve_direct(problem, SchemeConfig(dt=0.01))
     taus = [t for t, _ in res.checkpoints]
-    assert len(taus) == 5
+    assert len(taus) == 10
     assert all(b > a for a, b in zip(taus, taus[1:]))
     assert abs(taus[-1] - 0.1) < 1e-12
     # per level the gradient, the forward transform of the grid terms and
