@@ -5,14 +5,18 @@ x = ln(S/K)) where the undiscounted value solves a constant-coefficient
 parabolic equation; the original price is e^{-r tau} times the transformed
 value.  The normal CDF comes from scipy.special.ndtr (erfc-based, accurate to
 machine precision, far inside the 1e-12 requirement).
+
+For lognormal (Merton) and double-exponential (Kou) jumps the compensated
+jump operator applied to the closed form has a closed form too
+(BlackScholesClosedForm.jump_source).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erfcx, ndtr
 
 from .errors import ParameterDomainError
 
@@ -26,6 +30,22 @@ _SATURATED = 9.0
 def _check_tau(tau: float) -> None:
     if not 0.0 <= tau < math.inf:
         raise ParameterDomainError("tau must be nonnegative and finite")
+
+
+def _kou_s(a: np.ndarray, eta: float, v: float) -> np.ndarray:
+    """S(eta, a) = e^{eta a + eta^2 v^2 / 2} N(-t), t = a/v + eta v, of
+    BlackScholesClosedForm.jump_source, one branch per point: where t > 0
+    the product is e^{-a^2 / 2 v^2} erfcx(t / sqrt 2) / 2, whose factors
+    neither overflow nor underflow early, and elsewhere the direct one,
+    whose exponent is then at most -eta^2 v^2 / 2."""
+    t = a / v + eta * v
+    out = np.empty_like(a)
+    tail = t > 0.0
+    out[tail] = 0.5 * np.exp(-0.5 * (a[tail] / v) ** 2) \
+        * erfcx(t[tail] / math.sqrt(2.0))
+    near = ~tail
+    out[near] = np.exp(eta * a[near] + 0.5 * (eta * v) ** 2) * ndtr(-t[near])
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,6 +138,63 @@ class BlackScholesClosedForm:
         if self.option_type == "call":
             return fwd * ndtr(d1)
         return -fwd * ndtr(-d1)
+
+    def jump_source(self, tau: float, x, family: tuple) -> np.ndarray:
+        """The compensated jump operator on the closed form,
+
+            h(tau, x) = int [u(tau, x + z) - u - (e^z - 1) u'] nu(dz),
+
+        in closed form for a ("merton", ...) or ("kou", ...) family (see
+        LevyMeasure.family).  The operator annihilates c0 + c1 e^x, so a
+        call and a put share h; both forms below are the put's.
+
+        Merton, Z ~ N(m, s^2) with intensity lam: E u(tau, x + Z) is the put
+        at total variance V^2 = sigma^2 tau + s^2 and log-drift
+        mu = (r - sigma^2/2) tau + m, K N(-d) - K e^{x + mu + V^2/2} N(-d - V)
+        with d = (x + mu) / V, and h = lam [E - u - kappa u'] with
+        kappa = e^{m + s^2/2} - 1.  tau = 0 reads u and u' from the payoff,
+        with u' at the kink as du_dx gives it.
+
+        Kou (lam, p, eta_up, eta_down): with v = sigma sqrt(tau),
+        a = x + (r - sigma^2/2) tau and
+        S(eta, a) = e^{eta a + eta^2 v^2 / 2} N(-a/v - eta v),
+            h = lam K [p S(eta_up, a) / (eta_up - 1)
+                       + (1 - p) S(eta_down, -a) / (eta_down + 1)].
+        This is Kou's I-function form after its N(-d1,2) and u' terms
+        cancel; S goes through erfcx where it would underflow (_kou_s).
+        tau = 0 takes the v -> 0 limit S = e^{eta a} for a < 0, the up term
+        on x < 0 and the down term on x >= 0 (du_dx's side at the kink).
+        """
+        _check_tau(tau)
+        x = np.asarray(x, dtype=float)
+        name, lam, *law = family
+        if name == "merton":
+            m, s = law
+            K, sig2 = self.strike, self.sigma ** 2
+            put = self if self.option_type == "put" \
+                else replace(self, option_type="put")
+            var = sig2 * tau + s * s
+            V = math.sqrt(var)
+            mu = (self.rate - 0.5 * sig2) * tau + m
+            d = (x + mu) / V
+            jumped = K * ndtr(-d) \
+                - K * np.exp(x + mu + 0.5 * var) * ndtr(-d - V)
+            return lam * (jumped - put.u(tau, x) - math.expm1(m + 0.5 * s * s)
+                          * put.du_dx(tau, x))
+        if name != "kou":
+            raise ParameterDomainError(
+                f"no closed-form jump source for {name}")
+        p, eta_up, eta_down = law
+        if tau == 0.0:
+            up = np.where(x < 0.0, np.exp(eta_up * np.minimum(x, 0.0)), 0.0)
+            down = np.where(x >= 0.0,
+                            np.exp(-eta_down * np.maximum(x, 0.0)), 0.0)
+        else:
+            v = self.sigma * math.sqrt(tau)
+            a = x + (self.rate - 0.5 * self.sigma ** 2) * tau
+            up, down = _kou_s(a, eta_up, v), _kou_s(-a, eta_down, v)
+        return lam * self.strike * (p / (eta_up - 1.0) * up
+                                    + (1.0 - p) / (eta_down + 1.0) * down)
 
     def price(self, spot, tau: float):
         """Option price at spot price(s) and time-to-maturity tau."""

@@ -100,11 +100,20 @@ class LevyMeasure:
     density is vectorized: one array argument for dim=1, two broadcastable
     coordinate arrays for dim=2.  A radial 2-D density reads its profile as
     density(r, 0).  check_admissibility tests a user density's envelope.
+
+    family names the closed form behind a 1-D built-in density, as its
+    factory's name and arguments: ("merton", intensity, jump_mean,
+    jump_std), ("kou", intensity, p_up, eta_plus, eta_minus) or
+    ("exponential_tail", c0, alpha, decay).  moments reads the family's
+    exact total mass, and an identity-shift solve the exact compensated
+    source of a Merton or Kou family, which the solve checks against the
+    node sum of density.  A measure built any other way has family None.
     """
 
     density: Callable
     dim: int
     shape: ShapeParams
+    family: tuple | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -128,7 +137,8 @@ class LevyMeasure:
                 s = np.linspace(-30.0, 8.0, 2049)
                 z = np.exp(s)
                 up, down = self.density(z), self.density(-z)
-                # refuse only < 0: a NaN far past jump_radius meets no node
+                # refuse only < 0: a NaN or +inf far past jump_radius meets
+                # no node
                 check_density_sample(np.nan_to_num(np.concatenate([up, down])),
                                      np.concatenate([z, -z]))
                 mass = np.trapezoid((up + down) * z, s)
@@ -157,14 +167,17 @@ class LevyMeasure:
 
 def check_density_sample(h, *coords) -> None:
     """Refuse a density sampled at the points coords (one array per axis,
-    broadcasting to h's shape) that is NaN or negative there, naming the
-    first such z: the solve would fail later for another stated reason."""
+    broadcasting to h's shape) that is NaN, negative or +inf there, naming
+    the first such z: the solve would fail later for another stated reason
+    (an infinite sample makes the plan's mass infinite, and the stability
+    check then reports a zero bound)."""
     h = np.asarray(h, dtype=float)
-    bad = ~(h >= 0.0)
+    bad = ~((h >= 0.0) & (h < np.inf))
     if np.any(bad):
         i = np.unravel_index(np.argmax(bad), bad.shape)
         z = [float(np.broadcast_to(c, bad.shape)[i]) for c in coords]
-        what = "NaN" if np.isnan(h[i]) else "negative"
+        what = "NaN" if np.isnan(h[i]) else "negative" if h[i] < 0 \
+            else "infinite"
         raise ParameterDomainError(
             f"density is {what} at z = {z[0] if len(z) == 1 else tuple(z)}")
 
@@ -233,7 +246,8 @@ def make_merton(intensity: float, jump_mean, jump_std: float, dim: int = 1) -> L
     if dim == 1:
         m0 = float(m[0])
         density = lambda z: norm * np.exp(-((np.asarray(z) - m0) ** 2) / (2.0 * s2))
-        return LevyMeasure(density, 1, shape)
+        return LevyMeasure(density, 1, shape,
+                           ("merton", intensity, m0, jump_std))
     m1, m2 = float(m[0]), float(m[1])
     density = lambda z1, z2: norm * np.exp(
         -((np.asarray(z1) - m1) ** 2 + (np.asarray(z2) - m2) ** 2) / (2.0 * s2))
@@ -247,7 +261,8 @@ def make_exponential_tail(c0: float, alpha: float, decay: float, dim: int = 1) -
     shape = ShapeParams(c0=c0, alpha=alpha, d=decay, mu=0.0)
     if dim == 1:
         density = lambda z: c0 * np.abs(z) ** (-alpha) * np.exp(-decay * np.abs(z))
-        return LevyMeasure(density, 1, shape)
+        return LevyMeasure(density, 1, shape,
+                           ("exponential_tail", c0, alpha, decay))
     profile = lambda p: c0 * np.asarray(p) ** (-alpha) * np.exp(-decay * np.asarray(p))
     density = lambda z1, z2: profile(np.hypot(z1, z2))
     return LevyMeasure(density, 2, shape)
@@ -279,7 +294,8 @@ def make_kou(intensity: float, p_up: float, eta_plus: float, eta_minus: float) -
         dn = intensity * (1.0 - p_up) * eta_minus * np.exp(eta_minus * np.clip(z, None, 0.0))
         return np.where(z > 0, up, np.where(z < 0, dn, 0.0))
 
-    return LevyMeasure(density, 1, shape)
+    return LevyMeasure(density, 1, shape,
+                       ("kou", intensity, p_up, eta_plus, eta_minus))
 
 
 @dataclass(frozen=True)
@@ -336,13 +352,24 @@ def moments(measure: LevyMeasure) -> MeasureMoments:
     jump int z h(z) dz of a 1-D measure.
 
     Divergence is decided from the shape parameters; only convergent entries
-    are sent to quadrature.
+    are sent to quadrature.  A built-in family's total mass is its closed
+    form: the intensity for Merton and Kou, 2 c0 Gamma(1 - alpha)
+    d^(alpha - 1) for the exponential tail (quad_left_unit stops at
+    z = e^-60, so its quadrature loses mass as alpha nears 1).
     """
     if measure.dim != 1:
         raise ParameterDomainError("moments are one-dimensional")
     sh = measure.shape
     h = measure.density
-    total = np.inf if sh.alpha >= 1 else quad_line(h)
+    if sh.alpha >= 1:
+        total = np.inf
+    elif measure.family is None:
+        total = quad_line(h)
+    elif measure.family[0] == "exponential_tail":
+        c0, alpha, decay = measure.family[1:]
+        total = 2.0 * c0 * math.gamma(1.0 - alpha) * decay ** (alpha - 1.0)
+    else:
+        total = float(measure.family[1])
     if sh.alpha >= 2:
         mean = np.full(1, np.nan)
     else:

@@ -35,8 +35,15 @@ The implicit solve comes in two forms:
 In shifted mode U starts at zero and is forced by the source h(tau), the
 compensated operator acting on the closed form; the early-time steepness of
 that source is met with a quadratically graded startup mesh.  While
-sigma sqrt(tau) < SOURCE_SWITCH_CELLS * dx the source is analytic: the
-operator is applied to the closed form at shifted arguments (no
+sigma sqrt(tau) < SOURCE_SWITCH_CELLS * dx the source is analytic.  Under
+the identity shift a Merton or Kou measure (LevyMeasure.family in
+CLOSED_SOURCES) has it in closed form (BlackScholesClosedForm.jump_source),
+one vectorized pass per level over the grid points within the jump radius
+of the closed form's live interval; one check compares it with the plain
+node sum at the horizon on NODE_CHECK_COLUMNS core points, records the gap
+and stops the solve above SOURCE_NODE_TOL.  Every other plan (a feedback
+shift, another family, a user density) sums the source over the plan's
+nodes: the operator is applied to the closed form at shifted arguments (no
 interpolation of the kink), and only the (node, point) pairs with an end in
 the closed form's live interval count (outside it the put is c0 + c1 e^x
 or below ndtr(-9) K, which the compensated operator annihilates).  Under
@@ -49,7 +56,8 @@ threshold a reader is built from analytic values:
 
 * identity shift — the operator is translation-invariant and commutes with
   the Black-Scholes generator L_BS, so h(tau) = exp((tau - tau_a) L_BS)
-  h(tau_a) exactly: one spectral multiply of its spectrum per level;
+  h(tau_a) exactly: each level is the previous one times exp(step L_BS),
+  one spectral multiply per level;
 * static feedback shift (rho > 0, a strategy that ignores tau) — the source
   is smooth in log tau once the kernel is wide: the barycentric interpolant
   on the N + 1 Chebyshev-Lobatto nodes in log tau on [tau_a, T] (end nodes
@@ -63,12 +71,12 @@ both readers: the first level read that is not a node is also evaluated
 analytically, and a max-norm relative gap on the grid (the read level's
 inverse transform against the analytic values) above SOURCE_SWITCH_TOL keeps
 that analytic value and every later level analytic.
-The window is checked too: the first analytic level sums every pair and
-the window, keeps the full sum, and a gap above SOURCE_SWITCH_TOL leaves
-the window off for the rest of the solve.  The counts, tau_a, the node
-count, the gaps, the share of pairs summed, the seconds spent on analytic
-levels (nodes included) and the solve's transforms are reported in
-SolveResult.stats.
+The node sum's window is checked too: the first analytic level sums every
+pair and the window, keeps the full sum, and a gap above SOURCE_SWITCH_TOL
+leaves the window off for the rest of the solve.  The counts, tau_a, the
+node count, the gaps, the source's form, the share of pairs summed, the
+seconds spent on analytic levels (nodes and checks included) and the
+solve's transforms are reported in SolveResult.stats.
 
 A cross-checked solve then marches the other scheme on the same operator
 plan, time levels and source.  The source keeps its analytic levels by tau
@@ -178,6 +186,20 @@ SOURCE_SWITCH_CELLS = 2.0
 # analytic source at its check, and between the live-window and the full
 # analytic source at the first level.
 SOURCE_SWITCH_TOL = 1e-10
+# Measure families whose compensated source an identity-shift solve takes
+# from BlackScholesClosedForm.jump_source, checked once at the horizon on
+# this many core columns against the node sum; a gap above SOURCE_NODE_TOL
+# stops the solve.  The node sum is the less exact side.  Measured gaps
+# (n_core 128 and 1024, sigma 0.1 to 0.5, horizon 0.1 to 2): at most 6.6e-15
+# (Merton) and 5.8e-10 (Kou) on the benchmark rows; 3.5e-9 for Merton
+# (0.5, -0.1, 0.2) and 7.6e-6 for the Kou laws the tests price, largest at
+# sigma sqrt(T) = 0.03; 1.7e-5 for Merton jump_std 1; and 1.15e-3 for
+# make_merton(0.5, -2, 0.1), whose narrow bump falls on one quadrature
+# panel.  A tag naming another law (a Kou tag, jump_std 0.25 for 0.2, or
+# intensity 0.6 for 0.5 on that Merton density) misses by 0.19 to 0.30.
+CLOSED_SOURCES = ("merton", "kou")
+NODE_CHECK_COLUMNS = 32
+SOURCE_NODE_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -193,8 +215,12 @@ class SolveResult:
     the calls of N (explicit_evaluations); and the source work:
     source_analytic, source_propagated and source_interpolated evaluations,
     source_analytic_s (perf_counter seconds of the analytic ones, window
-    check and interpolation nodes included; 0.0 without a source),
-    source_switch_tau = tau_a, the level either reader starts from, once
+    check, horizon node check and interpolation nodes included; 0.0
+    without a source), source_form ("closed" for the closed-form source of
+    a Merton or Kou measure, "nodes" for a node sum, None without a
+    source) and source_node_gap (the closed form's horizon check gap, None
+    with a node sum), source_switch_tau = tau_a, the level either reader
+    starts from, once
     its check passed (None otherwise); the propagator's check gap
     source_switch_gap (None without one); the interpolant's node count
     source_interp_nodes N and its check's source_interp_gap (both None
@@ -202,7 +228,7 @@ class SolveResult:
     source stayed analytic from there on; the live-window
     check's source_window_gap and the source_pair_fraction, source_pairs
     (the pairs on which the closed form was evaluated) over
-    nodes x n_total x source_analytic (both None without a source); and
+    nodes x n_total x source_analytic (both None without a node sum); and
     the relative L2 gap to the other scheme's solve, cross_check_gap (None
     when no cross-check ran); and fft_transforms, the forward and inverse
     transforms of the march, its source and its checkpoint norms (none at
@@ -401,6 +427,7 @@ def _source_stats() -> dict:
             "source_switch_tau": None, "source_switch_gap": None,
             "source_interp_nodes": None, "source_interp_gap": None,
             "source_window_gap": None, "source_pair_fraction": None,
+            "source_form": None, "source_node_gap": None,
             "fft_transforms": 0}
 
 
@@ -418,8 +445,11 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     operator on the closed form; its counts, seconds and transforms go into
     the caller's stats.
 
-    Analytic (on the checked live window) up to tau_a, then read from the
-    checked reader built there; see the module docstring.  taus, the
+    Analytic up to tau_a, then read from the checked reader built there;
+    see the module docstring.  An analytic level is the closed form of a
+    Merton or Kou family when the plan has no shift (its first call checks
+    it against the node sum at the horizon, taus[-1]), and otherwise the
+    node sum on the checked live window.  taus, the
     solve's time levels, place the interpolant's nodes and decide whether it
     pays.  Each march calls it in nondecreasing tau (mild_etd2 twice in a
     row at the next level's tau, hence the kept latest value).  keep_levels
@@ -433,6 +463,8 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     # the evaluation free of exponential growth
     bs = replace(problem.closed_form, option_type="put")
     identity = plan.shift is None
+    family = plan.measure.family
+    closed = identity and family is not None and family[0] in CLOSED_SOURCES
     count_key = "source_propagated" if identity else "source_interpolated"
     gap_key = "source_switch_gap" if identity else "source_interp_gap"
     window = None  # live-window decision, taken at the first analytic level
@@ -445,26 +477,49 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
     tau_a, checked = 0.0, False
     pairs_per_level = g.n_total * plan.wh.size
     latest = (None, None)  # (tau, source(tau)) of the latest call
+    xv, reach = g.axis(), plan.measure.jump_radius
+    node_checked = False
+
+    def closed_values(tau: float, stats: dict) -> np.ndarray:
+        """The closed form on the columns within the jump radius of the
+        live interval, 0.0 elsewhere (the node sum's window truncates the
+        same way), after the horizon check on the first call."""
+        nonlocal node_checked
+        if not node_checked:
+            stats["source_node_gap"] = _node_gap(plan, bs, float(taus[-1]))
+            node_checked = True
+        lo, hi, _, _ = bs.live_interval(tau)
+        cols = slice(np.searchsorted(xv, lo - reach),
+                     np.searchsorted(xv, hi + reach, side="right"))
+        h = np.zeros(g.n_total)
+        h[cols] = bs.jump_source(tau, xv[cols], family)
+        return h
 
     def grid_values(tau: float, stats: dict) -> np.ndarray:
         """The analytic level on the grid."""
         nonlocal window
         t0 = perf_counter()
-        fn, dfn = (lambda p: bs.u(tau, p)), (lambda p: bs.du_dx(tau, p))
-        live = bs.live_interval(tau) if window else None
-        h = apply_f_tilde_fn(plan, fn, dfn, tau, live)
-        if window is None:
-            h_win = apply_f_tilde_fn(plan, fn, dfn, tau, bs.live_interval(tau))
-            gap = _rel_max(h_win, h)
-            window = gap <= SOURCE_SWITCH_TOL
-            stats["source_window_gap"] = gap
+        if closed:
+            h = closed_values(tau, stats)
+        else:
+            fn, dfn = (lambda p: bs.u(tau, p)), (lambda p: bs.du_dx(tau, p))
+            live = bs.live_interval(tau) if window else None
+            h = apply_f_tilde_fn(plan, fn, dfn, tau, live)
+            if window is None:
+                h_win = apply_f_tilde_fn(plan, fn, dfn, tau,
+                                         bs.live_interval(tau))
+                gap = _rel_max(h_win, h)
+                window = gap <= SOURCE_SWITCH_TOL
+                stats["source_window_gap"] = gap
         if not np.all(np.isfinite(h)):
             raise SingularityError(
                 f"compensated source is non-finite at tau={tau:.3e}; "
                 "use a finer graded startup mesh")
         stats["source_analytic"] += 1
-        stats["source_pair_fraction"] = plan.stats["source_pairs"] / (
-            pairs_per_level * stats["source_analytic"])
+        stats["source_form"] = "closed" if closed else "nodes"
+        if not closed:
+            stats["source_pair_fraction"] = plan.stats["source_pairs"] / (
+                pairs_per_level * stats["source_analytic"])
         stats["source_analytic_s"] += perf_counter() - t0
         return h
 
@@ -482,10 +537,29 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         return spectrum(tau, grid_values(tau, stats), stats)
 
     def propagator(h_hat: np.ndarray):
-        """h(tau) = exp((tau - tau_a) L_BS) h(tau_a)."""
+        """h(tau) = exp((tau - tau_a) L_BS) h(tau_a), advanced from the
+        latest read by one multiply with exp(step L_BS), kept for the
+        _PHIS_KEPT latest steps; a read before the latest (the cross-check
+        march starts again) restarts from tau_a."""
         L_bs = (-0.5 * problem.sigma ** 2 * tr.k2
                 + tr.ik[0] * (problem.rate - 0.5 * problem.sigma ** 2))
-        return lambda tau: (np.exp((tau - tau_a) * L_bs) * h_hat, False)
+        steps = {}  # step -> exp(step L_BS), least recently used first
+        state = (tau_a, h_hat)
+
+        def read(tau):
+            nonlocal state
+            if tau < state[0]:
+                state = (tau_a, h_hat)
+            step = tau - state[0]
+            E = steps.pop(step, None)
+            if E is None:
+                E = np.exp(step * L_bs)
+            steps[step] = E
+            if len(steps) > _PHIS_KEPT:
+                del steps[next(iter(steps))]
+            state = (tau, E * state[1])
+            return state[1], False
+        return read
 
     def interpolant(h_hat: np.ndarray, stats: dict):
         """Barycentric interpolant on N + 1 Chebyshev-Lobatto nodes in log tau
@@ -545,6 +619,28 @@ def _compensated_source(problem: CauchyProblem, plan: OperatorPlan,
         return latest[1]
 
     return source
+
+
+def _node_gap(plan: OperatorPlan, bs: BlackScholesClosedForm,
+              tau: float) -> float:
+    """Max-norm relative gap of the closed-form source at tau to the plain
+    node sum on NODE_CHECK_COLUMNS evenly spaced core columns; above
+    SOURCE_NODE_TOL the family tag does not describe the plan's density
+    (or the nodes miss it), and the solve stops."""
+    g = plan.grid
+    x = g.axis()[g.pad + np.linspace(0, g.n_core - 1,
+                                     NODE_CHECK_COLUMNS).astype(int)]
+    z = plan.z_nodes[:, None]
+    nodes = plan.wh @ (bs.u(tau, x + z) - bs.u(tau, x)
+                       - np.expm1(z) * bs.du_dx(tau, x))
+    gap = _rel_max(bs.jump_source(tau, x, plan.measure.family), nodes)
+    if not gap <= SOURCE_NODE_TOL:
+        raise ToleranceNotMetError(
+            f"closed-form {plan.measure.family[0]} source misses the node sum "
+            f"by {gap:.3e} at tau={tau:.6g}, more than {SOURCE_NODE_TOL:.1e}: "
+            "the measure's family does not match its density, or the plan's "
+            "nodes do not resolve it", error=gap)
+    return gap
 
 
 def _prepare_rhs(problem: CauchyProblem, scheme: SchemeConfig,

@@ -1,6 +1,8 @@
 """The summary arithmetic of tools/bench_pairs.py on fixed run records."""
 import importlib.util
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,19 @@ def test_the_last_line_is_the_record(bench_pairs):
     record = _record(rate=1.5)
     stdout = "# env {}\nrate 1.5\n" + json.dumps(record) + "\n"
     assert bench_pairs.parse_record(stdout) == record
+
+
+def test_a_run_reports_its_wall_and_child_cpu_seconds(bench_pairs):
+    # a sleeping child uses almost no CPU; a busy one uses about its wall
+    # time (one thread), never more than the machine's cores allow
+    sleep = [sys.executable, "-c", "import time; time.sleep(0.3)"]
+    proc, wall, cpu = bench_pairs.timed_run(sleep)
+    assert proc.returncode == 0
+    assert wall >= 0.3
+    assert 0.0 <= cpu < 0.5 * wall
+    busy = [sys.executable, "-c",
+            "import time\nt = time.process_time()\n"
+            "while time.process_time() - t < 0.3: pass"]
+    proc, wall, cpu = bench_pairs.timed_run(busy, capture_output=True)
+    assert proc.returncode == 0
+    assert 0.3 <= cpu <= wall * (os.cpu_count() or 1) + 0.05

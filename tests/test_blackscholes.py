@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import ndtr
 
 from levypide.blackscholes import BlackScholesClosedForm
 from levypide.errors import ParameterDomainError
+from levypide.measures import make_kou, make_merton
 
 
 @pytest.mark.parametrize("option_type", ["call", "put"])
@@ -85,3 +87,43 @@ def test_closed_form_refuses_a_negative_or_non_finite_tau(tau):
             method(tau, x)
     with pytest.raises(ParameterDomainError, match="tau"):
         bs.live_interval(tau)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.02, 0.7])
+@pytest.mark.parametrize("measure", [
+    make_merton(0.5, -0.1, 0.2), make_kou(0.4, 0.6, 8.0, 4.0),
+], ids=["merton", "kou"])
+def test_jump_source_matches_adaptive_quadrature(measure, tau):
+    # h(tau, x) = int [u(x + z) - u - (e^z - 1) u'] h(z) dz, by adaptive
+    # quadrature on pieces split at the kink z = -x (sharp for small tau)
+    # and at the Kou density's jump z = 0.  Above the jump radius R the
+    # put's e^(x + z) would overflow and the density is below e^-47 of its
+    # peak; below -R the put is about K, and this Kou law's tail there is
+    # 1e-11 of max |h|, so that side runs to -inf
+    put = BlackScholesClosedForm(100.0, 0.05, 0.25, "put")
+    x = np.array([-1.5, -0.4, -0.05, 0.0, 0.1, 0.3, 1.2])
+    R = measure.jump_radius
+    want = []
+    for xi in x:
+        u, du = float(put.u(tau, xi)), float(put.du_dx(tau, xi))
+
+        def integrand(z):
+            return float((put.u(tau, xi + z) - u - math.expm1(z) * du)
+                         * measure.density(z))
+        edges = [-math.inf, *sorted({-float(xi), 0.0}), R]
+        want.append(sum(
+            integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12,
+                           limit=200)[0]
+            for a, b in zip(edges[:-1], edges[1:])))
+    want = np.array(want)
+    got = put.jump_source(tau, x, measure.family)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the operator annihilates the parity gap: a call has the same source
+    call = BlackScholesClosedForm(100.0, 0.05, 0.25, "call")
+    assert np.array_equal(call.jump_source(tau, x, measure.family), got)
+
+
+def test_jump_source_refuses_a_family_without_a_closed_form():
+    bs = BlackScholesClosedForm(100.0, 0.05, 0.2)
+    with pytest.raises(ParameterDomainError, match="exponential_tail"):
+        bs.jump_source(0.5, np.zeros(3), ("exponential_tail", 1.0, 0.5, 3.0))

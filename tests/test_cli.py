@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import json
 import re
@@ -107,6 +108,15 @@ def solves(monkeypatch):
     monkeypatch.setattr(cli, "solve_shifted",
                         lambda *a: calls.append(a) or real(*a))
     return calls
+
+
+@pytest.fixture
+def untagged(monkeypatch):
+    """Build the config's Merton measure without its family tag, so that
+    its identity-shift solve sums the source over the plan's nodes."""
+    factory, keys = config.FAMILIES["merton"]
+    monkeypatch.setitem(config.FAMILIES, "merton", (
+        lambda *args: dataclasses.replace(factory(*args), family=None), keys))
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -533,7 +543,11 @@ def test_price_command_writes_artifacts(tmp_path):
     assert manifest["stats"]["shift_fallback_points"] == 0
     assert manifest["stats"]["shift_fp_iterations"] == 0
     assert manifest["stats"]["explicit_evaluations"] > 0
-    assert manifest["stats"]["source_pairs"] > 0
+    # the Merton source is the closed form, checked against the node sum
+    # at the horizon; it evaluates no (node, point) pair
+    assert manifest["stats"]["source_form"] == "closed"
+    assert manifest["stats"]["source_node_gap"] <= solver.SOURCE_NODE_TOL
+    assert manifest["stats"]["source_pairs"] == 0
     assert manifest["scheme"] == {"scheme": "imex_bdf2", "dt": 0.04}
     assert "threads" not in manifest
 
@@ -552,7 +566,8 @@ def test_price_without_jumps_checks_against_black_scholes(tmp_path):
         "operator"] is None
 
 
-def test_manifest_records_the_grid_and_source_window_that_ran(tmp_path):
+def test_manifest_records_the_grid_and_source_window_that_ran(tmp_path,
+                                                             untagged):
     cfg = _write(tmp_path, MERTON_CFG)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "price"]) == 0
@@ -564,6 +579,7 @@ def test_manifest_records_the_grid_and_source_window_that_ran(tmp_path):
                                 "reach": reach, "pad": grid.pad,
                                 "n_total": grid.n_total}
     stats = manifest["stats"]
+    assert stats["source_form"] == "nodes"
     assert stats["source_window_gap"] <= 1e-12
     assert 0.0 < stats["source_pair_fraction"] < 0.25
     assert 0.0 < stats["stability_margin"] < 1.0
@@ -610,8 +626,8 @@ def test_impact_call_manifest_records_the_interpolated_source(tmp_path):
 
 
 # The prices `levypide price` writes for the demo configs, as float.hex.
-DEMO_PRICES = {"merton_call": "0x1.853fd4c465e52p+3",
-               "kou_put": "0x1.389e0caf58b24p+2",
+DEMO_PRICES = {"merton_call": "0x1.853fd4d3c2f7dp+3",
+               "kou_put": "0x1.389e0cb062ae5p+2",
                "impact_call": "0x1.86dfef6ec1ffep+3"}
 
 
@@ -633,7 +649,7 @@ def fft_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name,limit,pairs", [
-    ("merton_call", 90, 600_000), ("kou_put", 170, 900_000),
+    ("merton_call", 90, 0), ("kou_put", 170, 0),
     ("jump_free", 70, 0), ("impact_call", 208, 1_500_000)],
     ids=["merton_call", "kou_put", "jump_free", "impact_call"])
 def test_demo_prices_and_their_transform_counts(tmp_path, fft_calls, name,
@@ -643,8 +659,9 @@ def test_demo_prices_and_their_transform_counts(tmp_path, fft_calls, name,
     # (kou_put's cross-check marches twice), and the band path its one
     # inverse, gradient and forward transform per level plus one forward
     # transform per analytic source level; the gamma = 0 checkpoint norms
-    # take none.  An identity-shift source calls the closed form only where
-    # a jump lands in its live interval, besides the first level's full sum
+    # take none.  The Merton and Kou sources are closed forms, which sum
+    # over no (node, point) pair; the impacted source evaluates the pairs
+    # of its node blocks' column windows
     demo = "merton_call" if name == "jump_free" else name
     text = (ROOT / "demos" / "configs" / f"{demo}.cfg").read_text()
     if name == "jump_free":

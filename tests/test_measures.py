@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from levypide import measures
 from levypide.errors import ParameterDomainError
@@ -39,6 +40,30 @@ def test_kou_total_mass_and_compensator():
     want = 0.5 * 3.0 / 2.0 + 0.5 * 3.0 / 4.0 - 1.0
     assert abs(mom.compensated_exp_moment - want) < 1e-10
     assert abs(want - 0.125) < 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.97])
+def test_exponential_tail_total_mass_is_exact(alpha):
+    # the quadrature stopped at z = e^-60: 0.29% low at alpha 0.9 and 17%
+    # low at alpha 0.97; here against scipy's algebraic-weight quadrature of
+    # z^-alpha e^(-d z) on (0, 1] plus the plain one on [1, inf)
+    c0, d = 1.3, 3.0
+    head = integrate.quad(lambda z: math.exp(-d * z), 0.0, 1.0, weight="alg",
+                          wvar=(-alpha, 0.0), epsabs=0.0, epsrel=1e-13)[0]
+    tail = integrate.quad(lambda z: z ** -alpha * math.exp(-d * z), 1.0,
+                          math.inf, epsabs=0.0, epsrel=1e-13)[0]
+    got = moments(make_exponential_tail(c0, alpha, d)).total_mass
+    assert got == pytest.approx(2.0 * c0 * (head + tail), rel=1e-12, abs=0.0)
+
+
+def test_merton_and_kou_total_mass_is_the_intensity_exactly():
+    assert moments(make_merton(0.7, -0.1, 0.2)).total_mass == 0.7
+    assert moments(make_kou(0.4, 0.6, 8.0, 4.0)).total_mass == 0.4
+    # a measure built without a family keeps the quadrature
+    base = make_merton(0.7, -0.1, 0.2)
+    untagged = LevyMeasure(base.density, 1, base.shape)
+    assert untagged.family is None
+    assert moments(untagged).total_mass == pytest.approx(0.7, rel=1e-9)
 
 
 def test_kou_compensator_is_finite_when_the_cutoff_passes_exp_overflow():

@@ -115,10 +115,12 @@ def test_a_two_dimensional_pricing_problem_is_refused():
 @pytest.mark.parametrize("edit,what", [
     (lambda z, h: np.where(z > 1.5, np.nan, h), "NaN"),
     (lambda z, h: np.where(np.abs(z) < 0.3, -1.0, h), "negative"),
-], ids=["nan_beyond_1.5", "negative_below_0.3"])
+    (lambda z, h: np.where(z > 1.5, np.inf, h), "infinite"),
+], ids=["nan_beyond_1.5", "negative_below_0.3", "inf_beyond_1.5"])
 def test_a_bad_user_density_is_named_where_it_is_sampled(edit, what):
-    # these used to fail as a non-finite source at tau = 0 and as an
-    # envelope tail that does not decay
+    # these used to fail as a non-finite source at tau = 0, as an envelope
+    # tail that does not decay and as a StabilityError with bound 0.000e+00
+    # (an infinite plan mass)
     base = make_merton(0.5, -0.1, 0.2)
     bad = LevyMeasure(lambda z: edit(np.asarray(z), base.density(z)), 1,
                       base.shape)
@@ -142,7 +144,9 @@ def test_a_density_nan_only_far_past_the_jump_radius_prices():
     scheme = SchemeConfig(dt=0.05)
     got = price_european(MKT, LevyMeasure(naive, 1, kou.shape), n_core=128,
                          scheme=scheme)
-    assert got.price == price_european(MKT, kou, n_core=128,
+    # against the same node-sum path: the tagged kou takes the closed form
+    untagged = LevyMeasure(kou.density, 1, kou.shape)
+    assert got.price == price_european(MKT, untagged, n_core=128,
                                        scheme=scheme).price
 
 

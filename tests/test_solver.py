@@ -29,6 +29,9 @@ from levypide.solver import (CauchyProblem, SchemeConfig, build_time_mesh,
                              solve_shifted)
 
 MERTON = make_merton(0.5, -0.1, 0.2)
+# the same law without its family tag: an identity-shift solve sums its
+# source over the plan's nodes instead of taking the closed form
+NODE_MERTON = dataclasses.replace(MERTON, family=None)
 
 
 def _merton_grid(n=512, half_width=4.0):
@@ -222,11 +225,13 @@ def _demo_problem(name, n_core):
 
 def _traced_solve(problem, scheme):
     """solve_shifted, with every _run result (innermost first), the taus of
-    the analytic source evaluations and the plan and band builds.  The
+    the analytic source evaluations (node sums and closed forms, the closed
+    form's horizon check included) and the plan and band builds.  The
     solver's and the plan's timers read clocks that tick once per reading,
     so equal work gives equal stats."""
     trace = {"runs": [], "source_taus": [], "plans": 0, "bands": 0}
     run, fn = solver._run, solver.apply_f_tilde_fn
+    closed = BlackScholesClosedForm.jump_source
     plan, band = solver.build_plan, jump_operator._build_band
 
     def traced_run(*args, **kwargs):
@@ -237,6 +242,10 @@ def _traced_solve(problem, scheme):
         trace["source_taus"].append(tau)
         return fn(plan_, fn_, dfn, tau, live)
 
+    def traced_closed(bs, tau, x, family):
+        trace["source_taus"].append(tau)
+        return closed(bs, tau, x, family)
+
     def count(key, real):
         return lambda *a, **k: trace.__setitem__(key, trace[key] + 1) \
             or real(*a, **k)
@@ -244,6 +253,7 @@ def _traced_solve(problem, scheme):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_run", traced_run)
         mp.setattr(solver, "apply_f_tilde_fn", traced_fn)
+        mp.setattr(BlackScholesClosedForm, "jump_source", traced_closed)
         mp.setattr(solver, "build_plan", count("plans", plan))
         mp.setattr(jump_operator, "_build_band", count("bands", band))
         for module in (solver, jump_operator):
@@ -602,11 +612,88 @@ def test_propagated_source_matches_analytic(measure):
     bs = BlackScholesClosedForm(100.0, 0.05, 0.2, "put")
     for tau in (0.3, 0.6, 1.0):
         assert tau > stats["source_switch_tau"]
-        want = apply_f_tilde_fn(plan, lambda p: bs.u(tau, p),
-                                lambda p: bs.du_dx(tau, p), tau)
+        # against the analytic source the solve evaluates: the closed form
+        # for Merton and Kou, the node sum otherwise
+        if measure.family[0] in solver.CLOSED_SOURCES:
+            want = bs.jump_source(tau, g.axis(), measure.family)
+        else:
+            want = apply_f_tilde_fn(plan, lambda p: bs.u(tau, p),
+                                    lambda p: bs.du_dx(tau, p), tau)
         got = Transforms(g).inv(source(tau, stats))
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
     assert stats["source_propagated"] == done + 3
+
+
+def test_propagated_source_steps_match_the_direct_exponential():
+    # each propagated level is the previous one times exp(step L_BS); a
+    # march that starts again from tau = 0 (the cross-check's) restarts
+    # from tau_a and reads the same spectra
+    g = make_grid(3.0, 256, reach=2.3)
+    problem = CauchyProblem(g, sigma=0.2, horizon=1.0, rate=0.05,
+                            measure=MERTON, strike=100.0)
+    stats = solver._source_stats()
+    taus = build_time_mesh(1.0, 0.01, grade=True)
+    source = solver._compensated_source(problem, build_plan(g, MERTON),
+                                        taus, keep_levels=True)
+    first = [source(float(tau), stats) for tau in taus]
+    tau_a = stats["source_switch_tau"]
+    h_a = source(tau_a, stats)
+    tr = Transforms(g)
+    L_bs = -0.5 * 0.2 ** 2 * tr.k2 + tr.ik[0] * (0.05 - 0.5 * 0.2 ** 2)
+    later = taus > tau_a
+    assert stats["source_propagated"] == np.count_nonzero(later) > 50
+    for tau, got in zip(taus[later], itertools.compress(first, later)):
+        want = np.exp((tau - tau_a) * L_bs) * h_a
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    again = [source(float(tau), stats) for tau in taus]
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+@pytest.mark.parametrize("measure, shift, form", [
+    (MERTON, None, "closed"),
+    (make_kou(0.4, 0.6, 8.0, 4.0), None, "closed"),
+    (NODE_MERTON, None, "nodes"),
+    (make_exponential_tail(1.0, 0.5, 3.0), None, "nodes"),
+    (MERTON, ShiftModel(strategy_tanh_ramp(0.3), rho=0.05), "nodes"),
+    (None, None, None),
+], ids=["merton", "kou", "untagged_merton", "tail_alpha_0.5",
+        "tanh_ramp_rho_0.05", "no_jumps"])
+def test_only_identity_merton_and_kou_solves_take_the_closed_source(
+        measure, shift, form):
+    market = MarketSpec(100.0, 100.0, 0.5, 0.03, 0.2, "put")
+    res = price_european(market, measure, shift, n_core=128,
+                         scheme=SchemeConfig(dt=0.05))
+    st = res.result.stats
+    assert st["source_form"] == form
+    if form == "closed":
+        assert 0.0 <= st["source_node_gap"] <= solver.SOURCE_NODE_TOL
+        assert st["source_window_gap"] is None
+        assert st["source_pairs"] == 0
+        # the node sum prices the same law to within its own error, which
+        # is largest at the first levels (1.9e-5 of max |h| at tau = 0.002
+        # for Merton at n_core 1024): 1.9e-7 apart here for Merton
+        untagged = dataclasses.replace(measure, family=None)
+        nodes = price_european(market, untagged, n_core=128,
+                               scheme=SchemeConfig(dt=0.05))
+        assert nodes.result.stats["source_form"] == "nodes"
+        assert res.price == pytest.approx(nodes.price, rel=3e-7)
+    else:
+        assert st["source_node_gap"] is None
+
+
+@pytest.mark.parametrize("family", [
+    ("kou", 0.5, 0.6, 8.0, 4.0),
+    ("merton", 0.5, -0.1, 0.25),
+    ("merton", 0.6, -0.1, 0.2),
+], ids=["kou_tag", "wider_jumps", "higher_intensity"])
+def test_a_family_tag_that_disagrees_with_the_density_stops_the_solve(
+        family):
+    g = _merton_grid(128)
+    tagged = dataclasses.replace(MERTON, family=family)
+    problem = CauchyProblem(g, sigma=0.2, horizon=0.5, rate=0.03,
+                            measure=tagged, strike=100.0)
+    with pytest.raises(ToleranceNotMetError, match="does not match"):
+        solve_shifted(problem, SchemeConfig(dt=0.05))
 
 
 @pytest.mark.parametrize("reader", ["propagator", "interpolant"])
@@ -883,7 +970,7 @@ def _full_sum_only(plan, fn, dfn, tau, live=None):
 def test_failed_window_check_falls_back_to_the_full_sum(monkeypatch, rho):
     g = make_grid(4.0, 128, reach=2.6)
     problem = CauchyProblem(g, sigma=0.2, horizon=0.1, rate=0.03,
-                            measure=MERTON, strike=100.0,
+                            measure=NODE_MERTON, strike=100.0,
                             shift=ShiftModel(strategy_tanh_ramp(0.3), rho=rho))
     scheme = SchemeConfig(dt=0.02)
     windowed = solve_shifted(problem, scheme)
@@ -907,7 +994,7 @@ def test_failed_window_check_falls_back_to_the_full_sum(monkeypatch, rho):
 def test_window_check_catches_a_wrong_live_interval(monkeypatch):
     g = make_grid(4.0, 128, reach=2.6)
     problem = CauchyProblem(g, sigma=0.2, horizon=0.1, rate=0.03,
-                            measure=MERTON, strike=100.0)
+                            measure=NODE_MERTON, strike=100.0)
     scheme = SchemeConfig(dt=0.02)
     monkeypatch.setattr(solver, "apply_f_tilde_fn", _full_sum_only)
     disabled = solve_shifted(problem, scheme)

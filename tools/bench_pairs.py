@@ -9,18 +9,23 @@ the last line of each run's standard output.  For every end-to-end metric
 of CHANGE's BENCHMARK.json it prints the parent's median and quartiles (the
 summary of bench/baseline.py), the change's median, and the pairs the
 change won in the metric's `better` direction (a tie counts for neither
-side), then each side's attempted and failed calls.  The exit status is 1
-when any run failed or its last line is no such object.  The runs write
-bytecode nowhere, so each tree gains files only in its git-ignored
-.bench_out/.
+side), then each side's attempted and failed calls.  Each pair's line
+also gives each run's wall seconds and the CPU seconds its process tree
+used (user plus system), so a run starved by other load on the machine
+shows in its own pair as CPU well below wall; it is a diagnostic, not a
+gate.  The exit status is 1 when any run failed or its last line is no
+such object.  The runs write bytecode nowhere, so each tree gains files
+only in its git-ignored .bench_out/.
 """
 import argparse
 import importlib.util
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -64,17 +69,31 @@ def summarize(pairs: list, better: dict) -> dict:
     return out
 
 
+def timed_run(command: list, **kwargs):
+    """subprocess.run(command, **kwargs) with its wall seconds and the CPU
+    seconds (user plus system) of the children it waited for, from the
+    RUSAGE_CHILDREN difference around it: (completed process, wall, cpu)."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    t0 = time.perf_counter()
+    proc = subprocess.run(command, **kwargs)
+    wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime
+                                                - before.ru_stime)
+    return proc, wall, cpu
+
+
 def run_once(tree: Path, workload: str, seed: int):
     """One timed run in tree, as its BENCHMARK.json sets it: (record or
-    None, exit status)."""
+    None, exit status, wall seconds, child CPU seconds)."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
+    proc, wall, cpu = timed_run(
         spec["command"] + ["--workload", workload, "--seed", str(seed),
                            "--seconds", str(spec["run_seconds"]),
                            "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True)
-    return parse_record(proc.stdout), proc.returncode
+    return parse_record(proc.stdout), proc.returncode, wall, cpu
 
 
 def main(argv=None) -> int:
@@ -90,21 +109,24 @@ def main(argv=None) -> int:
     pairs, ok = [], True
     for i in range(PAIRS):
         seed = args.seed0 + i
-        pair = {}
+        pair, times = {}, {}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            record, status = run_once(trees[side], args.workload, seed)
+            record, status, wall, cpu = run_once(trees[side], args.workload,
+                                                 seed)
             if record is None or status != 0 or record["failed"]:
                 ok = False
                 print(f"pair {i} seed {seed} {side}: exit {status}, " + (
                     "malformed last line" if record is None
                     else f"{record['failed']} failed calls"))
             pair[side] = record
+            times[side] = f"{side} wall {wall:.1f} s cpu {cpu:.1f} s"
         if all(pair.values()):
             pairs.append(pair)
             print(f"pair {i} seed {seed}: " + ", ".join(
                 f"{name} {pair['parent']['metrics'][name]['value']:.6g} -> "
                 f"{pair['change']['metrics'][name]['value']:.6g}"
-                for name in better), flush=True)
+                for name in better) + "; " + ", ".join(
+                    times[side] for side in SIDES), flush=True)
     if len(pairs) >= 2:
         for name, s in summarize(pairs, better).items():
             q = s["parent"]
